@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cells import SolutionCell, SolutionSet, solve
 from .core import NEG_INF, Matrix, NegInfinity, Scalar, TropicalError, as_scalar
-from .oracle import GridSpec, cross_validate
+from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
     PinnedSolutionSet,
@@ -416,9 +416,13 @@ def run(argv: list[str] | None = None) -> int:
         if check_pair is None:
             print("check skipped: nothing to validate", file=sys.stderr)
         else:
-            report = cross_validate(
-                check_pair[0], check_pair[1], grid, target, seed=args.seed
-            )
+            try:
+                report = cross_validate(
+                    check_pair[0], check_pair[1], grid, target, seed=args.seed
+                )
+            except GridTooLarge as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 3
             summary = {
                 "missed": len(report.missed),
                 "invalid": len(report.invalid),

@@ -9,8 +9,9 @@ is pure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class TropicalError(Exception):
@@ -144,6 +145,29 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a string or Fraction")
     raise TypeError(f"cannot coerce {type(value).__name__} to a tropical scalar")
+
+
+def common_denominator(values: Iterable) -> int:
+    """Lcm of the denominators of the rationals among values (1 if none).
+
+    Multiplying by it turns every rational value into an integer, exactly.
+    """
+    return math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+
+
+def scaled(value: Scalar, scale: int) -> int | None:
+    """value * scale as an exact int, with None standing for -inf.
+
+    scale must be a multiple of value's denominator (see common_denominator).
+    """
+    if isinstance(value, NegInfinity):
+        return None
+    return value.numerator * (scale // value.denominator)
+
+
+def scaled_entries(matrix: Matrix, scale: int) -> list[list[int | None]]:
+    """The matrix entries times scale, as exact ints, with None for -inf."""
+    return [[scaled(v, scale) for v in row] for row in matrix.to_rows()]
 
 
 def as_vector(values: Sequence) -> tuple[Scalar, ...]:

@@ -8,7 +8,6 @@ Enumeration runs on integers after clearing denominators, which is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -22,6 +21,9 @@ from .core import (
     NegInfinity,
     Scalar,
     TropicalError,
+    common_denominator,
+    scaled,
+    scaled_entries,
 )
 
 
@@ -52,18 +54,6 @@ class GridSpec:
         return self.values
 
 
-def _scaled_entries(matrix: Matrix, scale: int) -> list[list[int | None]]:
-    return [
-        [
-            None
-            if isinstance(matrix[i, j], NegInfinity)
-            else int(matrix[i, j] * scale)
-            for j in range(matrix.cols)
-        ]
-        for i in range(matrix.rows)
-    ]
-
-
 def grid_solutions(
     a: Matrix, b: Matrix, grid: GridSpec, cap: int = 10**6
 ) -> list[tuple[Scalar, ...]]:
@@ -80,18 +70,12 @@ def grid_solutions(
     if size > cap:
         raise GridTooLarge(f"{size} candidates exceed the cap of {cap}")
 
-    denominators = [
-        v.denominator
-        for row in a.to_rows() + b.to_rows()
-        for v in row
-        if isinstance(v, Fraction)
-    ] + [v.denominator for v in grid.values]
-    scale = math.lcm(*denominators) if denominators else 1
-    am = _scaled_entries(a, scale)
-    bm = _scaled_entries(b, scale)
-    scaled_points: list[int | None] = [
-        None if isinstance(p, NegInfinity) else int(p * scale) for p in points
-    ]
+    scale = common_denominator(
+        [v for row in a.to_rows() + b.to_rows() for v in row] + list(grid.values)
+    )
+    am = scaled_entries(a, scale)
+    bm = scaled_entries(b, scale)
+    scaled_points = [scaled(p, scale) for p in points]
 
     out: list[tuple[Scalar, ...]] = []
     for combo in product(range(len(points)), repeat=n):

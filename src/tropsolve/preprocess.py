@@ -89,12 +89,7 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
 
     Each move strictly shrinks rows+columns, so the loop terminates.
     """
-    _check_same_shape(a, b)
-
-    def dominant(i: int, j: int) -> tuple:
-        av, bv = a[i, j], b[i, j]
-        return (av if av >= bv else NEG_INF, bv if bv >= av else NEG_INF)
-
+    a_bold, b_bold = bold_pair(a, b)
     live_rows = list(range(a.rows))
     live_cols = list(range(a.cols))
     forced: set[int] = set()
@@ -112,7 +107,7 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
             continue
 
         for i in list(live_rows):
-            doms = [dominant(i, j) for j in live_cols]
+            doms = [(a_bold[i, j], b_bold[i, j]) for j in live_cols]
             a_dead = all(isinstance(da, NegInfinity) for da, _ in doms)
             b_dead = all(isinstance(db, NegInfinity) for _, db in doms)
             if a_dead == b_dead:
@@ -135,8 +130,8 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
 
         for j in list(live_cols):
             dead = all(
-                isinstance(dominant(i, j)[0], NegInfinity)
-                and isinstance(dominant(i, j)[1], NegInfinity)
+                isinstance(a_bold[i, j], NegInfinity)
+                and isinstance(b_bold[i, j], NegInfinity)
                 for i in live_rows
             )
             if dead:
@@ -153,11 +148,11 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
 
     if live_rows:
         a_dom = Matrix(
-            [[dominant(i, j)[0] for j in live_cols] for i in live_rows],
+            [[a_bold[i, j] for j in live_cols] for i in live_rows],
             cols=len(live_cols),
         )
         b_dom = Matrix(
-            [[dominant(i, j)[1] for j in live_cols] for i in live_rows],
+            [[b_bold[i, j] for j in live_cols] for i in live_rows],
             cols=len(live_cols),
         )
         mx = maximum_matrix(a_dom, b_dom)

@@ -6,7 +6,11 @@ both sides.  A winning pair picks one column from each strict side (or a tie
 column against itself); two pairs from different rows are compatible when
 every 2x2 tropical minor of the maximum matrix they span attains its value
 on the main diagonal.  Win sequences (one pair per row, pairwise compatible)
-are enumerated by depth-first backtracking with incremental pruning.
+are enumerated by forward checking: the entries are scaled to exact ints,
+the minor test is tabulated once per enumeration as one bitmask per pair and
+later row, and each choice intersects the domains of all later rows,
+backtracking as soon as one is empty.  is_compatible is the readable
+reference for the same test.
 """
 
 from __future__ import annotations
@@ -14,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Matrix, TropicalError, ExtendedScalar, dif, odot
+from .core import (
+    ExtendedScalar,
+    Matrix,
+    TropicalError,
+    common_denominator,
+    dif,
+    odot,
+    scaled_entries,
+)
 
 Pair = tuple[int, int]
 WinSequence = tuple[Pair, ...]
@@ -104,28 +116,96 @@ def enumerate_win_sequences(
     return enumerate_win_sequences_counted(max_matrix, pairs_per_row)[0]
 
 
+def _compatibility_masks(
+    max_matrix: Matrix, pairs_per_row: list[list[Pair]]
+) -> list[list[list[int]]]:
+    """masks[i][a][k], for rows i < k: bit b is set when pair b of row k is
+    compatible with pair a of row i (the test of is_compatible).
+
+    Entries are scaled to exact ints once; a column-level table of the 2x2
+    minor test is then folded over the pairs holding each column.
+    """
+    scale = common_denominator(v for row in max_matrix.to_rows() for v in row)
+    mx = scaled_entries(max_matrix, scale)
+    # per row: column -> bitmask of the pairs that use it
+    holders: list[dict[int, int]] = []
+    for pairs in pairs_per_row:
+        held: dict[int, int] = {}
+        for b, pair in enumerate(pairs):
+            for col in set(pair):
+                held[col] = held.get(col, 0) | 1 << b
+        holders.append(held)
+
+    masks = []
+    for i, pairs in enumerate(pairs_per_row):
+        row_i = mx[i]
+        per_pair = [[0] * len(pairs_per_row) for _ in pairs]
+        for k in range(i + 1, len(pairs_per_row)):
+            row_k = mx[k]
+            # bad[iota]: pairs of row k failing the minor test against column iota
+            bad: dict[int, int] = {}
+            for iota in holders[i]:
+                mask = 0
+                for kappa, held in holders[k].items():
+                    l1, l2 = row_i[kappa], row_k[iota]
+                    if l1 is None or l2 is None:
+                        continue  # the left side is -inf: the minor passes
+                    r1, r2 = row_i[iota], row_k[kappa]
+                    if r1 is None or r2 is None or l1 + l2 > r1 + r2:
+                        mask |= held
+                bad[iota] = mask
+            full = (1 << len(pairs_per_row[k])) - 1
+            for a, (p, q) in enumerate(pairs):
+                per_pair[a][k] = full & ~(bad[p] | bad[q])
+        masks.append(per_pair)
+    return masks
+
+
 def enumerate_win_sequences_counted(
     max_matrix: Matrix, pairs_per_row: list[list[Pair]]
 ) -> tuple[list[WinSequence], int]:
-    """Enumerate win sequences and report the number of search nodes visited."""
+    """Enumerate win sequences and report the number of search nodes visited.
+
+    Forward checking over the bitmasks of _compatibility_masks: choosing a
+    pair narrows the domain of every later row, and the search backtracks as
+    soon as one is empty.  Pairs are tried in list order, so the sequences
+    come out in the order of a plain depth-first search.  A node is one pair
+    taken from a filtered domain.  The stack is explicit, so the number of
+    rows is not limited by the recursion limit.
+    """
     m = len(pairs_per_row)
+    if m == 0:
+        return [()], 0
+    masks = _compatibility_masks(max_matrix, pairs_per_row)
     out: list[WinSequence] = []
-    chosen: list[Pair] = []
     nodes = 0
-
-    def extend(row: int) -> None:
-        nonlocal nodes
-        if row == m:
-            out.append(tuple(chosen))
-            return
-        for pair in pairs_per_row[row]:
-            nodes += 1
-            if all(
-                is_compatible(max_matrix, i, chosen[i], row, pair) for i in range(row)
-            ):
-                chosen.append(pair)
-                extend(row + 1)
-                chosen.pop()
-
-    extend(0)
+    chosen = [0] * m
+    # domains[d][k]: pair indices of row k still open after the choices at
+    # rows < d; untried[d]: the pairs of row d not taken yet
+    domains = [[(1 << len(pairs)) - 1 for pairs in pairs_per_row]]
+    untried = [domains[0][0]]
+    while untried:
+        d = len(untried) - 1
+        bits = untried[d]
+        if not bits:
+            untried.pop()
+            domains.pop()
+            continue
+        low = bits & -bits
+        untried[d] = bits ^ low
+        a = low.bit_length() - 1
+        chosen[d] = a
+        nodes += 1
+        if d == m - 1:
+            out.append(tuple(pairs_per_row[k][chosen[k]] for k in range(m)))
+            continue
+        narrowed = domains[d].copy()
+        row_masks = masks[d][a]
+        for k in range(d + 1, m):
+            narrowed[k] &= row_masks[k]
+            if not narrowed[k]:
+                break
+        else:
+            domains.append(narrowed)
+            untried.append(narrowed[d + 1])
     return out, nodes

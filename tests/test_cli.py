@@ -147,6 +147,19 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_run_check_grid_too_large_exit_code(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("problem: eq\nm: 1\nn: 8\nA:\n0 1 2 3 -inf -inf -inf -inf\n"
+                    "B:\n-inf -inf -inf -inf 0 1 2 3\n")
+    # 6^8 grid candidates exceed the oracle cap of 10^6
+    assert run([str(path), "--check", "grid=-2,-1,0,1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "exceed the cap" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_run_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     import tropsolve.cli as cli_mod
     from tropsolve.oracle import CrossValidationReport

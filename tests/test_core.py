@@ -18,6 +18,7 @@ from tropsolve import (
     oplus,
     scalar_ops,
 )
+from tropsolve.core import common_denominator, scaled_entries
 
 rationals = st.fractions(max_denominator=50)
 scalars = st.one_of(st.just(NEG_INF), rationals)
@@ -166,3 +167,11 @@ def test_matrix_rejects_ragged_and_empty():
 def test_matrix_never_holds_pos_inf():
     with pytest.raises(TypeError):
         Matrix([[POS_INF]])
+
+
+def test_scaled_entries_exact():
+    m = Matrix([["1/2", "-inf", "-2/3"], [4, "5/6", 0]])
+    scale = common_denominator(v for row in m.to_rows() for v in row)
+    assert scale == 6
+    assert scaled_entries(m, scale) == [[3, None, -4], [24, 5, 0]]
+    assert common_denominator([NEG_INF]) == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -144,10 +145,14 @@ def test_enumerate_two_by_seven_contains_all_displayed(two_by_seven_example):
 
 def test_enumerate_equals_product_filter():
     rng = random.Random(11)
-    values = [NEG_INF, Fraction(0), Fraction(1), Fraction(2)]
+    # -inf twice, so that some 4x5 draws stay under the product cap
+    values = [
+        NEG_INF, NEG_INF, Fraction(0), Fraction(1), Fraction(2),
+        Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(5, 3),
+    ]
     checked = 0
-    for _ in range(200):
-        m_rows, n = rng.randint(1, 3), rng.randint(1, 3)
+    for _ in range(600):
+        m_rows, n = rng.randint(1, 4), rng.randint(1, 5)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         a_dom, b_dom = bold_pair(a, b)
@@ -170,7 +175,27 @@ def test_enumerate_equals_product_filter():
             )
         ]
         assert enumerate_win_sequences(mx, pairs) == sorted(brute)
-    assert checked >= 50
+    assert checked >= 200
+
+
+def test_enumerate_deeper_than_recursion_limit():
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = depth + 50
+    rows = limit + 1
+    mx = Matrix([[0, 1]] * rows)
+    pairs = [[(1, 0)]] * rows
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        seqs, nodes = enumerate_win_sequences_counted(mx, pairs)
+    finally:
+        sys.setrecursionlimit(old)
+    assert seqs == [((1, 0),) * rows]
+    assert nodes == rows
 
 
 def test_enumeration_count_bound(running_example):
