@@ -1,11 +1,17 @@
 """Bivariate constraint systems attached to a win sequence.
 
 Every relation produced by the solver is a normal form x_plus - x_minus + c
-(= 0 or <= 0) with an exact rational c.  Equations are solved by a weighted
+(= 0 or <= 0) with an exact constant c.  Equations are solved by a weighted
 union-find (offsets to the component representative); inequalities are
 tightened by difference-constraint analysis: negative cycles force variables
 to -inf, opposite rows of zero width become equations, and per ordered pair
 only the tightest row survives.
+
+Every step only adds, subtracts and compares constants, so the cell stage
+runs on Python ints: build_systems reads the maximum matrix scaled by the
+lcm of its denominators, every constant and offset is an int in units of
+1/scale, and cells.solve turns them back into Fractions when it assembles a
+cell.  The functions here accept Fraction constants just as well.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Matrix, TropicalError, dif
+from .core import TropicalError
 from .winseq import RowClassification, WinSequence
 
 EQ = "eq"
@@ -26,12 +32,14 @@ class Constraint:
     """Normal form x_plus - x_minus + constant  (= 0 for EQ, <= 0 for LEQ).
 
     Tautologies and contradictions are resolved where constraints are built,
-    never stored, so plus != minus always.
+    never stored, so plus != minus always.  Inside the cell stage the
+    constant is an int in units of 1/scale (see the module docstring);
+    constraints of a SolutionCell carry the Fraction value.
     """
 
     plus: int
     minus: int
-    constant: Fraction
+    constant: int | Fraction
     kind: str = LEQ
 
     def __post_init__(self):
@@ -41,16 +49,21 @@ class Constraint:
             raise TropicalError(f"unknown constraint kind {self.kind!r}")
 
 
+def _exact(constant) -> int | Fraction:
+    """ints and Fractions as they are, anything else through Fraction."""
+    return constant if type(constant) in (int, Fraction) else Fraction(constant)
+
+
 def eq(plus: int, minus: int, constant) -> Constraint:
     """Equation in canonical orientation: the smaller index carries +1."""
-    c = Fraction(constant)
+    c = _exact(constant)
     if plus > minus:
         plus, minus, c = minus, plus, -c
     return Constraint(plus, minus, c, EQ)
 
 
 def leq(plus: int, minus: int, constant) -> Constraint:
-    return Constraint(plus, minus, Fraction(constant), LEQ)
+    return Constraint(plus, minus, _exact(constant), LEQ)
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,7 @@ class PotentialAssignment:
     """
 
     representative: tuple[int, ...]
-    offset: tuple[Fraction, ...]
+    offset: tuple[int | Fraction, ...]
     inconsistent_roots: frozenset[int]
     components: Mapping[int, tuple[int, ...]]
 
@@ -78,13 +91,13 @@ class OffsetUnionFind:
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.shift = [Fraction(0)] * n
+        self.shift = [0] * n
         self.bad = [False] * n  # meaningful on roots
 
-    def location(self, v: int) -> tuple[int, Fraction]:
+    def location(self, v: int) -> tuple[int, int | Fraction]:
         """Root of v and the offset x_v - x_root."""
         root = v
-        off = Fraction(0)
+        off = 0
         while self.parent[root] != root:
             off += self.shift[root]
             root = self.parent[root]
@@ -114,7 +127,7 @@ class OffsetUnionFind:
             locs[v] = (root, off)
             groups.setdefault(root, []).append(v)
         rep = [0] * n
-        offs = [Fraction(0)] * n
+        offs = [0] * n
         components = {}
         bad_roots = set()
         for root, members in groups.items():
@@ -142,28 +155,31 @@ def solve_equations(equations: Iterable[Constraint], num_vars: int) -> Potential
 
 def build_systems(
     sequence: WinSequence,
-    max_matrix: Matrix,
+    rows: Sequence[Sequence[int | None]],
     classifications: Sequence[RowClassification],
 ) -> tuple[list[Constraint], list[Constraint]]:
     """Equation and inequality systems a solution arising from the sequence obeys.
 
-    Row h with pair (i1, i2) contributes the equation x_i2 - x_i1 - d = 0
-    (d the row-h entry difference; tautological and skipped when i1 = i2)
-    and, for every live column j outside the pair, the inequality
+    rows is the maximum matrix scaled to exact ints (None for -inf, see
+    ReducedInstance.scaled_max); the constants come out in the same units.
+    Row h with pair (i1, i2) contributes the equation
+    x_i2 - x_i1 + (m_hi2 - m_hi1) = 0 (tautological and skipped when
+    i1 = i2) and, for every live column j outside the pair, the inequality
     x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by eliminating the common row
     value.
     """
     eqs: list[Constraint] = []
     ineqs: list[Constraint] = []
     for h, (i1, i2) in enumerate(sequence):
-        cls = classifications[h]
+        row = rows[h]
+        dead = classifications[h].dead
+        base = row[i1]
         if i1 != i2:
-            d = dif(max_matrix, i1, i2, h)
-            eqs.append(eq(i2, i1, -d))
-        for j in range(max_matrix.cols):
-            if j in cls.dead or j == i1 or j == i2:
+            eqs.append(eq(i2, i1, row[i2] - base))
+        for j, value in enumerate(row):
+            if j in dead or j == i1 or j == i2:
                 continue
-            ineqs.append(leq(j, i1, max_matrix[h, j] - max_matrix[h, i1]))
+            ineqs.append(Constraint(j, i1, value - base, LEQ))
     return eqs, ineqs
 
 
@@ -231,7 +247,7 @@ def substitute(
     return out, frozenset(flagged)
 
 
-def _canonical_rows(bounds: Mapping[tuple[int, int], Fraction]) -> list[Constraint]:
+def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Constraint]:
     ordered = sorted(
         bounds.items(),
         key=lambda item: (
@@ -257,7 +273,7 @@ def sub_specialize(
     canonically ordered and sub-special, and 2*len(eqs) + len(residue) never
     exceeds len(ineqs).
     """
-    best: dict[tuple[int, int], Fraction] = {}
+    best: dict[tuple[int, int], int | Fraction] = {}
     consumed = 0
     for c in ineqs:
         if c.kind != LEQ:
@@ -270,26 +286,27 @@ def sub_specialize(
     variables = sorted({v for key in best for v in key})
     index = {v: i for i, v in enumerate(variables)}
     nv = len(variables)
-    dist: list[list[Fraction | None]] = [[None] * nv for _ in range(nv)]
+    dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
     for i in range(nv):
-        dist[i][i] = Fraction(0)
+        dist[i][i] = 0
     for (p, m), c in best.items():
         u, v = index[m], index[p]
         w = -c
         if dist[u][v] is None or w < dist[u][v]:
             dist[u][v] = w
     for k in range(nv):
-        for i in range(nv):
-            dik = dist[i][k]
+        row_k = dist[k]
+        for row_i in dist:
+            dik = row_i[k]
             if dik is None:
                 continue
-            for j in range(nv):
-                dkj = dist[k][j]
+            for j, dkj in enumerate(row_k):
                 if dkj is None:
                     continue
                 through = dik + dkj
-                if dist[i][j] is None or through < dist[i][j]:
-                    dist[i][j] = through
+                dij = row_i[j]
+                if dij is None or through < dij:
+                    row_i[j] = through
 
     forced = frozenset(variables[i] for i in range(nv) if dist[i][i] < 0)
     if forced:

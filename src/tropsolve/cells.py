@@ -5,7 +5,9 @@ for each sequence solve its equation system, propagate -inf, substitute into
 the inequalities and tighten them, looping while tightening extracts new
 equations.  Each surviving sequence yields one convex cell: variables forced
 to -inf, parameterized assignments x_v = t_p + offset, and a canonical list
-of residual inequalities over the parameters.
+of residual inequalities over the parameters.  The per-sequence work runs
+on exact ints, in units of 1/scale of the reduced instance; a cell's
+offsets and constants become Fractions when it is assembled.
 
 Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
@@ -140,9 +142,10 @@ def _solve_sequence(
 
     Returns (omega, assignment, residue): reduced-coordinate variables forced
     to -inf, the final potential assignment, and the sub-special residue over
-    its representatives.
+    its representatives.  Offsets and constants are ints in units of
+    1/red.scale.
     """
-    eqs, ineqs = build_systems(sequence, red.max_matrix, classifications)
+    eqs, ineqs = build_systems(sequence, red.scaled_max, classifications)
     uf = OffsetUnionFind(nvars)
     omega: set[int] = set()
     while True:
@@ -192,8 +195,16 @@ def _assemble_cell(
     free_original: frozenset[int],
     num_vars: int,
 ) -> SolutionCell | None:
+    """The cell of one solved sequence, in original coordinates and Fractions.
+
+    This is where the int offsets and constants of the cell stage, in units
+    of 1/red.scale, become Fractions.
+    """
+
     def orig(reduced_col: int) -> int:
         return colmap[red.col_origin[reduced_col]]
+
+    scale = red.scale
 
     neg = set(forced_outside)
     neg.update(orig(v) for v in omega)
@@ -202,13 +213,14 @@ def _assemble_cell(
     for v in range(nvars_reduced):
         if v in omega:
             continue
-        assignments[orig(v)] = (orig(pa.representative[v]), pa.offset[v])
+        assignments[orig(v)] = (orig(pa.representative[v]), Fraction(pa.offset[v], scale))
     for f in sorted(free_original):
         assignments[f] = (f, Fraction(0))
     if not assignments:
         return None  # only the trivial point: dropped, it lies in every cell
     constraints = tuple(
-        Constraint(orig(c.plus), orig(c.minus), c.constant, c.kind) for c in residue
+        Constraint(orig(c.plus), orig(c.minus), Fraction(c.constant, scale), c.kind)
+        for c in residue
     )
     mapped_seq = tuple((orig(p), orig(q)) for p, q in sequence)
     bound, cycles, free_idx = dimension_bound(mapped_seq, num_vars)
@@ -238,13 +250,21 @@ def _unconstrained_cell(alive: Sequence[int], num_vars: int) -> SolutionCell:
     )
 
 
-def _cell_key(cell: SolutionCell):
+def geometric_key(cell: SolutionCell) -> tuple:
+    """Identity of the point set a cell describes, whatever its win sequence.
+
+    Two cells with equal keys have the same -inf set, the same assignments
+    and the same constraints (all of kind LEQ, in canonical order).
+    """
     return (
-        cell.win_sequence,
         tuple(sorted(cell.neg_inf)),
         tuple(sorted((v, p, o) for v, (p, o) in cell.assignments.items())),
-        tuple((c.plus, c.minus, c.constant, c.kind) for c in cell.constraints),
+        tuple((c.plus, c.minus, c.constant) for c in cell.constraints),
     )
+
+
+def _cell_key(cell: SolutionCell) -> tuple:
+    return (cell.win_sequence, *geometric_key(cell))
 
 
 def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
@@ -329,7 +349,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             if len(child) < n and child not in seen:
                 stack.append(child)
 
-    cells = tuple(sorted(cells_by_key.values(), key=_cell_key))
+    cells = tuple(cell for _, cell in sorted(cells_by_key.items()))
     if cells:
         forced_everywhere = frozenset.intersection(*(c.neg_inf for c in cells))
     else:

@@ -5,7 +5,8 @@ the cell decomposition as text or JSON, and optionally cross-validates the
 result against the brute-force grid oracle.  All external indices are
 1-based; rationals serialize as strings so no consumer ever parses a float.
 
-Exit codes: 0 success, 1 parse error, 2 cross-validation failure.
+Exit codes: 0 success, 1 parse error, 2 cross-validation failure, 3 the
+--check grid has more candidates than the oracle's cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cells import SolutionCell, SolutionSet, solve
+from .cells import SolutionCell, SolutionSet, geometric_key, solve
 from .core import NEG_INF, Matrix, NegInfinity, Scalar, TropicalError, as_scalar
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
@@ -305,11 +306,7 @@ def _dedupe(result: SolutionSet) -> SolutionSet:
     seen = set()
     kept = []
     for cell in result.cells:
-        key = (
-            tuple(sorted(cell.neg_inf)),
-            tuple(sorted((v, p, o) for v, (p, o) in cell.assignments.items())),
-            tuple((c.plus, c.minus, c.constant) for c in cell.constraints),
-        )
+        key = geometric_key(cell)
         if key in seen:
             continue
         seen.add(key)

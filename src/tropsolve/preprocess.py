@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import NEG_INF, DimensionMismatch, Matrix, NegInfinity, oplus
+from .core import (
+    NEG_INF,
+    DimensionMismatch,
+    Matrix,
+    NegInfinity,
+    common_denominator,
+    oplus,
+    scaled_entries,
+)
 
 
 class Verdict(Enum):
@@ -27,7 +35,9 @@ class ReducedInstance:
 
     forced_neg_inf, free_cols and the image of col_origin partition the
     original column set.  Row/column indices inside the matrices are
-    reduced coordinates; the origin tuples map them back.
+    reduced coordinates; the origin tuples map them back.  scaled_max holds
+    the rows of max_matrix times scale, the lcm of its denominators, as
+    exact ints (None for -inf): the cell stage works in units of 1/scale.
     """
 
     a_dom: Matrix
@@ -38,6 +48,8 @@ class ReducedInstance:
     forced_neg_inf: frozenset[int]
     free_cols: frozenset[int]
     verdict: Verdict
+    scale: int
+    scaled_max: tuple[tuple[int | None, ...], ...]
 
 
 def _check_same_shape(a: Matrix, b: Matrix) -> None:
@@ -163,6 +175,7 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
         mx = Matrix([], cols=1)
         live_cols = []
 
+    scale = common_denominator(v for row in mx.to_rows() for v in row)
     return ReducedInstance(
         a_dom=a_dom,
         b_dom=b_dom,
@@ -172,4 +185,6 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
         forced_neg_inf=frozenset(forced),
         free_cols=frozenset(free),
         verdict=verdict,
+        scale=scale,
+        scaled_max=tuple(map(tuple, scaled_entries(mx, scale))),
     )

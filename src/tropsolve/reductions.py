@@ -80,11 +80,6 @@ def solve_hetero(c: Matrix, d: Matrix, collect_stats: bool = False) -> SolutionS
     return solve(*hetero_to_homo(c, d), collect_stats=collect_stats)
 
 
-def split_hetero_solution(z: Sequence[Scalar], n: int) -> tuple[tuple, tuple]:
-    zs = tuple(z)
-    return zs[:n], zs[n:]
-
-
 @dataclass(frozen=True)
 class AffineInstance:
     a: Matrix

@@ -10,11 +10,47 @@ from fractions import Fraction
 
 import pytest
 
-from tropsolve import Matrix, SolutionCell
+from tropsolve import NEG_INF, Matrix, SolutionCell
 from tropsolve.bivariate import Constraint, LEQ
 from tropsolve.cells import dimension_bound
 
 NI = "-inf"
+
+# Entries over the denominators 2, 3 and 4: exact scaling runs with scale 12.
+FRACTIONAL_VALUES = (
+    Fraction(1, 2),
+    Fraction(-3, 2),
+    Fraction(2, 3),
+    Fraction(7, 4),
+    NEG_INF,
+    Fraction(0),
+    Fraction(2),
+)
+
+
+def random_rows(rng, m, n):
+    return [[rng.choice(FRACTIONAL_VALUES) for _ in range(n)] for _ in range(m)]
+
+
+def planted_rows(rng, m, n):
+    """Random rows of A and B, one entry per row raised so that a drawn x solves them."""
+    a, b = random_rows(rng, m, n), random_rows(rng, m, n)
+    x = [rng.choice([v for v in FRACTIONAL_VALUES if v is not NEG_INF]) for _ in range(n)]
+    for i in range(m):
+        k = rng.randrange(n)
+        sides = [a[i], b[i]]
+        rng.shuffle(sides)
+        low, high = sides
+        tops = [v + x[j] for j, v in enumerate(high) if v is not NEG_INF]
+        if not tops:
+            high[k] = -x[k]
+            tops = [Fraction(0)]
+        low_tops = [v + x[j] for j, v in enumerate(low) if v is not NEG_INF]
+        if not low_tops or max(low_tops) < max(tops):
+            low[k] = max(tops) - x[k]
+        else:
+            high[k] = max(low_tops) - x[k]
+    return a, b
 
 
 def seq0(pairs):

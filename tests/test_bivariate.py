@@ -16,6 +16,7 @@ from tropsolve import (
     substitute,
 )
 from tropsolve.bivariate import EQ, LEQ, Constraint, PotentialAssignment, eq, leq
+from tropsolve.core import common_denominator, scaled_entries
 
 NI = "-inf"
 
@@ -50,7 +51,8 @@ def _systems_for(a, b, sequence_1based):
     a_dom, b_dom = bold_pair(a, b)
     mx = maximum_matrix(a_dom, b_dom)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
-    return build_systems(seq0(sequence_1based), mx, classes)
+    scale = common_denominator(v for row in mx.to_rows() for v in row)
+    return build_systems(seq0(sequence_1based), scaled_entries(mx, scale), classes)
 
 
 def test_build_systems_first_sequence(running_example):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tropsolve
 from tropsolve import emit, parse_instance, format_instance, solve
 from tropsolve.cli import ParseError, run
 
@@ -224,10 +227,15 @@ def test_emit_pinned_set():
 def test_module_entry_point(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text(RUNNING)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(tropsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tropsolve", str(path), "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p"] == 3
