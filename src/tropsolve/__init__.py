@@ -1,75 +1,16 @@
-"""Exact cell-decomposition solver for two-sided max-plus linear systems."""
+"""Exact cell-decomposition solver for two-sided max-plus linear systems.
 
-from .core import (
-    NEG_INF,
-    POS_INF,
-    DimensionMismatch,
-    Matrix,
-    NegInfinity,
-    PosInfinity,
-    Scalar,
-    TropicalError,
-    UndefinedOperation,
-    as_scalar,
-    as_vector,
-    conjugate,
-    dif,
-    matvec_maxplus,
-    matvec_minplus,
-    odot,
-    oplus,
-    oplus_min,
-    scalar_ops,
-)
-from .preprocess import ReducedInstance, Verdict, bold_pair, maximum_matrix, reduce_instance
-from .winseq import (
-    RowClassification,
-    classify_row,
-    enumerate_win_sequences,
-    interval,
-    is_compatible,
-    max_pairs_per_row,
-    winning_pairs,
-)
-from .bivariate import (
-    EQ,
-    LEQ,
-    Constraint,
-    PotentialAssignment,
-    build_systems,
-    eq,
-    is_sub_special,
-    leq,
-    remove_and_enlarge,
-    solve_equations,
-    sub_specialize,
-    substitute,
-)
-from .cells import (
-    SolutionCell,
-    SolutionSet,
-    cell_membership,
-    dimension_bound,
-    sample_cell,
-    solve,
-    verify_solution,
-)
-from .reductions import (
-    AffineInstance,
-    PinnedCell,
-    PinnedSolutionSet,
-    decide_eq_b,
-    hetero_to_homo,
-    homogenize_affine,
-    leq_to_eq,
-    pin_variable,
-    principal_solution,
-    solve_affine,
-    solve_eq_b,
-    solve_hetero,
-    solve_leq,
-)
-from .oracle import CrossValidationReport, GridSpec, GridTooLarge, cross_validate, grid_solutions
-from .cli import InstanceFile, ParseError, emit, format_instance, parse_instance
+The top level holds what a caller of the solver needs; everything else is
+imported from its module (tropsolve.core, .preprocess, .winseq, .bivariate,
+.cells, .reductions, .oracle, .cli).
+"""
+
+from .core import NEG_INF, Matrix, matvec_maxplus
+from .winseq import max_pairs_per_row
+from .bivariate import solve_equations, sub_specialize, substitute
+from .cells import cell_membership, sample_cell, solve, verify_solution
+from .reductions import leq_to_eq, principal_solution
+from .oracle import GridSpec, cross_validate, grid_solutions
+from .cli import emit
 
 __version__ = "0.1.0"

@@ -76,7 +76,6 @@ class SolutionCell:
 
 @dataclass(frozen=True)
 class SolveStats:
-    win_sequences: int
     enum_nodes: int
     scenarios: int
     timings: Mapping[str, float]
@@ -317,7 +316,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
         ]
         pair_lists = [winning_pairs(c) for c in classifications]
         t0 = time.perf_counter()
-        sequences, nodes = enumerate_win_sequences_counted(red.max_matrix, pair_lists)
+        sequences, nodes = enumerate_win_sequences_counted(red.scaled_max, pair_lists)
         t_enum += time.perf_counter() - t0
         if not forced0:
             root_p = len(sequences)
@@ -357,11 +356,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     timings["enumerate"] = t_enum
     timings["cells"] = t_cells
     timings["total"] = time.perf_counter() - t_start
-    stats = (
-        SolveStats(root_p, root_nodes, scenario_count, timings)
-        if collect_stats
-        else None
-    )
+    stats = SolveStats(root_nodes, scenario_count, timings) if collect_stats else None
     return SolutionSet(
         cells=cells,
         globally_forced=forced_everywhere,

@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Reads an instance file (or stdin), dispatches on the problem mode, prints
-the cell decomposition as text or JSON, and optionally cross-validates the
-result against the brute-force grid oracle.  All external indices are
+Reads an instance file (or stdin) and sends every problem mode down one
+path.  _solve builds the mode's result (a SolutionSet for eq, leq and
+hetero; a PinnedSolutionSet for eqb and affine, whose base is the
+SolutionSet of the homogenized system) together with the two-sided pair
+A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
+result; --check cross-validates the base result against that pair with the
+brute-force grid oracle; emit prints the result as text or JSON; --stats
+prints the base result's counters and timings.  All external indices are
 1-based; rationals serialize as strings so no consumer ever parses a float.
 
 Exit codes: 0 success, 1 parse error, 2 cross-validation failure, 3 the
@@ -14,16 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cells import SolutionCell, SolutionSet, geometric_key, solve
-from .core import NEG_INF, Matrix, NegInfinity, Scalar, TropicalError, as_scalar
+from .core import Matrix, NegInfinity, Scalar, TropicalError, as_scalar
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
     PinnedSolutionSet,
+    eq_b_to_affine,
     hetero_to_homo,
     homogenize_affine,
     leq_to_eq,
@@ -87,7 +92,7 @@ def parse_instance(text: str) -> InstanceFile:
     if problem not in PROBLEMS:
         raise ParseError(1, f"unknown problem kind {problem!r}")
 
-    def int_header(key: str) -> int:
+    def int_header(key: str, positive: bool = False) -> int:
         if key not in header:
             raise ParseError(1, f"missing '{key}:' header")
         try:
@@ -96,10 +101,13 @@ def parse_instance(text: str) -> InstanceFile:
             raise ParseError(1, f"'{key}:' must be an integer")
         if value < 0:
             raise ParseError(1, f"'{key}:' must be nonnegative")
+        if positive and value == 0:
+            raise ParseError(1, f"'{key}:' must be positive")
         return value
 
-    m = int_header("m")
-    n = int_header("n")
+    # n counts the columns of x, and in hetero mode m counts those of y
+    m = int_header("m", positive=problem == "hetero")
+    n = int_header("n", positive=True)
     s = int_header("s") if problem == "hetero" else None
 
     def matrix_block(name: str, rows: int, cols: int) -> Matrix:
@@ -166,18 +174,33 @@ def format_instance(inst: InstanceFile) -> str:
     return "\n".join(out) + "\n"
 
 
+def _shift(value: Fraction) -> str:
+    """The ' + c' / ' - c' tail of t_p + value; empty for 0."""
+    if value == 0:
+        return ""
+    return f" + {value}" if value > 0 else f" - {-value}"
+
+
+def _assignments_doc(assignments) -> dict:
+    return {
+        str(v + 1): {"param": p + 1, "offset": str(o)}
+        for v, (p, o) in sorted(assignments.items())
+    }
+
+
+def _constraints_doc(constraints) -> list:
+    return [
+        {"plus": c.plus + 1, "minus": c.minus + 1, "const": str(c.constant)}
+        for c in constraints
+    ]
+
+
 def _cell_doc(cell: SolutionCell) -> dict:
     return {
         "win_sequence": [[p + 1, q + 1] for p, q in cell.win_sequence],
         "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-        "assignments": {
-            str(v + 1): {"param": p + 1, "offset": str(o)}
-            for v, (p, o) in sorted(cell.assignments.items())
-        },
-        "constraints": [
-            {"plus": c.plus + 1, "minus": c.minus + 1, "const": str(c.constant)}
-            for c in cell.constraints
-        ],
+        "assignments": _assignments_doc(cell.assignments),
+        "constraints": _constraints_doc(cell.constraints),
         "dimension_bound": cell.dimension_bound,
     }
 
@@ -192,24 +215,17 @@ def _solution_doc(result: SolutionSet) -> dict:
 
 
 def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
-    cells = []
-    for cell in result.cells:
-        cells.append(
-            {
-                "fixed": {str(v + 1): str(c) for v, c in sorted(cell.fixed.items())},
-                "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-                "assignments": {
-                    str(v + 1): {"param": p + 1, "offset": str(o)}
-                    for v, (p, o) in sorted(cell.assignments.items())
-                },
-                "lower": {str(p + 1): str(v) for p, v in sorted(cell.lower.items())},
-                "upper": {str(p + 1): str(v) for p, v in sorted(cell.upper.items())},
-                "constraints": [
-                    {"plus": c.plus + 1, "minus": c.minus + 1, "const": str(c.constant)}
-                    for c in cell.constraints
-                ],
-            }
-        )
+    cells = [
+        {
+            "fixed": {str(v + 1): str(c) for v, c in sorted(cell.fixed.items())},
+            "neg_inf": sorted(v + 1 for v in cell.neg_inf),
+            "assignments": _assignments_doc(cell.assignments),
+            "lower": {str(p + 1): str(v) for p, v in sorted(cell.lower.items())},
+            "upper": {str(p + 1): str(v) for p, v in sorted(cell.upper.items())},
+            "constraints": _constraints_doc(cell.constraints),
+        }
+        for cell in result.cells
+    ]
     return {
         "problem": problem,
         "p": result.base.win_sequence_count,
@@ -218,26 +234,30 @@ def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
     }
 
 
+def _variable_lines(num_vars: int, neg_inf, assignments, fixed=()) -> list[str]:
+    lines = []
+    for v in range(num_vars):
+        if v in neg_inf:
+            lines.append(f"  x{v + 1} = -inf")
+        elif v in fixed:
+            lines.append(f"  x{v + 1} = {fixed[v]}")
+        else:
+            p, o = assignments[v]
+            lines.append(f"  x{v + 1} = t{p + 1}{_shift(o)}")
+    return lines
+
+
+def _constraint_text(c) -> str:
+    return f"t{c.plus + 1} - t{c.minus + 1}{_shift(c.constant)} <= 0"
+
+
 def _cell_text(index: int, cell: SolutionCell) -> list[str]:
     seq = " ".join(f"({p + 1},{q + 1})" for p, q in cell.win_sequence)
     lines = [f"cell {index}: win sequence {seq}".rstrip()]
-    for v in range(cell.num_vars):
-        if v in cell.neg_inf:
-            lines.append(f"  x{v + 1} = -inf")
-        else:
-            p, o = cell.assignments[v]
-            if o == 0:
-                lines.append(f"  x{v + 1} = t{p + 1}")
-            elif o > 0:
-                lines.append(f"  x{v + 1} = t{p + 1} + {o}")
-            else:
-                lines.append(f"  x{v + 1} = t{p + 1} - {-o}")
+    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, cell.assignments))
     if cell.constraints:
         lines.append("  subject to:")
-        for c in cell.constraints:
-            cst = c.constant
-            tail = "" if cst == 0 else (f" + {cst}" if cst > 0 else f" - {-cst}")
-            lines.append(f"    t{c.plus + 1} - t{c.minus + 1}{tail} <= 0")
+        lines.extend(f"    {_constraint_text(c)}" for c in cell.constraints)
     lines.append(f"  dimension bound: {cell.dimension_bound}")
     return lines
 
@@ -260,15 +280,9 @@ def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
         lines.append(f"cell {i}:")
-        for v in range(cell.num_vars()):
-            if v in cell.neg_inf:
-                lines.append(f"  x{v + 1} = -inf")
-            elif v in cell.fixed:
-                lines.append(f"  x{v + 1} = {cell.fixed[v]}")
-            else:
-                p, o = cell.assignments[v]
-                tail = "" if o == 0 else (f" + {o}" if o > 0 else f" - {-o}")
-                lines.append(f"  x{v + 1} = t{p + 1}{tail}")
+        lines.extend(
+            _variable_lines(cell.num_vars(), cell.neg_inf, cell.assignments, cell.fixed)
+        )
         for p in sorted(set(cell.lower) | set(cell.upper)):
             lo = cell.lower.get(p)
             hi = cell.upper.get(p)
@@ -278,28 +292,28 @@ def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
                 lines.append(f"  t{p + 1} >= {lo}")
             else:
                 lines.append(f"  t{p + 1} <= {hi}")
-        for c in cell.constraints:
-            cst = c.constant
-            tail = "" if cst == 0 else (f" + {cst}" if cst > 0 else f" - {-cst}")
-            lines.append(f"  t{c.plus + 1} - t{c.minus + 1}{tail} <= 0")
+        lines.extend(f"  {_constraint_text(c)}" for c in cell.constraints)
     return "\n".join(lines) + "\n"
 
 
-def emit(result, fmt: str = "text") -> str:
-    """Render a solution set (plain or pinned) as deterministic text or JSON."""
+def emit(result, fmt: str = "text", problem: str = "affine") -> str:
+    """Render a solution set (plain or pinned) as deterministic text or JSON.
+
+    problem names the mode of a pinned set (affine or eqb) in its output.
+    """
     if isinstance(result, SolutionSet):
-        doc = _solution_doc(result)
         if fmt == "json":
-            return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            return _json(_solution_doc(result))
         return _solution_text(result)
     if isinstance(result, PinnedSolutionSet):
         if fmt == "json":
-            return (
-                json.dumps(_pinned_doc(result, "affine"), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-        return _pinned_text(result, "affine")
+            return _json(_pinned_doc(result, problem))
+        return _pinned_text(result, problem)
     raise TypeError(f"cannot emit {type(result).__name__}")
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _dedupe(result: SolutionSet) -> SolutionSet:
@@ -311,14 +325,7 @@ def _dedupe(result: SolutionSet) -> SolutionSet:
             continue
         seen.add(key)
         kept.append(cell)
-    return SolutionSet(
-        cells=tuple(kept),
-        globally_forced=result.globally_forced,
-        trivial_only=result.trivial_only,
-        win_sequence_count=result.win_sequence_count,
-        num_vars=result.num_vars,
-        stats=result.stats,
-    )
+    return replace(result, cells=tuple(kept))
 
 
 def _parse_grid(option: str) -> GridSpec:
@@ -327,7 +334,30 @@ def _parse_grid(option: str) -> GridSpec:
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         raise ValueError("--check grid needs at least one value")
-    return GridSpec.of([Fraction(t) for t in tokens])
+    try:
+        values = [Fraction(t) for t in tokens]
+    except ZeroDivisionError:
+        raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
+    return GridSpec.of(values)
+
+
+def _solve(inst: InstanceFile):
+    """The result of the instance's mode and the pair its base result solves."""
+    mats, vecs = inst.matrices, inst.vectors
+    if inst.problem == "eq":
+        pair = (mats["A"], mats["B"])
+        return solve(*pair, collect_stats=True), pair
+    if inst.problem == "leq":
+        pair = leq_to_eq(mats["A"], mats["B"])
+        return solve(*pair, collect_stats=True), pair
+    if inst.problem == "hetero":
+        c, d = mats["C"], mats["D"]
+        return solve_hetero(c, d, collect_stats=True), hetero_to_homo(c, d)
+    if inst.problem == "eqb":
+        affine = eq_b_to_affine(mats["A"], vecs["b"])
+        return solve_eq_b(mats["A"], vecs["b"], collect_stats=True), homogenize_affine(affine)
+    affine = AffineInstance(mats["A"], mats["B"], vecs["a"], vecs["b"])
+    return solve_affine(affine, collect_stats=True), homogenize_affine(affine)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -359,39 +389,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
 
-    t0 = time.perf_counter()
-    check_pair: tuple[Matrix, Matrix] | None = None
-    result: SolutionSet | PinnedSolutionSet
-    if inst.problem == "eq":
-        a, b = inst.matrices["A"], inst.matrices["B"]
-        result = solve(a, b, collect_stats=True)
-        check_pair = (a, b)
-    elif inst.problem == "leq":
-        a, b = inst.matrices["A"], inst.matrices["B"]
-        merged, rhs = leq_to_eq(a, b)
-        result = solve(merged, rhs, collect_stats=True)
-        check_pair = (merged, rhs)
-    elif inst.problem == "hetero":
-        c, d = inst.matrices["C"], inst.matrices["D"]
-        result = solve_hetero(c, d, collect_stats=True)
-        if c.rows > 0:
-            check_pair = hetero_to_homo(c, d)
-    elif inst.problem == "eqb":
-        result = solve_eq_b(inst.matrices["A"], inst.vectors["b"], collect_stats=True)
-        check_pair = None
-    else:  # affine
-        affine = AffineInstance(
-            inst.matrices["A"],
-            inst.matrices["B"],
-            inst.vectors["a"],
-            inst.vectors["b"],
-        )
-        result = solve_affine(affine, collect_stats=True)
-        check_pair = homogenize_affine(affine)
-    elapsed = time.perf_counter() - t0
-
-    if isinstance(result, SolutionSet) and args.dedupe:
+    result, check_pair = _solve(inst)
+    if args.dedupe and isinstance(result, SolutionSet):
         result = _dedupe(result)
+    base = result.base if isinstance(result, PinnedSolutionSet) else result
 
     exit_code = 0
     if args.check is not None:
@@ -400,61 +401,31 @@ def run(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if inst.problem == "eqb":
-            neg = Matrix(
-                [[NEG_INF] * inst.n for _ in range(inst.m)], cols=inst.n
-            )
-            check_pair = homogenize_affine(
-                AffineInstance(
-                    inst.matrices["A"], neg, tuple([NEG_INF] * inst.m), inst.vectors["b"]
-                )
-            )
-        target = result.base if isinstance(result, PinnedSolutionSet) else result
-        if check_pair is None:
-            print("check skipped: nothing to validate", file=sys.stderr)
-        else:
-            try:
-                report = cross_validate(
-                    check_pair[0], check_pair[1], grid, target, seed=args.seed
-                )
-            except GridTooLarge as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 3
-            summary = {
-                "missed": len(report.missed),
-                "invalid": len(report.invalid),
-                "oracle_solutions": report.oracle_count,
-                "samples": report.sample_count,
-            }
-            print(f"check: {json.dumps(summary, sort_keys=True)}", file=sys.stderr)
-            if not report.ok:
-                exit_code = 2
+        try:
+            report = cross_validate(*check_pair, grid, base, seed=args.seed)
+        except GridTooLarge as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        summary = {
+            "missed": len(report.missed),
+            "invalid": len(report.invalid),
+            "oracle_solutions": report.oracle_count,
+            "samples": report.sample_count,
+        }
+        print(f"check: {json.dumps(summary, sort_keys=True)}", file=sys.stderr)
+        if not report.ok:
+            exit_code = 2
 
-    if isinstance(result, PinnedSolutionSet):
-        fmt_problem = inst.problem
-        doc = (
-            json.dumps(_pinned_doc(result, fmt_problem), sort_keys=True, separators=(",", ":"))
-            + "\n"
-            if args.format == "json"
-            else _pinned_text(result, fmt_problem)
-        )
-        sys.stdout.write(doc)
-    else:
-        sys.stdout.write(emit(result, args.format))
+    sys.stdout.write(emit(result, args.format, inst.problem))
 
     if args.stats:
-        stats = result.stats if isinstance(result, SolutionSet) else result.base.stats
         payload = {
-            "p": (result.win_sequence_count
-                  if isinstance(result, SolutionSet)
-                  else result.base.win_sequence_count),
-            "time_total": round(elapsed, 6),
+            "p": base.win_sequence_count,
+            "enum_nodes": base.stats.enum_nodes,
+            "scenarios": base.stats.scenarios,
         }
-        if stats is not None:
-            payload["enum_nodes"] = stats.enum_nodes
-            payload["scenarios"] = stats.scenarios
-            for key, value in stats.timings.items():
-                payload[f"time_{key}"] = round(value, 6)
+        for key, value in base.stats.timings.items():
+            payload[f"time_{key}"] = round(value, 6)
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return exit_code
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class TropicalError(Exception):
@@ -179,11 +179,6 @@ def oplus(a: Scalar, b: Scalar) -> Scalar:
     return a if a >= b else b
 
 
-def oplus_min(a, b):
-    """Min-plus (dual) addition: the minimum."""
-    return a if a <= b else b
-
-
 def odot(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     """Tropical multiplication: classical addition, -inf absorbing.
 
@@ -200,23 +195,6 @@ def odot(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
     if a_pos or b_pos:
         return POS_INF
     return a + b
-
-
-class ScalarOps(NamedTuple):
-    oplus: Scalar
-    odot: Scalar
-    oplus_min: Scalar
-    odot_min: Scalar
-
-
-def scalar_ops(a: Scalar, b: Scalar) -> ScalarOps:
-    """All four semiring combinations of two scalars.
-
-    The tropical product coincides in the max-plus and min-plus views; it is
-    reported under both names for symmetry.
-    """
-    prod = odot(a, b)
-    return ScalarOps(oplus(a, b), prod, oplus_min(a, b), prod)
 
 
 class Matrix:

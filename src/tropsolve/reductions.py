@@ -64,19 +64,6 @@ def hetero_to_homo(c: Matrix, d: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def solve_hetero(c: Matrix, d: Matrix, collect_stats: bool = False) -> SolutionSet:
-    """Solve the two-block system; with no rows every (x, y) is a solution."""
-    if c.rows == 0:
-        n = c.cols + d.cols
-        from .cells import _unconstrained_cell
-
-        cell = _unconstrained_cell(list(range(n)), n)
-        return SolutionSet(
-            cells=(cell,),
-            globally_forced=frozenset(),
-            trivial_only=False,
-            win_sequence_count=0,
-            num_vars=n,
-        )
     return solve(*hetero_to_homo(c, d), collect_stats=collect_stats)
 
 
@@ -283,12 +270,15 @@ def solve_affine(inst: AffineInstance, collect_stats: bool = False) -> PinnedSol
     return PinnedSolutionSet(base=base, cells=pinned, num_vars=z)
 
 
+def eq_b_to_affine(a: Matrix, b: Sequence) -> AffineInstance:
+    """A (x) x = b as the affine system A (x) x (+) -inf = -inf (x) x (+) b."""
+    neg = Matrix([[NEG_INF] * a.cols for _ in range(a.rows)], cols=a.cols)
+    return AffineInstance(a, neg, tuple([NEG_INF] * a.rows), as_vector(b))
+
+
 def solve_eq_b(a: Matrix, b: Sequence, collect_stats: bool = False) -> PinnedSolutionSet:
     """All solutions of A (x) x = b, valid for matrices with -inf entries."""
-    bs = as_vector(b)
-    neg = Matrix([[NEG_INF] * a.cols for _ in range(a.rows)], cols=a.cols)
-    inst = AffineInstance(a, neg, tuple([NEG_INF] * a.rows), bs)
-    return solve_affine(inst, collect_stats=collect_stats)
+    return solve_affine(eq_b_to_affine(a, b), collect_stats=collect_stats)
 
 
 def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:

@@ -6,27 +6,20 @@ both sides.  A winning pair picks one column from each strict side (or a tie
 column against itself); two pairs from different rows are compatible when
 every 2x2 tropical minor of the maximum matrix they span attains its value
 on the main diagonal.  Win sequences (one pair per row, pairwise compatible)
-are enumerated by forward checking: the entries are scaled to exact ints,
-the minor test is tabulated once per enumeration as one bitmask per pair and
-later row, and each choice intersects the domains of all later rows,
-backtracking as soon as one is empty.  is_compatible is the readable
-reference for the same test.
+are enumerated by forward checking over the maximum matrix scaled to exact
+ints (the reduced instance's scaled_max): the minor test is tabulated once
+per enumeration as one bitmask per pair and later row, and each choice
+intersects the domains of all later rows, backtracking as soon as one is
+empty.  is_compatible is the readable reference for the same test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .core import (
-    ExtendedScalar,
-    Matrix,
-    TropicalError,
-    common_denominator,
-    dif,
-    odot,
-    scaled_entries,
-)
+from .core import ExtendedScalar, Matrix, TropicalError, dif, odot
 
 Pair = tuple[int, int]
 WinSequence = tuple[Pair, ...]
@@ -109,24 +102,15 @@ def interval(
     return lo, hi
 
 
-def enumerate_win_sequences(
-    max_matrix: Matrix, pairs_per_row: list[list[Pair]]
-) -> list[WinSequence]:
-    """All pairwise-compatible pair choices, in lexicographic order."""
-    return enumerate_win_sequences_counted(max_matrix, pairs_per_row)[0]
-
-
 def _compatibility_masks(
-    max_matrix: Matrix, pairs_per_row: list[list[Pair]]
+    rows: Sequence[Sequence[int | None]], pairs_per_row: list[list[Pair]]
 ) -> list[list[list[int]]]:
     """masks[i][a][k], for rows i < k: bit b is set when pair b of row k is
     compatible with pair a of row i (the test of is_compatible).
 
-    Entries are scaled to exact ints once; a column-level table of the 2x2
-    minor test is then folded over the pairs holding each column.
+    A column-level table of the 2x2 minor test over the int rows is folded
+    over the pairs holding each column.
     """
-    scale = common_denominator(v for row in max_matrix.to_rows() for v in row)
-    mx = scaled_entries(max_matrix, scale)
     # per row: column -> bitmask of the pairs that use it
     holders: list[dict[int, int]] = []
     for pairs in pairs_per_row:
@@ -138,10 +122,10 @@ def _compatibility_masks(
 
     masks = []
     for i, pairs in enumerate(pairs_per_row):
-        row_i = mx[i]
+        row_i = rows[i]
         per_pair = [[0] * len(pairs_per_row) for _ in pairs]
         for k in range(i + 1, len(pairs_per_row)):
-            row_k = mx[k]
+            row_k = rows[k]
             # bad[iota]: pairs of row k failing the minor test against column iota
             bad: dict[int, int] = {}
             for iota in holders[i]:
@@ -162,10 +146,12 @@ def _compatibility_masks(
 
 
 def enumerate_win_sequences_counted(
-    max_matrix: Matrix, pairs_per_row: list[list[Pair]]
+    rows: Sequence[Sequence[int | None]], pairs_per_row: list[list[Pair]]
 ) -> tuple[list[WinSequence], int]:
     """Enumerate win sequences and report the number of search nodes visited.
 
+    rows is the maximum matrix scaled to exact ints, None for -inf (as in
+    ReducedInstance.scaled_max); any positive scale gives the same result.
     Forward checking over the bitmasks of _compatibility_masks: choosing a
     pair narrows the domain of every later row, and the search backtracks as
     soon as one is empty.  Pairs are tried in list order, so the sequences
@@ -176,7 +162,7 @@ def enumerate_win_sequences_counted(
     m = len(pairs_per_row)
     if m == 0:
         return [()], 0
-    masks = _compatibility_masks(max_matrix, pairs_per_row)
+    masks = _compatibility_masks(rows, pairs_per_row)
     out: list[WinSequence] = []
     nodes = 0
     chosen = [0] * m

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from tropsolve import NEG_INF, Matrix, SolutionCell
+from tropsolve import NEG_INF, Matrix
 from tropsolve.bivariate import Constraint, LEQ
-from tropsolve.cells import dimension_bound
+from tropsolve.cells import SolutionCell, dimension_bound
+from tropsolve.core import common_denominator, scaled_entries
 
 NI = "-inf"
 
@@ -51,6 +52,11 @@ def planted_rows(rng, m, n):
         else:
             high[k] = max(low_tops) - x[k]
     return a, b
+
+
+def scaled_rows(matrix):
+    """The matrix entries as exact ints over their common denominator, None for -inf."""
+    return scaled_entries(matrix, common_denominator(v for row in matrix.to_rows() for v in row))
 
 
 def seq0(pairs):

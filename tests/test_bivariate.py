@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import seq0
-from tropsolve import (
-    bold_pair,
+from conftest import scaled_rows, seq0
+from tropsolve import solve_equations, sub_specialize, substitute
+from tropsolve.bivariate import (
+    EQ,
+    LEQ,
+    Constraint,
+    PotentialAssignment,
     build_systems,
-    classify_row,
+    eq,
     is_sub_special,
-    maximum_matrix,
+    leq,
     remove_and_enlarge,
-    solve_equations,
-    sub_specialize,
-    substitute,
 )
-from tropsolve.bivariate import EQ, LEQ, Constraint, PotentialAssignment, eq, leq
-from tropsolve.core import common_denominator, scaled_entries
+from tropsolve.preprocess import bold_pair, maximum_matrix
+from tropsolve.winseq import classify_row
 
 NI = "-inf"
 
@@ -51,8 +52,7 @@ def _systems_for(a, b, sequence_1based):
     a_dom, b_dom = bold_pair(a, b)
     mx = maximum_matrix(a_dom, b_dom)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
-    scale = common_denominator(v for row in mx.to_rows() for v in row)
-    return build_systems(seq0(sequence_1based), scaled_entries(mx, scale), classes)
+    return build_systems(seq0(sequence_1based), scaled_rows(mx), classes)
 
 
 def test_build_systems_first_sequence(running_example):

@@ -6,15 +6,15 @@ import pytest
 from conftest import NI, make_cell, running_reference_cells, seq0, seq1
 from tropsolve import (
     NEG_INF,
-    DimensionMismatch,
     Matrix,
     cell_membership,
-    dimension_bound,
     emit,
     sample_cell,
     solve,
     verify_solution,
 )
+from tropsolve.cells import dimension_bound
+from tropsolve.core import DimensionMismatch
 
 
 def cells_equal_as_sets(cell_a, cell_b, samples=200, seed=0, box=12):

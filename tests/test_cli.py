@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import tropsolve
-from tropsolve import emit, parse_instance, format_instance, solve
-from tropsolve.cli import ParseError, run
+from tropsolve import emit, solve
+from tropsolve.cli import ParseError, format_instance, parse_instance, run
 
 RUNNING = """\
 # the 3x4 worked instance
@@ -211,8 +211,7 @@ def test_run_dedupe_flag(tmp_path, capsys):
 def test_emit_pinned_set():
     from fractions import Fraction
 
-    from tropsolve import solve_affine
-    from tropsolve.reductions import AffineInstance
+    from tropsolve.reductions import AffineInstance, solve_affine
     from tropsolve import Matrix
 
     inst = AffineInstance(
@@ -266,3 +265,58 @@ def test_eqb_mode(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["problem"] == "eqb"
     assert doc["cells"]
+
+
+STATS_CASES = {
+    "eq": RUNNING,
+    "eq-zero-rows": "problem: eq\nm: 0\nn: 2\nA:\nB:\n",
+    "leq": "problem: leq\nm: 1\nn: 2\nA:\n0 1\nB:\n1 0\n",
+    "eqb": "problem: eqb\nm: 1\nn: 2\nA:\n1 2\nb:\n3\n",
+    "hetero": "problem: hetero\nm: 1\nn: 1\ns: 1\nC:\n0\nD:\n0\n",
+    "hetero-zero-rows": "problem: hetero\nm: 1\nn: 2\ns: 0\nC:\nD:\n",
+    "affine": AFFINE,
+}
+
+
+def test_run_stats_same_keys_every_mode(monkeypatch, capsys):
+    import io
+
+    keys = {}
+    for name, text in STATS_CASES.items():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(["-", "--stats"]) == 0, name
+        keys[name] = set(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
+    assert "enum_nodes" in keys["eq"] and "scenarios" in keys["eq"]
+    assert all(found == keys["eq"] for found in keys.values()), keys
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem: eq\nm: 1\nn: 0\nA:\n\nB:\n\n",
+        "problem: eqb\nm: 1\nn: 0\nA:\n\nb:\n0\n",
+        "problem: hetero\nm: 0\nn: 1\ns: 1\nC:\n0\nD:\n\n",
+        "problem: hetero\nm: 1\nn: 0\ns: 1\nC:\n\nD:\n0\n",
+    ],
+    ids=["eq-n0", "eqb-n0", "hetero-m0", "hetero-n0"],
+)
+def test_run_zero_columns_is_a_parse_error(text, monkeypatch, capsys):
+    import io
+
+    with pytest.raises(ParseError, match="must be positive"):
+        parse_instance(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "must be positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["grid=1/0", "grid=0,x", "grid=", "1,2"])
+def test_run_bad_check_grid_exit_code(grid, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text(RUNNING)
+    assert run([str(path), "--check", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -1,10 +1,14 @@
-"""Golden output: the exact ``--format json`` text of fixed instances.
+"""Golden output: the exact ``--format json`` and ``--format text`` output of
+fixed instances.
 
-The instances are the four worked examples of the README plus seeded
-instances whose entries include the fractions 1/2, -3/2, 2/3 and 7/4, so the
-solver's exact scaling runs with a common denominator above 1.  The expected
-documents live in ``golden/cli_json.json``; any change to them is a change
-of output and must be deliberate.  To rewrite them after such a change:
+The instances are the four worked examples of the README, seeded instances
+whose entries include the fractions 1/2, -3/2, 2/3 and 7/4 (so the solver's
+exact scaling runs with a common denominator above 1), and two instances
+without rows (``eq`` with ``m: 0``, ``hetero`` with ``s: 0``).  Every case
+is pinned in both formats; a text entry is named after its JSON entry plus
+`` --format text``.  The expected outputs live in ``golden/cli_json.json``;
+any change to them is a change of output and must be deliberate.  To
+rewrite them after such a change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -78,7 +82,13 @@ def _mode_text(rng, mode):
     return "\n".join(head + body) + "\n"
 
 
-def cases():
+ZERO_ROWS = {
+    "eq-zero-rows": "problem: eq\nm: 0\nn: 2\nA:\nB:\n",
+    "hetero-zero-rows": "problem: hetero\nm: 1\nn: 2\ns: 0\nC:\nD:\n",
+}
+
+
+def json_cases():
     """(name, instance text, extra CLI flags), in a fixed order."""
     out = []
     for name, (a, b) in FIXTURES.items():
@@ -94,20 +104,40 @@ def cases():
     for k in range(8):
         mode = MODES[k % len(MODES)]
         out.append((f"{mode}-{k}", _mode_text(rng, mode), []))
+    out.extend((name, text, []) for name, text in ZERO_ROWS.items())
     return out
 
 
-def cli_json(text, flags):
+def text_cases():
+    """The text twin of every JSON case, named after it."""
+    return [(f"{name} --format text", text, flags) for name, text, flags in json_cases()]
+
+
+def cli_output(text, flags):
     """Exit code and stdout of the CLI run on the instance text via stdin."""
     out = io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out):
-            code = run(["-", "--format", "json", *flags])
+            code = run(["-", *flags])
     finally:
         sys.stdin = saved
     return code, out.getvalue()
+
+
+def cases():
+    """(name, instance text, CLI flags) of every pinned output."""
+    return [(name, text, ["--format", "json", *flags]) for name, text, flags in json_cases()] + [
+        (name, text, ["--format", "text", *flags]) for name, text, flags in text_cases()
+    ]
+
+
+def _check(name, text, flags):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    code, out = cli_output(text, flags)
+    assert code == 0
+    assert out == expected
 
 
 def test_golden_covers_every_case():
@@ -115,12 +145,14 @@ def test_golden_covers_every_case():
     assert sorted(expected) == sorted(name for name, _, _ in cases())
 
 
-@pytest.mark.parametrize("name,text,flags", cases(), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize("name,text,flags", json_cases(), ids=[c[0] for c in json_cases()])
 def test_golden_json(name, text, flags):
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
-    code, out = cli_json(text, flags)
-    assert code == 0
-    assert out == expected
+    _check(name, text, ["--format", "json", *flags])
+
+
+@pytest.mark.parametrize("name,text,flags", text_cases(), ids=[c[0] for c in json_cases()])
+def test_golden_text(name, text, flags):
+    _check(name, text, ["--format", "text", *flags])
 
 
 if __name__ == "__main__":
@@ -128,7 +160,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     docs = {}
     for name, text, flags in cases():
-        code, out = cli_json(text, flags)
+        code, out = cli_output(text, flags)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         docs[name] = out

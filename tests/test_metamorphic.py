@@ -16,7 +16,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import planted_rows
-from tropsolve import Matrix, NegInfinity, emit, reduce_instance, solve
+from tropsolve import Matrix, emit, solve
+from tropsolve.core import NegInfinity
+from tropsolve.preprocess import reduce_instance
 
 INSTANCES = 60
 

@@ -6,12 +6,12 @@ import pytest
 from tropsolve import (
     NEG_INF,
     GridSpec,
-    GridTooLarge,
     Matrix,
     cross_validate,
     grid_solutions,
     solve,
 )
+from tropsolve.oracle import GridTooLarge
 
 NI = "-inf"
 

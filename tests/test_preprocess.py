@@ -3,16 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tropsolve import (
-    NEG_INF,
-    DimensionMismatch,
-    Matrix,
-    bold_pair,
-    maximum_matrix,
-    reduce_instance,
-    verify_solution,
-)
-from tropsolve.preprocess import Verdict
+from tropsolve import NEG_INF, Matrix, verify_solution
+from tropsolve.core import DimensionMismatch
+from tropsolve.preprocess import Verdict, bold_pair, maximum_matrix, reduce_instance
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"

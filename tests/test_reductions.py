@@ -6,23 +6,26 @@ import pytest
 from tropsolve import (
     NEG_INF,
     Matrix,
-    UndefinedOperation,
     cell_membership,
+    leq_to_eq,
+    matvec_maxplus,
+    principal_solution,
+    solve,
+    verify_solution,
+)
+from tropsolve.core import UndefinedOperation
+from tropsolve.reductions import (
+    AffineInstance,
+    affine_holds,
     decide_eq_b,
     hetero_to_homo,
     homogenize_affine,
-    leq_to_eq,
-    matvec_maxplus,
     pin_variable,
-    principal_solution,
-    solve,
     solve_affine,
     solve_eq_b,
     solve_hetero,
     solve_leq,
-    verify_solution,
 )
-from tropsolve.reductions import AffineInstance, affine_holds
 
 NI = "-inf"
 

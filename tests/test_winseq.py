@@ -6,22 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import non_real_example, seq1
-from tropsolve import (
-    NEG_INF,
-    POS_INF,
-    Matrix,
-    TropicalError,
-    bold_pair,
+from conftest import non_real_example, scaled_rows, seq1
+from tropsolve import NEG_INF, Matrix, max_pairs_per_row
+from tropsolve.core import POS_INF, TropicalError, odot
+from tropsolve.preprocess import bold_pair, maximum_matrix
+from tropsolve.winseq import (
     classify_row,
-    enumerate_win_sequences,
+    enumerate_win_sequences_counted,
     interval,
     is_compatible,
-    max_pairs_per_row,
-    maximum_matrix,
     winning_pairs,
 )
-from tropsolve.winseq import enumerate_win_sequences_counted
 
 NI = "-inf"
 
@@ -108,7 +103,7 @@ def _enumerate(a, b):
     m = maximum_matrix(a_dom, b_dom)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
-    return m, pairs, enumerate_win_sequences(m, pairs)
+    return m, pairs, enumerate_win_sequences_counted(scaled_rows(m), pairs)[0]
 
 
 def test_enumerate_running_example(running_example):
@@ -174,7 +169,7 @@ def test_enumerate_equals_product_filter():
                 for k in range(i + 1, m_rows)
             )
         ]
-        assert enumerate_win_sequences(mx, pairs) == sorted(brute)
+        assert enumerate_win_sequences_counted(scaled_rows(mx), pairs)[0] == sorted(brute)
     assert checked >= 200
 
 
@@ -186,7 +181,7 @@ def test_enumerate_deeper_than_recursion_limit():
         frame = frame.f_back
     limit = depth + 50
     rows = limit + 1
-    mx = Matrix([[0, 1]] * rows)
+    mx = [[0, 1]] * rows
     pairs = [[(1, 0)]] * rows
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
@@ -211,7 +206,7 @@ def test_enumeration_counts_nodes(running_example):
     mx = maximum_matrix(a_dom, b_dom)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
-    seqs, nodes = enumerate_win_sequences_counted(mx, pairs)
+    seqs, nodes = enumerate_win_sequences_counted(scaled_rows(mx), pairs)
     assert nodes >= len(seqs)
 
 
@@ -257,8 +252,6 @@ def test_necessity_for_real_valued_solutions():
             for i in range(m_rows):
                 cand = None
                 for p, q in winning_pairs(classes[i]):
-                    from tropsolve import odot
-
                     if odot(mx[i, p], x[p]) == left[i] and odot(mx[i, q], x[q]) == left[i]:
                         cand = (p, q)
                         break
