@@ -1,17 +1,20 @@
 """Bivariate constraint systems attached to a win sequence.
 
 Every relation produced by the solver is a normal form x_plus - x_minus + c
-(= 0 or <= 0) with an exact constant c.  Equations are solved by a weighted
-union-find (offsets to the component representative); inequalities are
-tightened by difference-constraint analysis: negative cycles force variables
-to -inf, opposite rows of zero width become equations, and per ordered pair
-only the tightest row survives.
+with an exact constant c.  Inside the cell stage a relation is a plain row
+tuple (plus, minus, constant) and the list it sits in gives its kind:
+equation rows mean = 0, inequality rows mean <= 0.  Equations are solved by
+a weighted union-find (offsets to the component representative);
+inequalities are tightened by difference-constraint analysis: negative
+cycles force variables to -inf, opposite rows of zero width become
+equations, and per ordered pair only the tightest row survives.
 
 Every step only adds, subtracts and compares constants, so the cell stage
-runs on Python ints: build_systems reads the maximum matrix scaled by the
-lcm of its denominators, every constant and offset is an int in units of
-1/scale, and cells.solve turns them back into Fractions when it assembles a
-cell.  The functions here accept Fraction constants just as well.
+runs on Python ints: build_systems reads the maximum matrix scaled by one
+common denominator per solve, every constant and offset is an int in units
+of 1/scale, and cells.solve turns the rows of the cells it keeps into
+Constraints with Fraction constants.  The functions here accept Fraction
+constants just as well.
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ from .winseq import RowClassification, WinSequence
 EQ = "eq"
 LEQ = "leq"
 
+# (plus, minus, constant): x_plus - x_minus + constant, = 0 or <= 0 by list
+Row = tuple[int, int, "int | Fraction"]
+
 
 @dataclass(frozen=True)
 class Constraint:
-    """Normal form x_plus - x_minus + constant  (= 0 for EQ, <= 0 for LEQ).
+    """Validated normal form x_plus - x_minus + constant (= 0 for EQ, <= 0 for LEQ).
 
-    Tautologies and contradictions are resolved where constraints are built,
-    never stored, so plus != minus always.  Inside the cell stage the
-    constant is an int in units of 1/scale (see the module docstring);
-    constraints of a SolutionCell carry the Fraction value.
+    The type of SolutionCell.constraints, built only for the cells a solve
+    keeps: plus != minus, and the constant is the Fraction value.
     """
 
     plus: int
@@ -54,16 +58,17 @@ def _exact(constant) -> int | Fraction:
     return constant if type(constant) in (int, Fraction) else Fraction(constant)
 
 
-def eq(plus: int, minus: int, constant) -> Constraint:
-    """Equation in canonical orientation: the smaller index carries +1."""
+def eq(plus: int, minus: int, constant) -> Row:
+    """Equation row in canonical orientation: the smaller index carries +1."""
     c = _exact(constant)
     if plus > minus:
-        plus, minus, c = minus, plus, -c
-    return Constraint(plus, minus, c, EQ)
+        return minus, plus, -c
+    return plus, minus, c
 
 
-def leq(plus: int, minus: int, constant) -> Constraint:
-    return Constraint(plus, minus, _exact(constant), LEQ)
+def leq(plus: int, minus: int, constant) -> Row:
+    """Inequality row x_plus - x_minus + constant <= 0."""
+    return plus, minus, _exact(constant)
 
 
 @dataclass(frozen=True)
@@ -103,19 +108,18 @@ class OffsetUnionFind:
             root = self.parent[root]
         return root, off
 
-    def add_equation(self, constraint: Constraint) -> None:
-        """Absorb x_plus - x_minus + c = 0, flagging inconsistent cycles."""
-        if constraint.kind != EQ:
-            raise TropicalError("add_equation expects an equation")
-        rp, op = self.location(constraint.plus)
-        rm, om = self.location(constraint.minus)
+    def add_equation(self, row: Row) -> None:
+        """Absorb the equation row x_plus - x_minus + c = 0, flagging inconsistent cycles."""
+        plus, minus, constant = row
+        rp, op = self.location(plus)
+        rm, om = self.location(minus)
         if rp == rm:
-            if op - om + constraint.constant != 0:
+            if op - om + constant != 0:
                 self.bad[rp] = True
             return
         # x_plus = x_minus - c, hence x_rp = x_rm + (om - c - op)
         self.parent[rp] = rm
-        self.shift[rp] = om - constraint.constant - op
+        self.shift[rp] = om - constant - op
         self.bad[rm] = self.bad[rm] or self.bad[rp]
 
     def snapshot(self, n: int) -> PotentialAssignment:
@@ -145,11 +149,11 @@ class OffsetUnionFind:
         )
 
 
-def solve_equations(equations: Iterable[Constraint], num_vars: int) -> PotentialAssignment:
-    """Solve a system of bivariate equations over variables 0..num_vars-1."""
+def solve_equations(equations: Iterable[Row], num_vars: int) -> PotentialAssignment:
+    """Solve a system of bivariate equation rows over variables 0..num_vars-1."""
     uf = OffsetUnionFind(num_vars)
-    for c in equations:
-        uf.add_equation(c)
+    for row in equations:
+        uf.add_equation(row)
     return uf.snapshot(num_vars)
 
 
@@ -157,8 +161,8 @@ def build_systems(
     sequence: WinSequence,
     rows: Sequence[Sequence[int | None]],
     classifications: Sequence[RowClassification],
-) -> tuple[list[Constraint], list[Constraint]]:
-    """Equation and inequality systems a solution arising from the sequence obeys.
+) -> tuple[list[Row], list[Row]]:
+    """Equation and inequality rows a solution arising from the sequence obeys.
 
     rows is the maximum matrix scaled to exact ints (None for -inf, see
     ReducedInstance.scaled_max); the constants come out in the same units.
@@ -168,8 +172,8 @@ def build_systems(
     x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by eliminating the common row
     value.
     """
-    eqs: list[Constraint] = []
-    ineqs: list[Constraint] = []
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
     for h, (i1, i2) in enumerate(sequence):
         row = rows[h]
         dead = classifications[h].dead
@@ -179,75 +183,66 @@ def build_systems(
         for j, value in enumerate(row):
             if j in dead or j == i1 or j == i2:
                 continue
-            ineqs.append(Constraint(j, i1, value - base, LEQ))
+            ineqs.append((j, i1, value - base))
     return eqs, ineqs
 
 
 def remove_and_enlarge(
-    constraints: Iterable[Constraint], omega: Iterable[int]
-) -> tuple[list[Constraint], frozenset[int]]:
-    """Propagate -inf through a constraint list to a fixed point.
+    ineqs: Iterable[Row], omega: Iterable[int]
+) -> tuple[list[Row], frozenset[int]]:
+    """Propagate -inf through inequality rows to a fixed point.
 
-    An inequality whose plus side is -inf holds vacuously; one whose minus
-    side is -inf forces the plus side to -inf; an equation propagates -inf
-    both ways.  The returned system touches no variable of the enlarged set.
+    A row whose plus side is -inf holds vacuously; one whose minus side is
+    -inf forces the plus side to -inf.  The returned rows touch no variable
+    of the enlarged set.  Equations propagate -inf through their components
+    (PotentialAssignment.members), not through this function.
     """
     om = set(omega)
-    work = list(constraints)
+    work = list(ineqs)
     changed = True
     while changed:
         changed = False
         keep = []
-        for c in work:
-            p_in = c.plus in om
-            m_in = c.minus in om
-            if c.kind == EQ:
-                if p_in or m_in:
-                    if not (p_in and m_in):
-                        om.add(c.minus if p_in else c.plus)
-                    changed = True
-                else:
-                    keep.append(c)
+        for row in work:
+            plus, minus, _ = row
+            if plus in om:
+                continue
+            if minus in om:
+                om.add(plus)
+                changed = True
             else:
-                if p_in:
-                    changed = True
-                elif m_in:
-                    om.add(c.plus)
-                    changed = True
-                else:
-                    keep.append(c)
+                keep.append(row)
         work = keep
     return work, frozenset(om)
 
 
 def substitute(
-    ineqs: Iterable[Constraint], pa: PotentialAssignment
-) -> tuple[list[Constraint], frozenset[int]]:
-    """Rewrite inequalities over component representatives.
+    ineqs: Iterable[Row], pa: PotentialAssignment
+) -> tuple[list[Row], frozenset[int]]:
+    """Rewrite inequality rows over component representatives.
 
     A row whose endpoints share a representative either drops (constant
     <= 0, a tautology) or flags the component as infeasible over the reals;
     flagged representatives are returned for the caller to force to -inf.
     """
-    out: list[Constraint] = []
+    out: list[Row] = []
     flagged: set[int] = set()
-    for c in ineqs:
-        if c.kind != LEQ:
-            raise TropicalError("substitute expects inequalities")
-        rp = pa.representative[c.plus]
-        rm = pa.representative[c.minus]
-        if rp in pa.inconsistent_roots or rm in pa.inconsistent_roots:
+    rep, offset, bad = pa.representative, pa.offset, pa.inconsistent_roots
+    for plus, minus, constant in ineqs:
+        rp = rep[plus]
+        rm = rep[minus]
+        if rp in bad or rm in bad:
             raise TropicalError("substitute on an inconsistent component")
-        constant = pa.offset[c.plus] - pa.offset[c.minus] + c.constant
+        constant = offset[plus] - offset[minus] + constant
         if rp == rm:
             if constant > 0:
                 flagged.add(rp)
             continue
-        out.append(Constraint(rp, rm, constant, LEQ))
+        out.append((rp, rm, constant))
     return out, frozenset(flagged)
 
 
-def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Constraint]:
+def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Row]:
     ordered = sorted(
         bounds.items(),
         key=lambda item: (
@@ -256,12 +251,12 @@ def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Co
             0 if item[0][0] < item[0][1] else 1,
         ),
     )
-    return [Constraint(p, m, c, LEQ) for (p, m), c in ordered]
+    return [(p, m, c) for (p, m), c in ordered]
 
 
 def sub_specialize(
-    ineqs: Sequence[Constraint],
-) -> tuple[list[Constraint], list[Constraint], frozenset[int]]:
+    ineqs: Sequence[Row],
+) -> tuple[list[Row], list[Row], frozenset[int]]:
     """Tighten an inequality system into equations, a residue, and forced vars.
 
     Per ordered variable pair only the tightest row is kept (a row with a
@@ -275,13 +270,11 @@ def sub_specialize(
     """
     best: dict[tuple[int, int], int | Fraction] = {}
     consumed = 0
-    for c in ineqs:
-        if c.kind != LEQ:
-            raise TropicalError("sub_specialize expects inequalities")
-        key = (c.plus, c.minus)
+    for plus, minus, constant in ineqs:
+        key = (plus, minus)
         consumed += 1
-        if key not in best or c.constant > best[key]:
-            best[key] = c.constant
+        if key not in best or constant > best[key]:
+            best[key] = constant
 
     variables = sorted({v for key in best for v in key})
     index = {v: i for i, v in enumerate(variables)}
@@ -312,13 +305,13 @@ def sub_specialize(
     if forced:
         return [], _canonical_rows(best), forced
 
-    eqs: list[Constraint] = []
+    eqs: list[Row] = []
     for (p, m) in sorted(best):
         if p > m or (m, p) not in best:
             continue
         width = -best[(p, m)] - best[(m, p)]  # interval length for x_p - x_m
         if width == 0:
-            eqs.append(eq(p, m, best[(p, m)]))
+            eqs.append((p, m, best[(p, m)]))  # p < m: canonical orientation
             del best[(p, m)]
             del best[(m, p)]
 
@@ -328,7 +321,7 @@ def sub_specialize(
     return eqs, residue, frozenset()
 
 
-def is_sub_special(rows: Sequence[Constraint]) -> bool:
+def is_sub_special(rows: Sequence[Row]) -> bool:
     """Structural check for a canonical irredundant inequality list.
 
     Rows must be pairwise distinct with distinct variable parts and no exact
@@ -339,32 +332,28 @@ def is_sub_special(rows: Sequence[Constraint]) -> bool:
     rows = list(rows)
     seen_full = set()
     seen_parts = set()
-    for c in rows:
-        if c.kind != LEQ:
+    for plus, minus, constant in rows:
+        if (plus, minus, constant) in seen_full or (minus, plus, -constant) in seen_full:
             return False
-        full = (c.plus, c.minus, c.constant)
-        if full in seen_full or (c.minus, c.plus, -c.constant) in seen_full:
+        seen_full.add((plus, minus, constant))
+        if (plus, minus) in seen_parts:
             return False
-        seen_full.add(full)
-        if (c.plus, c.minus) in seen_parts:
-            return False
-        seen_parts.add((c.plus, c.minus))
-    for i, c in enumerate(rows):
-        opposite = (c.minus, c.plus)
+        seen_parts.add((plus, minus))
+    for i, (plus, minus, _) in enumerate(rows):
+        opposite = (minus, plus)
         if opposite in seen_parts:
-            partner = next(k for k, d in enumerate(rows) if (d.plus, d.minus) == opposite)
+            partner = next(k for k, d in enumerate(rows) if d[:2] == opposite)
             if abs(partner - i) != 1:
                 return False
             first = rows[min(i, partner)]
             second = rows[max(i, partner)]
-            if not first.plus < first.minus:
+            if not first[0] < first[1]:
                 return False
-            if not first.constant < -second.constant:
+            if not first[2] < -second[2]:
                 return False
-    for i in range(len(rows) - 1):
-        c, d = rows[i], rows[i + 1]
-        if (c.minus, c.plus) == (d.plus, d.minus):
+    for c, d in zip(rows, rows[1:]):
+        if (c[1], c[0]) == d[:2]:
             continue
-        if min(c.plus, c.minus) > min(d.plus, d.minus):
+        if min(c[0], c[1]) > min(d[0], d[1]):
             return False
     return True

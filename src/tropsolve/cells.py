@@ -6,8 +6,11 @@ the inequalities and tighten them, looping while tightening extracts new
 equations.  Each surviving sequence yields one convex cell: variables forced
 to -inf, parameterized assignments x_v = t_p + offset, and a canonical list
 of residual inequalities over the parameters.  The per-sequence work runs
-on exact ints, in units of 1/scale of the reduced instance; a cell's
-offsets and constants become Fractions when it is assembled.
+on int rows (plus, minus, constant), in units of 1/scale, where scale is
+the lcm of the denominators of A and B, one for every scenario.  Each
+solved sequence yields an int key in original coordinates; keys are
+deduplicated and sorted, and only then is a SolutionCell built per kept
+key, with its Fractions, Constraints and dimension bound.
 
 Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
@@ -25,8 +28,10 @@ from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .bivariate import (
+    LEQ,
     Constraint,
     OffsetUnionFind,
+    Row,
     remove_and_enlarge,
     sub_specialize,
     substitute,
@@ -39,6 +44,7 @@ from .core import (
     NegInfinity,
     Scalar,
     as_scalar,
+    common_denominator,
     matvec_maxplus,
     select_columns,
 )
@@ -76,8 +82,15 @@ class SolutionCell:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Counts of one solve.
+
+    enum_nodes is the search size of the root instance; collapsed counts the
+    sequences, over all scenarios, whose cell is only the all--inf point.
+    """
+
     enum_nodes: int
     scenarios: int
+    collapsed: int
     timings: Mapping[str, float]
 
 
@@ -140,16 +153,16 @@ def _solve_sequence(
     """Run one win sequence to a fixed point.
 
     Returns (omega, assignment, residue): reduced-coordinate variables forced
-    to -inf, the final potential assignment, and the sub-special residue over
-    its representatives.  Offsets and constants are ints in units of
+    to -inf, the final potential assignment, and the sub-special residue rows
+    over its representatives.  Offsets and constants are ints in units of
     1/red.scale.
     """
     eqs, ineqs = build_systems(sequence, red.scaled_max, classifications)
     uf = OffsetUnionFind(nvars)
     omega: set[int] = set()
     while True:
-        for c in eqs:
-            uf.add_equation(c)
+        for row in eqs:
+            uf.add_equation(row)
         eqs = []
         pa = uf.snapshot(nvars)
         for root in pa.inconsistent_roots:
@@ -162,8 +175,7 @@ def _solve_sequence(
             if not extra:
                 break
             omega |= extra
-        live_rows = ineqs
-        live_rows, flagged = substitute(live_rows, pa)
+        live_rows, flagged = substitute(ineqs, pa)
         if flagged:
             for root in flagged:
                 omega.update(pa.components[root])
@@ -183,68 +195,69 @@ def _solve_sequence(
         return omega, pa, residue
 
 
-def _assemble_cell(
+class _Fractions(dict):
+    """int -> Fraction(int, scale), built once per distinct int of a solve."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, value: int) -> Fraction:
+        frac = self[value] = Fraction(value, self.scale)
+        return frac
+
+
+def _cell_key(
     sequence: WinSequence,
     omega: set[int],
     pa,
-    residue: Sequence[Constraint],
-    red: ReducedInstance,
-    colmap: Sequence[int],
+    residue: Sequence[Row],
+    orig: Sequence[int],
     forced_outside: frozenset[int],
     free_original: frozenset[int],
-    num_vars: int,
-) -> SolutionCell | None:
-    """The cell of one solved sequence, in original coordinates and Fractions.
+) -> tuple | None:
+    """Identity of one solved sequence's cell, in original coordinates and ints.
 
-    This is where the int offsets and constants of the cell stage, in units
-    of 1/red.scale, become Fractions.
+    orig maps reduced columns to original ones.  The key is (win sequence,
+    sorted -inf set, sorted (v, param, offset), residue rows), with offsets
+    and constants in units of 1/scale, the scale of the whole solve; None
+    when the cell is only the all--inf point, which lies in every cell.
     """
-
-    def orig(reduced_col: int) -> int:
-        return colmap[red.col_origin[reduced_col]]
-
-    scale = red.scale
-
+    rep, off = pa.representative, pa.offset
+    assigned = [(orig[v], orig[rep[v]], off[v]) for v in range(len(orig)) if v not in omega]
+    assigned.extend((f, f, 0) for f in free_original)
+    if not assigned:
+        return None
+    assigned.sort()
     neg = set(forced_outside)
-    neg.update(orig(v) for v in omega)
-    nvars_reduced = red.max_matrix.cols
-    assignments: dict[int, tuple[int, Fraction]] = {}
-    for v in range(nvars_reduced):
-        if v in omega:
-            continue
-        assignments[orig(v)] = (orig(pa.representative[v]), Fraction(pa.offset[v], scale))
-    for f in sorted(free_original):
-        assignments[f] = (f, Fraction(0))
-    if not assignments:
-        return None  # only the trivial point: dropped, it lies in every cell
-    constraints = tuple(
-        Constraint(orig(c.plus), orig(c.minus), Fraction(c.constant, scale), c.kind)
-        for c in residue
+    neg.update(orig[v] for v in omega)
+    return (
+        tuple((orig[p], orig[q]) for p, q in sequence),
+        tuple(sorted(neg)),
+        tuple(assigned),
+        tuple((orig[p], orig[q], c) for p, q, c in residue),
     )
-    mapped_seq = tuple((orig(p), orig(q)) for p, q in sequence)
-    bound, cycles, free_idx = dimension_bound(mapped_seq, num_vars)
+
+
+def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
+    """Key of the cell where the alive variables are free and the rest -inf."""
+    neg = tuple(sorted(set(range(num_vars)) - set(alive)))
+    return ((), neg, tuple((v, v, 0) for v in alive), ())
+
+
+def _build_cell(key: tuple, num_vars: int, fractions: _Fractions) -> SolutionCell:
+    """The SolutionCell of a kept key: Fractions, Constraints and the dimension bound."""
+    sequence, neg, assigned, rows = key
+    bound, cycles, free = dimension_bound(sequence, num_vars)
+    neg_inf = frozenset(neg)
     return SolutionCell(
-        win_sequence=mapped_seq,
-        neg_inf=frozenset(neg),
-        assignments=assignments,
-        constraints=constraints,
+        win_sequence=sequence,
+        neg_inf=neg_inf,
+        assignments={v: (p, fractions[o]) for v, p, o in assigned},
+        constraints=tuple(Constraint(p, q, fractions[c], LEQ) for p, q, c in rows),
         cycles=cycles,
-        free_indices=frozenset(free_idx) - frozenset(neg),
+        free_indices=free - neg_inf,
         dimension_bound=bound,
-        num_vars=num_vars,
-    )
-
-
-def _unconstrained_cell(alive: Sequence[int], num_vars: int) -> SolutionCell:
-    assignments = {v: (v, Fraction(0)) for v in sorted(alive)}
-    return SolutionCell(
-        win_sequence=(),
-        neg_inf=frozenset(range(num_vars)) - set(alive),
-        assignments=assignments,
-        constraints=(),
-        cycles=(),
-        free_indices=frozenset(alive),
-        dimension_bound=num_vars,
         num_vars=num_vars,
     )
 
@@ -262,10 +275,6 @@ def geometric_key(cell: SolutionCell) -> tuple:
     )
 
 
-def _cell_key(cell: SolutionCell) -> tuple:
-    return (cell.win_sequence, *geometric_key(cell))
-
-
 def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     """Compute the full solution set of the two-sided system as a cell union."""
     if a.rows != b.rows or a.cols != b.cols:
@@ -273,13 +282,16 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     n = a.cols
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
+    # one unit for every scenario, so that int keys compare like Fractions
+    scale = common_denominator(v for m in (a, b) for row in m.to_rows() for v in row)
 
-    cells_by_key: dict[tuple, SolutionCell] = {}
+    keys: set[tuple] = set()
     seen: set[frozenset[int]] = set()
     stack: list[frozenset[int]] = [frozenset()]
     root_p = 0
     root_nodes = 0
     scenario_count = 0
+    collapsed = 0
     t_enum = 0.0
     t_cells = 0.0
 
@@ -294,7 +306,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             continue
         a0 = select_columns(a, keep_cols)
         b0 = select_columns(b, keep_cols)
-        red = reduce_instance(a0, b0)
+        red = reduce_instance(a0, b0, scale)
         forced_all = frozenset(forced0) | {
             keep_cols[c] for c in red.forced_neg_inf
         }
@@ -305,8 +317,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
         if red.verdict is Verdict.ALL_ROWS_GONE:
             alive = sorted(set(range(n)) - forced_all)
             if alive:
-                cell = _unconstrained_cell(alive, n)
-                cells_by_key.setdefault(_cell_key(cell), cell)
+                keys.add(_unconstrained_key(alive, n))
             continue
 
         m_red = red.max_matrix.rows
@@ -323,32 +334,28 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             root_nodes = nodes
 
         t0 = time.perf_counter()
+        orig = [keep_cols[c] for c in red.col_origin]
         for sequence in sequences:
             omega, pa, residue = _solve_sequence(
                 sequence, red, classifications, n_red
             )
-            cell = _assemble_cell(
-                sequence,
-                omega,
-                pa,
-                residue,
-                red,
-                keep_cols,
-                forced_all,
-                free_original,
-                n,
-            )
-            if cell is not None:
-                cells_by_key.setdefault(_cell_key(cell), cell)
+            key = _cell_key(sequence, omega, pa, residue, orig, forced_all, free_original)
+            if key is None:
+                collapsed += 1
+            else:
+                keys.add(key)
         t_cells += time.perf_counter() - t0
 
         for i in range(m_red):
             live = [j for j in range(n_red) if j not in classifications[i].dead]
-            child = forced0 | {keep_cols[red.col_origin[j]] for j in live}
+            child = forced0 | {orig[j] for j in live}
             if len(child) < n and child not in seen:
                 stack.append(child)
 
-    cells = tuple(cell for _, cell in sorted(cells_by_key.items()))
+    t0 = time.perf_counter()
+    fractions = _Fractions(scale)
+    cells = tuple(_build_cell(key, n, fractions) for key in sorted(keys))
+    t_cells += time.perf_counter() - t0
     if cells:
         forced_everywhere = frozenset.intersection(*(c.neg_inf for c in cells))
     else:
@@ -356,7 +363,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     timings["enumerate"] = t_enum
     timings["cells"] = t_cells
     timings["total"] = time.perf_counter() - t_start
-    stats = SolveStats(root_nodes, scenario_count, timings) if collect_stats else None
+    stats = SolveStats(root_nodes, scenario_count, collapsed, timings) if collect_stats else None
     return SolutionSet(
         cells=cells,
         globally_forced=forced_everywhere,

@@ -128,6 +128,8 @@ def parse_instance(text: str) -> InstanceFile:
         if name not in blocks:
             raise ParseError(len(lines), f"missing block '{name}:'")
         data = blocks[name]
+        if length == 0 and not data:
+            return ()  # the empty vector is a block without lines
         if len(data) != 1:
             where = data[-1][0] if data else len(lines)
             raise ParseError(where, f"block '{name}:' must be a single line")
@@ -423,6 +425,7 @@ def run(argv: list[str] | None = None) -> int:
             "p": base.win_sequence_count,
             "enum_nodes": base.stats.enum_nodes,
             "scenarios": base.stats.scenarios,
+            "collapsed": base.stats.collapsed,
         }
         for key, value in base.stats.timings.items():
             payload[f"time_{key}"] = round(value, 6)

@@ -36,8 +36,10 @@ class ReducedInstance:
     forced_neg_inf, free_cols and the image of col_origin partition the
     original column set.  Row/column indices inside the matrices are
     reduced coordinates; the origin tuples map them back.  scaled_max holds
-    the rows of max_matrix times scale, the lcm of its denominators, as
-    exact ints (None for -inf): the cell stage works in units of 1/scale.
+    the rows of max_matrix times scale as exact ints (None for -inf): the
+    cell stage works in units of 1/scale.  cells.solve passes one scale for
+    all its scenarios (the lcm of the denominators of A and B); alone,
+    reduce_instance takes the lcm of max_matrix's denominators.
     """
 
     a_dom: Matrix
@@ -89,8 +91,10 @@ def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
+def reduce_instance(a: Matrix, b: Matrix, scale: int | None = None) -> ReducedInstance:
     """Iterate the reduction moves to a fixed point.
+
+    scale, if given, must be a multiple of every denominator in a and b.
 
     Moves, in order, restarting after any change:
       * drop a row whose two sides are identical (it imposes nothing);
@@ -175,7 +179,8 @@ def reduce_instance(a: Matrix, b: Matrix) -> ReducedInstance:
         mx = Matrix([], cols=1)
         live_cols = []
 
-    scale = common_denominator(v for row in mx.to_rows() for v in row)
+    if scale is None:
+        scale = common_denominator(v for row in mx.to_rows() for v in row)
     return ReducedInstance(
         a_dom=a_dom,
         b_dom=b_dom,

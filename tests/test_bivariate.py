@@ -6,7 +6,6 @@ import pytest
 from conftest import scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
-    EQ,
     LEQ,
     Constraint,
     PotentialAssignment,
@@ -20,10 +19,6 @@ from tropsolve.preprocess import bold_pair, maximum_matrix
 from tropsolve.winseq import classify_row
 
 NI = "-inf"
-
-
-def rows_as_tuples(constraints):
-    return {(c.plus, c.minus, c.constant, c.kind) for c in constraints}
 
 
 # --- the displayed coefficient matrices of the worked example (1-based) ---
@@ -58,29 +53,27 @@ def _systems_for(a, b, sequence_1based):
 def test_build_systems_first_sequence(running_example):
     a, b = running_example
     eqs, ineqs = _systems_for(a, b, [(1, 4), (1, 3), (3, 3)])
-    assert rows_as_tuples(eqs) == rows_as_tuples(C1_ROWS)
+    assert set(eqs) == set(C1_ROWS)
     # all seven row-by-row normal forms; D1_ROWS differs in two entries (its
     # origin drops the x1-x3 row and carries -2 where the formula gives -4)
     expected = D1_ROWS + [leq(2, 0, -4), leq(0, 2, 0)]
     expected.remove(leq(2, 0, -2))
-    assert rows_as_tuples(ineqs) == rows_as_tuples(expected)
+    assert set(ineqs) == set(expected)
     assert len(ineqs) == 7
 
 
 def test_build_systems_empty_case(empty_case_example):
     a, b = empty_case_example
     eqs, _ = _systems_for(a, b, [(1, 4), (1, 3), (3, 4)])
-    assert rows_as_tuples(eqs) == rows_as_tuples(
-        [eq(0, 3, -5), eq(0, 2, 1), eq(2, 3, 4)]
-    )
+    assert set(eqs) == {eq(0, 3, -5), eq(0, 2, 1), eq(2, 3, 4)}
 
 
 def test_build_systems_tie_pair_no_equation(running_example):
     a, b = running_example
     eqs, ineqs = _systems_for(a, b, [(1, 4), (1, 3), (3, 3)])
-    anchors = {c.minus for c in ineqs}
+    anchors = {minus for _, minus, _ in ineqs}
     assert 2 in anchors  # the tie row anchors its inequalities at column 3
-    assert all(c.kind == EQ for c in eqs) and len(eqs) == 2
+    assert all(plus < minus for plus, minus, _ in eqs) and len(eqs) == 2
 
 
 def test_remove_and_enlarge_empty_case():
@@ -103,7 +96,10 @@ def test_remove_and_enlarge_chain():
 
 
 def test_remove_and_enlarge_equation_propagates():
-    remaining, omega = remove_and_enlarge([eq(5, 2, 3)], {5})
+    # equations propagate -inf through their components, as in the cell stage
+    pa = solve_equations([eq(5, 2, 3)], 6)
+    omega = {u for v in {5} for u in pa.members(v)}
+    remaining, omega = remove_and_enlarge([], omega)
     assert remaining == [] and omega == {2, 5}
 
 
@@ -117,8 +113,8 @@ def test_remove_and_enlarge_fixed_point_bound():
         omega0 = set(rng.sample(range(n), rng.randint(0, n)))
         remaining, omega = remove_and_enlarge(cons, omega0)
         assert omega0 <= omega
-        for c in remaining:
-            assert c.plus not in omega and c.minus not in omega
+        for plus, minus, _ in remaining:
+            assert plus not in omega and minus not in omega
 
 
 def test_solve_equations_gaussian_family():
@@ -158,9 +154,9 @@ def test_solve_equations_inconsistency_witness():
             potential = {min(members): Fraction(0)}
             frontier = [min(members)]
             adjacency = {}
-            for c in eqs:
-                adjacency.setdefault(c.plus, []).append((c.minus, -c.constant))
-                adjacency.setdefault(c.minus, []).append((c.plus, c.constant))
+            for plus, minus, constant in eqs:
+                adjacency.setdefault(plus, []).append((minus, -constant))
+                adjacency.setdefault(minus, []).append((plus, constant))
             contradiction = False
             while frontier:
                 v = frontier.pop()
@@ -251,11 +247,11 @@ def test_sub_specialize_preserves_real_solutions():
         eqs, residue, forced = sub_specialize(rows)
         for _ in range(20):
             point = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
-            sat_t = all(point[c.plus] - point[c.minus] + c.constant <= 0 for c in rows)
+            sat_t = all(point[p] - point[m] + c <= 0 for p, m, c in rows)
             sat_en = all(
-                point[c.plus] - point[c.minus] + c.constant == 0 for c in eqs
+                point[p] - point[m] + c == 0 for p, m, c in eqs
             ) and all(
-                point[c.plus] - point[c.minus] + c.constant <= 0 for c in residue
+                point[p] - point[m] + c <= 0 for p, m, c in residue
             ) and not forced
             assert sat_t == sat_en
 
@@ -269,11 +265,10 @@ def test_sub_specialize_keeps_tightest_bound():
             for _ in range(rng.randint(1, 7))
         ]
         eqs, residue, forced = sub_specialize(rows)
-        out = {(c.plus, c.minus): c.constant for c in residue}
-        for c in rows:
-            key = (c.plus, c.minus)
-            if key in out:
-                assert out[key] >= c.constant
+        out = {(p, m): c for p, m, c in residue}
+        for p, m, c in rows:
+            if (p, m) in out:
+                assert out[(p, m)] >= c
 
 
 def test_is_sub_special():
@@ -285,6 +280,15 @@ def test_is_sub_special():
     # opposite rows must be adjacent and strictly concatenable
     assert not is_sub_special([leq(0, 1, 3), leq(2, 1, 0), leq(1, 0, -3)])
     assert not is_sub_special([leq(0, 1, 3), leq(1, 0, -3)])  # zero width
+
+
+def test_rows_are_plain_tuples():
+    assert eq(3, 1, 2) == (1, 3, -2)  # canonical orientation: smaller index first
+    assert eq(1, 3, Fraction(1, 2)) == (1, 3, Fraction(1, 2))
+    assert leq(3, 1, 2) == (3, 1, 2)
+    eqs, residue, forced = sub_specialize([leq(0, 1, 3), leq(1, 0, -3), leq(2, 0, 1)])
+    assert eqs == [(0, 1, 3)] and residue == [(2, 0, 1)] and not forced
+    assert all(type(r) is tuple for r in eqs + residue)
 
 
 def test_constraint_validation():

@@ -275,7 +275,29 @@ STATS_CASES = {
     "hetero": "problem: hetero\nm: 1\nn: 1\ns: 1\nC:\n0\nD:\n0\n",
     "hetero-zero-rows": "problem: hetero\nm: 1\nn: 2\ns: 0\nC:\nD:\n",
     "affine": AFFINE,
+    "eqb-zero-rows": "problem: eqb\nm: 0\nn: 2\nA:\nb:\n",
+    "affine-zero-rows": "problem: affine\nm: 0\nn: 2\nA:\nB:\na:\nb:\n",
 }
+
+
+@pytest.mark.parametrize("mode", ["eqb", "affine"])
+def test_run_pinned_mode_zero_rows(mode, monkeypatch, capsys):
+    import io
+
+    text = STATS_CASES[f"{mode}-zero-rows"]
+    inst = parse_instance(text)
+    assert inst.vectors["b"] == () and inst.matrices["A"].rows == 0
+    assert parse_instance(format_instance(inst)) == inst
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["-", "--format", "json", "--check", "grid=0,1"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    # no rows: every x with x_{n+1} = 0 solves, one cell with both variables free
+    assert doc["problem"] == mode and doc["p"] == 0 and not doc["no_solution"]
+    assert [cell["assignments"] for cell in doc["cells"]] == [
+        {"1": {"param": 1, "offset": "0"}, "2": {"param": 2, "offset": "0"}}
+    ]
+    assert '"invalid": 0, "missed": 0' in captured.err
 
 
 def test_run_stats_same_keys_every_mode(monkeypatch, capsys):
@@ -286,7 +308,7 @@ def test_run_stats_same_keys_every_mode(monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
         assert run(["-", "--stats"]) == 0, name
         keys[name] = set(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
-    assert "enum_nodes" in keys["eq"] and "scenarios" in keys["eq"]
+    assert {"enum_nodes", "scenarios", "collapsed"} <= keys["eq"]
     assert all(found == keys["eq"] for found in keys.values()), keys
 
 

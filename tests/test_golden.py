@@ -3,8 +3,11 @@ fixed instances.
 
 The instances are the four worked examples of the README, seeded instances
 whose entries include the fractions 1/2, -3/2, 2/3 and 7/4 (so the solver's
-exact scaling runs with a common denominator above 1), and two instances
-without rows (``eq`` with ``m: 0``, ``hetero`` with ``s: 0``).  Every case
+exact scaling runs with a common denominator above 1), seeded instances
+whose silencing scenarios reduce to maximum matrices over different
+denominators (one column alone carries thirds, a row links it to a column
+of halves), and two instances without rows (``eq`` with ``m: 0``,
+``hetero`` with ``s: 0``).  Every case
 is pinned in both formats; a text entry is named after its JSON entry plus
 `` --format text``.  The expected outputs live in ``golden/cli_json.json``;
 any change to them is a change of output and must be deliberate.  To
@@ -20,12 +23,17 @@ import io
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import tropsolve.cells as cells_mod
 from conftest import planted_rows, random_rows
+from tropsolve import NEG_INF, Matrix, solve
+from tropsolve.cells import geometric_key
 from tropsolve.cli import run
+from tropsolve.core import common_denominator
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_json.json"
 
@@ -50,6 +58,35 @@ FIXTURES = {
 
 SEEDED_EQ = 20
 MODES = ("leq", "eqb", "hetero", "affine")
+
+MULTI_SCALE_EQ = 20
+THIRDS = (Fraction(1, 3), Fraction(-2, 3), Fraction(4, 3), NEG_INF)
+HALVES = (Fraction(1, 2), Fraction(-3, 2), Fraction(0), Fraction(2), NEG_INF)
+
+
+def multi_scale_rows(rng, m, n):
+    """A and B rows where column 1 alone carries thirds.
+
+    Row 1 is finite only in column 1 of A and column 2 of B, so its
+    silencing scenario forces both columns to -inf and leaves a maximum
+    matrix over halves, while the root instance has thirds as well.
+    """
+    a, b = (
+        [[rng.choice(THIRDS if j == 0 else HALVES) for j in range(n)] for _ in range(m)]
+        for _ in range(2)
+    )
+    a[0] = [rng.choice(THIRDS[:3])] + [NEG_INF] * (n - 1)
+    b[0] = [NEG_INF, rng.choice(HALVES[:4])] + [NEG_INF] * (n - 2)
+    return a, b
+
+
+def multi_scale_pairs():
+    rng = random.Random(8)
+    out = []
+    for _ in range(MULTI_SCALE_EQ):
+        m, n = rng.randint(2, 3), rng.randint(4, 5)
+        out.append(multi_scale_rows(rng, m, n))
+    return out
 
 
 def _block(name, rows):
@@ -101,6 +138,10 @@ def json_cases():
         text = _eq_text(*pair)
         out.append((f"eq-{k}", text, []))
         out.append((f"eq-{k} --dedupe", text, ["--dedupe"]))
+    for k, pair in enumerate(multi_scale_pairs()):
+        text = _eq_text(*pair)
+        out.append((f"eq-mixed-scale-{k}", text, []))
+        out.append((f"eq-mixed-scale-{k} --dedupe", text, ["--dedupe"]))
     for k in range(8):
         mode = MODES[k % len(MODES)]
         out.append((f"{mode}-{k}", _mode_text(rng, mode), []))
@@ -153,6 +194,48 @@ def test_golden_json(name, text, flags):
 @pytest.mark.parametrize("name,text,flags", text_cases(), ids=[c[0] for c in json_cases()])
 def test_golden_text(name, text, flags):
     _check(name, text, ["--format", "text", *flags])
+
+
+def _scenario_denominators(monkeypatch, a, b):
+    """The denominators of the reduced maximum matrices of solve's scenarios."""
+    original = cells_mod.reduce_instance
+    seen = set()
+
+    def recording(*args, **kwargs):
+        red = original(*args, **kwargs)
+        if red.max_matrix.rows:
+            seen.add(common_denominator(v for row in red.max_matrix.to_rows() for v in row))
+        return red
+
+    monkeypatch.setattr(cells_mod, "reduce_instance", recording)
+    result = solve(a, b)
+    monkeypatch.setattr(cells_mod, "reduce_instance", original)
+    return seen, result
+
+
+def test_multi_scale_cases_mix_scales(monkeypatch):
+    mixed = 0
+    cells_seen = 0
+    for a, b in multi_scale_pairs():
+        n = len(a[0])
+        seen, result = _scenario_denominators(monkeypatch, Matrix(a, cols=n), Matrix(b, cols=n))
+        if len(seen) > 1:
+            mixed += 1
+            cells_seen += len(result.cells)
+    assert mixed >= 10
+    assert cells_seen >= 20
+
+
+def test_multi_scale_cells_sorted_by_fraction_key():
+    for a, b in multi_scale_pairs():
+        n = len(a[0])
+        cells = solve(Matrix(a, cols=n), Matrix(b, cols=n)).cells
+        keys = [(c.win_sequence, *geometric_key(c)) for c in cells]
+        assert all(
+            type(o) is Fraction for c in cells for _, o in c.assignments.values()
+        )
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ constraint constant by d and changes nothing else.  With entries over the
 denominators 2, 3 and 4, d = 12 makes the scaled instance integral, so the
 exact cell stage runs with a common denominator above 1 on one side of the
 comparison and with 1 on the other.  Adding a constant to one row on both
-sides leaves every cell unchanged.
+sides leaves every cell unchanged.  The solution set is a tropical cone:
+closed under componentwise max and under adding one scalar to every finite
+coordinate.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import planted_rows
-from tropsolve import Matrix, emit, solve
-from tropsolve.core import NegInfinity
+from tropsolve import Matrix, cell_membership, emit, sample_cell, solve, verify_solution
+from tropsolve.core import NegInfinity, oplus
 from tropsolve.preprocess import reduce_instance
 
 INSTANCES = 60
@@ -93,3 +95,25 @@ def test_row_shift_leaves_cells_unchanged():
         assert emit(moved, "json") == emit(base, "json")
         cells_seen += len(base.cells)
     assert cells_seen >= INSTANCES
+
+
+def test_tropical_cone_closure():
+    rng = random.Random(4300)
+    shifts = (Fraction(0), Fraction(5, 6), Fraction(-7, 3), Fraction(4))
+    for k in range(40):
+        m, n = rng.randint(2, 5), rng.randint(3, 6)
+        a, b = (Matrix(rows, cols=n) for rows in planted_rows(rng, m, n))
+        result = solve(a, b)
+        assert result.cells  # the planted solution lies in some cell
+        points = [
+            x for j, cell in enumerate(result.cells) for x in sample_cell(cell, 4, seed=k + j)
+        ]
+        for _ in range(25):
+            x, y = rng.choice(points), rng.choice(points)
+            shift = rng.choice(shifts)
+            z = tuple(
+                v if isinstance(v, NegInfinity) else v + shift
+                for v in (oplus(p, q) for p, q in zip(x, y))
+            )
+            assert verify_solution(a, b, z), (a, b, z)
+            assert any(cell_membership(cell, z) for cell in result.cells), (a, b, z)
