@@ -26,16 +26,13 @@ from typing import Iterable, Mapping, Sequence
 from .core import TropicalError
 from .winseq import RowClassification, WinSequence
 
-EQ = "eq"
-LEQ = "leq"
-
 # (plus, minus, constant): x_plus - x_minus + constant, = 0 or <= 0 by list
 Row = tuple[int, int, "int | Fraction"]
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """Validated normal form x_plus - x_minus + constant (= 0 for EQ, <= 0 for LEQ).
+    """Validated inequality x_plus - x_minus + constant <= 0.
 
     The type of SolutionCell.constraints, built only for the cells a solve
     keeps: plus != minus, and the constant is the Fraction value.
@@ -44,13 +41,10 @@ class Constraint:
     plus: int
     minus: int
     constant: int | Fraction
-    kind: str = LEQ
 
     def __post_init__(self):
         if self.plus == self.minus:
             raise TropicalError("constraint endpoints must differ")
-        if self.kind not in (EQ, LEQ):
-            raise TropicalError(f"unknown constraint kind {self.kind!r}")
 
 
 def _exact(constant) -> int | Fraction:

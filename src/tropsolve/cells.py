@@ -1,21 +1,25 @@
 """End-to-end solver: from a matrix pair to a union of parameterized cells.
 
-Pipeline per instance: reduce, classify rows, enumerate win sequences, and
-for each sequence solve its equation system, propagate -inf, substitute into
-the inequalities and tighten them, looping while tightening extracts new
+solve scales A and B once into int rows (None for -inf), in units of
+1/scale, where scale is the lcm of the denominators of their entries; from
+there to the cell keys everything is an int in that unit.  Pipeline per
+instance: reduce, classify rows, enumerate win sequences, and for each
+sequence solve its equation system, propagate -inf, substitute into the
+inequalities and tighten them, looping while tightening extracts new
 equations.  Each surviving sequence yields one convex cell: variables forced
 to -inf, parameterized assignments x_v = t_p + offset, and a canonical list
 of residual inequalities over the parameters.  The per-sequence work runs
-on int rows (plus, minus, constant), in units of 1/scale, where scale is
-the lcm of the denominators of A and B, one for every scenario.  Each
-solved sequence yields an int key in original coordinates; keys are
-deduplicated and sorted, and only then is a SolutionCell built per kept
-key, with its Fractions, Constraints and dimension bound.
+on int rows (plus, minus, constant).  Each solved sequence yields an int key
+in original coordinates; keys are deduplicated and sorted, and only then is
+a SolutionCell built per kept key, with its Fractions, Constraints and
+dimension bound.
 
 Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
 explores silencing scenarios: for each row, the variant instance with that
-row's live columns pinned to -inf is solved recursively.  Scenario cells are
+row's live columns pinned to -inf is solved recursively.  Every scenario is
+reduced from the same int rows, with its pinned columns dead, so its
+reduction comes back in original coordinates.  Scenario cells are
 deduplicated; the reported win-sequence count is that of the root instance.
 """
 
@@ -25,10 +29,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bivariate import (
-    LEQ,
     Constraint,
     OffsetUnionFind,
     Row,
@@ -46,7 +49,7 @@ from .core import (
     as_scalar,
     common_denominator,
     matvec_maxplus,
-    select_columns,
+    scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance
 from .winseq import (
@@ -71,8 +74,6 @@ class SolutionCell:
     neg_inf: frozenset[int]
     assignments: Mapping[int, tuple[int, Fraction]]
     constraints: tuple[Constraint, ...]
-    cycles: tuple[tuple[int, ...], ...]
-    free_indices: frozenset[int]
     dimension_bound: int
     num_vars: int
 
@@ -113,17 +114,14 @@ def verify_solution(a: Matrix, b: Matrix, x: Sequence) -> bool:
     return matvec_maxplus(a, x) == matvec_maxplus(b, x)
 
 
-def dimension_bound(
-    sequence: Iterable[Pair], num_vars: int
-) -> tuple[int, tuple[tuple[int, ...], ...], frozenset[int]]:
-    """Bound on the cell dimension plus the column cycles and free indices.
+def dimension_bound(sequence: Sequence[Pair], num_vars: int) -> int:
+    """Bound on the cell dimension: num_vars - |linked columns| + |classes|.
 
-    Columns sharing a pair are linked; closing under transitivity yields the
-    cycles.  The bound is num_vars - |linked columns| + |cycles|.
+    Columns sharing a pair are linked, and linking two classes of columns
+    removes one degree of freedom, so the bound is num_vars minus the number
+    of pairs that join two classes.
     """
-    pairs = list(sequence)
-    cols = sorted({c for pair in pairs for c in pair})
-    parent = {c: c for c in cols}
+    parent = {c: c for pair in sequence for c in pair}
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -131,17 +129,13 @@ def dimension_bound(
             c = parent[c]
         return c
 
-    for p, q in pairs:
+    bound = num_vars
+    for p, q in sequence:
         rp, rq = find(p), find(q)
         if rp != rq:
-            parent[max(rp, rq)] = min(rp, rq)
-    groups: dict[int, list[int]] = {}
-    for c in cols:
-        groups.setdefault(find(c), []).append(c)
-    cycles = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    bound = num_vars - len(cols) + len(cycles)
-    free = frozenset(range(num_vars)) - set(cols)
-    return bound, cycles, free
+            parent[rp] = rq
+            bound -= 1
+    return bound
 
 
 def _solve_sequence(
@@ -154,8 +148,8 @@ def _solve_sequence(
 
     Returns (omega, assignment, residue): reduced-coordinate variables forced
     to -inf, the final potential assignment, and the sub-special residue rows
-    over its representatives.  Offsets and constants are ints in units of
-    1/red.scale.
+    over its representatives.  Offsets and constants are ints in the unit of
+    red's rows.
     """
     eqs, ineqs = build_systems(sequence, red.scaled_max, classifications)
     uf = OffsetUnionFind(nvars)
@@ -212,24 +206,23 @@ def _cell_key(
     omega: set[int],
     pa,
     residue: Sequence[Row],
-    orig: Sequence[int],
-    forced_outside: frozenset[int],
-    free_original: frozenset[int],
+    red: ReducedInstance,
 ) -> tuple | None:
     """Identity of one solved sequence's cell, in original coordinates and ints.
 
-    orig maps reduced columns to original ones.  The key is (win sequence,
-    sorted -inf set, sorted (v, param, offset), residue rows), with offsets
-    and constants in units of 1/scale, the scale of the whole solve; None
-    when the cell is only the all--inf point, which lies in every cell.
+    The key is (win sequence, sorted -inf set, sorted (v, param, offset),
+    residue rows), with offsets and constants in units of 1/scale, the scale
+    of the whole solve; None when the cell is only the all--inf point, which
+    lies in every cell.
     """
+    orig = red.col_origin
     rep, off = pa.representative, pa.offset
     assigned = [(orig[v], orig[rep[v]], off[v]) for v in range(len(orig)) if v not in omega]
-    assigned.extend((f, f, 0) for f in free_original)
+    assigned.extend((f, f, 0) for f in red.free_cols)
     if not assigned:
         return None
     assigned.sort()
-    neg = set(forced_outside)
+    neg = set(red.forced_neg_inf)
     neg.update(orig[v] for v in omega)
     return (
         tuple((orig[p], orig[q]) for p, q in sequence),
@@ -248,16 +241,12 @@ def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
 def _build_cell(key: tuple, num_vars: int, fractions: _Fractions) -> SolutionCell:
     """The SolutionCell of a kept key: Fractions, Constraints and the dimension bound."""
     sequence, neg, assigned, rows = key
-    bound, cycles, free = dimension_bound(sequence, num_vars)
-    neg_inf = frozenset(neg)
     return SolutionCell(
         win_sequence=sequence,
-        neg_inf=neg_inf,
+        neg_inf=frozenset(neg),
         assignments={v: (p, fractions[o]) for v, p, o in assigned},
-        constraints=tuple(Constraint(p, q, fractions[c], LEQ) for p, q, c in rows),
-        cycles=cycles,
-        free_indices=free - neg_inf,
-        dimension_bound=bound,
+        constraints=tuple(Constraint(p, q, fractions[c]) for p, q, c in rows),
+        dimension_bound=dimension_bound(sequence, num_vars),
         num_vars=num_vars,
     )
 
@@ -266,7 +255,7 @@ def geometric_key(cell: SolutionCell) -> tuple:
     """Identity of the point set a cell describes, whatever its win sequence.
 
     Two cells with equal keys have the same -inf set, the same assignments
-    and the same constraints (all of kind LEQ, in canonical order).
+    and the same constraints (in canonical order).
     """
     return (
         tuple(sorted(cell.neg_inf)),
@@ -284,6 +273,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     timings: dict[str, float] = {}
     # one unit for every scenario, so that int keys compare like Fractions
     scale = common_denominator(v for m in (a, b) for row in m.to_rows() for v in row)
+    a_rows, b_rows = scaled_entries(a, scale), scaled_entries(b, scale)
 
     keys: set[tuple] = set()
     seen: set[frozenset[int]] = set()
@@ -301,29 +291,17 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             continue
         seen.add(forced0)
         scenario_count += 1
-        keep_cols = [j for j in range(n) if j not in forced0]
-        if not keep_cols:
-            continue
-        a0 = select_columns(a, keep_cols)
-        b0 = select_columns(b, keep_cols)
-        red = reduce_instance(a0, b0, scale)
-        forced_all = frozenset(forced0) | {
-            keep_cols[c] for c in red.forced_neg_inf
-        }
-        free_original = frozenset(keep_cols[c] for c in red.free_cols)
+        red = reduce_instance(a_rows, b_rows, n, dead=forced0)
 
         if red.verdict is Verdict.TRIVIAL_ONLY:
             continue
         if red.verdict is Verdict.ALL_ROWS_GONE:
-            alive = sorted(set(range(n)) - forced_all)
-            if alive:
-                keys.add(_unconstrained_key(alive, n))
+            keys.add(_unconstrained_key(sorted(red.free_cols), n))
             continue
 
-        m_red = red.max_matrix.rows
-        n_red = red.max_matrix.cols
+        n_red = len(red.col_origin)
         classifications = [
-            classify_row(red.a_dom, red.b_dom, i) for i in range(m_red)
+            classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))
         ]
         pair_lists = [winning_pairs(c) for c in classifications]
         t0 = time.perf_counter()
@@ -334,21 +312,19 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             root_nodes = nodes
 
         t0 = time.perf_counter()
-        orig = [keep_cols[c] for c in red.col_origin]
         for sequence in sequences:
             omega, pa, residue = _solve_sequence(
                 sequence, red, classifications, n_red
             )
-            key = _cell_key(sequence, omega, pa, residue, orig, forced_all, free_original)
+            key = _cell_key(sequence, omega, pa, residue, red)
             if key is None:
                 collapsed += 1
             else:
                 keys.add(key)
         t_cells += time.perf_counter() - t0
 
-        for i in range(m_red):
-            live = [j for j in range(n_red) if j not in classifications[i].dead]
-            child = forced0 | {orig[j] for j in live}
+        for cls in classifications:
+            child = forced0 | {c for j, c in enumerate(red.col_origin) if j not in cls.dead}
             if len(child) < n and child not in seen:
                 stack.append(child)
 

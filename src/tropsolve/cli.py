@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cells import SolutionCell, SolutionSet, geometric_key, solve
-from .core import Matrix, NegInfinity, Scalar, TropicalError, as_scalar
+from .core import Matrix, NegInfinity, Scalar, TokenTooLarge, TropicalError, as_scalar
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
@@ -59,6 +59,8 @@ class InstanceFile:
 def _scalar_token(token: str, line: int) -> Scalar:
     try:
         return as_scalar(token)
+    except TokenTooLarge as exc:
+        raise ParseError(line, str(exc))
     except (ValueError, TypeError):
         raise ParseError(line, f"unknown token {token!r}")
 

@@ -26,6 +26,10 @@ class UndefinedOperation(TropicalError):
     """An arithmetic case left undefined (e.g. combining +inf with -inf)."""
 
 
+class TokenTooLarge(TropicalError, ValueError):
+    """A number token with more than MAX_TOKEN_DIGITS digits or exponent."""
+
+
 class NegInfinity:
     """The tropical additive neutral element; strictly below every rational."""
 
@@ -123,10 +127,33 @@ Scalar = Union[Fraction, NegInfinity]
 ExtendedScalar = Union[Fraction, NegInfinity, PosInfinity]
 
 
+# A number token may carry at most this many digits, and a decimal
+# exponent at most this magnitude, so that its numerator and denominator
+# stay below 10**200: far from Python's 4300-digit int-to-str limit, and a
+# token like '1e999999999' is refused before 10**999999999 is computed.
+MAX_TOKEN_DIGITS = 100
+
+
+def _check_token_size(text: str) -> None:
+    digits = sum(ch.isdigit() for ch in text)
+    exponent = text.lower().partition("e")[2]
+    try:
+        too_large = digits > MAX_TOKEN_DIGITS or abs(int(exponent or 0)) > MAX_TOKEN_DIGITS
+    except ValueError:
+        return  # a malformed exponent: Fraction rejects the token
+    if too_large:
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise TokenTooLarge(
+            f"number token {shown!r} is too large: more than {MAX_TOKEN_DIGITS} "
+            f"digits or a decimal exponent beyond {MAX_TOKEN_DIGITS} (MAX_TOKEN_DIGITS)"
+        )
+
+
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions and strings ('3', '-7/2', '0.25', '-inf').
 
-    Floats are rejected: they are not exact.
+    Floats are rejected: they are not exact.  So are number strings beyond
+    MAX_TOKEN_DIGITS, before any Fraction is built.
     """
     if isinstance(value, (NegInfinity, Fraction)):
         return value
@@ -138,6 +165,7 @@ def as_scalar(value) -> Scalar:
         text = value.strip()
         if text in ("-inf", "-oo"):
             return NEG_INF
+        _check_token_size(text)
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -255,15 +283,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(repr(v) for v in row) for row in self._data)
         return f"Matrix[{self.rows}x{self.cols}]({body})"
-
-
-def select_columns(matrix: Matrix, cols: Sequence[int]) -> Matrix:
-    """New matrix keeping the given columns, in the given order."""
-    if not cols:
-        raise DimensionMismatch("cannot select zero columns")
-    return Matrix(
-        [[matrix[i, j] for j in cols] for i in range(matrix.rows)], cols=len(cols)
-    )
 
 
 def matvec_maxplus(a: Matrix, x: Sequence[Scalar]) -> tuple[Scalar, ...]:

@@ -5,22 +5,23 @@ where it is at least the opposing entry (the "dominant" pair), then rows and
 columns that impose nothing, or that force variables to -inf, are peeled off
 until a fixed point.  Bookkeeping maps let every downstream result be
 reported in original coordinates.
+
+bold_pair and reduce_instance read int rows, None standing for -inf: the
+entries of A and B times one common scale (core.scaled_entries; cells.solve
+scales once per solve).  The reduction only compares entries, so any common
+unit gives the same result.  maximum_matrix is the entrywise maximum of two
+Matrix objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Sequence
 
-from .core import (
-    NEG_INF,
-    DimensionMismatch,
-    Matrix,
-    NegInfinity,
-    common_denominator,
-    oplus,
-    scaled_entries,
-)
+from .core import DimensionMismatch, Matrix, oplus
+
+IntRows = Sequence[Sequence[int | None]]
 
 
 class Verdict(Enum):
@@ -33,25 +34,23 @@ class Verdict(Enum):
 class ReducedInstance:
     """Reduced instance plus the bookkeeping to undo the reduction.
 
+    a_dom, b_dom and their entrywise maximum scaled_max are int rows in the
+    unit of the rows reduce_instance was given (None for -inf), indexed in
+    reduced coordinates; row_origin and col_origin map them back.
     forced_neg_inf, free_cols and the image of col_origin partition the
-    original column set.  Row/column indices inside the matrices are
-    reduced coordinates; the origin tuples map them back.  scaled_max holds
-    the rows of max_matrix times scale as exact ints (None for -inf): the
-    cell stage works in units of 1/scale.  cells.solve passes one scale for
-    all its scenarios (the lcm of the denominators of A and B); alone,
-    reduce_instance takes the lcm of max_matrix's denominators.
+    original column set, and forced_neg_inf includes the dead columns the
+    reduction started from.  For the verdicts other than REDUCED the three
+    row tuples and col_origin are empty.
     """
 
-    a_dom: Matrix
-    b_dom: Matrix
-    max_matrix: Matrix
+    a_dom: tuple[tuple[int | None, ...], ...]
+    b_dom: tuple[tuple[int | None, ...], ...]
+    scaled_max: tuple[tuple[int | None, ...], ...]
     row_origin: tuple[int, ...]
     col_origin: tuple[int, ...]
     forced_neg_inf: frozenset[int]
     free_cols: frozenset[int]
     verdict: Verdict
-    scale: int
-    scaled_max: tuple[tuple[int | None, ...], ...]
 
 
 def _check_same_shape(a: Matrix, b: Matrix) -> None:
@@ -61,25 +60,22 @@ def _check_same_shape(a: Matrix, b: Matrix) -> None:
         )
 
 
-def bold_pair(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
+def bold_pair(a: IntRows, b: IntRows) -> tuple[list[list], list[list]]:
     """Keep each entry only where it weakly dominates the opposing entry.
 
-    Where the entries tie, both survive; elsewhere the loser becomes -inf.
-    The filtered pair has the same solution set as the original.
+    a and b are int rows of one shape, None for -inf.  Where the entries
+    tie, both survive; elsewhere the loser becomes None.  The filtered pair
+    has the same solution set as the original.
     """
-    _check_same_shape(a, b)
-    a_rows = []
-    b_rows = []
-    for i in range(a.rows):
-        ar = []
-        br = []
-        for j in range(a.cols):
-            av, bv = a[i, j], b[i, j]
-            ar.append(av if av >= bv else NEG_INF)
-            br.append(bv if bv >= av else NEG_INF)
-        a_rows.append(ar)
-        b_rows.append(br)
-    return Matrix(a_rows, cols=a.cols), Matrix(b_rows, cols=b.cols)
+    if len(a) != len(b) or any(len(ar) != len(br) for ar, br in zip(a, b)):
+        raise DimensionMismatch("the two sides differ in shape")
+    a_bold = []
+    b_bold = []
+    for ar, br in zip(a, b):
+        pairs = list(zip(ar, br))
+        a_bold.append([x if y is None or (x is not None and x >= y) else None for x, y in pairs])
+        b_bold.append([y if x is None or (y is not None and y >= x) else None for x, y in pairs])
+    return a_bold, b_bold
 
 
 def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -91,24 +87,32 @@ def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def reduce_instance(a: Matrix, b: Matrix, scale: int | None = None) -> ReducedInstance:
+def reduce_instance(
+    a: IntRows, b: IntRows, n: int, dead: Iterable[int] = ()
+) -> ReducedInstance:
     """Iterate the reduction moves to a fixed point.
 
-    scale, if given, must be a multiple of every denominator in a and b.
+    a and b are int rows over n columns in one common unit, None for -inf;
+    n is explicit because an instance without rows has no row to tell it.
+    The dead columns start at -inf: no move looks at them, so the result is
+    that of the instance with these columns deleted, in original
+    coordinates.
 
     Moves, in order, restarting after any change:
       * drop a row whose two sides are identical (it imposes nothing);
       * if one side of a row is entirely -inf while the other side has a
-        rational entry, every column carrying such an entry is forced to
+        finite entry, every column carrying such an entry is forced to
         -inf, those columns are deleted everywhere and the row is dropped;
       * drop a column whose two sides are entirely -inf (unconstrained).
 
     Each move strictly shrinks rows+columns, so the loop terminates.
     """
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch(f"rows do not have {n} entries")
     a_bold, b_bold = bold_pair(a, b)
-    live_rows = list(range(a.rows))
-    live_cols = list(range(a.cols))
-    forced: set[int] = set()
+    live_rows = list(range(len(a)))
+    forced = set(dead)
+    live_cols = [j for j in range(n) if j not in forced]
     free: set[int] = set()
 
     changed = True
@@ -116,26 +120,22 @@ def reduce_instance(a: Matrix, b: Matrix, scale: int | None = None) -> ReducedIn
         changed = False
 
         for i in list(live_rows):
-            if all(a[i, j] == b[i, j] for j in live_cols):
+            if all(a[i][j] == b[i][j] for j in live_cols):
                 live_rows.remove(i)
                 changed = True
         if changed:
             continue
 
         for i in list(live_rows):
-            doms = [(a_bold[i, j], b_bold[i, j]) for j in live_cols]
-            a_dead = all(isinstance(da, NegInfinity) for da, _ in doms)
-            b_dead = all(isinstance(db, NegInfinity) for _, db in doms)
+            ar, br = a_bold[i], b_bold[i]
+            a_dead = all(ar[j] is None for j in live_cols)
+            b_dead = all(br[j] is None for j in live_cols)
             if a_dead == b_dead:
                 continue
-            # the side that still has rational entries wins the row maximum,
+            # the side that still has finite entries wins the row maximum,
             # which must equal -inf: its columns are forced to -inf
-            side = 1 if a_dead else 0
-            winners = [
-                j
-                for j, dom in zip(live_cols, doms)
-                if not isinstance(dom[side], NegInfinity)
-            ]
+            side = br if a_dead else ar
+            winners = [j for j in live_cols if side[j] is not None]
             forced.update(winners)
             live_cols = [j for j in live_cols if j not in winners]
             live_rows.remove(i)
@@ -145,51 +145,32 @@ def reduce_instance(a: Matrix, b: Matrix, scale: int | None = None) -> ReducedIn
             continue
 
         for j in list(live_cols):
-            dead = all(
-                isinstance(a_bold[i, j], NegInfinity)
-                and isinstance(b_bold[i, j], NegInfinity)
-                for i in live_rows
-            )
-            if dead:
+            if all(a_bold[i][j] is None and b_bold[i][j] is None for i in live_rows):
                 free.add(j)
                 live_cols.remove(j)
                 changed = True
 
     if live_rows:
         verdict = Verdict.REDUCED
-    elif forced == set(range(a.cols)):
+    elif len(forced) == n:
         verdict = Verdict.TRIVIAL_ONLY
     else:
         verdict = Verdict.ALL_ROWS_GONE
 
-    if live_rows:
-        a_dom = Matrix(
-            [[a_bold[i, j] for j in live_cols] for i in live_rows],
-            cols=len(live_cols),
-        )
-        b_dom = Matrix(
-            [[b_bold[i, j] for j in live_cols] for i in live_rows],
-            cols=len(live_cols),
-        )
-        mx = maximum_matrix(a_dom, b_dom)
-    else:
-        # placeholder 0 x 1 shapes; never consulted for these verdicts
-        a_dom = Matrix([], cols=1)
-        b_dom = Matrix([], cols=1)
-        mx = Matrix([], cols=1)
-        live_cols = []
-
-    if scale is None:
-        scale = common_denominator(v for row in mx.to_rows() for v in row)
+    a_dom = tuple(tuple(a_bold[i][j] for j in live_cols) for i in live_rows)
+    b_dom = tuple(tuple(b_bold[i][j] for j in live_cols) for i in live_rows)
+    # each entry of a dominated pair is the maximum or None
+    mx = tuple(
+        tuple(x if x is not None else y for x, y in zip(ar, br))
+        for ar, br in zip(a_dom, b_dom)
+    )
     return ReducedInstance(
         a_dom=a_dom,
         b_dom=b_dom,
-        max_matrix=mx,
+        scaled_max=mx,
         row_origin=tuple(live_rows),
         col_origin=tuple(live_cols),
         forced_neg_inf=frozenset(forced),
         free_cols=frozenset(free),
         verdict=verdict,
-        scale=scale,
-        scaled_max=tuple(map(tuple, scaled_entries(mx, scale))),
     )

@@ -21,6 +21,7 @@ from .cells import (
     solve,
 )
 from .bivariate import Constraint
+from .preprocess import maximum_matrix
 from .core import (
     NEG_INF,
     DimensionMismatch,
@@ -39,13 +40,7 @@ from .core import (
 
 def leq_to_eq(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
     """One-sided inequality as an equality: A(x)x <= B(x)x iff (A+B)(x)x = B(x)x."""
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch("matrix shapes differ")
-    merged = Matrix(
-        [[oplus(a[i, j], b[i, j]) for j in range(a.cols)] for i in range(a.rows)],
-        cols=a.cols,
-    )
-    return merged, b
+    return maximum_matrix(a, b), b
 
 
 def solve_leq(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:

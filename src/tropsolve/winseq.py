@@ -1,6 +1,7 @@
 """Row classification, winning pairs, compatibility, and enumeration.
 
-For each row, the columns split into those where the left side strictly
+For each row of the dominated pair (int rows of the reduced instance,
+None for -inf), the columns split into those where the left side strictly
 wins, those where the right side strictly wins, ties, and columns dead on
 both sides.  A winning pair picks one column from each strict side (or a tie
 column against itself); two pairs from different rows are compatible when
@@ -16,7 +17,6 @@ empty.  is_compatible is the readable reference for the same test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import ExtendedScalar, Matrix, TropicalError, dif, odot
@@ -35,18 +35,18 @@ class RowClassification:
     dead: frozenset[int]
 
 
-def classify_row(a_dom: Matrix, b_dom: Matrix, i: int) -> RowClassification:
+def classify_row(
+    a_dom: Sequence[Sequence[int | None]], b_dom: Sequence[Sequence[int | None]], i: int
+) -> RowClassification:
+    """The column sets of row i of a dominated pair of int rows (None for -inf)."""
     a_wins, b_wins, ties, dead = set(), set(), set(), set()
-    for j in range(a_dom.cols):
-        av, bv = a_dom[i, j], b_dom[i, j]
-        if av > bv:
+    for j, (av, bv) in enumerate(zip(a_dom[i], b_dom[i])):
+        if av == bv:
+            (ties if av is not None else dead).add(j)
+        elif bv is None or (av is not None and av > bv):
             a_wins.add(j)
-        elif av < bv:
-            b_wins.add(j)
-        elif isinstance(av, Fraction):
-            ties.add(j)
         else:
-            dead.add(j)
+            b_wins.add(j)
     return RowClassification(
         frozenset(a_wins), frozenset(b_wins), frozenset(ties), frozenset(dead)
     )

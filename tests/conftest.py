@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import NEG_INF, Matrix
-from tropsolve.bivariate import Constraint, LEQ
+from tropsolve.bivariate import Constraint
 from tropsolve.cells import SolutionCell, dimension_bound
 from tropsolve.core import common_denominator, scaled_entries
 
@@ -59,6 +59,21 @@ def scaled_rows(matrix):
     return scaled_entries(matrix, common_denominator(v for row in matrix.to_rows() for v in row))
 
 
+def pair_scale(a, b):
+    """The lcm of the denominators of both matrices: the unit solve works in."""
+    return common_denominator(v for m in (a, b) for row in m.to_rows() for v in row)
+
+
+def scaled_pair(a, b):
+    """Both matrices as int rows in one unit (None for -inf), as solve scales them.
+
+    bold_pair, reduce_instance and classify_row take these rows; scaling each
+    matrix alone (scaled_rows) would give the two sides different units.
+    """
+    scale = pair_scale(a, b)
+    return scaled_entries(a, scale), scaled_entries(b, scale)
+
+
 def seq0(pairs):
     """1-based win sequence -> 0-based."""
     return tuple((p - 1, q - 1) for p, q in pairs)
@@ -72,18 +87,14 @@ def seq1(pairs):
 def make_cell(num_vars, assignments, constraints, neg_inf=(), win_sequence=()):
     """Reference cell from 1-based (var, param, offset) and (plus, minus, const)."""
     assign = {v - 1: (p - 1, Fraction(o)) for v, p, o in assignments}
-    cons = tuple(Constraint(p - 1, m - 1, Fraction(c), LEQ) for p, m, c in constraints)
+    cons = tuple(Constraint(p - 1, m - 1, Fraction(c)) for p, m, c in constraints)
     seq = seq0(win_sequence)
-    bound, cycles, free = dimension_bound(seq, num_vars)
-    neg = frozenset(v - 1 for v in neg_inf)
     return SolutionCell(
         win_sequence=seq,
-        neg_inf=neg,
+        neg_inf=frozenset(v - 1 for v in neg_inf),
         assignments=assign,
         constraints=cons,
-        cycles=cycles,
-        free_indices=frozenset(free) - neg,
-        dimension_bound=bound,
+        dimension_bound=dimension_bound(seq, num_vars),
         num_vars=num_vars,
     )
 

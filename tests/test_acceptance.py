@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     running_reference_cells,
+    scaled_pair,
     seq0,
     seq1,
     two_by_seven_reference_cells,
@@ -122,7 +123,7 @@ def test_criterion_2_empty_case(empty_case_example):
         failures.append("expected trivial_only with no cells")
 
     # the inconsistent-component path: its lone win sequence forces all of [4]
-    red = reduce_instance(a, b)
+    red = reduce_instance(*scaled_pair(a, b), a.cols)
     classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(3)]
     omega, _, residue = _solve_sequence(
         seq0([(1, 4), (1, 3), (3, 4)]), red, classes, 4

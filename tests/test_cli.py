@@ -342,3 +342,21 @@ def test_run_bad_check_grid_exit_code(grid, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "token", ["1e5000", "7" * 5000, "1e999999999"], ids=["1e5000", "5000-digits", "1e999999999"]
+)
+def test_run_oversized_number_token_is_a_parse_error(token, monkeypatch, capsys):
+    import io
+    import time
+
+    text = f"problem: eq\nm: 1\nn: 2\nA:\n0 {token}\nB:\n1 0\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    started = time.perf_counter()
+    assert run(["-"]) == 1
+    assert time.perf_counter() - started < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: line 5: number token ")
+    assert "MAX_TOKEN_DIGITS" in err and "Traceback" not in err
+    assert len(err) < 200

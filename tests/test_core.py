@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 
 from tropsolve import NEG_INF, Matrix, matvec_maxplus
 from tropsolve.core import (
+    MAX_TOKEN_DIGITS,
     POS_INF,
     DimensionMismatch,
+    TokenTooLarge,
     UndefinedOperation,
     as_scalar,
     common_denominator,
@@ -59,6 +61,18 @@ def test_as_scalar_tokens():
         as_scalar(0.5)
     with pytest.raises(ValueError):
         as_scalar("1/0")
+
+
+def test_as_scalar_token_size_bound():
+    assert MAX_TOKEN_DIGITS == 100
+    assert as_scalar("1e100") == 10**100
+    assert as_scalar("-2.5e-100") == Fraction(-25, 10**101)
+    assert as_scalar("9" * 100) == 10**100 - 1
+    for token in ("1e101", "1E-101", "1" * 101, "1/" + "3" * 100, "0." + "0" * 100):
+        with pytest.raises(TokenTooLarge, match="MAX_TOKEN_DIGITS"):
+            as_scalar(token)
+    with pytest.raises(ValueError):
+        as_scalar("1e5/3")  # malformed exponent: rejected by Fraction
 
 
 @given(scalars)

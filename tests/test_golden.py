@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import tropsolve.cells as cells_mod
-from conftest import planted_rows, random_rows
+from conftest import pair_scale, planted_rows, random_rows
 from tropsolve import NEG_INF, Matrix, solve
 from tropsolve.cells import geometric_key
 from tropsolve.cli import run
@@ -199,12 +199,15 @@ def test_golden_text(name, text, flags):
 def _scenario_denominators(monkeypatch, a, b):
     """The denominators of the reduced maximum matrices of solve's scenarios."""
     original = cells_mod.reduce_instance
+    scale = pair_scale(a, b)
     seen = set()
 
     def recording(*args, **kwargs):
         red = original(*args, **kwargs)
-        if red.max_matrix.rows:
-            seen.add(common_denominator(v for row in red.max_matrix.to_rows() for v in row))
+        if red.scaled_max:
+            seen.add(common_denominator(
+                Fraction(v, scale) for row in red.scaled_max for v in row if v is not None
+            ))
         return red
 
     monkeypatch.setattr(cells_mod, "reduce_instance", recording)

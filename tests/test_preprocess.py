@@ -1,30 +1,44 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import pair_scale, random_rows, scaled_pair
 from tropsolve import NEG_INF, Matrix, verify_solution
-from tropsolve.core import DimensionMismatch
+from tropsolve.core import DimensionMismatch, scaled_entries
 from tropsolve.preprocess import Verdict, bold_pair, maximum_matrix, reduce_instance
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"
 
 
+def _reduce(a, b, dead=()):
+    return reduce_instance(*scaled_pair(a, b), a.cols, dead=dead)
+
+
+def _matrix(rows, cols, scale):
+    """int rows in units of 1/scale back to a Matrix."""
+    return Matrix(
+        [[NEG_INF if v is None else Fraction(v, scale) for v in row] for row in rows], cols=cols
+    )
+
+
 def test_bold_pair_elementwise():
-    a_dom, b_dom = bold_pair(Matrix([[1, 5]]), Matrix([[2, 3]]))
-    assert a_dom == Matrix([[NI, 5]])
-    assert b_dom == Matrix([[2, NI]])
+    a_dom, b_dom = bold_pair(*scaled_pair(Matrix([[1, 5]]), Matrix([[2, 3]])))
+    expected_a, expected_b = scaled_pair(Matrix([[NI, 5]]), Matrix([[2, NI]]))
+    assert a_dom == expected_a
+    assert b_dom == expected_b
 
 
 def test_bold_pair_running_example_is_fixed(running_example):
-    a, b = running_example
+    a, b = scaled_pair(*running_example)
     a_dom, b_dom = bold_pair(a, b)
     assert a_dom == a and b_dom == b
 
 
 def test_bold_pair_equal_keeps_both():
-    a = Matrix([[1, NI], [0, 2]])
+    a, _ = scaled_pair(Matrix([[1, NI], [0, 2]]), Matrix([[1, NI], [0, 2]]))
     a_dom, b_dom = bold_pair(a, a)
     assert a_dom == a and b_dom == a
 
@@ -45,7 +59,7 @@ def test_maximum_matrix_shape_check():
 
 
 def test_reduce_forcing_row():
-    red = reduce_instance(Matrix([[NI, NI]]), Matrix([[0, NI]]))
+    red = _reduce(Matrix([[NI, NI]]), Matrix([[0, NI]]))
     assert red.forced_neg_inf == {0}
     assert red.free_cols == {1}
     assert red.verdict is Verdict.ALL_ROWS_GONE
@@ -53,7 +67,7 @@ def test_reduce_forcing_row():
 
 def test_reduce_running_example_untouched(running_example):
     a, b = running_example
-    red = reduce_instance(a, b)
+    red = _reduce(a, b)
     assert red.verdict is Verdict.REDUCED
     assert red.row_origin == (0, 1, 2)
     assert red.col_origin == (0, 1, 2, 3)
@@ -61,13 +75,13 @@ def test_reduce_running_example_untouched(running_example):
 
 
 def test_reduce_identical_rows_drop():
-    red = reduce_instance(Matrix([[0, 1]]), Matrix([[0, 1]]))
+    red = _reduce(Matrix([[0, 1]]), Matrix([[0, 1]]))
     assert red.verdict is Verdict.ALL_ROWS_GONE
     assert red.free_cols == {0, 1}
 
 
 def test_reduce_trivial_only():
-    red = reduce_instance(Matrix([[5]]), Matrix([[0]]))
+    red = _reduce(Matrix([[5]]), Matrix([[0]]))
     assert red.verdict is Verdict.TRIVIAL_ONLY
     assert red.forced_neg_inf == {0}
 
@@ -76,15 +90,15 @@ def test_reduce_cascade():
     # forcing column 0 leaves row 2 one-sided, forcing column 1 as well
     a = Matrix([[5, NI], [NI, NI]])
     b = Matrix([[0, NI], [NI, 3]])
-    red = reduce_instance(a, b)
+    red = _reduce(a, b)
     assert red.verdict is Verdict.TRIVIAL_ONLY
     assert red.forced_neg_inf == {0, 1}
 
 
 def test_reduced_instance_rows_have_pairs(running_example):
     a, b = running_example
-    red = reduce_instance(a, b)
-    for i in range(red.max_matrix.rows):
+    red = _reduce(a, b)
+    for i in range(len(red.scaled_max)):
         cls = classify_row(red.a_dom, red.b_dom, i)
         assert winning_pairs(cls)
 
@@ -103,7 +117,7 @@ def test_reduction_preserves_solutions(seed):
     m, n = rng.randint(1, 3), rng.randint(1, 3)
     a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
-    red = reduce_instance(a, b)
+    red = _reduce(a, b)
     live = list(red.col_origin)
     for x in _grid_points(n, [0, 1, 2]):
         direct = verify_solution(a, b, x)
@@ -113,7 +127,10 @@ def test_reduction_preserves_solutions(seed):
             expected = all(x[j] is NEG_INF for j in red.forced_neg_inf)
             if expected and red.verdict is Verdict.REDUCED:
                 sub = [x[j] for j in live]
-                expected = verify_solution(red.a_dom, red.b_dom, sub)
+                scale, cols = pair_scale(a, b), len(live)
+                expected = verify_solution(
+                    _matrix(red.a_dom, cols, scale), _matrix(red.b_dom, cols, scale), sub
+                )
         assert direct == expected, (a.to_rows(), b.to_rows(), x)
 
 
@@ -124,7 +141,44 @@ def test_reduction_terminates_and_partitions(seed):
     m, n = rng.randint(1, 4), rng.randint(1, 4)
     a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
-    red = reduce_instance(a, b)
+    red = _reduce(a, b)
     cover = set(red.forced_neg_inf) | set(red.free_cols) | set(red.col_origin)
     assert cover == set(range(n))
     assert len(red.forced_neg_inf) + len(red.free_cols) + len(red.col_origin) == n
+
+
+def _reference_reduction(a, b, dead):
+    """Delete the dead columns, reduce what is left and map it back.
+
+    What is left of the Matrix pair is scaled in the unit of the whole pair,
+    so that both sides of the comparison share one unit.
+    """
+    keep = [j for j in range(a.cols) if j not in dead]
+    scale = pair_scale(a, b)
+    a0, b0 = (
+        Matrix([[m[i, j] for j in keep] for i in range(m.rows)], cols=len(keep))
+        for m in (a, b)
+    )
+    red = reduce_instance(scaled_entries(a0, scale), scaled_entries(b0, scale), len(keep))
+    return replace(
+        red,
+        col_origin=tuple(keep[c] for c in red.col_origin),
+        forced_neg_inf=frozenset(dead) | {keep[c] for c in red.forced_neg_inf},
+        free_cols=frozenset(keep[c] for c in red.free_cols),
+    )
+
+
+def test_dead_columns_equal_deleted_columns():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(600):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        a = Matrix(random_rows(rng, m, n), cols=n)
+        b = Matrix(random_rows(rng, m, n), cols=n)
+        dead = frozenset(j for j in range(n) if rng.random() < 0.3)
+        if len(dead) == n:
+            continue
+        red = _reduce(a, b, dead)
+        assert red == _reference_reduction(a, b, dead), (a, b, dead)
+        verdicts.add(red.verdict)
+    assert verdicts == set(Verdict)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import non_real_example, scaled_rows, seq1
+from conftest import non_real_example, scaled_pair, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
 from tropsolve.core import POS_INF, TropicalError, odot
 from tropsolve.preprocess import bold_pair, maximum_matrix
@@ -22,7 +22,7 @@ NI = "-inf"
 
 
 def _classes(a, b):
-    a_dom, b_dom = bold_pair(a, b)
+    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
     return [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
 
 
@@ -75,7 +75,7 @@ def test_compatible_running_example(running_example_m):
 
 def test_compatible_neg_inf_absorbing():
     a, b = non_real_example(m21=2, m22=3)
-    m = maximum_matrix(*bold_pair(a, b))
+    m = maximum_matrix(a, b)
     assert is_compatible(m, 0, (0, 1), 1, (2, 2))
 
 
@@ -87,7 +87,7 @@ def test_interval_running_example(running_example_m):
 
 def test_interval_unbounded_case():
     a, b = non_real_example(m21=2, m22=3)
-    m = maximum_matrix(*bold_pair(a, b))
+    m = maximum_matrix(a, b)
     lo, hi = interval(m, 0, 1, 0, 2)
     assert lo == Fraction(2) and hi is POS_INF
 
@@ -99,8 +99,8 @@ def test_interval_rejects_incompatible(running_example_m):
 
 
 def _enumerate(a, b):
-    a_dom, b_dom = bold_pair(a, b)
-    m = maximum_matrix(a_dom, b_dom)
+    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    m = maximum_matrix(a, b)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
     return m, pairs, enumerate_win_sequences_counted(scaled_rows(m), pairs)[0]
@@ -150,8 +150,8 @@ def test_enumerate_equals_product_filter():
         m_rows, n = rng.randint(1, 4), rng.randint(1, 5)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_pair(a, b)
-        mx = maximum_matrix(a_dom, b_dom)
+        a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+        mx = maximum_matrix(a, b)
         classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
         pairs = [winning_pairs(c) for c in classes]
         total = 1
@@ -202,8 +202,8 @@ def test_enumeration_count_bound(running_example):
 
 def test_enumeration_counts_nodes(running_example):
     a, b = running_example
-    a_dom, b_dom = bold_pair(a, b)
-    mx = maximum_matrix(a_dom, b_dom)
+    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    mx = maximum_matrix(a, b)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
     seqs, nodes = enumerate_win_sequences_counted(scaled_rows(mx), pairs)
@@ -239,8 +239,8 @@ def test_necessity_for_real_valued_solutions():
         m_rows, n = rng.randint(2, 3), rng.randint(2, 3)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_pair(a, b)
-        mx = maximum_matrix(a_dom, b_dom)
+        a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+        mx = maximum_matrix(a, b)
         classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
         for x in itertools.product([NEG_INF, Fraction(0), Fraction(1)], repeat=n):
             left = matvec_maxplus(a, x)
