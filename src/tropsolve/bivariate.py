@@ -9,6 +9,16 @@ inequalities are tightened by difference-constraint analysis: negative
 cycles force variables to -inf, opposite rows of zero width become
 equations, and per ordered pair only the tightest row survives.
 
+The shortest-path closure of sub_specialize covers only the cyclic core:
+the variables that are the plus side of one row and the minus side of
+another.  Only its diagonal is read (a negative entry means a negative
+cycle), and a variable outside the core lies on no cycle, so its diagonal
+entry stays 0.  Floyd-Warshall never improves an entry between two
+variables of one strongly connected component through a pivot outside it,
+so the core's diagonal, and with it the forced set, is the same as that of
+the closure over every variable (the zone/DBM argument of Bengtsson & Yi,
+"Timed automata: semantics, algorithms and tools", LNCS 3098, 2004).
+
 Every step only adds, subtracts and compares constants, so the cell stage
 runs on Python ints: build_systems reads the maximum matrix scaled by one
 common denominator per solve, every constant and offset is an int in units
@@ -117,27 +127,33 @@ class OffsetUnionFind:
         self.bad[rm] = self.bad[rm] or self.bad[rp]
 
     def snapshot(self, n: int) -> PotentialAssignment:
-        """Normalize to smallest-index representatives."""
-        groups: dict[int, list[int]] = {}
-        locs = {}
-        for v in range(n):
-            root, off = self.location(v)
-            locs[v] = (root, off)
-            groups.setdefault(root, []).append(v)
-        rep = [0] * n
+        """Normalize to smallest-index representatives.
+
+        One pass over the variables in index order: the first member of a
+        component seen is its smallest, so it becomes the representative.
+        """
+        rep = list(range(n))
         offs = [0] * n
-        components = {}
+        leads: dict[int, tuple[int, int | Fraction]] = {}  # root -> (lead, x_lead - x_root)
+        members: dict[int, list[int]] = {}
         bad_roots = set()
-        for root, members in groups.items():
-            members.sort()
-            lead = members[0]
-            lead_off = locs[lead][1]
-            components[lead] = tuple(members)
-            for v in members:
-                rep[v] = lead
-                offs[v] = locs[v][1] - lead_off
-            if self.bad[root]:
-                bad_roots.add(lead)
+        parent, shift = self.parent, self.shift
+        for v in range(n):
+            root, off = v, 0
+            while parent[root] != root:  # location(v), inlined
+                off += shift[root]
+                root = parent[root]
+            lead = leads.get(root)
+            if lead is None:
+                leads[root] = (v, off)
+                members[v] = [v]
+                if self.bad[root]:
+                    bad_roots.add(v)
+            else:
+                rep[v] = lead[0]
+                offs[v] = off - lead[1]
+                members[lead[0]].append(v)
+        components = {lead: tuple(group) for lead, group in members.items()}
         return PotentialAssignment(
             tuple(rep), tuple(offs), frozenset(bad_roots), components
         )
@@ -193,6 +209,8 @@ def remove_and_enlarge(
     """
     om = set(omega)
     work = list(ineqs)
+    if not om:
+        return work, frozenset()
     changed = True
     while changed:
         changed = False
@@ -237,15 +255,11 @@ def substitute(
 
 
 def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Row]:
+    """Rows ordered by (smaller index, larger index, positive orientation first)."""
     ordered = sorted(
-        bounds.items(),
-        key=lambda item: (
-            min(item[0]),
-            max(item[0]),
-            0 if item[0][0] < item[0][1] else 1,
-        ),
+        (p, m, 0, c) if p < m else (m, p, 1, c) for (p, m), c in bounds.items()
     )
-    return [(p, m, c) for (p, m), c in ordered]
+    return [(lo, hi, c) if flip == 0 else (hi, lo, c) for lo, hi, flip, c in ordered]
 
 
 def sub_specialize(
@@ -261,26 +275,37 @@ def sub_specialize(
     opposite rows of zero width turn into one equation each.  The residue is
     canonically ordered and sub-special, and 2*len(eqs) + len(residue) never
     exceeds len(ineqs).
+
+    Only the cyclic core is closed: the variables that are the plus side of
+    one kept row and the minus side of another.  The closure is read only on
+    its diagonal, and a variable without both edge directions lies on no
+    cycle, so its diagonal stays 0.  Within one strongly connected component
+    Floyd-Warshall never improves an entry through a pivot outside it (a
+    path i -> k -> j back to i would put k in the component), so the core's
+    diagonal, and with it the forced set, equals that of the full closure.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
-    consumed = 0
     for plus, minus, constant in ineqs:
         key = (plus, minus)
-        consumed += 1
-        if key not in best or constant > best[key]:
+        old = best.get(key)
+        if old is None or constant > old:
             best[key] = constant
 
-    variables = sorted({v for key in best for v in key})
-    index = {v: i for i, v in enumerate(variables)}
-    nv = len(variables)
+    heads = {p for p, _ in best}
+    core = sorted({m for _, m in best if m in heads})
+    if not core:
+        return [], _canonical_rows(best), frozenset()
+    index = {v: i for i, v in enumerate(core)}
+    nv = len(core)
     dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
     for i in range(nv):
         dist[i][i] = 0
     for (p, m), c in best.items():
-        u, v = index[m], index[p]
-        w = -c
-        if dist[u][v] is None or w < dist[u][v]:
-            dist[u][v] = w
+        if p in index and m in index:
+            u, v = index[m], index[p]
+            w = -c
+            if dist[u][v] is None or w < dist[u][v]:
+                dist[u][v] = w
     for k in range(nv):
         row_k = dist[k]
         for row_i in dist:
@@ -295,22 +320,24 @@ def sub_specialize(
                 if dij is None or through < dij:
                     row_i[j] = through
 
-    forced = frozenset(variables[i] for i in range(nv) if dist[i][i] < 0)
+    forced = frozenset(core[i] for i in range(nv) if dist[i][i] < 0)
     if forced:
         return [], _canonical_rows(best), forced
 
+    # both rows of an opposite pair make both endpoints core variables
     eqs: list[Row] = []
-    for (p, m) in sorted(best):
-        if p > m or (m, p) not in best:
-            continue
-        width = -best[(p, m)] - best[(m, p)]  # interval length for x_p - x_m
-        if width == 0:
-            eqs.append((p, m, best[(p, m)]))  # p < m: canonical orientation
-            del best[(p, m)]
-            del best[(m, p)]
+    for i, p in enumerate(core):
+        for m in core[i + 1:]:
+            if (p, m) not in best or (m, p) not in best:
+                continue
+            width = -best[(p, m)] - best[(m, p)]  # interval length for x_p - x_m
+            if width == 0:
+                eqs.append((p, m, best[(p, m)]))  # p < m: canonical orientation
+                del best[(p, m)]
+                del best[(m, p)]
 
     residue = _canonical_rows(best)
-    if 2 * len(eqs) + len(residue) > consumed:
+    if 2 * len(eqs) + len(residue) > len(ineqs):
         raise TropicalError("sub-specialization grew the system")  # unreachable
     return eqs, residue, frozenset()
 

@@ -12,7 +12,9 @@ of residual inequalities over the parameters.  The per-sequence work runs
 on int rows (plus, minus, constant).  Each solved sequence yields an int key
 in original coordinates; keys are deduplicated and sorted, and only then is
 a SolutionCell built per kept key, with its Fractions, Constraints and
-dimension bound.
+dimension bound (each distinct Fraction and Constraint is built once per
+solve).  Within one scenario, each row's part of the system is built once
+per pair and shared by the sequences that pick it.
 
 Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
@@ -143,15 +145,29 @@ def _solve_sequence(
     red: ReducedInstance,
     classifications,
     nvars: int,
+    systems: dict | None = None,
 ):
     """Run one win sequence to a fixed point.
 
     Returns (omega, assignment, residue): reduced-coordinate variables forced
     to -inf, the final potential assignment, and the sub-special residue rows
     over its representatives.  Offsets and constants are ints in the unit of
-    red's rows.
+    red's rows.  systems maps (row h, pair) to the rows build_systems gives
+    for that row alone; solve passes one dict per scenario, so that every
+    row's system is built once and only concatenated per sequence.
     """
-    eqs, ineqs = build_systems(sequence, red.scaled_max, classifications)
+    if systems is None:
+        systems = {}
+    eqs: list[Row] = []
+    ineqs: list[Row] = []
+    for h, pair in enumerate(sequence):
+        part = systems.get((h, pair))
+        if part is None:
+            part = systems[h, pair] = build_systems(
+                (pair,), (red.scaled_max[h],), (classifications[h],)
+            )
+        eqs += part[0]
+        ineqs += part[1]
     uf = OffsetUnionFind(nvars)
     omega: set[int] = set()
     while True:
@@ -232,20 +248,34 @@ def _cell_key(
     )
 
 
+class _Constraints(dict):
+    """int row -> Constraint, built once per distinct row of a solve."""
+
+    def __init__(self, fractions: _Fractions):
+        super().__init__()
+        self.fractions = fractions
+
+    def __missing__(self, row: Row) -> Constraint:
+        plus, minus, constant = row
+        con = self[row] = Constraint(plus, minus, self.fractions[constant])
+        return con
+
+
 def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
     """Key of the cell where the alive variables are free and the rest -inf."""
     neg = tuple(sorted(set(range(num_vars)) - set(alive)))
     return ((), neg, tuple((v, v, 0) for v in alive), ())
 
 
-def _build_cell(key: tuple, num_vars: int, fractions: _Fractions) -> SolutionCell:
+def _build_cell(key: tuple, num_vars: int, constraints: _Constraints) -> SolutionCell:
     """The SolutionCell of a kept key: Fractions, Constraints and the dimension bound."""
     sequence, neg, assigned, rows = key
+    fractions = constraints.fractions
     return SolutionCell(
         win_sequence=sequence,
         neg_inf=frozenset(neg),
         assignments={v: (p, fractions[o]) for v, p, o in assigned},
-        constraints=tuple(Constraint(p, q, fractions[c]) for p, q, c in rows),
+        constraints=tuple([constraints[row] for row in rows]),
         dimension_bound=dimension_bound(sequence, num_vars),
         num_vars=num_vars,
     )
@@ -312,9 +342,10 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             root_nodes = nodes
 
         t0 = time.perf_counter()
+        systems: dict = {}
         for sequence in sequences:
             omega, pa, residue = _solve_sequence(
-                sequence, red, classifications, n_red
+                sequence, red, classifications, n_red, systems
             )
             key = _cell_key(sequence, omega, pa, residue, red)
             if key is None:
@@ -329,8 +360,8 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
                 stack.append(child)
 
     t0 = time.perf_counter()
-    fractions = _Fractions(scale)
-    cells = tuple(_build_cell(key, n, fractions) for key in sorted(keys))
+    constraints = _Constraints(_Fractions(scale))
+    cells = tuple(_build_cell(key, n, constraints) for key in sorted(keys))
     t_cells += time.perf_counter() - t0
     if cells:
         forced_everywhere = frozenset.intersection(*(c.neg_inf for c in cells))

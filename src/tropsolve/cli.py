@@ -23,7 +23,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cells import SolutionCell, SolutionSet, geometric_key, solve
-from .core import Matrix, NegInfinity, Scalar, TokenTooLarge, TropicalError, as_scalar
+from .core import (
+    Matrix,
+    NegInfinity,
+    Scalar,
+    TokenTooLarge,
+    TropicalError,
+    _check_token_size,
+    as_scalar,
+)
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
@@ -185,48 +193,67 @@ def _shift(value: Fraction) -> str:
     return f" + {value}" if value > 0 else f" - {-value}"
 
 
-def _assignments_doc(assignments) -> dict:
+def _memo(fmt):
+    """fmt(value) computed once per distinct value object, for one emit call.
+
+    Keyed on id(value): the memo holds every value it has formatted, so no
+    other object can take that id while the memo lives.  solve interns its
+    Fractions, so one distinct value of a solve is one object; hashing the
+    Fraction itself would cost more than str does.
+    """
+    memo: dict[int, tuple[object, str]] = {}
+
+    def formatted(value) -> str:
+        entry = memo.get(id(value))
+        if entry is None:
+            entry = memo[id(value)] = (value, fmt(value))
+        return entry[1]
+
+    return formatted
+
+
+def _assignments_doc(assignments, text) -> dict:
     return {
-        str(v + 1): {"param": p + 1, "offset": str(o)}
+        str(v + 1): {"param": p + 1, "offset": text(o)}
         for v, (p, o) in sorted(assignments.items())
     }
 
 
-def _constraints_doc(constraints) -> list:
+def _constraints_doc(constraints, text) -> list:
     return [
-        {"plus": c.plus + 1, "minus": c.minus + 1, "const": str(c.constant)}
+        {"plus": c.plus + 1, "minus": c.minus + 1, "const": text(c.constant)}
         for c in constraints
     ]
 
 
-def _cell_doc(cell: SolutionCell) -> dict:
+def _cell_doc(cell: SolutionCell, text) -> dict:
     return {
         "win_sequence": [[p + 1, q + 1] for p, q in cell.win_sequence],
         "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-        "assignments": _assignments_doc(cell.assignments),
-        "constraints": _constraints_doc(cell.constraints),
+        "assignments": _assignments_doc(cell.assignments, text),
+        "constraints": _constraints_doc(cell.constraints, text),
         "dimension_bound": cell.dimension_bound,
     }
 
 
-def _solution_doc(result: SolutionSet) -> dict:
+def _solution_doc(result: SolutionSet, text) -> dict:
     return {
         "trivial_only": result.trivial_only,
         "p": result.win_sequence_count,
         "globally_forced": sorted(v + 1 for v in result.globally_forced),
-        "cells": [_cell_doc(c) for c in result.cells],
+        "cells": [_cell_doc(c, text) for c in result.cells],
     }
 
 
-def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
+def _pinned_doc(result: PinnedSolutionSet, problem: str, text) -> dict:
     cells = [
         {
-            "fixed": {str(v + 1): str(c) for v, c in sorted(cell.fixed.items())},
+            "fixed": {str(v + 1): text(c) for v, c in sorted(cell.fixed.items())},
             "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-            "assignments": _assignments_doc(cell.assignments),
-            "lower": {str(p + 1): str(v) for p, v in sorted(cell.lower.items())},
-            "upper": {str(p + 1): str(v) for p, v in sorted(cell.upper.items())},
-            "constraints": _constraints_doc(cell.constraints),
+            "assignments": _assignments_doc(cell.assignments, text),
+            "lower": {str(p + 1): text(v) for p, v in sorted(cell.lower.items())},
+            "upper": {str(p + 1): text(v) for p, v in sorted(cell.upper.items())},
+            "constraints": _constraints_doc(cell.constraints, text),
         }
         for cell in result.cells
     ]
@@ -238,7 +265,7 @@ def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
     }
 
 
-def _variable_lines(num_vars: int, neg_inf, assignments, fixed=()) -> list[str]:
+def _variable_lines(num_vars: int, neg_inf, assignments, shift, fixed=()) -> list[str]:
     lines = []
     for v in range(num_vars):
         if v in neg_inf:
@@ -247,26 +274,26 @@ def _variable_lines(num_vars: int, neg_inf, assignments, fixed=()) -> list[str]:
             lines.append(f"  x{v + 1} = {fixed[v]}")
         else:
             p, o = assignments[v]
-            lines.append(f"  x{v + 1} = t{p + 1}{_shift(o)}")
+            lines.append(f"  x{v + 1} = t{p + 1}{shift(o)}")
     return lines
 
 
-def _constraint_text(c) -> str:
-    return f"t{c.plus + 1} - t{c.minus + 1}{_shift(c.constant)} <= 0"
+def _constraint_text(c, shift) -> str:
+    return f"t{c.plus + 1} - t{c.minus + 1}{shift(c.constant)} <= 0"
 
 
-def _cell_text(index: int, cell: SolutionCell) -> list[str]:
+def _cell_text(index: int, cell: SolutionCell, shift) -> list[str]:
     seq = " ".join(f"({p + 1},{q + 1})" for p, q in cell.win_sequence)
     lines = [f"cell {index}: win sequence {seq}".rstrip()]
-    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, cell.assignments))
+    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, cell.assignments, shift))
     if cell.constraints:
         lines.append("  subject to:")
-        lines.extend(f"    {_constraint_text(c)}" for c in cell.constraints)
+        lines.extend(f"    {_constraint_text(c, shift)}" for c in cell.constraints)
     lines.append(f"  dimension bound: {cell.dimension_bound}")
     return lines
 
 
-def _solution_text(result: SolutionSet) -> str:
+def _solution_text(result: SolutionSet, shift) -> str:
     lines = [f"p: {result.win_sequence_count}"]
     if result.trivial_only:
         lines.append("trivial_only: true")
@@ -274,18 +301,20 @@ def _solution_text(result: SolutionSet) -> str:
         forced = " ".join(f"x{v + 1}" for v in sorted(result.globally_forced))
         lines.append(f"forced to -inf everywhere: {forced}")
     for i, cell in enumerate(result.cells, start=1):
-        lines.extend(_cell_text(i, cell))
+        lines.extend(_cell_text(i, cell, shift))
     return "\n".join(lines) + "\n"
 
 
-def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
+def _pinned_text(result: PinnedSolutionSet, problem: str, shift) -> str:
     lines = [f"problem: {problem}", f"p: {result.base.win_sequence_count}"]
     if not result.cells:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
         lines.append(f"cell {i}:")
         lines.extend(
-            _variable_lines(cell.num_vars(), cell.neg_inf, cell.assignments, cell.fixed)
+            _variable_lines(
+                cell.num_vars(), cell.neg_inf, cell.assignments, shift, cell.fixed
+            )
         )
         for p in sorted(set(cell.lower) | set(cell.upper)):
             lo = cell.lower.get(p)
@@ -296,7 +325,7 @@ def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
                 lines.append(f"  t{p + 1} >= {lo}")
             else:
                 lines.append(f"  t{p + 1} <= {hi}")
-        lines.extend(f"  {_constraint_text(c)}" for c in cell.constraints)
+        lines.extend(f"  {_constraint_text(c, shift)}" for c in cell.constraints)
     return "\n".join(lines) + "\n"
 
 
@@ -304,15 +333,16 @@ def emit(result, fmt: str = "text", problem: str = "affine") -> str:
     """Render a solution set (plain or pinned) as deterministic text or JSON.
 
     problem names the mode of a pinned set (affine or eqb) in its output.
+    Each distinct value object is formatted once per call (_memo).
     """
     if isinstance(result, SolutionSet):
         if fmt == "json":
-            return _json(_solution_doc(result))
-        return _solution_text(result)
+            return _json(_solution_doc(result, _memo(str)))
+        return _solution_text(result, _memo(_shift))
     if isinstance(result, PinnedSolutionSet):
         if fmt == "json":
-            return _json(_pinned_doc(result, problem))
-        return _pinned_text(result, problem)
+            return _json(_pinned_doc(result, problem, _memo(str)))
+        return _pinned_text(result, problem, _memo(_shift))
     raise TypeError(f"cannot emit {type(result).__name__}")
 
 
@@ -338,6 +368,8 @@ def _parse_grid(option: str) -> GridSpec:
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         raise ValueError("--check grid needs at least one value")
+    for t in tokens:
+        _check_token_size(t)  # TokenTooLarge is a ValueError, before any Fraction
     try:
         values = [Fraction(t) for t in tokens]
     except ZeroDivisionError:

@@ -7,6 +7,7 @@ from conftest import scaled_pair, scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
+    OffsetUnionFind,
     PotentialAssignment,
     build_systems,
     eq,
@@ -268,6 +269,154 @@ def test_sub_specialize_keeps_tightest_bound():
         for p, m, c in rows:
             if (p, m) in out:
                 assert out[(p, m)] >= c
+
+
+# --- reference copies: the full closure and the two-pass normalization ---
+
+
+def _reference_canonical_rows(bounds):
+    ordered = sorted(
+        bounds.items(),
+        key=lambda item: (
+            min(item[0]),
+            max(item[0]),
+            0 if item[0][0] < item[0][1] else 1,
+        ),
+    )
+    return [(p, m, c) for (p, m), c in ordered]
+
+
+def _reference_sub_specialize(ineqs):
+    """sub_specialize with a Floyd-Warshall closure over every variable."""
+    best = {}
+    for plus, minus, constant in ineqs:
+        key = (plus, minus)
+        if key not in best or constant > best[key]:
+            best[key] = constant
+    variables = sorted({v for key in best for v in key})
+    index = {v: i for i, v in enumerate(variables)}
+    nv = len(variables)
+    dist = [[None] * nv for _ in range(nv)]
+    for i in range(nv):
+        dist[i][i] = 0
+    for (p, m), c in best.items():
+        u, v = index[m], index[p]
+        if dist[u][v] is None or -c < dist[u][v]:
+            dist[u][v] = -c
+    for k in range(nv):
+        for row_i in dist:
+            dik = row_i[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dist[k]):
+                if dkj is not None and (row_i[j] is None or dik + dkj < row_i[j]):
+                    row_i[j] = dik + dkj
+    forced = frozenset(variables[i] for i in range(nv) if dist[i][i] < 0)
+    if forced:
+        return [], _reference_canonical_rows(best), forced
+    eqs = []
+    for (p, m) in sorted(best):
+        if p > m or (m, p) not in best:
+            continue
+        if -best[(p, m)] - best[(m, p)] == 0:
+            eqs.append((p, m, best[(p, m)]))
+            del best[(p, m)]
+            del best[(m, p)]
+    return eqs, _reference_canonical_rows(best), frozenset()
+
+
+def _reference_snapshot(uf, n):
+    """OffsetUnionFind.snapshot by grouping, sorting and re-reading every location."""
+    groups, locs = {}, {}
+    for v in range(n):
+        locs[v] = uf.location(v)
+        groups.setdefault(locs[v][0], []).append(v)
+    rep, offs, components, bad_roots = [0] * n, [0] * n, {}, set()
+    for root, members in groups.items():
+        members.sort()
+        lead = members[0]
+        components[lead] = tuple(members)
+        for v in members:
+            rep[v] = lead
+            offs[v] = locs[v][1] - locs[lead][1]
+        if uf.bad[root]:
+            bad_roots.add(lead)
+    return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots), components)
+
+
+def _constant(rng, fractional):
+    if fractional:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    return rng.randint(-4, 4)
+
+
+def _random_system(rng):
+    """Inequality rows over a few sparse indices, with planted features.
+
+    Features: a cycle (negative or not), an opposite pair of zero width, a
+    pure source (only a minus side) and a pure sink (only a plus side).
+    """
+    fractional = rng.random() < 0.4
+    names = rng.sample(range(12), rng.randint(2, 7))
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        p, m = rng.sample(names, 2)
+        rows.append(leq(p, m, _constant(rng, fractional)))
+    if rng.random() < 0.3 and len(names) >= 3:
+        cycle = rng.sample(names, rng.randint(2, len(names)))
+        for p, m in zip(cycle[1:] + cycle[:1], cycle):
+            rows.append(leq(p, m, _constant(rng, fractional)))
+    if rng.random() < 0.4:
+        p, m = rng.sample(names, 2)
+        c = _constant(rng, fractional)
+        rows += [leq(p, m, c), leq(m, p, -c)]
+    if rng.random() < 0.4:
+        source, sink = 20, 21
+        rows.append(leq(rng.choice(names), source, _constant(rng, fractional)))
+        rows.append(leq(sink, rng.choice(names), _constant(rng, fractional)))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sub_specialize_equals_full_closure():
+    rng = random.Random(808)
+    branches = {"forced": 0, "equations": 0, "plain": 0}
+    for _ in range(2500):
+        rows = _random_system(rng)
+        got = sub_specialize(rows)
+        assert got == _reference_sub_specialize(rows), rows
+        eqs, residue, forced = got
+        if forced:
+            branches["forced"] += 1
+        elif eqs:
+            branches["equations"] += 1
+        else:
+            branches["plain"] += 1
+    assert min(branches.values()) >= 200, branches
+
+
+def test_snapshot_equals_two_pass_normalization():
+    rng = random.Random(809)
+    seen_bad = seen_shared = 0
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        fractional = rng.random() < 0.4
+        potential = [_constant(rng, fractional) for _ in range(n)]
+        uf = OffsetUnionFind(n)
+        for _ in range(rng.randint(0, 2 * n)):
+            p, m = rng.randrange(n), rng.randrange(n)
+            if p == m:
+                continue
+            # mostly consistent with a hidden potential, sometimes not
+            c = potential[m] - potential[p]
+            if rng.random() < 0.15:
+                c += rng.choice((-1, 1, Fraction(1, 2)))
+            uf.add_equation(eq(p, m, c))
+        got = uf.snapshot(n)
+        assert got == _reference_snapshot(uf, n)
+        seen_bad += bool(got.inconsistent_roots)
+        seen_shared += any(len(g) > 1 for g in got.components.values())
+    assert seen_bad >= 200 and seen_shared >= 1000
 
 
 def test_is_sub_special():

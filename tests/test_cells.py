@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import NI, make_cell, running_reference_cells, seq0, seq1
+from conftest import NI, make_cell, planted_rows, running_reference_cells, scaled_pair, seq0, seq1
 from tropsolve import (
     NEG_INF,
     Matrix,
@@ -13,8 +13,10 @@ from tropsolve import (
     solve,
     verify_solution,
 )
-from tropsolve.cells import dimension_bound
+from tropsolve.cells import _solve_sequence, dimension_bound
 from tropsolve.core import DimensionMismatch
+from tropsolve.preprocess import reduce_instance
+from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
 
 
 def cells_equal_as_sets(cell_a, cell_b, samples=200, seed=0, box=12):
@@ -199,3 +201,56 @@ def test_soundness_random_instances():
             assert len(cell.parameters()) <= cell.dimension_bound
             for point in sample_cell(cell, 8, seed=trial, box=6):
                 assert verify_solution(a, b, point)
+
+
+def _sequence_results(a, b, systems=None):
+    """Every root sequence of the pair with its _solve_sequence result."""
+    red = reduce_instance(*scaled_pair(a, b), a.cols)
+    classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))]
+    sequences, _ = enumerate_win_sequences_counted(
+        red.scaled_max, [winning_pairs(c) for c in classes]
+    )
+    n_red = len(red.col_origin)
+    if systems is None:
+        return {s: _solve_sequence(s, red, classes, n_red) for s in sequences}
+    return {s: _solve_sequence(s, red, classes, n_red, systems) for s in sequences}
+
+
+def test_row_systems_do_not_outlive_a_scenario(running_example):
+    a, b = running_example
+    before = _sequence_results(a, b)
+    # shifting column 3 keeps every (row, pair) of every sequence and changes
+    # the rows' constants: a cache kept across solves would hand them back
+    shift = [0, 0, 5, 0]
+    shifted = [
+        Matrix([[v + shift[j] if v != NEG_INF else v for j, v in enumerate(row)]
+                for row in m.to_rows()])
+        for m in (a, b)
+    ]
+    other = _sequence_results(*shifted)
+    assert set(other) == set(before)
+    assert any(other[s] != before[s] for s in before)
+    assert solve(*shifted).cells
+    assert _sequence_results(a, b) == before
+    # one dict shared by every sequence of the scenario, as solve passes it
+    assert _sequence_results(a, b, systems={}) == before
+
+
+def test_equal_constraints_are_one_object_per_solve():
+    rng = random.Random(41)
+    shared = 0
+    for _ in range(20):
+        a, b = (Matrix(rows, cols=6) for rows in planted_rows(rng, 3, 6))
+        first, again = solve(a, b), solve(a, b)
+        objects = {}
+        for cell in first.cells:
+            for c in cell.constraints:
+                key = (c.plus, c.minus, c.constant)
+                shared += key in objects
+                assert objects.setdefault(key, c) is c
+        # interned per solve: a second solve builds its own objects
+        assert all(
+            c is not objects[(c.plus, c.minus, c.constant)]
+            for cell in again.cells for c in cell.constraints
+        )
+    assert shared >= 50

@@ -360,3 +360,28 @@ def test_run_oversized_number_token_is_a_parse_error(token, monkeypatch, capsys)
     assert err.startswith("parse error: line 5: number token ")
     assert "MAX_TOKEN_DIGITS" in err and "Traceback" not in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "grid", ["grid=1e999999999", "grid=0,1e5000", "grid=" + "7" * 5000],
+    ids=["1e999999999", "1e5000", "5000-digits"],
+)
+def test_run_oversized_check_grid_token_is_an_error(grid, tmp_path):
+    # a child process with a timeout, so that an unbounded Fraction fails
+    # the test instead of hanging the suite
+    path = tmp_path / "inst.txt"
+    path.write_text("problem: eq\nm: 1\nn: 2\nA:\n0 1\nB:\n1 0\n")
+    src = str(Path(tropsolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropsolve", str(path), "--check", grid],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: number token ")
+    assert "MAX_TOKEN_DIGITS" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -10,8 +10,12 @@ of halves), and two instances without rows (``eq`` with ``m: 0``,
 ``hetero`` with ``s: 0``).  Every case
 is pinned in both formats; a text entry is named after its JSON entry plus
 `` --format text``.  The expected outputs live in ``golden/cli_json.json``;
-any change to them is a change of output and must be deliberate.  To
-rewrite them after such a change:
+any change to them is a change of output and must be deliberate.  The
+``--stats`` counters (``p``, ``enum_nodes``, ``scenarios``, ``collapsed``;
+timings dropped) of every plain ``eq`` case are pinned the same way in
+``golden/eq_stats.json``, so that a faster cell stage that changes how many
+sequences or scenarios it visits fails here.  To rewrite both files after
+such a change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -36,6 +40,7 @@ from tropsolve.cli import run
 from tropsolve.core import common_denominator
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_json.json"
+STATS = GOLDEN.with_name("eq_stats.json")
 
 FIXTURES = {
     "running": (
@@ -167,6 +172,29 @@ def cli_output(text, flags):
     return code, out.getvalue()
 
 
+def stats_cases():
+    """(name, instance text) of every eq case without flags."""
+    return [
+        (name, text) for name, text, flags in json_cases()
+        if not flags and text.startswith("problem: eq\n")
+    ]
+
+
+def cli_stats(text):
+    """The --stats record of the CLI run on the instance text, without timings."""
+    err = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["-", "--format", "json", "--stats"])
+    finally:
+        sys.stdin = saved
+    assert code == 0
+    record = json.loads(err.getvalue().splitlines()[-1])
+    return {k: v for k, v in record.items() if not k.startswith("time_")}
+
+
 def cases():
     """(name, instance text, CLI flags) of every pinned output."""
     return [(name, text, ["--format", "json", *flags]) for name, text, flags in json_cases()] + [
@@ -194,6 +222,18 @@ def test_golden_json(name, text, flags):
 @pytest.mark.parametrize("name,text,flags", text_cases(), ids=[c[0] for c in json_cases()])
 def test_golden_text(name, text, flags):
     _check(name, text, ["--format", "text", *flags])
+
+
+def test_golden_stats_cover_every_eq_case():
+    expected = json.loads(STATS.read_text(encoding="utf-8"))
+    assert sorted(expected) == sorted(name for name, _ in stats_cases())
+    assert len(expected) >= 45
+
+
+@pytest.mark.parametrize("name,text", stats_cases(), ids=[c[0] for c in stats_cases()])
+def test_golden_stats(name, text):
+    expected = json.loads(STATS.read_text(encoding="utf-8"))[name]
+    assert cli_stats(text) == expected
 
 
 def _scenario_denominators(monkeypatch, a, b):
@@ -250,6 +290,8 @@ if __name__ == "__main__":
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         docs[name] = out
+    stats = {name: cli_stats(text) for name, text in stats_cases()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(docs)} documents to {GOLDEN}")
+    STATS.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(docs)} documents to {GOLDEN} and {len(stats)} to {STATS}")
