@@ -283,9 +283,13 @@ def sub_specialize(
     Floyd-Warshall never improves an entry through a pivot outside it (a
     path i -> k -> j back to i would put k in the component), so the core's
     diagonal, and with it the forced set, equals that of the full closure.
+    A row whose plus and minus are the same variable is rejected, as
+    Constraint rejects it.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
     for plus, minus, constant in ineqs:
+        if plus == minus:
+            raise TropicalError("constraint endpoints must differ")
         key = (plus, minus)
         old = best.get(key)
         if old is None or constant > old:

@@ -425,18 +425,21 @@ def run(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
 
-    result, check_pair = _solve(inst)
-    if args.dedupe and isinstance(result, SolutionSet):
-        result = _dedupe(result)
-    base = result.base if isinstance(result, PinnedSolutionSet) else result
-
-    exit_code = 0
+    grid = None
     if args.check is not None:
         try:
             grid = _parse_grid(args.check)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+
+    result, check_pair = _solve(inst)
+    if args.dedupe and isinstance(result, SolutionSet):
+        result = _dedupe(result)
+    base = result.base if isinstance(result, PinnedSolutionSet) else result
+
+    exit_code = 0
+    if grid is not None:
         try:
             report = cross_validate(*check_pair, grid, base, seed=args.seed)
         except GridTooLarge as exc:

@@ -1,7 +1,8 @@
 """Exact scalar and matrix arithmetic for the max-plus (tropical) semiring.
 
-Scalars are exact rationals extended with ``-inf`` (the additive neutral
-element) and, for interval endpoints produced by entry differences, ``+inf``.
+Scalars are exact rationals extended with one element, ``-inf`` (the
+additive neutral element, absorbing for tropical multiplication).  There is
+no ``+inf``: every quantity the solver builds is a rational or ``-inf``.
 No floating point appears anywhere: the solver branches on exact equalities,
 which rounding would corrupt.  All values are immutable and every operation
 is pure.
@@ -23,7 +24,7 @@ class DimensionMismatch(TropicalError):
 
 
 class UndefinedOperation(TropicalError):
-    """An arithmetic case left undefined (e.g. combining +inf with -inf)."""
+    """An operation undefined on its arguments (e.g. residuation by a -inf entry)."""
 
 
 class TokenTooLarge(TropicalError, ValueError):
@@ -71,60 +72,13 @@ class NegInfinity:
         return NotImplemented
 
 
-class PosInfinity:
-    """Upper interval endpoint; strictly above every rational.
-
-    Never stored in a matrix: it only arises from entry differences where
-    the subtrahend is -inf.
-    """
-
-    _instance: "PosInfinity | None" = None
-    __slots__ = ()
-
-    def __new__(cls) -> "PosInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "+inf"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(("tropsolve", "+inf"))
-
-    def __lt__(self, other):
-        if _comparable(other):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if _comparable(other):
-            return isinstance(other, PosInfinity)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if _comparable(other):
-            return not isinstance(other, PosInfinity)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if _comparable(other):
-            return True
-        return NotImplemented
-
-
 def _comparable(value: object) -> bool:
-    return isinstance(value, (Fraction, int, NegInfinity, PosInfinity))
+    return isinstance(value, (Fraction, int, NegInfinity))
 
 
 NEG_INF = NegInfinity()
-POS_INF = PosInfinity()
 
 Scalar = Union[Fraction, NegInfinity]
-ExtendedScalar = Union[Fraction, NegInfinity, PosInfinity]
 
 
 # A number token may carry at most this many digits, and a decimal
@@ -207,21 +161,10 @@ def oplus(a: Scalar, b: Scalar) -> Scalar:
     return a if a >= b else b
 
 
-def odot(a: ExtendedScalar, b: ExtendedScalar) -> ExtendedScalar:
-    """Tropical multiplication: classical addition, -inf absorbing.
-
-    +inf with -inf is rejected rather than given a silent convention.
-    """
-    a_neg = isinstance(a, NegInfinity)
-    b_neg = isinstance(b, NegInfinity)
-    a_pos = isinstance(a, PosInfinity)
-    b_pos = isinstance(b, PosInfinity)
-    if (a_pos and b_neg) or (a_neg and b_pos):
-        raise UndefinedOperation("(+inf) (x) (-inf) is undefined")
-    if a_neg or b_neg:
+def odot(a: Scalar, b: Scalar) -> Scalar:
+    """Tropical multiplication: classical addition, -inf absorbing."""
+    if isinstance(a, NegInfinity) or isinstance(b, NegInfinity):
         return NEG_INF
-    if a_pos or b_pos:
-        return POS_INF
     return a + b
 
 
@@ -262,13 +205,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self._data)
-
-    def is_real(self) -> bool:
-        """True when every entry is a rational (no -inf anywhere)."""
-        return all(isinstance(v, Fraction) for row in self._data for v in row)
-
     def to_rows(self) -> list[list[Scalar]]:
         return [list(row) for row in self._data]
 
@@ -300,47 +236,3 @@ def matvec_maxplus(a: Matrix, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
                 best = term
         out.append(best)
     return tuple(out)
-
-
-def matvec_minplus(a: Matrix, x: Sequence) -> tuple[ExtendedScalar, ...]:
-    """Min-plus product: component i is min_j (a_ij + x_j), extended rules."""
-    xs = tuple(x)
-    if len(xs) != a.cols:
-        raise DimensionMismatch(f"vector of length {len(xs)} against {a.cols} columns")
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        best: ExtendedScalar = POS_INF
-        for j in range(a.cols):
-            term = odot(row[j], xs[j])
-            if term < best:
-                best = term
-        out.append(best)
-    return tuple(out)
-
-
-def conjugate(a: Matrix) -> Matrix:
-    """Negated transpose (-a_ji); defined for real matrices only."""
-    if not a.is_real():
-        raise UndefinedOperation("conjugate requires a real matrix")
-    return Matrix(
-        [[-a[i, j] for i in range(a.rows)] for j in range(a.cols)], cols=a.rows
-    )
-
-
-def dif(m: Matrix, j: int, l: int, k: int) -> ExtendedScalar:
-    """Difference m_kj - m_kl of two entries in row k, extended to +/-inf.
-
-    Rational when m_kl is rational (the result is -inf if m_kj is), +inf when
-    m_kj is rational and m_kl is -inf.  Both entries -inf is undetermined and
-    signals a caller bug.
-    """
-    mj = m[k, j]
-    ml = m[k, l]
-    if isinstance(ml, NegInfinity):
-        if isinstance(mj, NegInfinity):
-            raise UndefinedOperation(f"dif undetermined at row {k}: both entries -inf")
-        return POS_INF
-    if isinstance(mj, NegInfinity):
-        return NEG_INF
-    return mj - ml

@@ -4,7 +4,7 @@ One-sided inequalities reduce to equalities by folding the maximum into one
 side; systems with separate unknown blocks concatenate into a single block;
 affine systems gain a homogenizing variable that is pinned to zero in every
 cell afterwards.  Residuation (the principal solution of A (x) x <= b for a
-real A) is computed directly via the conjugate matrix.
+real A) is computed directly in closed form, x#_j = min_i (b_i - a_ij).
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from .core import (
     DimensionMismatch,
     Matrix,
     NegInfinity,
-    PosInfinity,
     Scalar,
+    UndefinedOperation,
     as_scalar,
     as_vector,
-    conjugate,
     matvec_maxplus,
-    matvec_minplus,
+    odot,
     oplus,
 )
 
@@ -277,11 +276,19 @@ def solve_eq_b(a: Matrix, b: Sequence, collect_stats: bool = False) -> PinnedSol
 
 
 def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:
-    """Greatest x with A (x) x <= b, for a real matrix A."""
-    result = matvec_minplus(conjugate(a), as_vector(b))
-    if any(isinstance(v, PosInfinity) for v in result):
+    """Greatest x with A (x) x <= b, for a real matrix A.
+
+    x#_j = min_i (b_i - a_ij), which is -inf when some b_i is -inf
+    (Butkovic, Max-linear Systems, 2010).
+    """
+    if any(isinstance(v, NegInfinity) for row in a.to_rows() for v in row):
+        raise UndefinedOperation("residuation requires a real matrix")
+    if a.rows == 0:
         raise DimensionMismatch("residuation needs at least one row")
-    return result  # type: ignore[return-value]
+    bs = as_vector(b)
+    if len(bs) != a.rows:
+        raise DimensionMismatch(f"vector of length {len(bs)} against {a.rows} rows")
+    return tuple(min(odot(v, -a[i, j]) for i, v in enumerate(bs)) for j in range(a.cols))
 
 
 def decide_eq_b(a: Matrix, b: Sequence) -> tuple[Scalar, ...] | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ExtendedScalar, Matrix, TropicalError, dif, odot
+from .core import Matrix, odot
 
 Pair = tuple[int, int]
 WinSequence = tuple[Pair, ...]
@@ -83,23 +83,6 @@ def is_compatible(max_matrix: Matrix, i: int, first: Pair, k: int, second: Pair)
             if not lhs <= rhs:
                 return False
     return True
-
-
-def interval(
-    max_matrix: Matrix, i: int, k: int, iota: int, kappa: int
-) -> tuple[ExtendedScalar, ExtendedScalar]:
-    """Closed interval [lo, hi] bounding x_kappa - x_iota across rows i < k.
-
-    Entry differences decrease with the row subscript for compatible pairs,
-    so lo comes from row k and hi from row i.  Endpoints may be +/-inf.
-    """
-    lo = dif(max_matrix, iota, kappa, k)
-    hi = dif(max_matrix, iota, kappa, i)
-    if not lo <= hi:
-        raise TropicalError(
-            f"empty interval [{lo}, {hi}]: pairs were not compatible"
-        )
-    return lo, hi
 
 
 def _compatibility_masks(

@@ -15,6 +15,7 @@ from tropsolve.bivariate import (
     leq,
     remove_and_enlarge,
 )
+from tropsolve.core import TropicalError
 from tropsolve.preprocess import bold_pair, maximum_matrix
 from tropsolve.winseq import classify_row
 
@@ -220,6 +221,12 @@ def test_sub_specialize_negative_long_cycle():
     rows = [leq(1, 0, 1), leq(2, 1, 1), leq(0, 2, 1)]
     _, _, forced = sub_specialize(rows)
     assert forced == {0, 1, 2}
+
+
+@pytest.mark.parametrize("rows", [[leq(0, 0, 0)], [leq(0, 1, 2), leq(1, 1, -2)]])
+def test_sub_specialize_rejects_equal_endpoints(rows):
+    with pytest.raises(TropicalError, match="endpoints must differ"):
+        sub_specialize(rows)
 
 
 def test_sub_specialize_row_count_contract():

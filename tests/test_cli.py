@@ -335,13 +335,21 @@ def test_run_zero_columns_is_a_parse_error(text, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("grid", ["grid=1/0", "grid=0,x", "grid=", "1,2"])
-def test_run_bad_check_grid_exit_code(grid, tmp_path, capsys):
+def test_run_bad_check_grid_exit_code(grid, tmp_path, capsys, monkeypatch):
+    import tropsolve.cli as cli_mod
+
+    def no_solve(inst):
+        raise AssertionError("solved before --check was parsed")
+
+    # a malformed --check is rejected before any solving
+    monkeypatch.setattr(cli_mod, "_solve", no_solve)
     path = tmp_path / "inst.txt"
     path.write_text(RUNNING)
     assert run([str(path), "--check", grid]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,11 @@ exact cell stage runs with a common denominator above 1 on one side of the
 comparison and with 1 on the other.  Adding a constant to one row on both
 sides leaves every cell unchanged.  The solution set is a tropical cone:
 closed under componentwise max and under adding one scalar to every finite
-coordinate.
+coordinate.  Permuting the rows, or swapping A and B, leaves the system and
+so its solution set unchanged: the cells may come in another order and with
+other win sequences, but the set of their geometric keys and the number p of
+win sequences stay the same.  (Permuting columns renames the parameters, so
+it is not compared here.)
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import pytest
 
 from conftest import pair_scale, planted_rows
 from tropsolve import Matrix, cell_membership, emit, sample_cell, solve, verify_solution
-from tropsolve.core import NegInfinity, oplus
+from tropsolve.cells import geometric_key
+from tropsolve.core import NEG_INF, NegInfinity, oplus
 
 INSTANCES = 60
 
@@ -112,3 +117,32 @@ def test_tropical_cone_closure():
             )
             assert verify_solution(a, b, z), (a, b, z)
             assert any(cell_membership(cell, z) for cell in result.cells), (a, b, z)
+
+
+REORDER_VALUES = (NEG_INF, -1, 0, Fraction(1, 2), Fraction(-7, 3), 2, 3)
+
+
+def _geometry(a, b):
+    result = solve(a, b)
+    return result.win_sequence_count, {geometric_key(cell) for cell in result.cells}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["permute-rows", "swap-a-b"])
+def test_row_permutation_and_side_swap_keep_the_cells(swap):
+    rng = random.Random(4400 + swap)
+    cells_seen = 0
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        a, b = (
+            [[rng.choice(REORDER_VALUES) for _ in range(n)] for _ in range(m)]
+            for _ in range(2)
+        )
+        if swap:
+            a2, b2 = b, a
+        else:
+            order = rng.sample(range(m), m)
+            a2, b2 = [a[i] for i in order], [b[i] for i in order]
+        p, keys = _geometry(Matrix(a, cols=n), Matrix(b, cols=n))
+        assert _geometry(Matrix(a2, cols=n), Matrix(b2, cols=n)) == (p, keys), (a, b)
+        cells_seen += len(keys)
+    assert cells_seen >= 300  # the family is not trivial

@@ -13,7 +13,7 @@ from tropsolve import (
     solve,
     verify_solution,
 )
-from tropsolve.core import UndefinedOperation
+from tropsolve.core import DimensionMismatch, UndefinedOperation
 from tropsolve.reductions import (
     AffineInstance,
     affine_holds,
@@ -201,6 +201,18 @@ def test_principal_solution_cases():
 def test_principal_solution_rejects_neg_inf_matrix():
     with pytest.raises(UndefinedOperation):
         principal_solution(Matrix([[NI]]), (0,))
+
+
+def test_principal_solution_closed_form_edges():
+    # one -inf right-hand side makes every coordinate -inf
+    assert principal_solution(Matrix([[0, 1], [2, 3]]), (NI, 5)) == (NEG_INF, NEG_INF)
+    assert principal_solution(Matrix([[0], [0]]), (1, 2)) == (1,)
+    with pytest.raises(DimensionMismatch):
+        principal_solution(Matrix([[0, 1]]), (0, 0))
+    with pytest.raises(DimensionMismatch):
+        principal_solution(Matrix([], cols=2), ())
+    with pytest.raises(UndefinedOperation):  # checked before the lengths
+        principal_solution(Matrix([[NI, 1]]), (0, 0))
 
 
 def test_decide_eq_b():

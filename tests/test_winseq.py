@@ -3,17 +3,15 @@ import random
 import sys
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from conftest import non_real_example, scaled_pair, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
-from tropsolve.core import POS_INF, TropicalError, odot
+from tropsolve.core import odot
 from tropsolve.preprocess import bold_pair, maximum_matrix
 from tropsolve.winseq import (
     classify_row,
     enumerate_win_sequences_counted,
-    interval,
     is_compatible,
     winning_pairs,
 )
@@ -77,25 +75,6 @@ def test_compatible_neg_inf_absorbing():
     a, b = non_real_example(m21=2, m22=3)
     m = maximum_matrix(a, b)
     assert is_compatible(m, 0, (0, 1), 1, (2, 2))
-
-
-def test_interval_running_example(running_example_m):
-    m = running_example_m
-    assert interval(m, 0, 1, 3, 2) == (Fraction(-4), Fraction(9))
-    assert interval(m, 0, 1, 0, 0) == (Fraction(0), Fraction(0))
-
-
-def test_interval_unbounded_case():
-    a, b = non_real_example(m21=2, m22=3)
-    m = maximum_matrix(a, b)
-    lo, hi = interval(m, 0, 1, 0, 2)
-    assert lo == Fraction(2) and hi is POS_INF
-
-
-def test_interval_rejects_incompatible(running_example_m):
-    # dif increases from row 1 to row 2 for this column pair: empty interval
-    with pytest.raises(TropicalError):
-        interval(running_example_m, 0, 1, 0, 3)
 
 
 def _enumerate(a, b):
