@@ -26,7 +26,6 @@ def test_scalar_ops_basic():
 def test_scalar_ops_neg_inf_neutral_absorbing():
     assert oplus(NEG_INF, Fraction(5)) == 5
     assert odot(NEG_INF, Fraction(5)) is NEG_INF
-    assert odot(NEG_INF, NEG_INF) is NEG_INF
 
 
 def test_scalar_ops_zero_is_multiplicative_neutral():
@@ -39,6 +38,12 @@ def test_total_order():
     assert NEG_INF <= NEG_INF
     assert max(Fraction(3), NEG_INF) == 3
     assert min(Fraction(3), NEG_INF) is NEG_INF
+
+
+def test_odot_extended_rules():
+    assert odot(Fraction(2), NEG_INF) is NEG_INF
+    assert odot(NEG_INF, NEG_INF) is NEG_INF
+    assert odot(Fraction(-3, 2), Fraction(7, 2)) == 2
 
 
 def test_as_scalar_tokens():
