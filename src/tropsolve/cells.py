@@ -27,8 +27,10 @@ deduplicated; the reported win-sequence count is that of the root instance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
@@ -51,6 +53,7 @@ from .core import (
     as_scalar,
     common_denominator,
     matvec_maxplus,
+    scaled,
     scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance
@@ -81,6 +84,25 @@ class SolutionCell:
 
     def parameters(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _ in self.assignments.values()}))
+
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[Row, ...]]:
+        """(scale, assigned, rows): the cell's numbers as ints in units of 1/scale.
+
+        scale is the lcm of the denominators of the offsets and constants;
+        assigned lists (v, param, offset) in assignment order, rows lists
+        (plus, minus, constant) in constraint order.  Cached on the instance,
+        outside the dataclass fields, so eq, hash and repr do not see it.
+        """
+        scale = common_denominator(
+            [o for _, o in self.assignments.values()]
+            + [c.constant for c in self.constraints]
+        )
+        assigned = tuple(
+            (v, p, scaled(o, scale)) for v, (p, o) in self.assignments.items()
+        )
+        rows = tuple((c.plus, c.minus, scaled(c.constant, scale)) for c in self.constraints)
+        return scale, assigned, rows
 
 
 @dataclass(frozen=True)
@@ -386,7 +408,9 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
 
     Variables sharing a parameter must be -inf together or agree on the
     parameter value; a constraint with -inf on its plus side holds, while
-    -inf on the minus side demands the plus side be -inf as well.
+    -inf on the minus side demands the plus side be -inf as well.  The test
+    runs on ints: x and the cell's numbers are scaled to one unit, the lcm
+    of the cell's scale and the denominators of x.
     """
     xs = [as_scalar(v) for v in x]
     if len(xs) != cell.num_vars:
@@ -396,23 +420,35 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     for v in cell.neg_inf:
         if not isinstance(xs[v], NegInfinity):
             return False
-    values: dict[int, Scalar] = {}
-    for v, (param, offset) in cell.assignments.items():
-        val = xs[v]
-        t = val if isinstance(val, NegInfinity) else val - offset
+    scale, assigned, rows = cell._ints
+    unit = scale
+    parts: list[tuple[int, int] | None] = []  # (numerator, denominator), None for -inf
+    for val in xs:
+        if isinstance(val, NegInfinity):
+            parts.append(None)
+        else:
+            den = val.denominator
+            if unit % den:
+                unit = math.lcm(unit, den)
+            parts.append((val.numerator, den))
+    factor = unit // scale
+    values: dict[int, int | None] = {}
+    for v, param, offset in assigned:
+        part = parts[v]
+        t = None if part is None else part[0] * (unit // part[1]) - offset * factor
         if param in values:
             if values[param] != t:
                 return False
         else:
             values[param] = t
-    for c in cell.constraints:
-        tp = values[c.plus]
-        tm = values[c.minus]
-        if isinstance(tp, NegInfinity):
+    for plus, minus, constant in rows:
+        tp = values[plus]
+        if tp is None:
             continue
-        if isinstance(tm, NegInfinity):
+        tm = values[minus]
+        if tm is None:
             return False
-        if tp - tm + c.constant > 0:
+        if tp - tm + constant * factor > 0:
             return False
     return True
 
@@ -431,37 +467,35 @@ def _closed_dead_set(cell: SolutionCell, rng: Random, params: Sequence[int]) -> 
 
 def _feasible_values(
     cell: SolutionCell, alive: Sequence[int], rng: Random, box: int
-) -> dict[int, Fraction]:
-    """A feasible assignment for the alive parameters.
+) -> dict[int, int]:
+    """A feasible assignment for the alive parameters, in the cell's int units.
 
     Tries plain rejection first; falls back to shortest-path potentials
     (shifted randomly per weakly connected component), which always satisfy
-    the difference constraints.
+    the difference constraints.  Draws are whole numbers, scaled by the
+    cell's scale.
     """
-    active = [
-        c
-        for c in cell.constraints
-        if c.plus in alive and c.minus in alive
-    ]
+    scale, _, rows = cell._ints
+    active = [row for row in rows if row[0] in alive and row[1] in alive]
     for _ in range(40):
-        vals = {p: Fraction(rng.randint(-box, box)) for p in alive}
-        if all(vals[c.plus] - vals[c.minus] + c.constant <= 0 for c in active):
+        vals = {p: rng.randint(-box, box) * scale for p in alive}
+        if all(vals[plus] - vals[minus] + c <= 0 for plus, minus, c in active):
             return vals
     # Bellman-Ford from a virtual source: d_p <= d_m - constant
-    vals = {p: Fraction(0) for p in alive}
+    vals = {p: 0 for p in alive}
     for _ in range(len(alive) + 1):
         changed = False
-        for c in active:
-            bound = vals[c.minus] - c.constant
-            if vals[c.plus] > bound:
-                vals[c.plus] = bound
+        for plus, minus, c in active:
+            bound = vals[minus] - c
+            if vals[plus] > bound:
+                vals[plus] = bound
                 changed = True
         if not changed:
             break
     neighbors: dict[int, set[int]] = {p: set() for p in alive}
-    for c in active:
-        neighbors[c.plus].add(c.minus)
-        neighbors[c.minus].add(c.plus)
+    for plus, minus, _ in active:
+        neighbors[plus].add(minus)
+        neighbors[minus].add(plus)
     visited: set[int] = set()
     for p in sorted(alive):
         if p in visited:
@@ -475,7 +509,7 @@ def _feasible_values(
             visited.add(q)
             component.append(q)
             queue.extend(neighbors[q])
-        shift = Fraction(rng.randint(-box, box))
+        shift = rng.randint(-box, box) * scale
         for q in component:
             vals[q] += shift
     return vals
@@ -490,15 +524,16 @@ def sample_cell(
     rng = Random(seed)
     box_int = max(1, int(box))
     params = cell.parameters()
+    scale, assigned, _ = cell._ints
     out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]
     while len(out) < count:
         dead = _closed_dead_set(cell, rng, params)
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box_int) if alive else {}
         point: list[Scalar] = [NEG_INF] * cell.num_vars
-        for v, (param, offset) in cell.assignments.items():
+        for v, param, offset in assigned:
             if param in dead:
                 continue
-            point[v] = vals[param] + offset
+            point[v] = Fraction(vals[param] + offset, scale)
         out.append(tuple(point))
     return out[:count]

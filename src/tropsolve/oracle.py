@@ -4,13 +4,21 @@ Deliberately independent of the solver pipeline; the only shared code is
 scalar/matrix arithmetic.  Candidates are drawn from the grid values plus
 -inf in every coordinate, so solution faces reaching -inf are exercised.
 Enumeration runs on integers after clearing denominators, which is exact.
+
+grid_solutions searches depth first over the columns, in lexicographic
+order, keeping each row's running left and right maxima.  It cuts a subtree
+when some row can no longer balance: its lower side, raised by the best the
+remaining columns can add (their largest entry of that side plus the largest
+grid value), still stays below its higher side.  The cut drops only
+candidates that fail, so the result is the full product's, in its order.
+The search keeps an explicit stack: no recursion, and no closure that
+refers to itself and leaves a reference cycle behind on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .cells import SolutionSet, cell_membership, sample_cell, verify_solution
@@ -76,35 +84,63 @@ def grid_solutions(
     am = scaled_entries(a, scale)
     bm = scaled_entries(b, scale)
     scaled_points = [scaled(p, scale) for p in points]
+    top = scaled(grid.values[-1], scale)
+    # One int below every finite term stands for -inf, so that the running
+    # maxima and the reach bounds compare as plain ints.
+    finite = [v for row in am + bm for v in row if v is not None]
+    floor = min(finite, default=0) + scaled(grid.values[0], scale) - 1
+
+    def terms(rows: list[list[int | None]], j: int) -> list[tuple[int, ...]]:
+        """Per grid point, the column-j term of every row."""
+        return [
+            tuple(floor if x is None or r[j] is None else r[j] + x for r in rows)
+            for x in scaled_points
+        ]
+
+    def reach(rows: list[list[int | None]]) -> list[tuple[int, ...]]:
+        """Per depth d, the largest term columns d.. can add to every row."""
+        bounds = [(floor,) * a.rows]
+        for j in reversed(range(n)):
+            bounds.append(
+                tuple(
+                    best if r[j] is None else max(best, r[j] + top)
+                    for r, best in zip(rows, bounds[-1])
+                )
+            )
+        return bounds[::-1]
+
+    a_terms = [terms(am, j) for j in range(n)]
+    b_terms = [terms(bm, j) for j in range(n)]
+    a_reach, b_reach = reach(am), reach(bm)
 
     out: list[tuple[Scalar, ...]] = []
-    for combo in product(range(len(points)), repeat=n):
-        xs = [scaled_points[c] for c in combo]
-        good = True
-        for i in range(a.rows):
-            left = None
-            right = None
-            arow = am[i]
-            brow = bm[i]
-            for j in range(n):
-                xj = xs[j]
-                if xj is None:
-                    continue
-                av = arow[j]
-                if av is not None:
-                    t = av + xj
-                    if left is None or t > left:
-                        left = t
-                bv = brow[j]
-                if bv is not None:
-                    t = bv + xj
-                    if right is None or t > right:
-                        right = t
-            if left != right:
-                good = False
-                break
-        if good:
+    start = (floor,) * a.rows
+    # depth-first over columns; children are pushed in reverse so that they
+    # pop in ascending order and the output stays lexicographic
+    stack: list[tuple[tuple[int, ...], Sequence[int], Sequence[int]]] = [((), start, start)]
+    while stack:
+        combo, left, right = stack.pop()
+        d = len(combo)
+        if d == n:
             out.append(tuple(points[c] for c in combo))
+            continue
+        a_col, b_col = a_terms[d], b_terms[d]
+        a_next, b_next = a_reach[d + 1], b_reach[d + 1]
+        for c in reversed(range(len(points))):
+            lft: list[int] = []
+            rgt: list[int] = []
+            for lv, rv, at, bt, la, rb in zip(left, right, a_col[c], b_col[c], a_next, b_next):
+                if at > lv:
+                    lv = at
+                if bt > rv:
+                    rv = bt
+                # cut: the lower side cannot reach the higher one any more
+                if (lv < rv and la < rv) or (rv < lv and rb < lv):
+                    break
+                lft.append(lv)
+                rgt.append(rv)
+            else:
+                stack.append((combo + (c,), lft, rgt))
     return out
 
 
@@ -136,8 +172,16 @@ def cross_validate(
 
     missed: oracle solutions contained in no cell (the trivial point counts
     as covered).  invalid: sampled cell points failing direct verification.
-    Both must be empty for a correct solver.
+    Both must be empty for a correct solver.  Raises DimensionMismatch when
+    the solution set's width is not a's column count, and ValueError when
+    samples_per_cell is below 1, before any enumeration.
     """
+    if solution_set.num_vars != a.cols:
+        raise DimensionMismatch(
+            f"solution set of {solution_set.num_vars} variables against {a.cols} columns"
+        )
+    if samples_per_cell < 1:
+        raise ValueError("samples_per_cell must be at least 1")
     sols = grid_solutions(a, b, grid, cap=cap)
     missed = []
     for x in sols:

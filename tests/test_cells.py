@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,16 @@ def test_cell_membership_partial_neg_inf():
     # and once it does, the constraint s <= t+1 drags s down too
     assert not cell_membership(ref1, (NI, 0, NI, NI))
     assert cell_membership(ref1, (NI, NI, NI, NI))
+
+
+def test_cached_int_view_is_not_part_of_the_cell():
+    ref1, _ = running_reference_cells()
+    twin, _ = running_reference_cells()
+    before = (repr(ref1), [f.name for f in fields(ref1)])
+    assert cell_membership(ref1, (5, -1, 6, 0))
+    sample_cell(ref1, 5, seed=1)
+    assert ref1 == twin
+    assert (repr(ref1), [f.name for f in fields(ref1)]) == before
 
 
 def test_cell_membership_dimension_check():

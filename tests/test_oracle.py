@@ -1,8 +1,10 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import planted_rows, random_rows
 from tropsolve import (
     NEG_INF,
     GridSpec,
@@ -11,6 +13,8 @@ from tropsolve import (
     grid_solutions,
     solve,
 )
+from tropsolve.cells import SolutionSet
+from tropsolve.core import DimensionMismatch
 from tropsolve.oracle import GridTooLarge
 
 NI = "-inf"
@@ -79,8 +83,6 @@ def test_cross_validate_trivial(empty_case_example):
 
 
 def test_cross_validate_detects_missing_cell(running_example):
-    from tropsolve.cells import SolutionSet
-
     a, b = running_example
     full = solve(a, b)
     crippled = SolutionSet(
@@ -105,3 +107,65 @@ def test_cross_validate_random_small():
             a, b, GridSpec.of([0, 1, 2]), solve(a, b), samples_per_cell=5, seed=trial
         )
         assert report.ok, (a.to_rows(), b.to_rows(), report.missed, report.invalid)
+
+
+def _trivial_set(num_vars):
+    return SolutionSet((), frozenset(range(num_vars)), True, 0, num_vars)
+
+
+def test_cross_validate_rejects_a_set_of_another_width():
+    a = Matrix([[0, 1]])
+    b = Matrix([[1, 0]])
+    grid = GridSpec.of([0, 1])
+    with pytest.raises(DimensionMismatch):
+        cross_validate(a, b, grid, _trivial_set(3))
+    # cells of three variables, against a pair whose grid has no nontrivial
+    # solution: no membership test would ever see the width
+    three = solve(Matrix([[0, 1, NI]]), Matrix([[NI, 0, 1]]))
+    assert three.cells
+    lonely = Matrix([[0, NI]]), Matrix([[NI, 5]])
+    assert grid_solutions(*lonely, grid) == [(NEG_INF, NEG_INF)]
+    with pytest.raises(DimensionMismatch):
+        cross_validate(*lonely, grid, three)
+
+
+def test_cross_validate_rejects_fewer_than_one_sample():
+    a = Matrix([[0, 1]])
+    for result in (_trivial_set(2), solve(a, a)):
+        with pytest.raises(ValueError):
+            cross_validate(a, a, GridSpec.of([0, 1]), result, samples_per_cell=0)
+
+
+def test_cross_validate_sweep_up_to_four_by_five():
+    """Random --check at m <= 4, n <= 5 on a 5-value grid (6**5 candidates)."""
+    rng = random.Random(6200)
+    grid = GridSpec.of(["-3/2", 0, "1/2", "2/3", 2])
+    nontrivial = 0
+    for trial in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        if trial % 2:
+            a, b = planted_rows(rng, m, n)
+        else:
+            a, b = random_rows(rng, m, n), random_rows(rng, m, n)
+        a, b = Matrix(a, cols=n), Matrix(b, cols=n)
+        report = cross_validate(a, b, grid, solve(a, b), samples_per_cell=4, seed=trial)
+        assert report.ok, (a.to_rows(), b.to_rows(), report.missed, report.invalid)
+        nontrivial += report.oracle_count > 1
+    assert nontrivial >= 100
+
+
+def test_cross_validate_leaves_no_reference_cycles(running_example, three_by_three_example):
+    five = (
+        Matrix([[0, 1, NI, 2, 0], [NI, 0, 1, 0, NI]]),
+        Matrix([[1, 0, 0, NI, NI], [0, NI, 2, 1, 0]]),
+    )
+    cases = [(a, b, solve(a, b)) for a, b in (running_example, three_by_three_example, five)]
+    grid = GridSpec.of(range(-2, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b, result in cases:
+            cross_validate(a, b, grid, result, samples_per_cell=5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

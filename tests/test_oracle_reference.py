@@ -1,0 +1,423 @@
+"""The int oracle against the Fraction oracle it replaced, on seeded draws.
+
+The reference functions below are the product-loop grid enumeration, the
+Fraction membership rule, the Fraction sampler and the cross validation
+built from them, kept here as the definition the faster code must match:
+the same lists in the same order, the same booleans, the same points and
+the same reports, and the same exceptions with the same messages.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from conftest import FRACTIONAL_VALUES, make_cell, planted_rows
+from tropsolve import (
+    NEG_INF,
+    GridSpec,
+    Matrix,
+    cell_membership,
+    cross_validate,
+    grid_solutions,
+    sample_cell,
+    solve,
+    verify_solution,
+)
+from tropsolve.cells import SolutionSet
+from tropsolve.core import (
+    DimensionMismatch,
+    NegInfinity,
+    as_scalar,
+    common_denominator,
+    scaled,
+    scaled_entries,
+)
+from tropsolve.oracle import CrossValidationReport, GridTooLarge
+
+GRID_POOL = (
+    Fraction(-2),
+    Fraction(-3, 2),
+    Fraction(-1),
+    Fraction(-1, 3),
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(2, 3),
+    Fraction(1),
+    Fraction(7, 4),
+    Fraction(2),
+    Fraction(5, 2),
+)
+MAX_CANDIDATES = 625
+
+
+# ------------------------------------------------------------ references
+
+
+def ref_grid_solutions(a, b, grid, cap=10**6):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch("matrix shapes differ")
+    n = a.cols
+    points = grid.points()
+    size = len(points) ** n
+    if size > cap:
+        raise GridTooLarge(f"{size} candidates exceed the cap of {cap}")
+    scale = common_denominator(
+        [v for row in a.to_rows() + b.to_rows() for v in row] + list(grid.values)
+    )
+    am = scaled_entries(a, scale)
+    bm = scaled_entries(b, scale)
+    scaled_points = [scaled(p, scale) for p in points]
+    out = []
+    for combo in product(range(len(points)), repeat=n):
+        xs = [scaled_points[c] for c in combo]
+        good = True
+        for i in range(a.rows):
+            left = right = None
+            for j in range(n):
+                if xs[j] is None:
+                    continue
+                if am[i][j] is not None and (left is None or am[i][j] + xs[j] > left):
+                    left = am[i][j] + xs[j]
+                if bm[i][j] is not None and (right is None or bm[i][j] + xs[j] > right):
+                    right = bm[i][j] + xs[j]
+            if left != right:
+                good = False
+                break
+        if good:
+            out.append(tuple(points[c] for c in combo))
+    return out
+
+
+def ref_cell_membership(cell, x):
+    xs = [as_scalar(v) for v in x]
+    if len(xs) != cell.num_vars:
+        raise DimensionMismatch(
+            f"vector of length {len(xs)} against {cell.num_vars} variables"
+        )
+    for v in cell.neg_inf:
+        if not isinstance(xs[v], NegInfinity):
+            return False
+    values = {}
+    for v, (param, offset) in cell.assignments.items():
+        val = xs[v]
+        t = val if isinstance(val, NegInfinity) else val - offset
+        if param in values:
+            if values[param] != t:
+                return False
+        else:
+            values[param] = t
+    for c in cell.constraints:
+        tp = values[c.plus]
+        tm = values[c.minus]
+        if isinstance(tp, NegInfinity):
+            continue
+        if isinstance(tm, NegInfinity):
+            return False
+        if tp - tm + c.constant > 0:
+            return False
+    return True
+
+
+def _ref_closed_dead_set(cell, rng, params):
+    dead = {p for p in params if rng.random() < 0.3}
+    changed = True
+    while changed:
+        changed = False
+        for c in cell.constraints:
+            if c.minus in dead and c.plus not in dead:
+                dead.add(c.plus)
+                changed = True
+    return dead
+
+
+def _ref_feasible_values(cell, alive, rng, box, fallbacks):
+    active = [c for c in cell.constraints if c.plus in alive and c.minus in alive]
+    for _ in range(40):
+        vals = {p: Fraction(rng.randint(-box, box)) for p in alive}
+        if all(vals[c.plus] - vals[c.minus] + c.constant <= 0 for c in active):
+            return vals
+    fallbacks.append(cell)
+    vals = {p: Fraction(0) for p in alive}
+    for _ in range(len(alive) + 1):
+        changed = False
+        for c in active:
+            bound = vals[c.minus] - c.constant
+            if vals[c.plus] > bound:
+                vals[c.plus] = bound
+                changed = True
+        if not changed:
+            break
+    neighbors = {p: set() for p in alive}
+    for c in active:
+        neighbors[c.plus].add(c.minus)
+        neighbors[c.minus].add(c.plus)
+    visited = set()
+    for p in sorted(alive):
+        if p in visited:
+            continue
+        component = []
+        queue = [p]
+        while queue:
+            q = queue.pop()
+            if q in visited:
+                continue
+            visited.add(q)
+            component.append(q)
+            queue.extend(neighbors[q])
+        shift = Fraction(rng.randint(-box, box))
+        for q in component:
+            vals[q] += shift
+    return vals
+
+
+def ref_sample_cell(cell, count, seed=0, box=10, fallbacks=None):
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    fallbacks = [] if fallbacks is None else fallbacks
+    rng = random.Random(seed)
+    box_int = max(1, int(box))
+    params = cell.parameters()
+    out = [tuple(NEG_INF for _ in range(cell.num_vars))]
+    while len(out) < count:
+        dead = _ref_closed_dead_set(cell, rng, params)
+        alive = [p for p in params if p not in dead]
+        vals = _ref_feasible_values(cell, alive, rng, box_int, fallbacks) if alive else {}
+        point = [NEG_INF] * cell.num_vars
+        for v, (param, offset) in cell.assignments.items():
+            if param in dead:
+                continue
+            point[v] = vals[param] + offset
+        out.append(tuple(point))
+    return out[:count]
+
+
+def ref_cross_validate(a, b, grid, solution_set, samples_per_cell=20, seed=0, box=10):
+    sols = ref_grid_solutions(a, b, grid)
+    missed = []
+    for x in sols:
+        if all(isinstance(v, NegInfinity) for v in x):
+            continue
+        if not any(ref_cell_membership(cell, x) for cell in solution_set.cells):
+            missed.append(x)
+    invalid = []
+    total = 0
+    for idx, cell in enumerate(solution_set.cells):
+        for point in ref_sample_cell(cell, samples_per_cell, seed=seed + idx, box=box):
+            total += 1
+            if not verify_solution(a, b, point):
+                invalid.append((idx, point))
+    return CrossValidationReport(tuple(missed), tuple(invalid), len(sols), total)
+
+
+# ------------------------------------------------------------ draws
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return type(exc), str(exc)
+
+
+def _pair(rng, m, n):
+    """A random or planted pair, with some rows all -inf on one or both sides."""
+    if rng.random() < 0.5:
+        a, b = planted_rows(rng, m, n)
+    else:
+        a, b = (
+            [[rng.choice(FRACTIONAL_VALUES) for _ in range(n)] for _ in range(m)] for _ in "ab"
+        )
+    for i in range(m):
+        if rng.random() < 0.15:
+            for side in rng.sample([a, b], rng.randint(1, 2)):
+                side[i] = [NEG_INF] * n
+    return Matrix(a, cols=n), Matrix(b, cols=n)
+
+
+def _grid(rng, n):
+    """A random grid of at most MAX_CANDIDATES candidates in n columns."""
+    include_neg_inf = rng.random() < 0.75
+    most = max(
+        k for k in range(1, len(GRID_POOL) + 1) if (k + include_neg_inf) ** n <= MAX_CANDIDATES
+    )
+    values = rng.sample(GRID_POOL, rng.randint(1, most))
+    return GridSpec(tuple(sorted(values)), include_neg_inf=include_neg_inf)
+
+
+def _shape(rng):
+    return rng.randint(0, 4), rng.randint(1, 5)
+
+
+# ------------------------------------------------------------ tests
+
+
+def test_grid_solutions_matches_the_product_loop():
+    rng = random.Random(9100)
+    found = no_neg_inf = all_neg_inf_rows = 0
+    for _ in range(2000):
+        m, n = _shape(rng)
+        a, b = _pair(rng, m, n)
+        grid = _grid(rng, n)
+        expected = ref_grid_solutions(a, b, grid)
+        assert grid_solutions(a, b, grid) == expected, (a, b, grid)
+        found += sum(any(not isinstance(v, NegInfinity) for v in x) for x in expected)
+        no_neg_inf += not grid.include_neg_inf
+        all_neg_inf_rows += any(
+            all(isinstance(v, NegInfinity) for v in row) for row in a.to_rows() + b.to_rows()
+        )
+    # the family reaches nontrivial solutions, grids without -inf and dead rows
+    assert found >= 2000 and no_neg_inf >= 300 and all_neg_inf_rows >= 300
+
+
+def test_grid_solutions_errors_match_the_product_loop():
+    a = Matrix([[0, 1, 2], [2, "1/2", 4]])
+    grid = GridSpec.of(range(10))
+    cases = [
+        (a, a, grid, 100),
+        (a, Matrix([[0, 1, 2]]), grid, 10**6),
+        (a, Matrix([[0, 1], [1, 2]]), grid, 10**6),
+    ]
+    for args in cases:
+        got = _outcome(grid_solutions, *args)
+        assert got == _outcome(ref_grid_solutions, *args)
+        assert isinstance(got, tuple) and got[0] in (GridTooLarge, DimensionMismatch)
+
+
+def _vector(rng, n):
+    """A vector of ints, strings, Fractions and -infs, in both spellings."""
+    choices = (
+        lambda: rng.randint(-3, 3),
+        lambda: str(rng.randint(-3, 3)),
+        lambda: f"{rng.randint(-9, 9)}/{rng.choice([2, 3, 4, 7])}",
+        lambda: Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 5, 11])),
+        lambda: "-inf",
+        lambda: NEG_INF,
+        lambda: "0.25",
+    )
+    return [rng.choice(choices)() for _ in range(n)]
+
+
+def _nudged(rng, point):
+    """point with one finite coordinate moved by a step the cell's scale may not divide."""
+    finite = [j for j, v in enumerate(point) if not isinstance(v, NegInfinity)]
+    out = list(point)
+    if finite:
+        j = rng.choice(finite)
+        out[j] = out[j] + rng.choice([Fraction(1, 7), Fraction(-1, 2), Fraction(1, 12), 1])
+    return out
+
+
+def test_cell_membership_matches_the_fraction_rule():
+    rng = random.Random(9200)
+    verdicts = {True: 0, False: 0}
+    draws = 0
+    while draws < 2000:
+        m, n = _shape(rng)
+        a, b = _pair(rng, m, n)
+        cells = solve(a, b).cells
+        if not cells:
+            continue
+        members = [p for cell in cells for p in sample_cell(cell, 4, seed=draws, box=5)]
+        for _ in range(8):
+            pick = rng.random()
+            if pick < 0.35:
+                x = list(rng.choice(members))
+            elif pick < 0.7:
+                x = _nudged(rng, rng.choice(members))
+            else:
+                x = _vector(rng, n)
+            draws += 1
+            for cell in cells:
+                expected = ref_cell_membership(cell, x)
+                assert cell_membership(cell, x) is expected, (cell, x)
+                verdicts[expected] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+    # denominators 7 and 11 do not divide the cell's scale 6, on members too
+    cell = make_cell(3, [(1, 1, "1/2"), (2, 1, "-2/3"), (3, 3, 0)], [(3, 1, "1/3")])
+    for x, member in (
+        ((Fraction(9, 14), Fraction(-11, 21), "-7/11"), True),
+        ((Fraction(9, 14), Fraction(-11, 21), "-2/11"), False),
+        ((Fraction(9, 14), Fraction(-10, 21), "-7/11"), False),
+        (("-inf", NEG_INF, "3/7"), False),
+        ((NEG_INF, "-inf", "-inf"), True),
+    ):
+        assert cell_membership(cell, x) is ref_cell_membership(cell, x) is member, x
+
+
+def test_cell_membership_errors_match_the_fraction_rule():
+    cell = make_cell(3, [(1, 1, "1/2"), (2, 1, "-2/3"), (3, 3, 0)], [(3, 1, "1/3")])
+    for x in (
+        (0, 0),
+        (0, 0, 0, 0),
+        (Fraction(1, 2), 0.5, 0),
+        (1.0, "-inf", 2),
+        (True, 0, 0),
+        ("1/0", 0, 0),
+        ("x", 0, 0),
+        (0.5, 0),
+    ):
+        got = _outcome(cell_membership, cell, x)
+        assert got == _outcome(ref_cell_membership, cell, x), x
+        assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError)
+
+
+def _sampled_cells(rng, count):
+    cells = []
+    while len(cells) < count:
+        m, n = _shape(rng)
+        cells.extend(solve(*_pair(rng, m, n)).cells)
+    # Rejection cannot hit t1 - t2 = 1/3 with whole draws, so these two take
+    # the shortest-path fallback whenever both parameters are alive; the
+    # constraint from parameter 1 to parameter 4 puts 4 at -inf with 1.
+    cells.append(
+        make_cell(
+            5,
+            [(1, 1, "1/2"), (2, 2, "-2/3"), (3, 1, "5/4"), (4, 4, 0), (5, 5, "7/3")],
+            [(1, 2, "-1/3"), (2, 1, "1/3"), (4, 1, "5/2"), (5, 4, -1)],
+        )
+    )
+    cells.append(
+        make_cell(3, [(1, 1, 0), (2, 2, "1/6"), (3, 2, "-1/6")], [(1, 2, "1/3"), (2, 1, "-1/3")])
+    )
+    return cells
+
+
+def test_sample_cell_matches_the_fraction_sampler():
+    rng = random.Random(9300)
+    fallbacks: list = []
+    dead = 0
+    for idx, cell in enumerate(_sampled_cells(rng, 150)):
+        for seed in (idx, 1000 + idx):
+            count = rng.randint(1, 30)
+            box = rng.choice([0, 1, 3, 10, Fraction(7, 2)])
+            expected = ref_sample_cell(cell, count, seed=seed, box=box, fallbacks=fallbacks)
+            assert sample_cell(cell, count, seed=seed, box=box) == expected, (cell, seed)
+            dead += sum(
+                any(isinstance(p[v], NegInfinity) for v in cell.assignments) for p in expected[1:]
+            )
+    assert fallbacks and dead, "the draws must reach the fallback and dead parameters"
+    assert _outcome(sample_cell, cell, 0) == _outcome(ref_sample_cell, cell, 0)
+
+
+def test_cross_validate_matches_the_reference():
+    rng = random.Random(9400)
+    missed = invalid = 0
+    for trial in range(400):
+        m, n = _shape(rng)
+        a, b = _pair(rng, m, n)
+        result = solve(a, b)
+        if result.cells and rng.random() < 0.5:
+            kept = result.cells[::2]
+            result = SolutionSet(kept, result.globally_forced, not kept, 0, n)
+        if rng.random() < 0.2:
+            a, b = _pair(rng, m, n)  # cells of another pair: misses and invalid points
+        grid = _grid(rng, n)
+        args = (a, b, grid, result, rng.randint(1, 6), trial, rng.randint(1, 8))
+        expected = ref_cross_validate(*args)
+        assert cross_validate(*args) == expected, (a, b, grid)
+        missed += bool(expected.missed)
+        invalid += bool(expected.invalid)
+    assert missed >= 20 and invalid >= 20, (missed, invalid)
