@@ -22,9 +22,10 @@ the closure over every variable (the zone/DBM argument of Bengtsson & Yi,
 Every step only adds, subtracts and compares constants, so the cell stage
 runs on Python ints: build_systems reads the maximum matrix scaled by one
 common denominator per solve, every constant and offset is an int in units
-of 1/scale, and cells.solve turns the rows of the cells it keeps into
-Constraints with Fraction constants.  The functions here accept Fraction
-constants just as well.
+of 1/scale, and the cells that cells.solve keeps store their rows as ints
+too, each cell in its own lowest unit; a Constraint with a Fraction constant
+is only a view that a cell derives from one of its rows.  The functions here
+accept Fraction constants just as well.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ Row = tuple[int, int, "int | Fraction"]
 class Constraint:
     """Validated inequality x_plus - x_minus + constant <= 0.
 
-    The type of SolutionCell.constraints, built only for the cells a solve
-    keeps: plus != minus, and the constant is the Fraction value.
+    The type of SolutionCell.constraints, the view a cell derives from its
+    int rows: plus != minus, and the constant is the Fraction value.
     """
 
     plus: int

@@ -11,10 +11,12 @@ to -inf, parameterized assignments x_v = t_p + offset, and a canonical list
 of residual inequalities over the parameters.  The per-sequence work runs
 on int rows (plus, minus, constant).  Each solved sequence yields an int key
 in original coordinates; keys are deduplicated and sorted, and only then is
-a SolutionCell built per kept key, with its Fractions, Constraints and
-dimension bound (each distinct Fraction and Constraint is built once per
-solve).  Within one scenario, each row's part of the system is built once
-per pair and shared by the sequences that pick it.
+a SolutionCell built per kept key: its ints are divided by their gcd with
+the solve's scale, so that every cell holds its numbers in its own lowest
+unit and equal cells are equal whatever solve built them.  The cell's
+Fractions and Constraints are views derived from those ints on first use.
+Within one scenario, each row's part of the system is built once per pair
+and shared by the sequences that pick it.
 
 Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
@@ -53,7 +55,6 @@ from .core import (
     as_scalar,
     common_denominator,
     matvec_maxplus,
-    scaled,
     scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance
@@ -73,36 +74,32 @@ class SolutionCell:
     Every variable is either in neg_inf or has an assignment x_v = t_p + o
     with parameter p named after the smallest variable of its class.
     Constraints relate parameters and are satisfied by the all--inf point.
+    The numbers are ints in units of 1/scale, where scale is the lcm of the
+    cell's own denominators: assigned lists (v, param, offset) sorted by v,
+    rows lists (plus, minus, constant) in canonical order.  assignments and
+    constraints are the same numbers as Fractions and Constraints, built on
+    first use and cached outside the fields, so eq, hash and repr do not
+    see them.
     """
 
     win_sequence: WinSequence
     neg_inf: frozenset[int]
-    assignments: Mapping[int, tuple[int, Fraction]]
-    constraints: tuple[Constraint, ...]
+    scale: int
+    assigned: tuple[tuple[int, int, int], ...]
+    rows: tuple[Row, ...]
     dimension_bound: int
     num_vars: int
 
     def parameters(self) -> tuple[int, ...]:
-        return tuple(sorted({p for p, _ in self.assignments.values()}))
+        return tuple(sorted({p for _, p, _ in self.assigned}))
 
     @cached_property
-    def _ints(self) -> tuple[int, tuple[tuple[int, int, int], ...], tuple[Row, ...]]:
-        """(scale, assigned, rows): the cell's numbers as ints in units of 1/scale.
+    def assignments(self) -> Mapping[int, tuple[int, Fraction]]:
+        return {v: (p, Fraction(o, self.scale)) for v, p, o in self.assigned}
 
-        scale is the lcm of the denominators of the offsets and constants;
-        assigned lists (v, param, offset) in assignment order, rows lists
-        (plus, minus, constant) in constraint order.  Cached on the instance,
-        outside the dataclass fields, so eq, hash and repr do not see it.
-        """
-        scale = common_denominator(
-            [o for _, o in self.assignments.values()]
-            + [c.constant for c in self.constraints]
-        )
-        assigned = tuple(
-            (v, p, scaled(o, scale)) for v, (p, o) in self.assignments.items()
-        )
-        rows = tuple((c.plus, c.minus, scaled(c.constant, scale)) for c in self.constraints)
-        return scale, assigned, rows
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return tuple(Constraint(p, m, Fraction(c, self.scale)) for p, m, c in self.rows)
 
 
 @dataclass(frozen=True)
@@ -227,18 +224,6 @@ def _solve_sequence(
         return omega, pa, residue
 
 
-class _Fractions(dict):
-    """int -> Fraction(int, scale), built once per distinct int of a solve."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, value: int) -> Fraction:
-        frac = self[value] = Fraction(value, self.scale)
-        return frac
-
-
 def _cell_key(
     sequence: WinSequence,
     omega: set[int],
@@ -270,34 +255,25 @@ def _cell_key(
     )
 
 
-class _Constraints(dict):
-    """int row -> Constraint, built once per distinct row of a solve."""
-
-    def __init__(self, fractions: _Fractions):
-        super().__init__()
-        self.fractions = fractions
-
-    def __missing__(self, row: Row) -> Constraint:
-        plus, minus, constant = row
-        con = self[row] = Constraint(plus, minus, self.fractions[constant])
-        return con
-
-
 def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
     """Key of the cell where the alive variables are free and the rest -inf."""
     neg = tuple(sorted(set(range(num_vars)) - set(alive)))
     return ((), neg, tuple((v, v, 0) for v in alive), ())
 
 
-def _build_cell(key: tuple, num_vars: int, constraints: _Constraints) -> SolutionCell:
-    """The SolutionCell of a kept key: Fractions, Constraints and the dimension bound."""
+def _build_cell(key: tuple, num_vars: int, scale: int) -> SolutionCell:
+    """The SolutionCell of a kept key, its ints reduced to the cell's own scale."""
     sequence, neg, assigned, rows = key
-    fractions = constraints.fractions
+    g = math.gcd(scale, *(o for _, _, o in assigned), *(c for _, _, c in rows))
+    if g > 1:
+        assigned = tuple([(v, p, o // g) for v, p, o in assigned])
+        rows = tuple([(p, m, c // g) for p, m, c in rows])
     return SolutionCell(
         win_sequence=sequence,
         neg_inf=frozenset(neg),
-        assignments={v: (p, fractions[o]) for v, p, o in assigned},
-        constraints=tuple([constraints[row] for row in rows]),
+        scale=scale // g,
+        assigned=assigned,
+        rows=rows,
         dimension_bound=dimension_bound(sequence, num_vars),
         num_vars=num_vars,
     )
@@ -307,13 +283,10 @@ def geometric_key(cell: SolutionCell) -> tuple:
     """Identity of the point set a cell describes, whatever its win sequence.
 
     Two cells with equal keys have the same -inf set, the same assignments
-    and the same constraints (in canonical order).
+    and the same constraints (in canonical order): the key is the cell's
+    own fields, whose ints are in lowest terms.
     """
-    return (
-        tuple(sorted(cell.neg_inf)),
-        tuple(sorted((v, p, o) for v, (p, o) in cell.assignments.items())),
-        tuple((c.plus, c.minus, c.constant) for c in cell.constraints),
-    )
+    return (tuple(sorted(cell.neg_inf)), cell.scale, cell.assigned, cell.rows)
 
 
 def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
@@ -382,8 +355,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
                 stack.append(child)
 
     t0 = time.perf_counter()
-    constraints = _Constraints(_Fractions(scale))
-    cells = tuple(_build_cell(key, n, constraints) for key in sorted(keys))
+    cells = tuple(_build_cell(key, n, scale) for key in sorted(keys))
     t_cells += time.perf_counter() - t0
     if cells:
         forced_everywhere = frozenset.intersection(*(c.neg_inf for c in cells))
@@ -420,8 +392,7 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     for v in cell.neg_inf:
         if not isinstance(xs[v], NegInfinity):
             return False
-    scale, assigned, rows = cell._ints
-    unit = scale
+    scale = unit = cell.scale
     parts: list[tuple[int, int] | None] = []  # (numerator, denominator), None for -inf
     for val in xs:
         if isinstance(val, NegInfinity):
@@ -433,7 +404,7 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
             parts.append((val.numerator, den))
     factor = unit // scale
     values: dict[int, int | None] = {}
-    for v, param, offset in assigned:
+    for v, param, offset in cell.assigned:
         part = parts[v]
         t = None if part is None else part[0] * (unit // part[1]) - offset * factor
         if param in values:
@@ -441,7 +412,7 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
                 return False
         else:
             values[param] = t
-    for plus, minus, constant in rows:
+    for plus, minus, constant in cell.rows:
         tp = values[plus]
         if tp is None:
             continue
@@ -458,9 +429,9 @@ def _closed_dead_set(cell: SolutionCell, rng: Random, params: Sequence[int]) -> 
     changed = True
     while changed:
         changed = False
-        for c in cell.constraints:
-            if c.minus in dead and c.plus not in dead:
-                dead.add(c.plus)
+        for plus, minus, _ in cell.rows:
+            if minus in dead and plus not in dead:
+                dead.add(plus)
                 changed = True
     return dead
 
@@ -475,8 +446,8 @@ def _feasible_values(
     the difference constraints.  Draws are whole numbers, scaled by the
     cell's scale.
     """
-    scale, _, rows = cell._ints
-    active = [row for row in rows if row[0] in alive and row[1] in alive]
+    scale = cell.scale
+    active = [row for row in cell.rows if row[0] in alive and row[1] in alive]
     for _ in range(40):
         vals = {p: rng.randint(-box, box) * scale for p in alive}
         if all(vals[plus] - vals[minus] + c <= 0 for plus, minus, c in active):
@@ -524,16 +495,15 @@ def sample_cell(
     rng = Random(seed)
     box_int = max(1, int(box))
     params = cell.parameters()
-    scale, assigned, _ = cell._ints
     out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]
     while len(out) < count:
         dead = _closed_dead_set(cell, rng, params)
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box_int) if alive else {}
         point: list[Scalar] = [NEG_INF] * cell.num_vars
-        for v, param, offset in assigned:
+        for v, param, offset in cell.assigned:
             if param in dead:
                 continue
-            point[v] = Fraction(vals[param] + offset, scale)
+            point[v] = Fraction(vals[param] + offset, cell.scale)
         out.append(tuple(point))
     return out[:count]

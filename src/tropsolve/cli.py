@@ -6,9 +6,11 @@ hetero; a PinnedSolutionSet for eqb and affine, whose base is the
 SolutionSet of the homogenized system) together with the two-sided pair
 A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
 result; --check cross-validates the base result against that pair with the
-brute-force grid oracle; emit prints the result as text or JSON; --stats
-prints the base result's counters and timings.  All external indices are
-1-based; rationals serialize as strings so no consumer ever parses a float.
+brute-force grid oracle; emit prints the result as text or JSON, a plain
+result from its cells' ints (each distinct (int, scale) formatted once per
+call) and a pinned result from its Fractions; --stats prints the base
+result's counters and timings.  All external indices are 1-based;
+rationals serialize as strings so no consumer ever parses a float.
 
 Exit codes: 0 success, 1 parse error, 2 cross-validation failure, 3 the
 --check grid has more candidates than the oracle's cap.
@@ -35,6 +37,7 @@ from .core import (
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
+    PinnedCell,
     PinnedSolutionSet,
     eq_b_to_affine,
     hetero_to_homo,
@@ -85,11 +88,15 @@ def parse_instance(text: str) -> InstanceFile:
             continue
         if content.endswith(":") and content[:-1] in ("A", "B", "C", "D", "a", "b"):
             pending_block = content[:-1]
+            if pending_block in blocks:
+                raise ParseError(lineno, f"repeated block '{pending_block}:'")
             blocks[pending_block] = []
             continue
         if ":" in content and content.split(":", 1)[0] in ("problem", "m", "n", "s"):
             key, value = content.split(":", 1)
-            header[key.strip()] = value.strip()
+            if key in header:
+                raise ParseError(lineno, f"repeated header '{key}:'")
+            header[key] = value.strip()
             pending_block = None
             continue
         if pending_block is None:
@@ -193,70 +200,76 @@ def _shift(value: Fraction) -> str:
     return f" + {value}" if value > 0 else f" - {-value}"
 
 
-def _memo(fmt):
-    """fmt(value) computed once per distinct value object, for one emit call.
+def _scaled_text(fmt):
+    """A per-cell view of fmt(Fraction(value, scale)), memoized for one emit call.
 
-    Keyed on id(value): the memo holds every value it has formatted, so no
-    other object can take that id while the memo lives.  solve interns its
-    Fractions, so one distinct value of a solve is one object; hashing the
-    Fraction itself would cost more than str does.
+    Plain cells hold ints over a per-cell scale; the memo is keyed on
+    (value, scale), so each distinct number of the output is formatted once.
     """
-    memo: dict[int, tuple[object, str]] = {}
+    memo: dict[tuple[int, int], str] = {}
 
-    def formatted(value) -> str:
-        entry = memo.get(id(value))
-        if entry is None:
-            entry = memo[id(value)] = (value, fmt(value))
-        return entry[1]
+    def for_scale(scale: int):
+        def text(value: int) -> str:
+            key = (value, scale)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = fmt(Fraction(value, scale))
+            return out
 
-    return formatted
+        return text
 
-
-def _assignments_doc(assignments, text) -> dict:
-    return {
-        str(v + 1): {"param": p + 1, "offset": text(o)}
-        for v, (p, o) in sorted(assignments.items())
-    }
+    return for_scale
 
 
-def _constraints_doc(constraints, text) -> list:
+def _assignments_doc(assigned, text) -> dict:
+    return {str(v + 1): {"param": p + 1, "offset": text(o)} for v, p, o in assigned}
+
+
+def _constraints_doc(rows, text) -> list:
     return [
-        {"plus": c.plus + 1, "minus": c.minus + 1, "const": text(c.constant)}
-        for c in constraints
+        {"plus": plus + 1, "minus": minus + 1, "const": text(c)} for plus, minus, c in rows
     ]
+
+
+def _pinned_items(cell: PinnedCell) -> tuple[list, list]:
+    """A pinned cell's (v, param, offset) and (plus, minus, constant) as Fractions."""
+    assigned = [(v, p, o) for v, (p, o) in cell.assignments.items()]
+    rows = [(c.plus, c.minus, c.constant) for c in cell.constraints]
+    return assigned, rows
 
 
 def _cell_doc(cell: SolutionCell, text) -> dict:
     return {
         "win_sequence": [[p + 1, q + 1] for p, q in cell.win_sequence],
         "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-        "assignments": _assignments_doc(cell.assignments, text),
-        "constraints": _constraints_doc(cell.constraints, text),
+        "assignments": _assignments_doc(cell.assigned, text),
+        "constraints": _constraints_doc(cell.rows, text),
         "dimension_bound": cell.dimension_bound,
     }
 
 
-def _solution_doc(result: SolutionSet, text) -> dict:
+def _solution_doc(result: SolutionSet) -> dict:
+    texts = _scaled_text(str)
     return {
         "trivial_only": result.trivial_only,
         "p": result.win_sequence_count,
         "globally_forced": sorted(v + 1 for v in result.globally_forced),
-        "cells": [_cell_doc(c, text) for c in result.cells],
+        "cells": [_cell_doc(c, texts(c.scale)) for c in result.cells],
     }
 
 
-def _pinned_doc(result: PinnedSolutionSet, problem: str, text) -> dict:
-    cells = [
-        {
-            "fixed": {str(v + 1): text(c) for v, c in sorted(cell.fixed.items())},
+def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
+    cells = []
+    for cell in result.cells:
+        assigned, rows = _pinned_items(cell)
+        cells.append({
+            "fixed": {str(v + 1): str(c) for v, c in sorted(cell.fixed.items())},
             "neg_inf": sorted(v + 1 for v in cell.neg_inf),
-            "assignments": _assignments_doc(cell.assignments, text),
-            "lower": {str(p + 1): text(v) for p, v in sorted(cell.lower.items())},
-            "upper": {str(p + 1): text(v) for p, v in sorted(cell.upper.items())},
-            "constraints": _constraints_doc(cell.constraints, text),
-        }
-        for cell in result.cells
-    ]
+            "assignments": _assignments_doc(assigned, str),
+            "lower": {str(p + 1): str(v) for p, v in sorted(cell.lower.items())},
+            "upper": {str(p + 1): str(v) for p, v in sorted(cell.upper.items())},
+            "constraints": _constraints_doc(rows, str),
+        })
     return {
         "problem": problem,
         "p": result.base.win_sequence_count,
@@ -265,35 +278,31 @@ def _pinned_doc(result: PinnedSolutionSet, problem: str, text) -> dict:
     }
 
 
-def _variable_lines(num_vars: int, neg_inf, assignments, shift, fixed=()) -> list[str]:
-    lines = []
-    for v in range(num_vars):
-        if v in neg_inf:
-            lines.append(f"  x{v + 1} = -inf")
-        elif v in fixed:
-            lines.append(f"  x{v + 1} = {fixed[v]}")
-        else:
-            p, o = assignments[v]
-            lines.append(f"  x{v + 1} = t{p + 1}{shift(o)}")
-    return lines
+def _variable_lines(num_vars: int, neg_inf, fixed, assigned, shift) -> list[str]:
+    lines = {v: f"  x{v + 1} = -inf" for v in neg_inf}
+    lines.update((v, f"  x{v + 1} = {c}") for v, c in fixed.items())
+    lines.update((v, f"  x{v + 1} = t{p + 1}{shift(o)}") for v, p, o in assigned)
+    return [lines[v] for v in range(num_vars)]
 
 
-def _constraint_text(c, shift) -> str:
-    return f"t{c.plus + 1} - t{c.minus + 1}{shift(c.constant)} <= 0"
+def _constraint_text(row, shift) -> str:
+    plus, minus, c = row
+    return f"t{plus + 1} - t{minus + 1}{shift(c)} <= 0"
 
 
 def _cell_text(index: int, cell: SolutionCell, shift) -> list[str]:
     seq = " ".join(f"({p + 1},{q + 1})" for p, q in cell.win_sequence)
     lines = [f"cell {index}: win sequence {seq}".rstrip()]
-    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, cell.assignments, shift))
-    if cell.constraints:
+    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, {}, cell.assigned, shift))
+    if cell.rows:
         lines.append("  subject to:")
-        lines.extend(f"    {_constraint_text(c, shift)}" for c in cell.constraints)
+        lines.extend(f"    {_constraint_text(row, shift)}" for row in cell.rows)
     lines.append(f"  dimension bound: {cell.dimension_bound}")
     return lines
 
 
-def _solution_text(result: SolutionSet, shift) -> str:
+def _solution_text(result: SolutionSet) -> str:
+    shifts = _scaled_text(_shift)
     lines = [f"p: {result.win_sequence_count}"]
     if result.trivial_only:
         lines.append("trivial_only: true")
@@ -301,20 +310,19 @@ def _solution_text(result: SolutionSet, shift) -> str:
         forced = " ".join(f"x{v + 1}" for v in sorted(result.globally_forced))
         lines.append(f"forced to -inf everywhere: {forced}")
     for i, cell in enumerate(result.cells, start=1):
-        lines.extend(_cell_text(i, cell, shift))
+        lines.extend(_cell_text(i, cell, shifts(cell.scale)))
     return "\n".join(lines) + "\n"
 
 
-def _pinned_text(result: PinnedSolutionSet, problem: str, shift) -> str:
+def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
     lines = [f"problem: {problem}", f"p: {result.base.win_sequence_count}"]
     if not result.cells:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
+        assigned, rows = _pinned_items(cell)
         lines.append(f"cell {i}:")
         lines.extend(
-            _variable_lines(
-                cell.num_vars(), cell.neg_inf, cell.assignments, shift, cell.fixed
-            )
+            _variable_lines(cell.num_vars(), cell.neg_inf, cell.fixed, assigned, _shift)
         )
         for p in sorted(set(cell.lower) | set(cell.upper)):
             lo = cell.lower.get(p)
@@ -325,24 +333,27 @@ def _pinned_text(result: PinnedSolutionSet, problem: str, shift) -> str:
                 lines.append(f"  t{p + 1} >= {lo}")
             else:
                 lines.append(f"  t{p + 1} <= {hi}")
-        lines.extend(f"  {_constraint_text(c, shift)}" for c in cell.constraints)
+        lines.extend(f"  {_constraint_text(row, _shift)}" for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def emit(result, fmt: str = "text", problem: str = "affine") -> str:
     """Render a solution set (plain or pinned) as deterministic text or JSON.
 
-    problem names the mode of a pinned set (affine or eqb) in its output.
-    Each distinct value object is formatted once per call (_memo).
+    fmt is "text" or "json"; problem names the mode of a pinned set (affine
+    or eqb) in its output.  A plain set is rendered from its cells' ints, a
+    pinned set from its Fractions.
     """
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown format {fmt!r}: expected 'text' or 'json'")
     if isinstance(result, SolutionSet):
         if fmt == "json":
-            return _json(_solution_doc(result, _memo(str)))
-        return _solution_text(result, _memo(_shift))
+            return _json(_solution_doc(result))
+        return _solution_text(result)
     if isinstance(result, PinnedSolutionSet):
         if fmt == "json":
-            return _json(_pinned_doc(result, problem, _memo(str)))
-        return _pinned_text(result, problem, _memo(_shift))
+            return _json(_pinned_doc(result, problem))
+        return _pinned_text(result, problem)
     raise TypeError(f"cannot emit {type(result).__name__}")
 
 

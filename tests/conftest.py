@@ -11,9 +11,8 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import NEG_INF, Matrix
-from tropsolve.bivariate import Constraint
 from tropsolve.cells import SolutionCell, dimension_bound
-from tropsolve.core import common_denominator, scaled_entries
+from tropsolve.core import common_denominator, scaled, scaled_entries
 
 NI = "-inf"
 
@@ -85,15 +84,21 @@ def seq1(pairs):
 
 
 def make_cell(num_vars, assignments, constraints, neg_inf=(), win_sequence=()):
-    """Reference cell from 1-based (var, param, offset) and (plus, minus, const)."""
-    assign = {v - 1: (p - 1, Fraction(o)) for v, p, o in assignments}
-    cons = tuple(Constraint(p - 1, m - 1, Fraction(c)) for p, m, c in constraints)
+    """Reference cell from 1-based (var, param, offset) and (plus, minus, const).
+
+    The numbers may be ints, strings or Fractions; the cell holds them as
+    ints over the lcm of their denominators, as solve builds its cells.
+    """
+    assign = sorted((v - 1, p - 1, Fraction(o)) for v, p, o in assignments)
+    cons = [(p - 1, m - 1, Fraction(c)) for p, m, c in constraints]
+    scale = common_denominator([o for *_, o in assign] + [c for *_, c in cons])
     seq = seq0(win_sequence)
     return SolutionCell(
         win_sequence=seq,
         neg_inf=frozenset(v - 1 for v in neg_inf),
-        assignments=assign,
-        constraints=cons,
+        scale=scale,
+        assigned=tuple((v, p, scaled(o, scale)) for v, p, o in assign),
+        rows=tuple((p, m, scaled(c, scale)) for p, m, c in cons),
         dimension_bound=dimension_bound(seq, num_vars),
         num_vars=num_vars,
     )

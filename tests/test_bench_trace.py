@@ -61,6 +61,10 @@ def test_tracer_wraps_and_reaches_every_layer():
     assert all(getattr(sys.modules[module], attr) is fn
                for (module, attr), fn in originals.items())
     assert codes == [0] * len(INSTANCES)
+    # cells.built counts constructions through the module name SolutionCell:
+    # a construction that bypasses it would read 0 here
+    built = sum(1 for result in tracer.solve_results for cell in result.cells if cell.win_sequence)
+    assert tracer.counts["cells.built"] == built > 0
     _, _, calls = tracer.layer_times()
     missing = set(layers.expected_spans("cli")) - set(calls)
     assert not missing, f"layers never reached: {sorted(missing)}"

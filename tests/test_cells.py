@@ -1,10 +1,20 @@
+import math
 import random
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from conftest import NI, make_cell, planted_rows, running_reference_cells, scaled_pair, seq0, seq1
+from conftest import (
+    NI,
+    make_cell,
+    pair_scale,
+    planted_rows,
+    running_reference_cells,
+    scaled_pair,
+    seq0,
+    seq1,
+)
 from tropsolve import (
     NEG_INF,
     Matrix,
@@ -14,8 +24,9 @@ from tropsolve import (
     solve,
     verify_solution,
 )
+from tropsolve.bivariate import Constraint
 from tropsolve.cells import _solve_sequence, dimension_bound
-from tropsolve.core import DimensionMismatch
+from tropsolve.core import DimensionMismatch, common_denominator, scaled
 from tropsolve.preprocess import reduce_instance
 from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
 
@@ -107,11 +118,13 @@ def test_cell_membership_partial_neg_inf():
 def test_cached_int_view_is_not_part_of_the_cell():
     ref1, _ = running_reference_cells()
     twin, _ = running_reference_cells()
-    before = (repr(ref1), [f.name for f in fields(ref1)])
+    before = (repr(ref1), [f.name for f in fields(ref1)], hash(ref1))
     assert cell_membership(ref1, (5, -1, 6, 0))
     sample_cell(ref1, 5, seed=1)
-    assert ref1 == twin
-    assert (repr(ref1), [f.name for f in fields(ref1)]) == before
+    # the cached Fraction views are not fields either
+    assert ref1.assignments and ref1.constraints
+    assert ref1 == twin and hash(ref1) == hash(twin)
+    assert (repr(ref1), [f.name for f in fields(ref1)], hash(ref1)) == before
 
 
 def test_cell_membership_dimension_check():
@@ -247,21 +260,56 @@ def test_row_systems_do_not_outlive_a_scenario(running_example):
     assert _sequence_results(a, b, systems={}) == before
 
 
-def test_equal_constraints_are_one_object_per_solve():
-    rng = random.Random(41)
-    shared = 0
-    for _ in range(20):
-        a, b = (Matrix(rows, cols=6) for rows in planted_rows(rng, 3, 6))
-        first, again = solve(a, b), solve(a, b)
-        objects = {}
-        for cell in first.cells:
-            for c in cell.constraints:
-                key = (c.plus, c.minus, c.constant)
-                shared += key in objects
-                assert objects.setdefault(key, c) is c
-        # interned per solve: a second solve builds its own objects
-        assert all(
-            c is not objects[(c.plus, c.minus, c.constant)]
-            for cell in again.cells for c in cell.constraints
-        )
-    assert shared >= 50
+def _ints_from_views(cell):
+    """(scale, assigned, rows) recomputed from the Fraction views.
+
+    scale is the lcm of the views' denominators and the ints are over it,
+    as cells computed them before they stored their ints.
+    """
+    scale = common_denominator(
+        [o for _, o in cell.assignments.values()] + [c.constant for c in cell.constraints]
+    )
+    assigned = tuple((v, p, scaled(o, scale)) for v, (p, o) in cell.assignments.items())
+    rows = tuple((c.plus, c.minus, scaled(c.constant, scale)) for c in cell.constraints)
+    return scale, assigned, rows
+
+
+def _mixed_rows(rng, m, n, density):
+    """Rows over the denominators 1 to 6, each entry -inf with probability density."""
+    return [
+        [NEG_INF if rng.random() < density else Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+def test_cells_hold_their_ints_in_lowest_terms():
+    rng = random.Random(4300)
+    cells_seen = scaled_cells = reduced_cells = 0
+    for trial in range(160):
+        m, n = rng.randint(1, 4), rng.randint(2, 5)
+        if trial % 2:
+            a, b = planted_rows(rng, m, n)
+        else:
+            density = rng.choice([0.3, 0.5, 0.7])
+            a, b = _mixed_rows(rng, m, n, density), _mixed_rows(rng, m, n, density)
+        a, b = Matrix(a, cols=n), Matrix(b, cols=n)
+        for cell in solve(a, b).cells:
+            ints = [o for _, _, o in cell.assigned] + [c for _, _, c in cell.rows]
+            assert math.gcd(cell.scale, *ints) == 1
+            assert [v for v, _, _ in cell.assigned] == sorted({v for v, _, _ in cell.assigned})
+            assert cell.assignments == {
+                v: (p, Fraction(o, cell.scale)) for v, p, o in cell.assigned
+            }
+            assert cell.constraints == tuple(
+                Constraint(p, q, Fraction(c, cell.scale)) for p, q, c in cell.rows
+            )
+            assert _ints_from_views(cell) == (cell.scale, cell.assigned, cell.rows)
+            cells_seen += 1
+            scaled_cells += cell.scale > 1
+            reduced_cells += cell.scale < pair_scale(a, b)
+    # the family is not trivial: most cells need a scale, and many are in a
+    # smaller unit than the solve that built them
+    assert cells_seen >= 250
+    assert scaled_cells >= 200
+    assert reduced_cells >= 100

@@ -393,3 +393,41 @@ def test_run_oversized_check_grid_token_is_an_error(grid, tmp_path):
     assert proc.stderr.startswith("error: number token ")
     assert "MAX_TOKEN_DIGITS" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        ("problem: eq\nm: 1\nn: 2\nA:\n0 1\nB:\n1 0\nA:\n5 5\n", 8, "block 'A:'"),
+        ("problem: eq\nm: 1\nn: 2\nA:\n0 1\nA:\n1 0\nB:\n1 0\n", 6, "block 'A:'"),
+        ("problem: eq\nm: 1\nm: 2\nn: 2\nA:\n0 1\nB:\n1 0\n", 3, "header 'm:'"),
+        ("problem: eq\nm: 1\nn: 2\nA:\n0 1\nB:\n1 0\nproblem: leq\n", 8, "header 'problem:'"),
+        ("problem: eqb\nm: 1\nn: 2\nA:\n1 2\nb:\n3\nb:\n4\n", 8, "block 'b:'"),
+    ],
+    ids=["block-at-end", "block-twice-in-a-row", "header-m", "header-problem", "vector-block"],
+)
+def test_repeated_block_or_header_is_a_parse_error(text, line, what, monkeypatch, capsys):
+    import io
+
+    # a second block or header must not silently replace the first
+    with pytest.raises(ParseError, match=f"repeated {what}") as err:
+        parse_instance(text)
+    assert err.value.line == line
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"parse error: line {line}: repeated {what}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["yaml", "JSON", ""])
+def test_emit_rejects_an_unknown_format(fmt, running_example):
+    from tropsolve.reductions import AffineInstance, solve_affine
+    from tropsolve import Matrix
+
+    plain = solve(*running_example)
+    pinned = solve_affine(AffineInstance(Matrix([[0]]), Matrix([[0]]), (0,), (1,)))
+    for result in (plain, pinned):
+        with pytest.raises(ValueError, match="unknown format"):
+            emit(result, fmt)
+    assert emit(plain, "text") == emit(plain)

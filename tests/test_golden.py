@@ -35,7 +35,6 @@ import pytest
 import tropsolve.cells as cells_mod
 from conftest import pair_scale, planted_rows, random_rows
 from tropsolve import NEG_INF, Matrix, solve
-from tropsolve.cells import geometric_key
 from tropsolve.cli import run
 from tropsolve.core import common_denominator
 
@@ -269,11 +268,21 @@ def test_multi_scale_cases_mix_scales(monkeypatch):
     assert cells_seen >= 20
 
 
+def _fraction_key(cell):
+    """The cell's order key in Fractions, read from its views."""
+    return (
+        cell.win_sequence,
+        tuple(sorted(cell.neg_inf)),
+        tuple(sorted((v, p, o) for v, (p, o) in cell.assignments.items())),
+        tuple((c.plus, c.minus, c.constant) for c in cell.constraints),
+    )
+
+
 def test_multi_scale_cells_sorted_by_fraction_key():
     for a, b in multi_scale_pairs():
         n = len(a[0])
         cells = solve(Matrix(a, cols=n), Matrix(b, cols=n)).cells
-        keys = [(c.win_sequence, *geometric_key(c)) for c in cells]
+        keys = [_fraction_key(c) for c in cells]
         assert all(
             type(o) is Fraction for c in cells for _, o in c.assignments.values()
         )

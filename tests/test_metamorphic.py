@@ -91,6 +91,8 @@ def test_row_shift_leaves_cells_unchanged():
         base = solve(a, b)
         moved = solve(_map_rows(a, bump), _map_rows(b, bump))
         assert moved.cells == base.cells
+        # each cell is in its own lowest unit: equal cells hash equal too
+        assert [hash(c) for c in moved.cells] == [hash(c) for c in base.cells]
         assert moved.win_sequence_count == base.win_sequence_count
         assert emit(moved, "json") == emit(base, "json")
         cells_seen += len(base.cells)
