@@ -50,11 +50,9 @@ from .core import (
     NEG_INF,
     DimensionMismatch,
     Matrix,
-    NegInfinity,
     Scalar,
     as_scalar,
     common_denominator,
-    matvec_maxplus,
     scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance
@@ -128,11 +126,64 @@ class SolutionSet:
     stats: SolveStats | None = None
 
 
+def _ratios(x: Sequence) -> list[tuple[int, int] | None]:
+    """x's entries as (numerator, denominator), None for -inf.
+
+    Fractions and -inf are read as they are; every other entry goes through
+    as_scalar, so a float or bool raises TypeError and a bad token ValueError.
+    """
+    out: list[tuple[int, int] | None] = []
+    for v in x:
+        if v.__class__ is not Fraction and v is not NEG_INF:
+            v = as_scalar(v)
+        out.append(None if v is NEG_INF else v.as_integer_ratio())
+    return out
+
+
 def verify_solution(a: Matrix, b: Matrix, x: Sequence) -> bool:
-    """Direct check of the defining equation: both max-plus products agree."""
+    """Direct check of the defining equation: both max-plus products agree.
+
+    The check runs on ints.  Every term a_ij + x_j with both parts finite
+    is kept as two (numerator, denominator) pairs, the lcm of all their
+    denominators becomes the unit, and each row's two maxima are compared
+    as ints in it, with None for -inf.  The errors are those of evaluating
+    A (x) x: the shapes are checked first, then x's entries are coerced,
+    then its length.
+    """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("matrix shapes differ")
-    return matvec_maxplus(a, x) == matvec_maxplus(b, x)
+    parts = _ratios(x)
+    if len(parts) != a.cols:
+        raise DimensionMismatch(f"vector of length {len(parts)} against {a.cols} columns")
+    scale = 1
+    live: list[tuple[int, int, int]] = []  # (j, numerator, denominator) of finite x_j
+    for j, part in enumerate(parts):
+        if part is not None:
+            live.append((j, *part))
+            if scale % part[1]:
+                scale = math.lcm(scale, part[1])
+    sides: list[list[tuple[int, int, int, int]]] = []  # the rows of A, then of B
+    for matrix in (a, b):
+        for i in range(matrix.rows):
+            row = matrix.row(i)
+            terms = []
+            for j, xn, xd in live:
+                v = row[j]
+                if v is not NEG_INF:
+                    num, den = v.as_integer_ratio()
+                    if scale % den:
+                        scale = math.lcm(scale, den)
+                    terms.append((num, den, xn, xd))
+            sides.append(terms)
+    maxima: list[int | None] = []
+    for terms in sides:
+        best = None
+        for num, den, xn, xd in terms:
+            t = num * (scale // den) + xn * (scale // xd)
+            if best is None or t > best:
+                best = t
+        maxima.append(best)
+    return maxima[: a.rows] == maxima[a.rows :]
 
 
 def dimension_bound(sequence: Sequence[Pair], num_vars: int) -> int:
@@ -382,26 +433,20 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     parameter value; a constraint with -inf on its plus side holds, while
     -inf on the minus side demands the plus side be -inf as well.  The test
     runs on ints: x and the cell's numbers are scaled to one unit, the lcm
-    of the cell's scale and the denominators of x.
+    of the cell's scale and the denominators of x, on every call.
     """
-    xs = [as_scalar(v) for v in x]
-    if len(xs) != cell.num_vars:
+    parts = _ratios(x)
+    if len(parts) != cell.num_vars:
         raise DimensionMismatch(
-            f"vector of length {len(xs)} against {cell.num_vars} variables"
+            f"vector of length {len(parts)} against {cell.num_vars} variables"
         )
     for v in cell.neg_inf:
-        if not isinstance(xs[v], NegInfinity):
+        if parts[v] is not None:
             return False
     scale = unit = cell.scale
-    parts: list[tuple[int, int] | None] = []  # (numerator, denominator), None for -inf
-    for val in xs:
-        if isinstance(val, NegInfinity):
-            parts.append(None)
-        else:
-            den = val.denominator
-            if unit % den:
-                unit = math.lcm(unit, den)
-            parts.append((val.numerator, den))
+    for part in parts:
+        if part is not None and unit % part[1]:
+            unit = math.lcm(unit, part[1])
     factor = unit // scale
     values: dict[int, int | None] = {}
     for v, param, offset in cell.assigned:

@@ -8,7 +8,8 @@ A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
 result; --check cross-validates the base result against that pair with the
 brute-force grid oracle; emit prints the result as text or JSON, a plain
 result from its cells' ints (each distinct (int, scale) formatted once per
-call) and a pinned result from its Fractions; --stats prints the base
+call) and a pinned result from its Fractions, numbered without the pinned
+variable, as PinnedCell's vectors are; --stats prints the base
 result's counters and timings.  All external indices are 1-based;
 rationals serialize as strings so no consumer ever parses a float.
 
@@ -231,11 +232,26 @@ def _constraints_doc(rows, text) -> list:
     ]
 
 
-def _pinned_items(cell: PinnedCell) -> tuple[list, list]:
-    """A pinned cell's (v, param, offset) and (plus, minus, constant) as Fractions."""
-    assigned = [(v, p, o) for v, (p, o) in cell.assignments.items()]
-    rows = [(c.plus, c.minus, c.constant) for c in cell.constraints]
-    return assigned, rows
+def _pinned_items(cell: PinnedCell) -> tuple:
+    """A pinned cell's (neg_inf, fixed, assigned, lower, upper, rows), numbered as its vectors.
+
+    PinnedCell.contains and sample drop the pinned variable from their
+    vectors, so every variable and parameter index above it moves down by
+    one.  assigned holds (v, param, offset), rows (plus, minus, constant).
+    """
+    z = cell.pinned_var
+
+    def at(k: int) -> int:
+        return k - 1 if k > z else k
+
+    return (
+        {at(v) for v in cell.neg_inf},
+        {at(v): c for v, c in cell.fixed.items()},
+        [(at(v), at(p), o) for v, (p, o) in cell.assignments.items()],
+        {at(p): c for p, c in cell.lower.items()},
+        {at(p): c for p, c in cell.upper.items()},
+        [(at(c.plus), at(c.minus), c.constant) for c in cell.constraints],
+    )
 
 
 def _cell_doc(cell: SolutionCell, text) -> dict:
@@ -261,13 +277,13 @@ def _solution_doc(result: SolutionSet) -> dict:
 def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
     cells = []
     for cell in result.cells:
-        assigned, rows = _pinned_items(cell)
+        neg_inf, fixed, assigned, lower, upper, rows = _pinned_items(cell)
         cells.append({
-            "fixed": {str(v + 1): str(c) for v, c in sorted(cell.fixed.items())},
-            "neg_inf": sorted(v + 1 for v in cell.neg_inf),
+            "fixed": {str(v + 1): str(c) for v, c in sorted(fixed.items())},
+            "neg_inf": sorted(v + 1 for v in neg_inf),
             "assignments": _assignments_doc(assigned, str),
-            "lower": {str(p + 1): str(v) for p, v in sorted(cell.lower.items())},
-            "upper": {str(p + 1): str(v) for p, v in sorted(cell.upper.items())},
+            "lower": {str(p + 1): str(v) for p, v in sorted(lower.items())},
+            "upper": {str(p + 1): str(v) for p, v in sorted(upper.items())},
             "constraints": _constraints_doc(rows, str),
         })
     return {
@@ -319,14 +335,12 @@ def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
     if not result.cells:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
-        assigned, rows = _pinned_items(cell)
+        neg_inf, fixed, assigned, lower, upper, rows = _pinned_items(cell)
         lines.append(f"cell {i}:")
-        lines.extend(
-            _variable_lines(cell.num_vars(), cell.neg_inf, cell.fixed, assigned, _shift)
-        )
-        for p in sorted(set(cell.lower) | set(cell.upper)):
-            lo = cell.lower.get(p)
-            hi = cell.upper.get(p)
+        lines.extend(_variable_lines(cell.num_vars(), neg_inf, fixed, assigned, _shift))
+        for p in sorted(set(lower) | set(upper)):
+            lo = lower.get(p)
+            hi = upper.get(p)
             if lo is not None and hi is not None:
                 lines.append(f"  {lo} <= t{p + 1} <= {hi}")
             elif lo is not None:

@@ -1,8 +1,10 @@
 """Brute-force ground truth: enumerate a finite grid and test the equation.
 
-Deliberately independent of the solver pipeline; the only shared code is
-scalar/matrix arithmetic.  Candidates are drawn from the grid values plus
--inf in every coordinate, so solution faces reaching -inf are exercised.
+The grid enumeration is independent of the solver pipeline; it shares only
+scalar and matrix arithmetic with it.  Cross validation also takes three
+per-cell tools from cells: cell_membership, sample_cell and
+verify_solution.  Candidates are drawn from the grid values plus -inf in
+every coordinate, so solution faces reaching -inf are exercised.
 Enumeration runs on integers after clearing denominators, which is exact.
 
 grid_solutions searches depth first over the columns, in lexicographic
@@ -12,7 +14,15 @@ remaining columns can add (their largest entry of that side plus the largest
 grid value), still stays below its higher side.  The cut drops only
 candidates that fail, so the result is the full product's, in its order.
 The search keeps an explicit stack: no recursion, and no closure that
-refers to itself and leaves a reference cycle behind on every call.
+refers to itself and leaves a reference cycle behind on every call.  At the
+last column each grid value's completion is tested in place (every row's
+two sides must end equal) and appended, without a stack entry of its own.
+
+cross_validate tests each grid solution first against the cell that
+covered the previous covered one, then against the other cells in their
+order.  Solutions come in lexicographic order, so the next one usually lies
+in the same cell; coverage is a yes/no answer over all cells, so the
+misses are the same, in the same order, as for a scan of every cell.
 """
 
 from __future__ import annotations
@@ -117,14 +127,21 @@ def grid_solutions(
     start = (floor,) * a.rows
     # depth-first over columns; children are pushed in reverse so that they
     # pop in ascending order and the output stays lexicographic
-    stack: list[tuple[tuple[int, ...], Sequence[int], Sequence[int]]] = [((), start, start)]
+    stack: list[tuple[tuple[Scalar, ...], Sequence[int], Sequence[int]]] = [((), start, start)]
     while stack:
-        combo, left, right = stack.pop()
-        d = len(combo)
-        if d == n:
-            out.append(tuple(points[c] for c in combo))
-            continue
+        prefix, left, right = stack.pop()
+        d = len(prefix)
         a_col, b_col = a_terms[d], b_terms[d]
+        if d == n - 1:
+            # the last column: a completion solves the system when every
+            # row's two sides end equal, and solutions append in order
+            for c, point in enumerate(points):
+                for lv, rv, at, bt in zip(left, right, a_col[c], b_col[c]):
+                    if (at if at > lv else lv) != (bt if bt > rv else rv):
+                        break
+                else:
+                    out.append(prefix + (point,))
+            continue
         a_next, b_next = a_reach[d + 1], b_reach[d + 1]
         for c in reversed(range(len(points))):
             lft: list[int] = []
@@ -140,7 +157,7 @@ def grid_solutions(
                 lft.append(lv)
                 rgt.append(rv)
             else:
-                stack.append((combo + (c,), lft, rgt))
+                stack.append((prefix + (points[c],), lft, rgt))
     return out
 
 
@@ -183,11 +200,19 @@ def cross_validate(
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be at least 1")
     sols = grid_solutions(a, b, grid, cap=cap)
+    cells = solution_set.cells
     missed = []
+    hit = None  # the cell that covered the last covered point
     for x in sols:
         if all(isinstance(v, NegInfinity) for v in x):
             continue
-        if not any(cell_membership(cell, x) for cell in solution_set.cells):
+        if hit is not None and cell_membership(hit, x):
+            continue
+        for cell in cells:
+            if cell is not hit and cell_membership(cell, x):
+                hit = cell
+                break
+        else:
             missed.append(x)
     invalid = []
     total = 0

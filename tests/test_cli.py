@@ -1,13 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import tropsolve
-from tropsolve import emit, solve
+from conftest import planted_rows, random_rows
+from tropsolve import NEG_INF, emit, solve
 from tropsolve.cli import ParseError, format_instance, parse_instance, run
 
 RUNNING = """\
@@ -431,3 +434,75 @@ def test_emit_rejects_an_unknown_format(fmt, running_example):
         with pytest.raises(ValueError, match="unknown format"):
             emit(result, fmt)
     assert emit(plain, "text") == emit(plain)
+
+
+def _pinned_doc_admits(doc, y):
+    """Whether the rendered pinned cell, read as its 1-based text says, contains y."""
+    at = {k + 1: v for k, v in enumerate(y)}
+    named = [*doc["neg_inf"], *map(int, doc["fixed"]), *map(int, doc["assignments"])]
+    assert sorted(named) == sorted(at), (doc, y)
+    if any(at[k] is not NEG_INF for k in doc["neg_inf"]):
+        return False
+    for k, c in doc["fixed"].items():
+        if at[int(k)] != Fraction(c):
+            return False
+    params = {}
+    for k, item in doc["assignments"].items():
+        v = at[int(k)]
+        t = v if v is NEG_INF else v - Fraction(item["offset"])
+        if params.setdefault(item["param"], t) != t:
+            return False
+    live = {p: t for p, t in params.items() if t is not NEG_INF}
+    if any(int(p) not in live or live[int(p)] < Fraction(c) for p, c in doc["lower"].items()):
+        return False
+    if any(int(p) in live and live[int(p)] > Fraction(c) for p, c in doc["upper"].items()):
+        return False
+    for row in doc["constraints"]:
+        if row["plus"] in live and (
+            row["minus"] not in live
+            or live[row["plus"]] - live[row["minus"]] + Fraction(row["const"]) > 0
+        ):
+            return False
+    return True
+
+
+def test_emit_pinned_cells_in_the_coordinates_of_their_vectors():
+    from tropsolve import Matrix
+    from tropsolve.reductions import PinnedSolutionSet, pin_variable
+
+    base = solve(Matrix([[0, 1], [2, "-inf"]]), Matrix([[1, 0], ["-inf", 2]]))
+    pinned = PinnedSolutionSet(base, (pin_variable(base.cells[0], 0, 0),), 1)
+    assert json.loads(emit(pinned, "json"))["cells"][0]["fixed"] == {"1": "0"}
+    assert emit(pinned, "text") == "problem: affine\np: 1\ncell 1:\n  x1 = 0\n"
+
+    # every variable of every cell pinned in turn: the rendered cell names
+    # the coordinates of PinnedCell.sample's points and contains them
+    rng = random.Random(4711)
+    forced = ("-inf",) * 4  # the second row forces x4 to -inf in every cell
+    instances = [
+        parse_instance(RUNNING).matrices.values(),
+        (Matrix([[0, 1, 0, 2], [*forced[:3], 0]]), Matrix([[1, 0, "-inf", 0], forced])),
+    ]
+    for k in range(16):
+        m, n = rng.randint(1, 3), rng.randint(3, 4)
+        a, b = planted_rows(rng, m, n) if k % 2 else (random_rows(rng, m, n) for _ in "ab")
+        instances.append((Matrix(a), Matrix(b)))
+    seen = {"neg_inf": 0, "lower": 0, "upper": 0, "constraints": 0, "moved": 0}
+    for a, b in instances:
+        base = solve(a, b)
+        for cell in base.cells:
+            for var in range(cell.num_vars):
+                pc = pin_variable(cell, var, Fraction(1, 2))
+                if pc is None:
+                    continue
+                result = PinnedSolutionSet(base, (pc,), cell.num_vars - 1)
+                doc = json.loads(emit(result, "json"))["cells"][0]
+                text = emit(result, "text").splitlines()
+                names = [line.split(" = ")[0].strip() for line in text if " = " in line]
+                assert names == [f"x{k + 1}" for k in range(cell.num_vars - 1)]
+                for y in pc.sample(6, seed=var, box=4):
+                    assert _pinned_doc_admits(doc, y), (doc, y)
+                for key in ("neg_inf", "lower", "upper", "constraints"):
+                    seen[key] += bool(doc[key])
+                seen["moved"] += var < cell.num_vars - 1
+    assert all(seen.values()), seen

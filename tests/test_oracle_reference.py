@@ -1,10 +1,12 @@
 """The int oracle against the Fraction oracle it replaced, on seeded draws.
 
 The reference functions below are the product-loop grid enumeration, the
-Fraction membership rule, the Fraction sampler and the cross validation
-built from them, kept here as the definition the faster code must match:
-the same lists in the same order, the same booleans, the same points and
-the same reports, and the same exceptions with the same messages.
+Fraction membership rule, the Fraction sampler, the Fraction evaluation of
+both max-plus products and the cross validation built from them, which
+scans the cells in order for every grid point.  They are kept here as the
+definition the faster code must match: the same lists in the same order,
+the same booleans, the same points and the same reports, and the same
+exceptions with the same messages.
 """
 
 from __future__ import annotations
@@ -26,11 +28,15 @@ from tropsolve import (
     verify_solution,
 )
 from tropsolve.cells import SolutionSet
+import tropsolve.oracle as oracle_mod
 from tropsolve.core import (
     DimensionMismatch,
     NegInfinity,
+    TokenTooLarge,
     as_scalar,
+    as_vector,
     common_denominator,
+    odot,
     scaled,
     scaled_entries,
 )
@@ -193,6 +199,28 @@ def ref_sample_cell(cell, count, seed=0, box=10, fallbacks=None):
     return out[:count]
 
 
+def ref_matvec_maxplus(a, x):
+    xs = as_vector(x)
+    if len(xs) != a.cols:
+        raise DimensionMismatch(f"vector of length {len(xs)} against {a.cols} columns")
+    out = []
+    for i in range(a.rows):
+        row = a.row(i)
+        best = NEG_INF
+        for j in range(a.cols):
+            term = odot(row[j], xs[j])
+            if term > best:
+                best = term
+        out.append(best)
+    return tuple(out)
+
+
+def ref_verify_solution(a, b, x):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch("matrix shapes differ")
+    return ref_matvec_maxplus(a, x) == ref_matvec_maxplus(b, x)
+
+
 def ref_cross_validate(a, b, grid, solution_set, samples_per_cell=20, seed=0, box=10):
     sols = ref_grid_solutions(a, b, grid)
     missed = []
@@ -206,7 +234,7 @@ def ref_cross_validate(a, b, grid, solution_set, samples_per_cell=20, seed=0, bo
     for idx, cell in enumerate(solution_set.cells):
         for point in ref_sample_cell(cell, samples_per_cell, seed=seed + idx, box=box):
             total += 1
-            if not verify_solution(a, b, point):
+            if not ref_verify_solution(a, b, point):
                 invalid.append((idx, point))
     return CrossValidationReport(tuple(missed), tuple(invalid), len(sols), total)
 
@@ -358,10 +386,14 @@ def test_cell_membership_errors_match_the_fraction_rule():
         ("1/0", 0, 0),
         ("x", 0, 0),
         (0.5, 0),
+        (0, 0, 0, 0.5),
     ):
         got = _outcome(cell_membership, cell, x)
         assert got == _outcome(ref_cell_membership, cell, x), x
         assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError)
+    # every entry is coerced before the length is checked
+    for x in ((0.5, 0), (0, 0, 0, 0.5)):
+        assert _outcome(cell_membership, cell, x)[0] is TypeError
 
 
 def _sampled_cells(rng, count):
@@ -421,3 +453,143 @@ def test_cross_validate_matches_the_reference():
         missed += bool(expected.missed)
         invalid += bool(expected.invalid)
     assert missed >= 20 and invalid >= 20, (missed, invalid)
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def _spelled(rng, v):
+    """v as the CLI or a library caller may pass it: int, string or Fraction."""
+    if isinstance(v, NegInfinity):
+        return rng.choice([NEG_INF, "-inf"])
+    pick = rng.random()
+    if pick < 0.3 and v.denominator == 1:
+        return int(v)
+    return str(v) if pick < 0.6 else v
+
+
+def _side_max(row, x):
+    terms = [v + xj for v, xj in zip(row, x) if v is not NEG_INF and xj is not NEG_INF]
+    return max(terms, default=NEG_INF)
+
+
+def test_verify_solution_matches_the_fraction_products():
+    rng = random.Random(9500)
+    verdicts = {True: 0, False: 0}
+    all_neg_inf_rows = 0
+    for _ in range(3000):
+        m, n = _shape(rng)
+        p_inf = rng.choice([0, 0.2, 0.5])
+        a, b = (
+            [[NEG_INF if rng.random() < p_inf else _fraction(rng) for _ in range(n)] for _ in range(m)]
+            for _ in "ab"
+        )
+        for i in range(m):
+            if rng.random() < 0.15:
+                for side in rng.sample([a, b], rng.randint(1, 2)):
+                    side[i] = [NEG_INF] * n
+                all_neg_inf_rows += 1
+        x = [NEG_INF if rng.random() < p_inf else _fraction(rng) for _ in range(n)]
+        live = [j for j in range(n) if x[j] is not NEG_INF]
+        if live and rng.random() < 0.45:
+            # plant: one entry per row lifts the lower side to the higher one
+            for i in range(m):
+                sides = sorted([a[i], b[i]], key=lambda row: _side_max(row, x))
+                top = _side_max(sides[1], x)
+                if top is not NEG_INF:
+                    k = rng.choice(live)
+                    sides[0][k] = top - x[k]
+        args = (Matrix(a, cols=n), Matrix(b, cols=n), [_spelled(rng, v) for v in x])
+        expected = ref_verify_solution(*args)
+        assert verify_solution(*args) is expected, args
+        verdicts[expected] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+    assert all_neg_inf_rows >= 300
+
+
+def test_verify_solution_errors_match_the_fraction_products():
+    a = Matrix([[0, "1/2", "-inf"], [2, 1, 4]])
+    b = Matrix([["-inf", 1, 0], [2, "-inf", "1/3"]])
+    cases = [
+        (a, Matrix([[0, 1, 2]]), (0, 0, 0)),
+        (a, Matrix([[0, 1], [1, 2]]), (0, 0)),
+        (a, Matrix([[0, 1, 2]]), (0.5, 0, 0)),  # the shapes are checked first
+        (a, b, (0, 0)),
+        (a, b, (0, 0, 0, 0)),
+        (a, b, (0, 0.5, 0)),
+        (a, b, (0, 0.5)),  # the entries are coerced before the length is checked
+        (a, b, (True, 0, 0)),
+        (a, b, (0, 0, "x")),
+        (a, b, ("1/0", 0)),
+        (a, b, (0, "1" * 101, 0)),
+    ]
+    for args in cases:
+        got = _outcome(verify_solution, *args)
+        assert got == _outcome(ref_verify_solution, *args), args
+        assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError, TokenTooLarge)
+
+
+def _adversarial_orders(cells, cover):
+    """The cells reversed, duplicated, with the most covering cell last, and with each one dropped."""
+    most = max(range(len(cells)), key=cover.__getitem__)
+    yield cells[::-1]
+    yield cells + cells[::-1]
+    yield cells[:most] + cells[most + 1 :] + (cells[most],)
+    for k in range(len(cells)):
+        yield cells[:k] + cells[k + 1 :]
+
+
+def _misses_between_hits(sols, missed):
+    """How many misses have a covered point both before and after them."""
+    flags = [x in missed for x in sols if any(not isinstance(v, NegInfinity) for v in x)]
+    covered = [k for k, flag in enumerate(flags) if not flag]
+    return sum(flags[covered[0] : covered[-1]]) if covered else 0
+
+
+def test_cross_validate_matches_the_reference_in_adversarial_cell_orders():
+    rng = random.Random(9600)
+    orders = between = 0
+    while orders < 600:
+        m, n = _shape(rng)
+        a, b = _pair(rng, m, n)
+        result = solve(a, b)
+        if len(result.cells) < 2:
+            continue
+        grid = _grid(rng, n)
+        sols = ref_grid_solutions(a, b, grid)
+        cover = [sum(ref_cell_membership(cell, x) for x in sols) for cell in result.cells]
+        for cells in _adversarial_orders(result.cells, cover):
+            orders += 1
+            reordered = SolutionSet(cells, result.globally_forced, not cells, 0, n)
+            args = (a, b, grid, reordered, 2, orders, 4)
+            expected = ref_cross_validate(*args)
+            assert cross_validate(*args) == expected, (a, b, grid, cells)
+            between += _misses_between_hits(sols, set(expected.missed))
+    assert between >= 50, between
+
+
+def test_cross_validate_tests_the_last_covering_cell_first(
+    monkeypatch, running_example, empty_case_example, three_by_three_example, two_by_seven_example
+):
+    """Pinned membership-call counts on the README fixtures, below the per-cell scan's."""
+    calls = []
+    real = oracle_mod.cell_membership
+    monkeypatch.setattr(
+        oracle_mod, "cell_membership", lambda cell, x: calls.append(cell) or real(cell, x)
+    )
+    grid = GridSpec.of(range(-2, 3))
+    counts, scans = [], []
+    for a, b in (running_example, empty_case_example, three_by_three_example, two_by_seven_example):
+        result = solve(a, b)
+        calls.clear()
+        assert cross_validate(a, b, grid, result, samples_per_cell=1).ok
+        counts.append(len(calls))
+        scan = 0  # every cell in order, up to the first that covers the point
+        for x in grid_solutions(a, b, grid):
+            if any(not isinstance(v, NegInfinity) for v in x):
+                hits = [ref_cell_membership(cell, x) for cell in result.cells]
+                scan += hits.index(True) + 1 if True in hits else len(hits)
+        scans.append(scan)
+    assert counts == [14, 0, 5, 11892], counts
+    assert scans == [27, 0, 5, 40711], scans
