@@ -6,10 +6,10 @@ hetero; a PinnedSolutionSet for eqb and affine, whose base is the
 SolutionSet of the homogenized system) together with the two-sided pair
 A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
 result; --check cross-validates the base result against that pair with the
-brute-force grid oracle; emit prints the result as text or JSON, a plain
-result from its cells' ints (each distinct (int, scale) formatted once per
-call) and a pinned result from its Fractions, numbered without the pinned
-variable, as PinnedCell's vectors are; --stats prints the base
+brute-force grid oracle; emit prints the result as text or JSON from its
+cells' ints (each distinct (int, scale) formatted once per call), plain
+and pinned cells through the same helpers, a pinned cell numbered as its
+vectors are (without the pinned variable); --stats prints the base
 result's counters and timings.  All external indices are 1-based;
 rationals serialize as strings so no consumer ever parses a float.
 
@@ -38,7 +38,6 @@ from .core import (
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
     AffineInstance,
-    PinnedCell,
     PinnedSolutionSet,
     eq_b_to_affine,
     hetero_to_homo,
@@ -204,7 +203,7 @@ def _shift(value: Fraction) -> str:
 def _scaled_text(fmt):
     """A per-cell view of fmt(Fraction(value, scale)), memoized for one emit call.
 
-    Plain cells hold ints over a per-cell scale; the memo is keyed on
+    Cells hold ints over a per-cell scale; the memo is keyed on
     (value, scale), so each distinct number of the output is formatted once.
     """
     memo: dict[tuple[int, int], str] = {}
@@ -226,32 +225,14 @@ def _assignments_doc(assigned, text) -> dict:
     return {str(v + 1): {"param": p + 1, "offset": text(o)} for v, p, o in assigned}
 
 
+def _values_doc(pairs, text) -> dict:
+    return {str(k + 1): text(c) for k, c in pairs}
+
+
 def _constraints_doc(rows, text) -> list:
     return [
         {"plus": plus + 1, "minus": minus + 1, "const": text(c)} for plus, minus, c in rows
     ]
-
-
-def _pinned_items(cell: PinnedCell) -> tuple:
-    """A pinned cell's (neg_inf, fixed, assigned, lower, upper, rows), numbered as its vectors.
-
-    PinnedCell.contains and sample drop the pinned variable from their
-    vectors, so every variable and parameter index above it moves down by
-    one.  assigned holds (v, param, offset), rows (plus, minus, constant).
-    """
-    z = cell.pinned_var
-
-    def at(k: int) -> int:
-        return k - 1 if k > z else k
-
-    return (
-        {at(v) for v in cell.neg_inf},
-        {at(v): c for v, c in cell.fixed.items()},
-        [(at(v), at(p), o) for v, (p, o) in cell.assignments.items()],
-        {at(p): c for p, c in cell.lower.items()},
-        {at(p): c for p, c in cell.upper.items()},
-        [(at(c.plus), at(c.minus), c.constant) for c in cell.constraints],
-    )
 
 
 def _cell_doc(cell: SolutionCell, text) -> dict:
@@ -275,16 +256,17 @@ def _solution_doc(result: SolutionSet) -> dict:
 
 
 def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
+    texts = _scaled_text(str)
     cells = []
     for cell in result.cells:
-        neg_inf, fixed, assigned, lower, upper, rows = _pinned_items(cell)
+        text = texts(cell.scale)
         cells.append({
-            "fixed": {str(v + 1): str(c) for v, c in sorted(fixed.items())},
-            "neg_inf": sorted(v + 1 for v in neg_inf),
-            "assignments": _assignments_doc(assigned, str),
-            "lower": {str(p + 1): str(v) for p, v in sorted(lower.items())},
-            "upper": {str(p + 1): str(v) for p, v in sorted(upper.items())},
-            "constraints": _constraints_doc(rows, str),
+            "fixed": _values_doc(cell.fixed, text),
+            "neg_inf": sorted(v + 1 for v in cell.neg_inf),
+            "assignments": _assignments_doc(cell.assigned, text),
+            "lower": _values_doc(cell.lower, text),
+            "upper": _values_doc(cell.upper, text),
+            "constraints": _constraints_doc(cell.rows, text),
         })
     return {
         "problem": problem,
@@ -296,7 +278,7 @@ def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
 
 def _variable_lines(num_vars: int, neg_inf, fixed, assigned, shift) -> list[str]:
     lines = {v: f"  x{v + 1} = -inf" for v in neg_inf}
-    lines.update((v, f"  x{v + 1} = {c}") for v, c in fixed.items())
+    lines.update((v, f"  x{v + 1} = {c}") for v, c in fixed)
     lines.update((v, f"  x{v + 1} = t{p + 1}{shift(o)}") for v, p, o in assigned)
     return [lines[v] for v in range(num_vars)]
 
@@ -309,7 +291,7 @@ def _constraint_text(row, shift) -> str:
 def _cell_text(index: int, cell: SolutionCell, shift) -> list[str]:
     seq = " ".join(f"({p + 1},{q + 1})" for p, q in cell.win_sequence)
     lines = [f"cell {index}: win sequence {seq}".rstrip()]
-    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, {}, cell.assigned, shift))
+    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, (), cell.assigned, shift))
     if cell.rows:
         lines.append("  subject to:")
         lines.extend(f"    {_constraint_text(row, shift)}" for row in cell.rows)
@@ -331,23 +313,26 @@ def _solution_text(result: SolutionSet) -> str:
 
 
 def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
+    texts, shifts = _scaled_text(str), _scaled_text(_shift)
     lines = [f"problem: {problem}", f"p: {result.base.win_sequence_count}"]
     if not result.cells:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
-        neg_inf, fixed, assigned, lower, upper, rows = _pinned_items(cell)
+        text, shift = texts(cell.scale), shifts(cell.scale)
+        fixed = [(v, text(c)) for v, c in cell.fixed]
         lines.append(f"cell {i}:")
-        lines.extend(_variable_lines(cell.num_vars(), neg_inf, fixed, assigned, _shift))
-        for p in sorted(set(lower) | set(upper)):
-            lo = lower.get(p)
-            hi = upper.get(p)
+        lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, fixed, cell.assigned, shift))
+        lower = {p: text(b) for p, b in cell.lower}
+        upper = {p: text(b) for p, b in cell.upper}
+        for p in sorted(lower.keys() | upper.keys()):
+            lo, hi = lower.get(p), upper.get(p)
             if lo is not None and hi is not None:
                 lines.append(f"  {lo} <= t{p + 1} <= {hi}")
             elif lo is not None:
                 lines.append(f"  t{p + 1} >= {lo}")
             else:
                 lines.append(f"  t{p + 1} <= {hi}")
-        lines.extend(f"  {_constraint_text(row, _shift)}" for row in rows)
+        lines.extend(f"  {_constraint_text(row, shift)}" for row in cell.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -355,8 +340,7 @@ def emit(result, fmt: str = "text", problem: str = "affine") -> str:
     """Render a solution set (plain or pinned) as deterministic text or JSON.
 
     fmt is "text" or "json"; problem names the mode of a pinned set (affine
-    or eqb) in its output.  A plain set is rendered from its cells' ints, a
-    pinned set from its Fractions.
+    or eqb) in its output.  Both kinds are rendered from their cells' ints.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}: expected 'text' or 'json'")

@@ -3,15 +3,17 @@
 One-sided inequalities reduce to equalities by folding the maximum into one
 side; systems with separate unknown blocks concatenate into a single block;
 affine systems gain a homogenizing variable that is pinned to zero in every
-cell afterwards.  Residuation (the principal solution of A (x) x <= b for a
-real A) is computed directly in closed form, x#_j = min_i (b_i - a_ij).
+cell afterwards, on the cell's ints.  Residuation (the principal solution
+of A (x) x <= b for a real A) is computed directly in closed form,
+x#_j = min_i (b_i - a_ij).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cells import (
     SolutionCell,
@@ -20,7 +22,7 @@ from .cells import (
     sample_cell,
     solve,
 )
-from .bivariate import Constraint
+from .bivariate import Row
 from .preprocess import maximum_matrix
 from .core import (
     NEG_INF,
@@ -104,28 +106,30 @@ class PinnedCell:
 
     Variables sharing the pinned parameter become fixed constants; parameters
     constrained against it acquire scalar bounds (a lower bound excludes
-    -inf).  Membership and sampling are expressed over the remaining
-    variables (the pinned one is dropped from vectors).
+    -inf).  Indices are those of the cell's vectors, which drop the pinned
+    variable; numbers are ints in units of 1/scale, the lcm of the base
+    cell's scale and the pinned value's denominator: fixed holds (v, value),
+    assigned (v, param, offset), lower and upper (param, bound), rows
+    (plus, minus, constant).
     """
 
     base: SolutionCell
     pinned_var: int
     pinned_value: Fraction
+    num_vars: int
     neg_inf: frozenset[int]
-    fixed: Mapping[int, Fraction]
-    assignments: Mapping[int, tuple[int, Fraction]]
-    constraints: tuple[Constraint, ...]
-    lower: Mapping[int, Fraction]
-    upper: Mapping[int, Fraction]
-
-    def num_vars(self) -> int:
-        return self.base.num_vars - 1
+    scale: int
+    fixed: tuple[tuple[int, int], ...]
+    assigned: tuple[tuple[int, int, int], ...]
+    lower: tuple[tuple[int, int], ...]
+    upper: tuple[tuple[int, int], ...]
+    rows: tuple[Row, ...]
 
     def _embed(self, x: Sequence) -> list:
         xs = list(x)
-        if len(xs) != self.num_vars():
+        if len(xs) != self.num_vars:
             raise DimensionMismatch(
-                f"vector of length {len(xs)} against {self.num_vars()} variables"
+                f"vector of length {len(xs)} against {self.num_vars} variables"
             )
         xs.insert(self.pinned_var, self.pinned_value)
         return xs
@@ -135,37 +139,36 @@ class PinnedCell:
 
     def contains_by_view(self, x: Sequence) -> bool:
         """Same predicate, evaluated on the specialized fields (cross-check)."""
-        full = [as_scalar(v) for v in self._embed(x)]
+        xs = [as_scalar(v) for v in self._embed(x)]
+        del xs[self.pinned_var]  # numbered as the fields are
+        unit = Fraction(1, self.scale)
         for v in self.neg_inf:
-            if not isinstance(full[v], NegInfinity):
+            if not isinstance(xs[v], NegInfinity):
                 return False
-        for v, value in self.fixed.items():
-            if full[v] != value:
+        for v, value in self.fixed:
+            if xs[v] != value * unit:
                 return False
         values: dict[int, Scalar] = {}
-        for v, (param, offset) in self.assignments.items():
-            val = full[v]
-            t = val if isinstance(val, NegInfinity) else val - offset
-            if param in values:
-                if values[param] != t:
-                    return False
-            else:
-                values[param] = t
-        for param, bound in self.lower.items():
-            t = values[param]
-            if isinstance(t, NegInfinity) or t < bound:
+        for v, param, offset in self.assigned:
+            val = xs[v]
+            t = val if isinstance(val, NegInfinity) else val - offset * unit
+            if values.setdefault(param, t) != t:
                 return False
-        for param, bound in self.upper.items():
+        for param, bound in self.lower:
             t = values[param]
-            if not isinstance(t, NegInfinity) and t > bound:
+            if isinstance(t, NegInfinity) or t < bound * unit:
                 return False
-        for c in self.constraints:
-            tp, tm = values[c.plus], values[c.minus]
+        for param, bound in self.upper:
+            t = values[param]
+            if not isinstance(t, NegInfinity) and t > bound * unit:
+                return False
+        for plus, minus, constant in self.rows:
+            tp, tm = values[plus], values[minus]
             if isinstance(tp, NegInfinity):
                 continue
             if isinstance(tm, NegInfinity):
                 return False
-            if tp - tm + c.constant > 0:
+            if tp - tm + constant * unit > 0:
                 return False
         return True
 
@@ -199,45 +202,55 @@ class PinnedCell:
 
 
 def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
-    """Specialize a cell by fixing one variable; None if the cell forces it to -inf."""
+    """Specialize a cell by fixing one variable; None if the cell forces it to -inf.
+
+    value goes through as_scalar (a float or bool raises TypeError) and must
+    be finite; var must index one of the cell's variables.
+    """
+    val = as_scalar(value)
+    if isinstance(val, NegInfinity):
+        raise UndefinedOperation("cannot pin a variable to -inf")
+    if not 0 <= var < cell.num_vars:
+        raise DimensionMismatch(f"variable {var} outside a cell of {cell.num_vars} variables")
     if var in cell.neg_inf:
         return None
-    val = Fraction(value)
-    param0, off0 = cell.assignments[var]
-    t0 = val - off0
-    fixed: dict[int, Fraction] = {}
-    assignments: dict[int, tuple[int, Fraction]] = {}
-    for v, (param, offset) in cell.assignments.items():
-        if v == var:
-            continue
-        if param == param0:
-            fixed[v] = t0 + offset
+    scale = math.lcm(cell.scale, val.denominator)
+    factor = scale // cell.scale
+    _, param0, off0 = next(entry for entry in cell.assigned if entry[0] == var)
+    t0 = val.numerator * (scale // val.denominator) - off0 * factor
+
+    def at(k: int) -> int:
+        return k - 1 if k > var else k
+
+    fixed, assigned, rows = [], [], []
+    for v, param, offset in cell.assigned:
+        if param != param0:
+            assigned.append((at(v), at(param), offset * factor))
+        elif v != var:
+            fixed.append((at(v), t0 + offset * factor))
+    lower, upper = {}, {}
+    for plus, minus, constant in cell.rows:
+        c = constant * factor
+        if plus == param0:
+            bound = t0 + c
+            lower[minus] = max(lower.get(minus, bound), bound)
+        elif minus == param0:
+            bound = t0 - c
+            upper[plus] = min(upper.get(plus, bound), bound)
         else:
-            assignments[v] = (param, offset)
-    lower: dict[int, Fraction] = {}
-    upper: dict[int, Fraction] = {}
-    constraints: list[Constraint] = []
-    for c in cell.constraints:
-        if c.plus == param0:
-            bound = t0 + c.constant
-            if c.minus not in lower or bound > lower[c.minus]:
-                lower[c.minus] = bound
-        elif c.minus == param0:
-            bound = t0 - c.constant
-            if c.plus not in upper or bound < upper[c.plus]:
-                upper[c.plus] = bound
-        else:
-            constraints.append(c)
+            rows.append((at(plus), at(minus), c))
     return PinnedCell(
         base=cell,
         pinned_var=var,
         pinned_value=val,
-        neg_inf=cell.neg_inf,
-        fixed=fixed,
-        assignments=assignments,
-        constraints=tuple(constraints),
-        lower=lower,
-        upper=upper,
+        num_vars=cell.num_vars - 1,
+        neg_inf=frozenset(at(v) for v in cell.neg_inf),
+        scale=scale,
+        fixed=tuple(fixed),
+        assigned=tuple(assigned),
+        lower=tuple(sorted((at(p), b) for p, b in lower.items())),
+        upper=tuple(sorted((at(p), b) for p, b in upper.items())),
+        rows=tuple(rows),
     )
 
 

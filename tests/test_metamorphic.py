@@ -10,8 +10,9 @@ closed under componentwise max and under adding one scalar to every finite
 coordinate.  Permuting the rows, or swapping A and B, leaves the system and
 so its solution set unchanged: the cells may come in another order and with
 other win sequences, but the set of their geometric keys and the number p of
-win sequences stay the same.  (Permuting columns renames the parameters, so
-it is not compared here.)
+win sequences stay the same.  Permuting the columns renames the variables:
+mapped back, with each class based on its smallest variable, the cells
+give the same set of keys, and p stays the same.
 """
 
 from __future__ import annotations
@@ -148,3 +149,47 @@ def test_row_permutation_and_side_swap_keep_the_cells(swap):
         assert _geometry(Matrix(a2, cols=n), Matrix(b2, cols=n)) == (p, keys), (a, b)
         cells_seen += len(keys)
     assert cells_seen >= 300  # the family is not trivial
+
+
+def _renamed_key(cell, names):
+    """The cell's point set with variable v renamed names[v], as a canonical key.
+
+    A parameter is renamed after the smallest renamed variable of its class,
+    and the class's offsets and the constants of its rows are shifted by that
+    variable's offset, so the key does not depend on which variable solve
+    named the class after.  The numbers are Fractions, sorted.
+    """
+    unit = Fraction(1, cell.scale)
+    base = {}  # param -> (renamed representative, its offset)
+    for v, p, o in cell.assigned:
+        base[p] = min(base.get(p, (names[v], o)), (names[v], o))
+    assigned = sorted((names[v], base[p][0], (o - base[p][1]) * unit) for v, p, o in cell.assigned)
+    rows = sorted(
+        (base[plus][0], base[minus][0], (c - base[plus][1] + base[minus][1]) * unit)
+        for plus, minus, c in cell.rows
+    )
+    return tuple(sorted(names[v] for v in cell.neg_inf)), tuple(assigned), tuple(rows)
+
+
+def test_column_permutation_renames_the_cells():
+    rng = random.Random(4500)
+    cells_seen = moved = 0
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        a, b = (
+            [[rng.choice(REORDER_VALUES) for _ in range(n)] for _ in range(m)]
+            for _ in range(2)
+        )
+        order = rng.sample(range(n), n)  # column k of the permuted pair is column order[k]
+        base = solve(Matrix(a, cols=n), Matrix(b, cols=n))
+        permuted = solve(
+            Matrix([[row[j] for j in order] for row in a], cols=n),
+            Matrix([[row[j] for j in order] for row in b], cols=n),
+        )
+        identity = list(range(n))
+        keys = {_renamed_key(cell, identity) for cell in base.cells}
+        assert permuted.win_sequence_count == base.win_sequence_count, (a, b, order)
+        assert {_renamed_key(cell, order) for cell in permuted.cells} == keys, (a, b, order)
+        cells_seen += len(keys)
+        moved += order != identity and bool(keys)
+    assert cells_seen >= 300 and moved >= 100  # the family is not trivial

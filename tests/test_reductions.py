@@ -191,6 +191,39 @@ def test_pin_variable_view_matches_base(running_example):
             assert pc.contains(x) and pc.contains_by_view(x)
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False], ids=repr)
+def test_pin_variable_rejects_inexact_values(running_example, value):
+    cell = solve(*running_example).cells[0]
+    with pytest.raises(TypeError):
+        pin_variable(cell, 3, value)
+
+
+@pytest.mark.parametrize("value", [NEG_INF, "-inf"], ids=repr)
+def test_pin_variable_rejects_neg_inf(running_example, value):
+    cell = solve(*running_example).cells[0]
+    with pytest.raises(UndefinedOperation):
+        pin_variable(cell, 3, value)
+
+
+@pytest.mark.parametrize("var", [-1, 4, 9])
+def test_pin_variable_rejects_a_variable_outside_the_cell(running_example, var):
+    cell = solve(*running_example).cells[0]
+    with pytest.raises(DimensionMismatch):
+        pin_variable(cell, var, 0)
+
+
+def test_pin_variable_reads_value_tokens_and_skips_forced_variables():
+    cell = solve(Matrix([[0, NI]]), Matrix([[0, 0]])).cells[0]  # x2 <= x1
+    pc = pin_variable(cell, 0, "-7/4")
+    assert pc.pinned_value == Fraction(-7, 4) and pc.scale == 4
+    assert (pc.num_vars, pc.fixed, pc.assigned) == (1, (), ((0, 0, 0),))
+    assert (pc.lower, pc.upper, pc.rows) == ((), ((0, -7),), ())
+    forced = solve(Matrix([[0, NI]]), Matrix([[1, NI]])).cells[0]  # x1 = -inf
+    assert forced.neg_inf == {0}
+    assert pin_variable(forced, 0, 0) is None
+    assert pin_variable(forced, 1, 0).neg_inf == {0}
+
+
 def test_principal_solution_cases():
     assert principal_solution(Matrix([[1, 2]]), (3,)) == (2, 1)
     assert principal_solution(Matrix([[0, 0]]), (0,)) == (0, 0)
