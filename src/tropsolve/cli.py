@@ -13,6 +13,10 @@ vectors are (without the pinned variable); --stats prints the base
 result's counters and timings.  All external indices are 1-based;
 rationals serialize as strings so no consumer ever parses a float.
 
+The argument parser is built once, when the module is imported, so run
+can be called again and again in one process at no fixed cost per call
+beyond parsing its arguments; it leaves no cyclic garbage behind.
+
 Exit codes: 0 success, 1 parse error, 2 cross-validation failure, 3 the
 --check grid has more candidates than the oracle's cap.
 """
@@ -255,7 +259,7 @@ def _solution_doc(result: SolutionSet) -> dict:
     }
 
 
-def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
+def _pinned_doc(result: PinnedSolutionSet) -> dict:
     texts = _scaled_text(str)
     cells = []
     for cell in result.cells:
@@ -269,7 +273,7 @@ def _pinned_doc(result: PinnedSolutionSet, problem: str) -> dict:
             "constraints": _constraints_doc(cell.rows, text),
         })
     return {
-        "problem": problem,
+        "problem": result.problem,
         "p": result.base.win_sequence_count,
         "no_solution": not result.cells,
         "cells": cells,
@@ -312,9 +316,9 @@ def _solution_text(result: SolutionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
+def _pinned_text(result: PinnedSolutionSet) -> str:
     texts, shifts = _scaled_text(str), _scaled_text(_shift)
-    lines = [f"problem: {problem}", f"p: {result.base.win_sequence_count}"]
+    lines = [f"problem: {result.problem}", f"p: {result.base.win_sequence_count}"]
     if not result.cells:
         lines.append("no solution")
     for i, cell in enumerate(result.cells, start=1):
@@ -336,11 +340,11 @@ def _pinned_text(result: PinnedSolutionSet, problem: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(result, fmt: str = "text", problem: str = "affine") -> str:
+def emit(result, fmt: str = "text") -> str:
     """Render a solution set (plain or pinned) as deterministic text or JSON.
 
-    fmt is "text" or "json"; problem names the mode of a pinned set (affine
-    or eqb) in its output.  Both kinds are rendered from their cells' ints.
+    fmt is "text" or "json"; a pinned set names its own mode (affine or
+    eqb).  Both kinds are rendered from their cells' ints.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}: expected 'text' or 'json'")
@@ -350,8 +354,8 @@ def emit(result, fmt: str = "text", problem: str = "affine") -> str:
         return _solution_text(result)
     if isinstance(result, PinnedSolutionSet):
         if fmt == "json":
-            return _json(_pinned_doc(result, problem))
-        return _pinned_text(result, problem)
+            return _json(_pinned_doc(result))
+        return _pinned_text(result)
     raise TypeError(f"cannot emit {type(result).__name__}")
 
 
@@ -377,13 +381,21 @@ def _parse_grid(option: str) -> GridSpec:
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         raise ValueError("--check grid needs at least one value")
-    for t in tokens:
-        _check_token_size(t)  # TokenTooLarge is a ValueError, before any Fraction
     try:
-        values = [Fraction(t) for t in tokens]
-    except ZeroDivisionError:
-        raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
-    return GridSpec.of(values)
+        return GridSpec.of(tokens)
+    except ValueError:
+        # a bad value reports what it always has: the first oversized token
+        # (TokenTooLarge), else the first token that Fraction rejects
+        for t in tokens:
+            _check_token_size(t)
+        for t in tokens:
+            try:
+                Fraction(t)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"--check grid has a value with a zero denominator: {option!r}"
+                ) from None
+        raise
 
 
 def _solve(inst: InstanceFile):
@@ -405,7 +417,7 @@ def _solve(inst: InstanceFile):
     return solve_affine(affine, collect_stats=True), homogenize_affine(affine)
 
 
-def run(argv: list[str] | None = None) -> int:
+def _argument_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropsolve",
         description="Exact cell decomposition of two-sided max-plus linear systems.",
@@ -416,7 +428,16 @@ def run(argv: list[str] | None = None) -> int:
     parser.add_argument("--dedupe", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--stats", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once: parse_args leaves the parser as it found it, and each call
+# gets a fresh Namespace, so no option carries over from one run to the next.
+_PARSER = _argument_parser()
+
+
+def run(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     if args.input == "-":
         text = sys.stdin.read()
@@ -464,7 +485,7 @@ def run(argv: list[str] | None = None) -> int:
         if not report.ok:
             exit_code = 2
 
-    sys.stdout.write(emit(result, args.format, inst.problem))
+    sys.stdout.write(emit(result, args.format))
 
     if args.stats:
         payload = {

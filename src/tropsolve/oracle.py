@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .cells import SolutionSet, cell_membership, sample_cell, verify_solution
@@ -36,9 +37,9 @@ from .core import (
     NEG_INF,
     DimensionMismatch,
     Matrix,
-    NegInfinity,
     Scalar,
     TropicalError,
+    as_scalar,
     common_denominator,
     scaled,
     scaled_entries,
@@ -64,7 +65,17 @@ class GridSpec:
 
     @classmethod
     def of(cls, values: Sequence) -> "GridSpec":
-        return cls(tuple(sorted(Fraction(v) for v in set(values))))
+        """The grid of the given values, in any order, repeats allowed.
+
+        Each value goes through as_scalar once: a float or bool raises
+        TypeError, a bad token ValueError, and so does -inf, which the grid
+        adds by itself (include_neg_inf).  Equal values collapse into one,
+        however they are spelled.
+        """
+        points = sorted(map(as_scalar, values))  # -inf sorts first
+        if points and points[0] is NEG_INF:
+            raise ValueError("grid values must be finite: -inf is a grid point already")
+        return cls(tuple(v for i, v in enumerate(points) if i == 0 or v != points[i - 1]))
 
     def points(self) -> tuple[Scalar, ...]:
         if self.include_neg_inf:
@@ -201,11 +212,12 @@ def cross_validate(
         raise ValueError("samples_per_cell must be at least 1")
     sols = grid_solutions(a, b, grid, cap=cap)
     cells = solution_set.cells
+    # -inf is the least grid point, so only the first solution can be the
+    # all -inf one, which counts as covered
+    start = 1 if sols and all(v is NEG_INF for v in sols[0]) else 0
     missed = []
     hit = None  # the cell that covered the last covered point
-    for x in sols:
-        if all(isinstance(v, NegInfinity) for v in x):
-            continue
+    for x in islice(sols, start, None):
         if hit is not None and cell_membership(hit, x):
             continue
         for cell in cells:

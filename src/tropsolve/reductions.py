@@ -11,7 +11,7 @@ x#_j = min_i (b_i - a_ij).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -256,11 +256,15 @@ def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
 
 @dataclass(frozen=True)
 class PinnedSolutionSet:
-    """Solution set of an affine problem: base cells with the homogenizer at 0."""
+    """Solution set of an affine problem: base cells with the homogenizer at 0.
+
+    problem names the mode that built it, "affine" or "eqb"; emit prints it.
+    """
 
     base: SolutionSet
     cells: tuple[PinnedCell, ...]
     num_vars: int
+    problem: str = "affine"
 
     def contains(self, x: Sequence) -> bool:
         return any(cell.contains(x) for cell in self.cells)
@@ -285,7 +289,8 @@ def eq_b_to_affine(a: Matrix, b: Sequence) -> AffineInstance:
 
 def solve_eq_b(a: Matrix, b: Sequence, collect_stats: bool = False) -> PinnedSolutionSet:
     """All solutions of A (x) x = b, valid for matrices with -inf entries."""
-    return solve_affine(eq_b_to_affine(a, b), collect_stats=collect_stats)
+    result = solve_affine(eq_b_to_affine(a, b), collect_stats=collect_stats)
+    return replace(result, problem="eqb")
 
 
 def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:

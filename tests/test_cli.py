@@ -506,3 +506,16 @@ def test_emit_pinned_cells_in_the_coordinates_of_their_vectors():
                     seen[key] += bool(doc[key])
                 seen["moved"] += var < cell.num_vars - 1
     assert all(seen.values()), seen
+
+
+def test_emit_of_a_pinned_set_prints_its_own_mode():
+    from tropsolve import Matrix
+    from tropsolve.reductions import AffineInstance, solve_affine, solve_eq_b
+
+    eqb = solve_eq_b(Matrix([[0, 1]]), ["1/2"])
+    affine = solve_affine(AffineInstance(Matrix([[0]]), Matrix([[0]]), (0,), (1,)))
+    assert (eqb.problem, affine.problem) == ("eqb", "affine")
+    assert emit(eqb).startswith("problem: eqb\n")
+    assert json.loads(emit(eqb, "json"))["problem"] == "eqb"
+    assert emit(affine).startswith("problem: affine\n")
+    assert json.loads(emit(affine, "json"))["problem"] == "affine"

@@ -144,8 +144,8 @@ def test_emit_of_a_pinned_set_builds_no_fraction_views():
             tuple(rng.choice(HALVES_AND_THIRDS) for _ in range(m)),
         )
         result = solve_affine(inst)
-        emit(result, "text", "affine")
-        emit(result, "json", "affine")
+        emit(result, "text")
+        emit(result, "json")
         for cell in result.cells:
             assert "assignments" not in cell.base.__dict__
             assert "constraints" not in cell.base.__dict__
