@@ -381,21 +381,13 @@ def _parse_grid(option: str) -> GridSpec:
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         raise ValueError("--check grid needs at least one value")
+    for t in tokens:
+        _check_token_size(t)  # TokenTooLarge is a ValueError, before any Fraction
     try:
-        return GridSpec.of(tokens)
-    except ValueError:
-        # a bad value reports what it always has: the first oversized token
-        # (TokenTooLarge), else the first token that Fraction rejects
-        for t in tokens:
-            _check_token_size(t)
-        for t in tokens:
-            try:
-                Fraction(t)
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"--check grid has a value with a zero denominator: {option!r}"
-                ) from None
-        raise
+        values = [Fraction(t) for t in tokens]
+    except ZeroDivisionError:
+        raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
+    return GridSpec.of(values)
 
 
 def _solve(inst: InstanceFile):

@@ -107,9 +107,7 @@ def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions and strings ('3', '-7/2', '0.25', '-inf').
 
     Floats are rejected: they are not exact.  So are number strings beyond
-    MAX_TOKEN_DIGITS, before any Fraction is built.  An optionally signed
-    run of at most MAX_TOKEN_DIGITS ASCII digits is read by int(), which
-    gives the value Fraction's parser would, without its regex.
+    MAX_TOKEN_DIGITS, before any Fraction is built.
     """
     if isinstance(value, (NegInfinity, Fraction)):
         return value
@@ -119,9 +117,6 @@ def as_scalar(value) -> Scalar:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        digits = text[1:] if text.startswith(("+", "-")) else text
-        if digits.isascii() and digits.isdigit() and len(digits) <= MAX_TOKEN_DIGITS:
-            return Fraction(int(text))
         if text in ("-inf", "-oo"):
             return NEG_INF
         _check_token_size(text)

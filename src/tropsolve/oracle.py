@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .cells import SolutionSet, cell_membership, sample_cell, verify_solution
@@ -212,12 +211,11 @@ def cross_validate(
         raise ValueError("samples_per_cell must be at least 1")
     sols = grid_solutions(a, b, grid, cap=cap)
     cells = solution_set.cells
-    # -inf is the least grid point, so only the first solution can be the
-    # all -inf one, which counts as covered
-    start = 1 if sols and all(v is NEG_INF for v in sols[0]) else 0
     missed = []
     hit = None  # the cell that covered the last covered point
-    for x in islice(sols, start, None):
+    for x in sols:
+        if all(v is NEG_INF for v in x):
+            continue
         if hit is not None and cell_membership(hit, x):
             continue
         for cell in cells:

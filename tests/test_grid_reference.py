@@ -1,10 +1,9 @@
-"""The int token paths against the Fraction-only ones they replaced.
+"""The --check grid against the set-built one it replaced.
 
-reference_as_scalar below is core.as_scalar as it was before integer tokens
-skipped Fraction's parser, and reference_parse_grid is cli._parse_grid as it
-was before the grid went through GridSpec.of.  They are kept here as the
-definition the fast paths must match: the same value of the same type, or
-the same exception type with the same message.
+reference_parse_grid below is cli._parse_grid with the GridSpec.of it
+called before that sorted and dropped equal neighbours in place of building
+a set.  It is kept here as the definition the grid must match: the same
+values of the same type, or the same exception type with the same message.
 """
 
 from __future__ import annotations
@@ -15,35 +14,8 @@ from fractions import Fraction
 import pytest
 
 from tropsolve.cli import _parse_grid
-from tropsolve.core import (
-    MAX_TOKEN_DIGITS,
-    NEG_INF,
-    NegInfinity,
-    _check_token_size,
-    as_scalar,
-)
+from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, _check_token_size
 from tropsolve.oracle import GridSpec
-
-
-def reference_as_scalar(value):
-    if isinstance(value, (NegInfinity, Fraction)):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a tropical scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("-inf", "-oo"):
-            return NEG_INF
-        _check_token_size(text)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a tropical scalar token: {value!r}") from exc
-    if isinstance(value, float):
-        raise TypeError("floats are not exact; pass a string or Fraction")
-    raise TypeError(f"cannot coerce {type(value).__name__} to a tropical scalar")
 
 
 def reference_parse_grid(option):
@@ -75,42 +47,6 @@ def grid_values(option):
 
 
 NINES = "9" * MAX_TOKEN_DIGITS
-TOKENS = [
-    "0", "7", "-7", "+7", "+", "-", "--1", "+-1", "-+1", "-0", "+0",
-    "007", "-007", " 42", "42 ", "\t-3\n", " + 3", "- 3", "4 2",
-    NINES, "-" + NINES, "+" + NINES, "0" + NINES, "1" + NINES, "-1" + NINES, "+1" + NINES,
-    " " + "1" * (MAX_TOKEN_DIGITS + 1) + " ",
-    "1_000", "1__0", "_1", "١٢", "-١٢", "²", "0x10", "0b1",
-    "1e3", "1E3", "-2.5e-3", "1/0", "0/0", "-7/2", "7/-2", "3/ 4", ".5", "5.",
-    "", " ", "-inf", " -inf ", "-oo", "inf", "+inf", "nan", "1e5/3", "x",
-]
-
-
-@pytest.mark.parametrize("token", TOKENS)
-def test_as_scalar_matches_the_reference(token):
-    assert outcome(as_scalar, token) == outcome(reference_as_scalar, token)
-
-
-@pytest.mark.parametrize(
-    "value", [3, -3, True, 0.5, Fraction(1, 3), NEG_INF, None, b"1"], ids=repr
-)
-def test_as_scalar_non_strings_match_the_reference(value):
-    assert outcome(as_scalar, value) == outcome(reference_as_scalar, value)
-
-
-def test_as_scalar_random_sweep_matches_the_reference():
-    rng = random.Random(1408)
-    alphabet = "0123456789" * 3 + "+-/._eE x١"
-    for _ in range(6000):
-        if rng.random() < 0.5:
-            token = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
-        else:
-            digits = rng.randint(MAX_TOKEN_DIGITS - 2, MAX_TOKEN_DIGITS + 2)
-            body = "".join(rng.choice("0123456789") for _ in range(digits))
-            token = rng.choice(["", "+", "-", " -", "--"]) + body + rng.choice(["", " ", "e1"])
-        assert outcome(as_scalar, token) == outcome(reference_as_scalar, token), repr(token)
-
-
 GRID_OPTIONS = [
     "grid=0", "grid=-2,-1,0,1,2", "grid=2,1,2,1", "grid=1,01,+1,2/2,1.0", "grid=1/2,0.5",
     "grid=,,3,", "grid=", "grid=,", "1,2", "grid=1/0", "grid=0,x", "grid=x,1/0",
