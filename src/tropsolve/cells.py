@@ -51,8 +51,9 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Scalar,
-    as_scalar,
+    _ratios,
     common_denominator,
+    row_maxima,
     scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance
@@ -126,63 +127,15 @@ class SolutionSet:
     stats: SolveStats | None = None
 
 
-def _ratios(x: Sequence) -> list[tuple[int, int] | None]:
-    """x's entries as (numerator, denominator), None for -inf.
-
-    Fractions and -inf are read as they are; every other entry goes through
-    as_scalar, so a float or bool raises TypeError and a bad token ValueError.
-    """
-    out: list[tuple[int, int] | None] = []
-    for v in x:
-        if v.__class__ is not Fraction and v is not NEG_INF:
-            v = as_scalar(v)
-        out.append(None if v is NEG_INF else v.as_integer_ratio())
-    return out
-
-
 def verify_solution(a: Matrix, b: Matrix, x: Sequence) -> bool:
     """Direct check of the defining equation: both max-plus products agree.
 
-    The check runs on ints.  Every term a_ij + x_j with both parts finite
-    is kept as two (numerator, denominator) pairs, the lcm of all their
-    denominators becomes the unit, and each row's two maxima are compared
-    as ints in it, with None for -inf.  The errors are those of evaluating
-    A (x) x: the shapes are checked first, then x's entries are coerced,
-    then its length.
+    The shapes are checked first; core.row_maxima then evaluates both sides
+    on ints in one unit, with the errors of evaluating A (x) x.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("matrix shapes differ")
-    parts = _ratios(x)
-    if len(parts) != a.cols:
-        raise DimensionMismatch(f"vector of length {len(parts)} against {a.cols} columns")
-    scale = 1
-    live: list[tuple[int, int, int]] = []  # (j, numerator, denominator) of finite x_j
-    for j, part in enumerate(parts):
-        if part is not None:
-            live.append((j, *part))
-            if scale % part[1]:
-                scale = math.lcm(scale, part[1])
-    sides: list[list[tuple[int, int, int, int]]] = []  # the rows of A, then of B
-    for matrix in (a, b):
-        for i in range(matrix.rows):
-            row = matrix.row(i)
-            terms = []
-            for j, xn, xd in live:
-                v = row[j]
-                if v is not NEG_INF:
-                    num, den = v.as_integer_ratio()
-                    if scale % den:
-                        scale = math.lcm(scale, den)
-                    terms.append((num, den, xn, xd))
-            sides.append(terms)
-    maxima: list[int | None] = []
-    for terms in sides:
-        best = None
-        for num, den, xn, xd in terms:
-            t = num * (scale // den) + xn * (scale // xd)
-            if best is None or t > best:
-                best = t
-        maxima.append(best)
+    maxima, _ = row_maxima((a, b), x)
     return maxima[: a.rows] == maxima[a.rows :]
 
 
@@ -532,19 +485,25 @@ def _feasible_values(
 
 
 def sample_cell(
-    cell: SolutionCell, count: int, seed: int = 0, box=10
+    cell: SolutionCell, count: int, seed: int = 0, box: int = 10
 ) -> list[tuple[Scalar, ...]]:
-    """Deterministic members of the cell; the first is the all--inf point."""
+    """Deterministic members of the cell; the first is the all--inf point.
+
+    Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if isinstance(box, bool) or not isinstance(box, int):
+        raise TypeError(f"box must be an int, not {type(box).__name__}")
+    if box < 1:
+        raise ValueError("box must be at least 1")
     rng = Random(seed)
-    box_int = max(1, int(box))
     params = cell.parameters()
     out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]
     while len(out) < count:
         dead = _closed_dead_set(cell, rng, params)
         alive = [p for p in params if p not in dead]
-        vals = _feasible_values(cell, alive, rng, box_int) if alive else {}
+        vals = _feasible_values(cell, alive, rng, box) if alive else {}
         point: list[Scalar] = [NEG_INF] * cell.num_vars
         for v, param, offset in cell.assigned:
             if param in dead:

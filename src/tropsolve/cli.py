@@ -6,12 +6,13 @@ hetero; a PinnedSolutionSet for eqb and affine, whose base is the
 SolutionSet of the homogenized system) together with the two-sided pair
 A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
 result; --check cross-validates the base result against that pair with the
-brute-force grid oracle; emit prints the result as text or JSON from its
-cells' ints (each distinct (int, scale) formatted once per call), plain
-and pinned cells through the same helpers, a pinned cell numbered as its
-vectors are (without the pinned variable); --stats prints the base
-result's counters and timings.  All external indices are 1-based;
-rationals serialize as strings so no consumer ever parses a float.
+brute-force grid oracle (GridSpec.of parses its values); emit builds one
+document from the cells' ints (each distinct (int, scale) formatted once),
+plain and pinned cells alike, a pinned cell numbered as its vectors are
+(without the pinned variable): JSON serializes it and text lays out its
+entries line by line; --stats prints the base result's counters and
+timings.  All external indices are 1-based; rationals serialize as
+strings so no consumer ever parses a float.
 
 The argument parser is built once, when the module is imported, so run
 can be called again and again in one process at no fixed cost per call
@@ -36,7 +37,6 @@ from .core import (
     Scalar,
     TokenTooLarge,
     TropicalError,
-    _check_token_size,
     as_scalar,
 )
 from .oracle import GridSpec, GridTooLarge, cross_validate
@@ -197,15 +197,8 @@ def format_instance(inst: InstanceFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _shift(value: Fraction) -> str:
-    """The ' + c' / ' - c' tail of t_p + value; empty for 0."""
-    if value == 0:
-        return ""
-    return f" + {value}" if value > 0 else f" - {-value}"
-
-
-def _scaled_text(fmt):
-    """A per-cell view of fmt(Fraction(value, scale)), memoized for one emit call.
+def _scaled_text():
+    """A per-cell view of str(Fraction(value, scale)), memoized for one emit call.
 
     Cells hold ints over a per-cell scale; the memo is keyed on
     (value, scale), so each distinct number of the output is formatted once.
@@ -217,7 +210,7 @@ def _scaled_text(fmt):
             key = (value, scale)
             out = memo.get(key)
             if out is None:
-                out = memo[key] = fmt(Fraction(value, scale))
+                out = memo[key] = str(Fraction(value, scale))
             return out
 
         return text
@@ -250,7 +243,7 @@ def _cell_doc(cell: SolutionCell, text) -> dict:
 
 
 def _solution_doc(result: SolutionSet) -> dict:
-    texts = _scaled_text(str)
+    texts = _scaled_text()
     return {
         "trivial_only": result.trivial_only,
         "p": result.win_sequence_count,
@@ -260,7 +253,7 @@ def _solution_doc(result: SolutionSet) -> dict:
 
 
 def _pinned_doc(result: PinnedSolutionSet) -> dict:
-    texts = _scaled_text(str)
+    texts = _scaled_text()
     cells = []
     for cell in result.cells:
         text = texts(cell.scale)
@@ -280,63 +273,66 @@ def _pinned_doc(result: PinnedSolutionSet) -> dict:
     }
 
 
-def _variable_lines(num_vars: int, neg_inf, fixed, assigned, shift) -> list[str]:
-    lines = {v: f"  x{v + 1} = -inf" for v in neg_inf}
-    lines.update((v, f"  x{v + 1} = {c}") for v, c in fixed)
-    lines.update((v, f"  x{v + 1} = t{p + 1}{shift(o)}") for v, p, o in assigned)
-    return [lines[v] for v in range(num_vars)]
+def _tail(number: str) -> str:
+    """The ' + c' / ' - c' tail of t_p + c, from the text of c; empty for '0'."""
+    if number == "0":
+        return ""
+    return f" - {number[1:]}" if number[0] == "-" else f" + {number}"
 
 
-def _constraint_text(row, shift) -> str:
-    plus, minus, c = row
-    return f"t{plus + 1} - t{minus + 1}{shift(c)} <= 0"
+def _variable_lines(cell: dict) -> list[str]:
+    """One line per variable of a cell document, in variable order."""
+    lines = {v: f"  x{v} = -inf" for v in cell["neg_inf"]}
+    lines.update((int(v), f"  x{v} = {c}") for v, c in cell.get("fixed", {}).items())
+    lines.update(
+        (int(v), f"  x{v} = t{a['param']}{_tail(a['offset'])}")
+        for v, a in cell["assignments"].items()
+    )
+    return [lines[v] for v in sorted(lines)]
 
 
-def _cell_text(index: int, cell: SolutionCell, shift) -> list[str]:
-    seq = " ".join(f"({p + 1},{q + 1})" for p, q in cell.win_sequence)
-    lines = [f"cell {index}: win sequence {seq}".rstrip()]
-    lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, (), cell.assigned, shift))
-    if cell.rows:
-        lines.append("  subject to:")
-        lines.extend(f"    {_constraint_text(row, shift)}" for row in cell.rows)
-    lines.append(f"  dimension bound: {cell.dimension_bound}")
-    return lines
+def _constraint_lines(cell: dict, indent: str) -> list[str]:
+    return [
+        f"{indent}t{r['plus']} - t{r['minus']}{_tail(r['const'])} <= 0"
+        for r in cell["constraints"]
+    ]
 
 
-def _solution_text(result: SolutionSet) -> str:
-    shifts = _scaled_text(_shift)
-    lines = [f"p: {result.win_sequence_count}"]
-    if result.trivial_only:
+def _solution_text(doc: dict) -> str:
+    lines = [f"p: {doc['p']}"]
+    if doc["trivial_only"]:
         lines.append("trivial_only: true")
-    if result.globally_forced:
-        forced = " ".join(f"x{v + 1}" for v in sorted(result.globally_forced))
+    if doc["globally_forced"]:
+        forced = " ".join(f"x{v}" for v in doc["globally_forced"])
         lines.append(f"forced to -inf everywhere: {forced}")
-    for i, cell in enumerate(result.cells, start=1):
-        lines.extend(_cell_text(i, cell, shifts(cell.scale)))
+    for i, cell in enumerate(doc["cells"], start=1):
+        seq = " ".join(f"({p},{q})" for p, q in cell["win_sequence"])
+        lines.append(f"cell {i}: win sequence {seq}".rstrip())
+        lines.extend(_variable_lines(cell))
+        if cell["constraints"]:
+            lines.append("  subject to:")
+            lines.extend(_constraint_lines(cell, "    "))
+        lines.append(f"  dimension bound: {cell['dimension_bound']}")
     return "\n".join(lines) + "\n"
 
 
-def _pinned_text(result: PinnedSolutionSet) -> str:
-    texts, shifts = _scaled_text(str), _scaled_text(_shift)
-    lines = [f"problem: {result.problem}", f"p: {result.base.win_sequence_count}"]
-    if not result.cells:
+def _pinned_text(doc: dict) -> str:
+    lines = [f"problem: {doc['problem']}", f"p: {doc['p']}"]
+    if doc["no_solution"]:
         lines.append("no solution")
-    for i, cell in enumerate(result.cells, start=1):
-        text, shift = texts(cell.scale), shifts(cell.scale)
-        fixed = [(v, text(c)) for v, c in cell.fixed]
+    for i, cell in enumerate(doc["cells"], start=1):
         lines.append(f"cell {i}:")
-        lines.extend(_variable_lines(cell.num_vars, cell.neg_inf, fixed, cell.assigned, shift))
-        lower = {p: text(b) for p, b in cell.lower}
-        upper = {p: text(b) for p, b in cell.upper}
-        for p in sorted(lower.keys() | upper.keys()):
+        lines.extend(_variable_lines(cell))
+        lower, upper = cell["lower"], cell["upper"]
+        for p in sorted(lower.keys() | upper.keys(), key=int):
             lo, hi = lower.get(p), upper.get(p)
             if lo is not None and hi is not None:
-                lines.append(f"  {lo} <= t{p + 1} <= {hi}")
+                lines.append(f"  {lo} <= t{p} <= {hi}")
             elif lo is not None:
-                lines.append(f"  t{p + 1} >= {lo}")
+                lines.append(f"  t{p} >= {lo}")
             else:
-                lines.append(f"  t{p + 1} <= {hi}")
-        lines.extend(f"  {_constraint_text(row, shift)}" for row in cell.rows)
+                lines.append(f"  t{p} <= {hi}")
+        lines.extend(_constraint_lines(cell, "  "))
     return "\n".join(lines) + "\n"
 
 
@@ -344,19 +340,18 @@ def emit(result, fmt: str = "text") -> str:
     """Render a solution set (plain or pinned) as deterministic text or JSON.
 
     fmt is "text" or "json"; a pinned set names its own mode (affine or
-    eqb).  Both kinds are rendered from their cells' ints.
+    eqb).  Both formats lay out one document, built from the cells' ints:
+    JSON serializes it and text writes its entries line by line.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}: expected 'text' or 'json'")
     if isinstance(result, SolutionSet):
-        if fmt == "json":
-            return _json(_solution_doc(result))
-        return _solution_text(result)
-    if isinstance(result, PinnedSolutionSet):
-        if fmt == "json":
-            return _json(_pinned_doc(result))
-        return _pinned_text(result)
-    raise TypeError(f"cannot emit {type(result).__name__}")
+        doc, layout = _solution_doc(result), _solution_text
+    elif isinstance(result, PinnedSolutionSet):
+        doc, layout = _pinned_doc(result), _pinned_text
+    else:
+        raise TypeError(f"cannot emit {type(result).__name__}")
+    return _json(doc) if fmt == "json" else layout(doc)
 
 
 def _json(doc: dict) -> str:
@@ -381,13 +376,7 @@ def _parse_grid(option: str) -> GridSpec:
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         raise ValueError("--check grid needs at least one value")
-    for t in tokens:
-        _check_token_size(t)  # TokenTooLarge is a ValueError, before any Fraction
-    try:
-        values = [Fraction(t) for t in tokens]
-    except ZeroDivisionError:
-        raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
-    return GridSpec.of(values)
+    return GridSpec.of(tokens)
 
 
 def _solve(inst: InstanceFile):

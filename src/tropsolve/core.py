@@ -221,18 +221,64 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
 
+def _ratios(x: Sequence) -> list[tuple[int, int] | None]:
+    """x's entries as (numerator, denominator), None for -inf.
+
+    Fractions and -inf are read as they are; every other entry goes through
+    as_scalar, so a float or bool raises TypeError and a bad token ValueError.
+    """
+    out: list[tuple[int, int] | None] = []
+    for v in x:
+        if v.__class__ is not Fraction and v is not NEG_INF:
+            v = as_scalar(v)
+        out.append(None if v is NEG_INF else v.as_integer_ratio())
+    return out
+
+
+def row_maxima(matrices: Sequence[Matrix], x: Sequence) -> tuple[list[int | None], int]:
+    """Every row's max_j (m_ij + x_j), for the matrices in turn, as ints.
+
+    Returns (maxima, scale): the maxima in units of 1/scale, None for -inf,
+    where scale is the lcm of the denominators of every term a_ij + x_j with
+    both parts finite.  x's entries are coerced first, then its length is
+    checked against the columns of the matrices, which must all agree.
+    """
+    parts = _ratios(x)
+    cols = matrices[0].cols
+    if len(parts) != cols:
+        raise DimensionMismatch(f"vector of length {len(parts)} against {cols} columns")
+    scale = 1
+    live: list[tuple[int, int, int]] = []  # (j, numerator, denominator) of finite x_j
+    for j, part in enumerate(parts):
+        if part is not None:
+            live.append((j, *part))
+            if scale % part[1]:
+                scale = math.lcm(scale, part[1])
+    sides: list[list[tuple[int, int, int, int]]] = []  # the rows of every matrix
+    for matrix in matrices:
+        for i in range(matrix.rows):
+            row = matrix.row(i)
+            terms = []
+            for j, xn, xd in live:
+                v = row[j]
+                if v is not NEG_INF:
+                    num, den = v.as_integer_ratio()
+                    if scale % den:
+                        scale = math.lcm(scale, den)
+                    terms.append((num, den, xn, xd))
+            sides.append(terms)
+    maxima: list[int | None] = []
+    for terms in sides:
+        best = None
+        for num, den, xn, xd in terms:
+            t = num * (scale // den) + xn * (scale // xd)
+            if best is None or t > best:
+                best = t
+        maxima.append(best)
+    return maxima, scale
+
+
 def matvec_maxplus(a: Matrix, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Max-plus product A (x) x: component i is max_j (a_ij + x_j)."""
-    xs = as_vector(x)
-    if len(xs) != a.cols:
-        raise DimensionMismatch(f"vector of length {len(xs)} against {a.cols} columns")
-    out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        best: Scalar = NEG_INF
-        for j in range(a.cols):
-            term = odot(row[j], xs[j])
-            if term > best:
-                best = term
-        out.append(best)
-    return tuple(out)
+    maxima, scale = row_maxima((a,), x)
+    return tuple(NEG_INF if t is None else Fraction(t, scale) for t in maxima)

