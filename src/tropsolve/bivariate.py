@@ -80,20 +80,16 @@ def leq(plus: int, minus: int, constant) -> Row:
 class PotentialAssignment:
     """Result of solving a system of bivariate equations.
 
-    x_v = x_representative[v] + offset[v]; representatives are the smallest
-    variable index of their component and carry offset 0.  Components whose
-    equations close a cycle with nonzero residual are inconsistent: over the
-    reals they have no solution, over the tropical scalars they force every
-    member to -inf.
+    x_v = x_representative[v] + offset[v]; a component is the variables
+    sharing a representative, its smallest index, which carries offset 0.
+    Components whose equations close a cycle with nonzero residual are
+    inconsistent (inconsistent_roots, offsets meaningless): over the reals
+    they have no solution, over the tropical scalars every member is -inf.
     """
 
     representative: tuple[int, ...]
     offset: tuple[int | Fraction, ...]
     inconsistent_roots: frozenset[int]
-    components: Mapping[int, tuple[int, ...]]
-
-    def members(self, v: int) -> tuple[int, ...]:
-        return self.components[self.representative[v]]
 
 
 class OffsetUnionFind:
@@ -136,7 +132,6 @@ class OffsetUnionFind:
         rep = list(range(n))
         offs = [0] * n
         leads: dict[int, tuple[int, int | Fraction]] = {}  # root -> (lead, x_lead - x_root)
-        members: dict[int, list[int]] = {}
         bad_roots = set()
         parent, shift = self.parent, self.shift
         for v in range(n):
@@ -147,17 +142,12 @@ class OffsetUnionFind:
             lead = leads.get(root)
             if lead is None:
                 leads[root] = (v, off)
-                members[v] = [v]
                 if self.bad[root]:
                     bad_roots.add(v)
             else:
                 rep[v] = lead[0]
                 offs[v] = off - lead[1]
-                members[lead[0]].append(v)
-        components = {lead: tuple(group) for lead, group in members.items()}
-        return PotentialAssignment(
-            tuple(rep), tuple(offs), frozenset(bad_roots), components
-        )
+        return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
 
 
 def solve_equations(equations: Iterable[Row], num_vars: int) -> PotentialAssignment:
@@ -205,8 +195,9 @@ def remove_and_enlarge(
 
     A row whose plus side is -inf holds vacuously; one whose minus side is
     -inf forces the plus side to -inf.  The returned rows touch no variable
-    of the enlarged set.  Equations propagate -inf through their components
-    (PotentialAssignment.members), not through this function.
+    of the enlarged set.  The cell stage calls it on rows over component
+    representatives (see substitute), so that forcing a representative
+    forces its whole equation component with it.
     """
     om = set(omega)
     work = list(ineqs)
@@ -237,15 +228,16 @@ def substitute(
     A row whose endpoints share a representative either drops (constant
     <= 0, a tautology) or flags the component as infeasible over the reals;
     flagged representatives are returned for the caller to force to -inf.
+    Rows touching an inconsistent component are mapped too, with meaningless
+    constants; that component is -inf throughout, so the caller must seed
+    remove_and_enlarge with pa.inconsistent_roots, which drops those rows.
     """
     out: list[Row] = []
     flagged: set[int] = set()
-    rep, offset, bad = pa.representative, pa.offset, pa.inconsistent_roots
+    rep, offset = pa.representative, pa.offset
     for plus, minus, constant in ineqs:
         rp = rep[plus]
         rm = rep[minus]
-        if rp in bad or rm in bad:
-            raise TropicalError("substitute on an inconsistent component")
         constant = offset[plus] - offset[minus] + constant
         if rp == rm:
             if constant > 0:

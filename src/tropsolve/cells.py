@@ -4,11 +4,12 @@ solve scales A and B once into int rows (None for -inf), in units of
 1/scale, where scale is the lcm of the denominators of their entries; from
 there to the cell keys everything is an int in that unit.  Pipeline per
 instance: reduce, classify rows, enumerate win sequences, and for each
-sequence solve its equation system, propagate -inf, substitute into the
-inequalities and tighten them, looping while tightening extracts new
-equations.  Each surviving sequence yields one convex cell: variables forced
-to -inf, parameterized assignments x_v = t_p + offset, and a canonical list
-of residual inequalities over the parameters.  The per-sequence work runs
+sequence solve its equation system, substitute the inequalities onto its
+representatives, propagate -inf over them and tighten, looping while
+tightening forces variables or extracts equations.  Each surviving
+sequence yields one convex cell: variables forced to -inf, parameterized
+assignments x_v = t_p + offset, and a canonical list of residual
+inequalities over the parameters.  The per-sequence work runs
 on int rows (plus, minus, constant).  Each solved sequence yields an int key
 in original coordinates; keys are deduplicated and sorted, and only then is
 a SolutionCell built per kept key: its ints are divided by their gcd with
@@ -178,6 +179,13 @@ def _solve_sequence(
     red's rows.  systems maps (row h, pair) to the rows build_systems gives
     for that row alone; solve passes one dict per scenario, so that every
     row's system is built once and only concatenated per sequence.
+
+    -inf is tracked over representatives, so a forced representative takes
+    its whole equation class with it.  Propagation removes every row
+    touching a dead one, so later equations join live representatives only.
+    Hence at most nvars + 1 rounds (2 * nvars for nvars >= 1): a round that
+    does not return forces a live representative or merges two live ones,
+    so the number of live components drops, and with none left it returns.
     """
     if systems is None:
         systems = {}
@@ -192,40 +200,19 @@ def _solve_sequence(
         eqs += part[0]
         ineqs += part[1]
     uf = OffsetUnionFind(nvars)
-    omega: set[int] = set()
+    dead: frozenset[int] = frozenset()
     while True:
         for row in eqs:
             uf.add_equation(row)
-        eqs = []
         pa = uf.snapshot(nvars)
-        for root in pa.inconsistent_roots:
-            omega.update(pa.components[root])
-        # propagate -inf, keeping equation components all-in or all-out
-        while True:
-            ineqs, omega_f = remove_and_enlarge(ineqs, omega)
-            omega = set(omega_f)
-            extra = {u for v in omega for u in pa.members(v)} - omega
-            if not extra:
-                break
-            omega |= extra
-        live_rows, flagged = substitute(ineqs, pa)
-        if flagged:
-            for root in flagged:
-                omega.update(pa.components[root])
-            ineqs = live_rows
-            continue
-        new_eqs, residue, forced = sub_specialize(live_rows)
+        rows, flagged = substitute(ineqs, pa)
+        rows, dead = remove_and_enlarge(rows, dead | pa.inconsistent_roots | flagged)
+        eqs, ineqs, forced = sub_specialize(rows)
         if forced:
-            for v in forced:
-                omega.update(pa.members(v))
-            eqs = new_eqs
-            ineqs = residue
-            continue
-        if new_eqs:
-            eqs = new_eqs
-            ineqs = residue
-            continue
-        return omega, pa, residue
+            dead |= forced
+        elif not eqs:
+            rep = pa.representative
+            return {v for v in range(nvars) if rep[v] in dead}, pa, ineqs
 
 
 def _cell_key(
@@ -484,6 +471,14 @@ def _feasible_values(
     return vals
 
 
+def _positive_int(name: str, value) -> None:
+    """TypeError unless value is an int and not a bool, ValueError if below 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def sample_cell(
     cell: SolutionCell, count: int, seed: int = 0, box: int = 10
 ) -> list[tuple[Scalar, ...]]:
@@ -491,12 +486,8 @@ def sample_cell(
 
     Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if isinstance(box, bool) or not isinstance(box, int):
-        raise TypeError(f"box must be an int, not {type(box).__name__}")
-    if box < 1:
-        raise ValueError("box must be at least 1")
+    _positive_int("count", count)
+    _positive_int("box", box)
     rng = Random(seed)
     params = cell.parameters()
     out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cells import SolutionSet, cell_membership, sample_cell, verify_solution
+from .cells import SolutionSet, _positive_int, cell_membership, sample_cell, verify_solution
 from .core import (
     NEG_INF,
     DimensionMismatch,
@@ -199,16 +199,16 @@ def cross_validate(
 
     missed: oracle solutions contained in no cell (the trivial point counts
     as covered).  invalid: sampled cell points failing direct verification.
-    Both must be empty for a correct solver.  Raises DimensionMismatch when
-    the solution set's width is not a's column count, and ValueError when
-    samples_per_cell is below 1, before any enumeration.
+    Both must be empty for a correct solver.  Before any enumeration, raises
+    DimensionMismatch when the solution set's width is not a's column count,
+    and checks samples_per_cell and box as sample_cell checks count and box.
     """
     if solution_set.num_vars != a.cols:
         raise DimensionMismatch(
             f"solution set of {solution_set.num_vars} variables against {a.cols} columns"
         )
-    if samples_per_cell < 1:
-        raise ValueError("samples_per_cell must be at least 1")
+    _positive_int("samples_per_cell", samples_per_cell)
+    _positive_int("box", box)
     sols = grid_solutions(a, b, grid, cap=cap)
     cells = solution_set.cells
     missed = []

@@ -223,7 +223,6 @@ def test_criterion_5_intermediate_fixtures():
         representative=(3, 1, 3, 3),
         offset=(Fraction(5), Fraction(0), Fraction(6), Fraction(0)),
         inconsistent_roots=frozenset(),
-        components={3: (0, 2, 3), 1: (1,)},
     )
     rows, flagged = substitute(D2_ROWS, anchored)
     eqs2, residue2, forced2 = sub_specialize(rows)

@@ -97,11 +97,14 @@ def test_remove_and_enlarge_chain():
 
 
 def test_remove_and_enlarge_equation_propagates():
-    # equations propagate -inf through their components, as in the cell stage
-    pa = solve_equations([eq(5, 2, 3)], 6)
-    omega = {u for v in {5} for u in pa.members(v)}
-    remaining, omega = remove_and_enlarge([], omega)
-    assert remaining == [] and omega == {2, 5}
+    # as in the cell stage: rows over representatives, so forcing x3 forces
+    # its whole equation class {x3, x6}, and x5 with it through x5 - x6 <= 0
+    pa = solve_equations([eq(5, 2, 3)], 6)  # x6 = x3 - 3
+    rows, flagged = substitute([leq(4, 5, 0), leq(5, 1, 0)], pa)
+    assert rows == [(4, 2, 3), (2, 1, -3)] and not flagged
+    remaining, omega = remove_and_enlarge(rows, {pa.representative[5]})
+    assert remaining == [] and omega == {2, 4}
+    assert {v for v in range(6) if pa.representative[v] in omega} == {2, 4, 5}
 
 
 def test_remove_and_enlarge_fixed_point_bound():
@@ -130,7 +133,7 @@ def test_solve_equations_gaussian_family():
 def test_solve_equations_inconsistent_cycle():
     pa = solve_equations([eq(0, 3, -5), eq(0, 2, 1), eq(2, 3, 4)], 4)
     assert pa.inconsistent_roots == {0}
-    assert pa.components[0] == (0, 2, 3)
+    assert [v for v in range(4) if pa.representative[v] == 0] == [0, 2, 3]
 
 
 def test_solve_equations_empty():
@@ -150,7 +153,7 @@ def test_solve_equations_inconsistency_witness():
         ]
         pa = solve_equations(eqs, n)
         for root in pa.inconsistent_roots:
-            members = set(pa.components[root])
+            members = {v for v in range(n) if pa.representative[v] == root}
             # independent replay: BFS potentials must hit a contradiction
             potential = {min(members): Fraction(0)}
             frontier = [min(members)]
@@ -178,7 +181,6 @@ def test_substitute_yields_displayed_normal_form():
         representative=(3, 1, 3, 3),
         offset=(Fraction(5), Fraction(0), Fraction(6), Fraction(0)),
         inconsistent_roots=frozenset(),
-        components={3: (0, 2, 3), 1: (1,)},
     )
     rows, flagged = substitute(D2_ROWS, pa)
     assert not flagged
@@ -197,6 +199,17 @@ def test_substitute_flags_infeasible():
     pa = solve_equations([eq(0, 2, -1)], 3)
     rows, flagged = substitute([leq(0, 2, 9)], pa)
     assert rows == [] and flagged == {0}
+
+
+def test_substitute_maps_inconsistent_component():
+    # {x1, x3} is inconsistent: substitute maps its rows without raising,
+    # and seeding the propagation with its root removes every one of them
+    pa = solve_equations([eq(0, 2, 1), eq(2, 0, 1)], 4)
+    assert pa.inconsistent_roots == {0}
+    rows, flagged = substitute([leq(1, 2, 0), leq(2, 3, 0), leq(3, 1, 0)], pa)
+    assert [(p, m) for p, m, _ in rows] == [(1, 0), (0, 3), (3, 1)] and not flagged
+    remaining, omega = remove_and_enlarge(rows, pa.inconsistent_roots)
+    assert remaining == [] and omega == {0, 1, 3}
 
 
 def test_sub_specialize_displayed_matrices():
@@ -338,17 +351,16 @@ def _reference_snapshot(uf, n):
     for v in range(n):
         locs[v] = uf.location(v)
         groups.setdefault(locs[v][0], []).append(v)
-    rep, offs, components, bad_roots = [0] * n, [0] * n, {}, set()
+    rep, offs, bad_roots = [0] * n, [0] * n, set()
     for root, members in groups.items():
         members.sort()
         lead = members[0]
-        components[lead] = tuple(members)
         for v in members:
             rep[v] = lead
             offs[v] = locs[v][1] - locs[lead][1]
         if uf.bad[root]:
             bad_roots.add(lead)
-    return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots), components)
+    return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
 
 
 def _constant(rng, fractional):
@@ -422,7 +434,7 @@ def test_snapshot_equals_two_pass_normalization():
         got = uf.snapshot(n)
         assert got == _reference_snapshot(uf, n)
         seen_bad += bool(got.inconsistent_roots)
-        seen_shared += any(len(g) > 1 for g in got.components.values())
+        seen_shared += any(r != v for v, r in enumerate(got.representative))
     assert seen_bad >= 200 and seen_shared >= 1000
 
 

@@ -175,6 +175,21 @@ def test_sample_cell_rejects_a_box_below_one(box):
         sample_cell(ref1, 3, box=box)
 
 
+@pytest.mark.parametrize(
+    "count, error, message",
+    [
+        (2.5, TypeError, "count must be an int, not float"),
+        (True, TypeError, "count must be an int, not bool"),
+        (0, ValueError, "count must be at least 1"),
+    ],
+    ids=["float", "bool", "zero"],
+)
+def test_sample_cell_checks_count(count, error, message):
+    ref1, _ = running_reference_cells()
+    with pytest.raises(error, match=message):
+        sample_cell(ref1, count)
+
+
 def test_a_bad_box_reaches_cross_validate_and_pinned_samples(running_example):
     a, b = running_example
     result = solve(a, b)

@@ -136,6 +136,28 @@ def test_cross_validate_rejects_fewer_than_one_sample():
             cross_validate(a, a, GridSpec.of([0, 1]), result, samples_per_cell=0)
 
 
+@pytest.mark.parametrize(
+    "name, value, error, message",
+    [
+        ("box", 2.5, TypeError, "box must be an int, not float"),
+        ("box", True, TypeError, "box must be an int, not bool"),
+        ("box", 0, ValueError, "box must be at least 1"),
+        ("samples_per_cell", 2.5, TypeError, "samples_per_cell must be an int, not float"),
+        ("samples_per_cell", True, TypeError, "samples_per_cell must be an int, not bool"),
+    ],
+    ids=["box-float", "box-bool", "box-zero", "samples-float", "samples-bool"],
+)
+def test_cross_validate_checks_box_and_samples_before_the_grid(name, value, error, message):
+    # cap=0 makes any enumeration raise GridTooLarge, so the check comes first;
+    # x1 = -inf is the only solution of [[0]] = [[-inf]], a result without cells
+    cases = [(Matrix([[0]]), Matrix([[NI]])), (Matrix([[0, 1]]), Matrix([[0, 1]]))]
+    results = [solve(a, b) for a, b in cases]
+    assert [bool(r.cells) for r in results] == [False, True]
+    for (a, b), result in zip(cases, results):
+        with pytest.raises(error, match=message):
+            cross_validate(a, b, GridSpec.of([0]), result, cap=0, **{name: value})
+
+
 def test_cross_validate_sweep_up_to_four_by_five():
     """Random --check at m <= 4, n <= 5 on a 5-value grid (6**5 candidates)."""
     rng = random.Random(6200)
