@@ -23,9 +23,10 @@ Solutions that silence entire rows (every live column of the row at -inf)
 can escape the pairwise-compatibility filter, so the solver additionally
 explores silencing scenarios: for each row, the variant instance with that
 row's live columns pinned to -inf is solved recursively.  Every scenario is
-reduced from the same int rows, with its pinned columns dead, so its
-reduction comes back in original coordinates.  Scenario cells are
-deduplicated; the reported win-sequence count is that of the root instance.
+reduced from the same column masks (preprocess.row_masks, built once per
+solve), with its pinned columns dead, so its reduction comes back in
+original coordinates.  Scenario cells are deduplicated; the reported
+win-sequence count is that of the root instance.
 """
 
 from __future__ import annotations
@@ -53,11 +54,10 @@ from .core import (
     Matrix,
     Scalar,
     _ratios,
-    common_denominator,
+    common_unit,
     row_maxima,
-    scaled_entries,
 )
-from .preprocess import ReducedInstance, Verdict, reduce_instance
+from .preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
 from .winseq import (
     Pair,
     WinSequence,
@@ -288,8 +288,8 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     # one unit for every scenario, so that int keys compare like Fractions
-    scale = common_denominator(v for m in (a, b) for row in m.to_rows() for v in row)
-    a_rows, b_rows = scaled_entries(a, scale), scaled_entries(b, scale)
+    scale, a_rows, b_rows = common_unit(a, b)
+    masks = row_masks(a_rows, b_rows, n)
 
     keys: set[tuple] = set()
     seen: set[frozenset[int]] = set()
@@ -307,7 +307,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             continue
         seen.add(forced0)
         scenario_count += 1
-        red = reduce_instance(a_rows, b_rows, n, dead=forced0)
+        red = reduce_instance(masks, dead=forced0)
 
         if red.verdict is Verdict.TRIVIAL_ONLY:
             continue

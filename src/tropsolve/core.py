@@ -134,7 +134,7 @@ def common_denominator(values: Iterable) -> int:
 
     Multiplying by it turns every rational value into an integer, exactly.
     """
-    return math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    return math.lcm(*{v.denominator for v in values if isinstance(v, Fraction)})
 
 
 def scaled(value: Scalar, scale: int) -> int | None:
@@ -148,8 +148,33 @@ def scaled(value: Scalar, scale: int) -> int | None:
 
 
 def scaled_entries(matrix: Matrix, scale: int) -> list[list[int | None]]:
-    """The matrix entries times scale, as exact ints, with None for -inf."""
-    return [[scaled(v, scale) for v in row] for row in matrix.to_rows()]
+    """The matrix entries times scale, as exact ints, with None for -inf.
+
+    scale must be a multiple of every entry's denominator (see scaled).
+    """
+    return [
+        [None if v is NEG_INF else v.numerator * (scale // v.denominator) for v in row]
+        for row in matrix._data
+    ]
+
+
+def common_unit(
+    a: Matrix, b: Matrix
+) -> tuple[int, list[list[int | None]], list[list[int | None]]]:
+    """(scale, A's rows, B's rows): both matrices as exact ints in one unit.
+
+    scale is the lcm of the denominators of all their entries and the rows
+    hold every entry times scale, None for -inf: common_denominator and
+    scaled_entries over both matrices, read in one pass over their rows.
+    """
+    ratios = [
+        [None if v is NEG_INF else v.as_integer_ratio() for v in row]
+        for m in (a, b)
+        for row in m._data
+    ]
+    scale = math.lcm(*{r[1] for row in ratios for r in row if r is not None})
+    rows = [[None if r is None else r[0] * (scale // r[1]) for r in row] for row in ratios]
+    return scale, rows[: a.rows], rows[a.rows :]
 
 
 def as_vector(values: Sequence) -> tuple[Scalar, ...]:

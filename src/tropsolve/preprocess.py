@@ -6,11 +6,19 @@ columns that impose nothing, or that force variables to -inf, are peeled off
 until a fixed point.  Bookkeeping maps let every downstream result be
 reported in original coordinates.
 
-bold_pair and reduce_instance read int rows, None standing for -inf: the
-entries of A and B times one common scale (core.scaled_entries; cells.solve
-scales once per solve).  The reduction only compares entries, so any common
-unit gives the same result.  maximum_matrix is the entrywise maximum of two
-Matrix objects.
+row_masks reads int rows, None standing for -inf: the entries of A and B
+times one common scale (core.common_unit; cells.solve scales once per
+solve).  The reduction only compares entries, so any common unit
+gives the same result.
+
+The reduction runs on column bitmasks (bit j for column j).  row_masks
+builds them once per instance: for each row, the columns where a_ij ==
+b_ij (-inf included), and the columns where the bold A entry, and the bold
+B entry, is finite.  None of these depends on which other columns are live,
+so one RowMasks serves every silencing scenario of a solve: a scenario only
+declares more columns dead, and reduce_instance intersects the masks with
+its own set of live columns.  maximum_matrix is the entrywise maximum of
+two Matrix objects.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ class ReducedInstance:
     """Reduced instance plus the bookkeeping to undo the reduction.
 
     a_dom, b_dom and their entrywise maximum scaled_max are int rows in the
-    unit of the rows reduce_instance was given (None for -inf), indexed in
+    unit of the rows row_masks was given (None for -inf), indexed in
     reduced coordinates; row_origin and col_origin map them back.
     forced_neg_inf, free_cols and the image of col_origin partition the
     original column set, and forced_neg_inf includes the dead columns the
@@ -53,29 +61,31 @@ class ReducedInstance:
     verdict: Verdict
 
 
+@dataclass(frozen=True)
+class RowMasks:
+    """The part of a reduction that no silencing scenario changes.
+
+    a_bold and b_bold are the bold pair of the instance's int rows over n
+    columns and maximum is their entrywise maximum.  For row i, bit j of
+    same[i] is set where a_ij == b_ij (both -inf included), of a_win[i]
+    where the bold A entry is finite and of b_win[i] where the bold B entry
+    is finite.
+    """
+
+    n: int
+    a_bold: tuple[tuple[int | None, ...], ...]
+    b_bold: tuple[tuple[int | None, ...], ...]
+    maximum: tuple[tuple[int | None, ...], ...]
+    same: tuple[int, ...]
+    a_win: tuple[int, ...]
+    b_win: tuple[int, ...]
+
+
 def _check_same_shape(a: Matrix, b: Matrix) -> None:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(
             f"shape mismatch: {a.rows}x{a.cols} versus {b.rows}x{b.cols}"
         )
-
-
-def bold_pair(a: IntRows, b: IntRows) -> tuple[list[list], list[list]]:
-    """Keep each entry only where it weakly dominates the opposing entry.
-
-    a and b are int rows of one shape, None for -inf.  Where the entries
-    tie, both survive; elsewhere the loser becomes None.  The filtered pair
-    has the same solution set as the original.
-    """
-    if len(a) != len(b) or any(len(ar) != len(br) for ar, br in zip(a, b)):
-        raise DimensionMismatch("the two sides differ in shape")
-    a_bold = []
-    b_bold = []
-    for ar, br in zip(a, b):
-        pairs = list(zip(ar, br))
-        a_bold.append([x if y is None or (x is not None and x >= y) else None for x, y in pairs])
-        b_bold.append([y if x is None or (y is not None and y >= x) else None for x, y in pairs])
-    return a_bold, b_bold
 
 
 def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
@@ -87,90 +97,145 @@ def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def reduce_instance(
-    a: IntRows, b: IntRows, n: int, dead: Iterable[int] = ()
-) -> ReducedInstance:
-    """Iterate the reduction moves to a fixed point.
+def row_masks(a: IntRows, b: IntRows, n: int) -> RowMasks:
+    """The bold pair and the column masks of int rows a and b over n columns.
 
-    a and b are int rows over n columns in one common unit, None for -inf;
-    n is explicit because an instance without rows has no row to tell it.
-    The dead columns start at -inf: no move looks at them, so the result is
-    that of the instance with these columns deleted, in original
-    coordinates.
-
-    Moves, in order, restarting after any change:
-      * drop a row whose two sides are identical (it imposes nothing);
-      * if one side of a row is entirely -inf while the other side has a
-        finite entry, every column carrying such an entry is forced to
-        -inf, those columns are deleted everywhere and the row is dropped;
-      * drop a column whose two sides are entirely -inf (unconstrained).
-
-    Each move strictly shrinks rows+columns, so the loop terminates.
+    The bold pair keeps each entry only where it weakly dominates the
+    opposing entry: where the entries tie both survive, elsewhere the loser
+    becomes None.  It has the same solution set as the original pair.  n is
+    explicit because an instance without rows has no row to tell it.
     """
     if any(len(row) != n for row in a):
         raise DimensionMismatch(f"rows do not have {n} entries")
-    a_bold, b_bold = bold_pair(a, b)
-    live_rows = list(range(len(a)))
-    forced = set(dead)
-    live_cols = [j for j in range(n) if j not in forced]
-    free: set[int] = set()
-
-    changed = True
-    while changed:
-        changed = False
-
-        for i in list(live_rows):
-            if all(a[i][j] == b[i][j] for j in live_cols):
-                live_rows.remove(i)
-                changed = True
-        if changed:
-            continue
-
-        for i in list(live_rows):
-            ar, br = a_bold[i], b_bold[i]
-            a_dead = all(ar[j] is None for j in live_cols)
-            b_dead = all(br[j] is None for j in live_cols)
-            if a_dead == b_dead:
-                continue
-            # the side that still has finite entries wins the row maximum,
-            # which must equal -inf: its columns are forced to -inf
-            side = br if a_dead else ar
-            winners = [j for j in live_cols if side[j] is not None]
-            forced.update(winners)
-            live_cols = [j for j in live_cols if j not in winners]
-            live_rows.remove(i)
-            changed = True
-            break
-        if changed:
-            continue
-
-        for j in list(live_cols):
-            if all(a_bold[i][j] is None and b_bold[i][j] is None for i in live_rows):
-                free.add(j)
-                live_cols.remove(j)
-                changed = True
-
-    if live_rows:
-        verdict = Verdict.REDUCED
-    elif len(forced) == n:
-        verdict = Verdict.TRIVIAL_ONLY
-    else:
-        verdict = Verdict.ALL_ROWS_GONE
-
-    a_dom = tuple(tuple(a_bold[i][j] for j in live_cols) for i in live_rows)
-    b_dom = tuple(tuple(b_bold[i][j] for j in live_cols) for i in live_rows)
-    # each entry of a dominated pair is the maximum or None
-    mx = tuple(
-        tuple(x if x is not None else y for x, y in zip(ar, br))
-        for ar, br in zip(a_dom, b_dom)
+    if len(a) != len(b) or any(len(row) != n for row in b):
+        raise DimensionMismatch("the two sides differ in shape")
+    a_bold, b_bold, maximum, same, a_win, b_win = [], [], [], [], [], []
+    for ar, br in zip(a, b):
+        xs, ys, zs = [], [], []
+        s = aw = bw = 0
+        bit = 1
+        for x, y in zip(ar, br):
+            if x == y:
+                s |= bit
+                if x is not None:
+                    aw |= bit
+                    bw |= bit
+                xs.append(x)
+                ys.append(y)
+                zs.append(x)
+            elif y is None or (x is not None and x > y):
+                aw |= bit
+                xs.append(x)
+                ys.append(None)
+                zs.append(x)
+            else:
+                bw |= bit
+                xs.append(None)
+                ys.append(y)
+                zs.append(y)
+            bit <<= 1
+        a_bold.append(tuple(xs))
+        b_bold.append(tuple(ys))
+        maximum.append(tuple(zs))
+        same.append(s)
+        a_win.append(aw)
+        b_win.append(bw)
+    return RowMasks(
+        n, tuple(a_bold), tuple(b_bold), tuple(maximum), tuple(same), tuple(a_win), tuple(b_win)
     )
+
+
+def _columns(mask: int, n: int) -> list[int]:
+    return [j for j in range(n) if mask >> j & 1]
+
+
+def _take(rows: IntRows, keep_rows: list[int], keep_cols: list[int] | None) -> tuple:
+    """The given rows, restricted to the given columns (None keeps them all)."""
+    if keep_cols is None:
+        return tuple([rows[i] for i in keep_rows])
+    return tuple([tuple([rows[i][j] for j in keep_cols]) for i in keep_rows])
+
+
+def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstance:
+    """Iterate the reduction moves to a fixed point.
+
+    masks holds the instance (see row_masks).  The dead columns, ints in
+    range(n), start at -inf: no move looks at them, so the result is that
+    of the instance with these columns deleted, in original coordinates.
+
+    The live columns are one int mask, live; the moves, in order,
+    restarting from the first after any change, are:
+      * drop every row whose two sides are identical on the live columns,
+        live & ~same[i] == 0 (it imposes nothing);
+      * take the first row with one side entirely -inf on the live columns
+        while the other has a finite entry: exactly one of live & a_win[i]
+        and live & b_win[i] is 0.  The other one's columns win the row
+        maximum, which must equal -inf, so they are forced to -inf and
+        leave live, and the row is dropped;
+      * drop every live column that is -inf on both sides of every live
+        row, live & ~OR(a_win[i] | b_win[i]) (it is unconstrained, free).
+
+    Each move strictly shrinks rows+columns, so the loop terminates.  The
+    dominated rows a_dom, b_dom and scaled_max are read off masks only for
+    the REDUCED verdict.
+    """
+    n = masks.n
+    dead_mask = 0
+    for j in dead:
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise TypeError(f"dead columns must be ints, not {type(j).__name__}")
+        if not 0 <= j < n:
+            raise ValueError(f"dead column {j} is not in range({n})")
+        dead_mask |= 1 << j
+    full = (1 << n) - 1
+    live = full ^ dead_mask
+    same, a_win, b_win = masks.same, masks.a_win, masks.b_win
+    rows = list(range(len(same)))
+    free = 0
+
+    while True:
+        kept = [i for i in rows if live & ~same[i]]
+        if len(kept) < len(rows):
+            rows = kept
+            continue
+        for k, i in enumerate(rows):
+            a_live = live & a_win[i]
+            b_live = live & b_win[i]
+            if (a_live == 0) != (b_live == 0):
+                live ^= a_live | b_live
+                del rows[k]
+                break
+        else:
+            used = 0
+            for i in rows:
+                used |= a_win[i] | b_win[i]
+            idle = live & ~used
+            if not idle:
+                break
+            free |= idle
+            live ^= idle
+
+    if not rows:
+        # no live column is left: every one is forced or free
+        return ReducedInstance(
+            a_dom=(),
+            b_dom=(),
+            scaled_max=(),
+            row_origin=(),
+            col_origin=(),
+            forced_neg_inf=frozenset(_columns(full ^ free, n)),
+            free_cols=frozenset(_columns(free, n)),
+            verdict=Verdict.ALL_ROWS_GONE if free else Verdict.TRIVIAL_ONLY,
+        )
+    cols = _columns(live, n)
+    keep = None if live == full else cols
     return ReducedInstance(
-        a_dom=a_dom,
-        b_dom=b_dom,
-        scaled_max=mx,
-        row_origin=tuple(live_rows),
-        col_origin=tuple(live_cols),
-        forced_neg_inf=frozenset(forced),
-        free_cols=frozenset(free),
-        verdict=verdict,
+        a_dom=_take(masks.a_bold, rows, keep),
+        b_dom=_take(masks.b_bold, rows, keep),
+        scaled_max=_take(masks.maximum, rows, keep),
+        row_origin=tuple(rows),
+        col_origin=tuple(cols),
+        forced_neg_inf=frozenset(_columns(full ^ live ^ free, n)),
+        free_cols=frozenset(_columns(free, n)),
+        verdict=Verdict.REDUCED,
     )

@@ -18,6 +18,7 @@ from typing import Sequence
 from .cells import (
     SolutionCell,
     SolutionSet,
+    _positive_int,
     cell_membership,
     sample_cell,
     solve,
@@ -178,8 +179,11 @@ class PinnedCell:
 
         Base-cell samples where the pinned variable is finite are shifted so
         it hits the pinned value exactly (cells are stable under adding one
-        constant to all finite coordinates).
+        constant to all finite coordinates).  count and box are checked as
+        sample_cell checks them: ints (not bools) of at least 1.
         """
+        _positive_int("count", count)
+        _positive_int("box", box)
         out: list[tuple[Scalar, ...]] = []
         attempt = 0
         while len(out) < count and attempt < 200:

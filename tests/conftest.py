@@ -13,6 +13,7 @@ import pytest
 from tropsolve import NEG_INF, Matrix
 from tropsolve.cells import SolutionCell, dimension_bound
 from tropsolve.core import common_denominator, scaled, scaled_entries
+from tropsolve.preprocess import row_masks
 
 NI = "-inf"
 
@@ -66,11 +67,22 @@ def pair_scale(a, b):
 def scaled_pair(a, b):
     """Both matrices as int rows in one unit (None for -inf), as solve scales them.
 
-    bold_pair, reduce_instance and classify_row take these rows; scaling each
-    matrix alone (scaled_rows) would give the two sides different units.
+    row_masks and classify_row take these rows; scaling each matrix alone
+    (scaled_rows) would give the two sides different units.
     """
     scale = pair_scale(a, b)
     return scaled_entries(a, scale), scaled_entries(b, scale)
+
+
+def pair_masks(a, b):
+    """The RowMasks of a Matrix pair, in the unit solve scales it to."""
+    return row_masks(*scaled_pair(a, b), a.cols)
+
+
+def bold_rows(a, b):
+    """The bold pair of a Matrix pair as int rows (None for -inf)."""
+    masks = pair_masks(a, b)
+    return masks.a_bold, masks.b_bold
 
 
 def seq0(pairs):

@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    pair_masks,
     running_reference_cells,
-    scaled_pair,
     seq0,
     seq1,
     two_by_seven_reference_cells,
@@ -123,7 +123,7 @@ def test_criterion_2_empty_case(empty_case_example):
         failures.append("expected trivial_only with no cells")
 
     # the inconsistent-component path: its lone win sequence forces all of [4]
-    red = reduce_instance(*scaled_pair(a, b), a.cols)
+    red = reduce_instance(pair_masks(a, b))
     classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(3)]
     omega, _, residue = _solve_sequence(
         seq0([(1, 4), (1, 3), (3, 4)]), red, classes, 4

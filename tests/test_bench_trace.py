@@ -21,6 +21,8 @@ LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 INSTANCES = (
     "problem: eq\nm: 2\nn: 2\nA:\n0 -inf\n1 2\nB:\n-inf 0\n1 2\n",
+    # three silencing scenarios
+    "problem: eq\nm: 3\nn: 3\nA:\n0 1 1\n2 -inf 0\n-inf 0 0\nB:\n2 -inf -inf\n2 -inf -2\n-inf 1 0\n",
     "problem: leq\nm: 1\nn: 2\nA:\n0 1\nB:\n1 0\n",
     "problem: eqb\nm: 1\nn: 2\nA:\n1 2\nb:\n3\n",
     "problem: hetero\nm: 1\nn: 1\ns: 1\nC:\n0\nD:\n0\n",
@@ -68,3 +70,7 @@ def test_tracer_wraps_and_reaches_every_layer():
     _, _, calls = tracer.layer_times()
     missing = set(layers.expected_spans("cli")) - set(calls)
     assert not missing, f"layers never reached: {sorted(missing)}"
+    # solve reduces once per silencing scenario through cells.reduce_instance,
+    # so the preprocess span counts scenarios, not per-solve set-up
+    scenarios = sum(result.stats.scenarios for result in tracer.solve_results)
+    assert calls["preprocess.reduce"] == scenarios > len(tracer.solve_results)

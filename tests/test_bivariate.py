@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import scaled_pair, scaled_rows, seq0
+from conftest import bold_rows, scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
@@ -16,7 +16,7 @@ from tropsolve.bivariate import (
     remove_and_enlarge,
 )
 from tropsolve.core import TropicalError
-from tropsolve.preprocess import bold_pair, maximum_matrix
+from tropsolve.preprocess import maximum_matrix
 from tropsolve.winseq import classify_row
 
 NI = "-inf"
@@ -45,7 +45,7 @@ D2_ROWS = [
 
 
 def _systems_for(a, b, sequence_1based):
-    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    a_dom, b_dom = bold_rows(a, b)
     mx = maximum_matrix(a, b)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     return build_systems(seq0(sequence_1based), scaled_rows(mx), classes)

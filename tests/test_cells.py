@@ -10,8 +10,8 @@ from conftest import (
     make_cell,
     pair_scale,
     planted_rows,
+    pair_masks,
     running_reference_cells,
-    scaled_pair,
     seq0,
     seq1,
 )
@@ -26,6 +26,7 @@ from tropsolve import (
     solve,
     verify_solution,
 )
+import tropsolve.cells as cells_mod
 from tropsolve.bivariate import Constraint
 from tropsolve.cells import _solve_sequence, dimension_bound
 from tropsolve.core import DimensionMismatch, common_denominator, scaled
@@ -279,7 +280,7 @@ def test_soundness_random_instances():
 
 def _sequence_results(a, b, systems=None):
     """Every root sequence of the pair with its _solve_sequence result."""
-    red = reduce_instance(*scaled_pair(a, b), a.cols)
+    red = reduce_instance(pair_masks(a, b))
     classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))]
     sequences, _ = enumerate_win_sequences_counted(
         red.scaled_max, [winning_pairs(c) for c in classes]
@@ -363,3 +364,39 @@ def test_cells_hold_their_ints_in_lowest_terms():
     assert cells_seen >= 250
     assert scaled_cells >= 200
     assert reduced_cells >= 100
+
+
+def test_solve_builds_the_masks_once_and_reduces_once_per_scenario(monkeypatch):
+    calls = {"row_masks": 0, "reduce_instance": 0}
+    built = []
+
+    def counted(name):
+        original = getattr(cells_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = original(*args, **kwargs)
+            if name == "row_masks":
+                built.append(result)
+            else:
+                assert args[0] is built[-1]
+            return result
+
+        monkeypatch.setattr(cells_mod, name, wrapper)
+
+    counted("row_masks")
+    counted("reduce_instance")
+    rng = random.Random(41)
+    scenarios = []
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        a, b = planted_rows(rng, m, n)
+        for row in a + b:  # silence some entries, so scenarios branch
+            for j in range(n):
+                if rng.random() < 0.3:
+                    row[j] = NEG_INF
+        calls.update(row_masks=0, reduce_instance=0)
+        stats = solve(Matrix(a, cols=n), Matrix(b, cols=n), collect_stats=True).stats
+        assert calls == {"row_masks": 1, "reduce_instance": stats.scenarios}
+        scenarios.append(stats.scenarios)
+    assert max(scenarios) >= 3

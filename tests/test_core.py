@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,10 @@ from tropsolve.core import (
     TokenTooLarge,
     as_scalar,
     common_denominator,
+    common_unit,
     odot,
     oplus,
+    scaled,
     scaled_entries,
 )
 
@@ -130,3 +134,43 @@ def test_scaled_entries_exact():
     assert scale == 6
     assert scaled_entries(m, scale) == [[3, None, -4], [24, 5, 0]]
     assert common_denominator([NEG_INF]) == 1
+
+
+def ref_common_denominator(values):
+    return math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+
+
+def ref_scaled_entries(matrix, scale):
+    return [[scaled(v, scale) for v in row] for row in matrix.to_rows()]
+
+
+def _mixed_matrix(rng, rows, cols):
+    """Entries over denominators 1 to 12, negative ones too, and -inf."""
+    dens = rng.choice(((1,), (1, 2), (2, 3, 4), (1, 5, 7, 12), (6, 10, 15)))
+    density = rng.choice((0.0, 0.3, 0.9))
+    return Matrix(
+        [
+            [NEG_INF if rng.random() < density else Fraction(rng.randint(-60, 60), rng.choice(dens))
+             for _ in range(cols)]
+            for _ in range(rows)
+        ],
+        cols=cols,
+    )
+
+
+def test_scaling_helpers_match_the_per_entry_scaling():
+    rng = random.Random(2718)
+    scales = set()
+    for _ in range(1500):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        a, b = _mixed_matrix(rng, m, n), _mixed_matrix(rng, m, n)
+        values = [v for mat in (a, b) for row in mat.to_rows() for v in row]
+        scale = ref_common_denominator(values)
+        expected_a, expected_b = ref_scaled_entries(a, scale), ref_scaled_entries(b, scale)
+        assert common_denominator(values) == scale
+        assert common_denominator(iter(values + [0, "x", None])) == scale
+        assert scaled_entries(a, scale) == expected_a
+        assert scaled_entries(b, 7 * scale) == ref_scaled_entries(b, 7 * scale)
+        assert common_unit(a, b) == (scale, expected_a, expected_b)
+        scales.add(scale)
+    assert 1 in scales and len(scales) >= 10

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pair_scale, random_rows, scaled_pair
+from conftest import bold_rows, pair_masks, pair_scale, random_rows, scaled_pair
 from tropsolve import NEG_INF, Matrix, verify_solution
 from tropsolve.core import DimensionMismatch, scaled_entries
-from tropsolve.preprocess import Verdict, bold_pair, maximum_matrix, reduce_instance
+from tropsolve.preprocess import Verdict, maximum_matrix, reduce_instance, row_masks
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"
 
 
 def _reduce(a, b, dead=()):
-    return reduce_instance(*scaled_pair(a, b), a.cols, dead=dead)
+    return reduce_instance(pair_masks(a, b), dead=dead)
 
 
 def _matrix(rows, cols, scale):
@@ -24,23 +24,71 @@ def _matrix(rows, cols, scale):
     )
 
 
+def _tuples(rows):
+    return tuple(map(tuple, rows))
+
+
 def test_bold_pair_elementwise():
-    a_dom, b_dom = bold_pair(*scaled_pair(Matrix([[1, 5]]), Matrix([[2, 3]])))
+    a_dom, b_dom = bold_rows(Matrix([[1, 5]]), Matrix([[2, 3]]))
     expected_a, expected_b = scaled_pair(Matrix([[NI, 5]]), Matrix([[2, NI]]))
-    assert a_dom == expected_a
-    assert b_dom == expected_b
+    assert a_dom == _tuples(expected_a)
+    assert b_dom == _tuples(expected_b)
 
 
 def test_bold_pair_running_example_is_fixed(running_example):
     a, b = scaled_pair(*running_example)
-    a_dom, b_dom = bold_pair(a, b)
-    assert a_dom == a and b_dom == b
+    masks = row_masks(a, b, 4)
+    assert masks.a_bold == _tuples(a) and masks.b_bold == _tuples(b)
 
 
 def test_bold_pair_equal_keeps_both():
     a, _ = scaled_pair(Matrix([[1, NI], [0, 2]]), Matrix([[1, NI], [0, 2]]))
-    a_dom, b_dom = bold_pair(a, a)
-    assert a_dom == a and b_dom == a
+    masks = row_masks(a, a, 2)
+    assert masks.a_bold == masks.b_bold == _tuples(a)
+
+
+def test_row_masks_bits():
+    # columns: tie, A wins, B wins, both -inf, A alone finite
+    masks = row_masks([[1, 5, 0, None, 2]], [[1, 3, 4, None, None]], 5)
+    assert masks.a_bold == ((1, 5, None, None, 2),)
+    assert masks.b_bold == ((1, None, 4, None, None),)
+    assert masks.same == (0b01001,)
+    assert masks.a_win == (0b10011,)
+    assert masks.b_win == (0b00101,)
+
+
+def test_row_masks_shape_checks():
+    with pytest.raises(DimensionMismatch, match="rows do not have 2 entries"):
+        row_masks([[0]], [[0]], 2)
+    with pytest.raises(DimensionMismatch, match="differ in shape"):
+        row_masks([[0]], [[0], [1]], 1)
+    with pytest.raises(DimensionMismatch, match="differ in shape"):
+        row_masks([[0, 1]], [[0]], 2)
+    assert row_masks([], [], 3).same == ()
+
+
+@pytest.mark.parametrize("dead", [[5], [1], [-1], [0, 2]])
+def test_reduce_rejects_dead_columns_out_of_range(dead):
+    masks = row_masks([[0], [1]], [[0], [None]], 1)
+    with pytest.raises(ValueError, match=r"not in range\(1\)"):
+        reduce_instance(masks, dead=dead)
+
+
+@pytest.mark.parametrize("dead", [[True], [False], [0.0], ["0"], [None], [Fraction(0)]])
+def test_reduce_rejects_dead_columns_that_are_not_ints(dead):
+    masks = row_masks([[0, 1]], [[0, None]], 2)
+    with pytest.raises(TypeError, match="dead columns must be ints"):
+        reduce_instance(masks, dead=dead)
+
+
+def test_reduce_keeps_the_partition_with_dead_columns():
+    masks = row_masks([[0]], [[0]], 1)
+    red = reduce_instance(masks, dead=[0])
+    assert red.verdict is Verdict.TRIVIAL_ONLY
+    assert red.forced_neg_inf == {0} and not red.free_cols
+    red = reduce_instance(masks)
+    assert red.verdict is Verdict.ALL_ROWS_GONE
+    assert red.free_cols == {0} and not red.forced_neg_inf
 
 
 def test_maximum_matrix(running_example, running_example_m, empty_case_example):
@@ -159,7 +207,7 @@ def _reference_reduction(a, b, dead):
         Matrix([[m[i, j] for j in keep] for i in range(m.rows)], cols=len(keep))
         for m in (a, b)
     )
-    red = reduce_instance(scaled_entries(a0, scale), scaled_entries(b0, scale), len(keep))
+    red = reduce_instance(row_masks(scaled_entries(a0, scale), scaled_entries(b0, scale), len(keep)))
     return replace(
         red,
         col_origin=tuple(keep[c] for c in red.col_origin),

@@ -10,6 +10,7 @@ from tropsolve import (
     leq_to_eq,
     matvec_maxplus,
     principal_solution,
+    sample_cell,
     solve,
     verify_solution,
 )
@@ -113,8 +114,6 @@ def test_hetero_no_rows():
 def test_hetero_round_trip_random():
     rng = random.Random(12)
     values = [NEG_INF, Fraction(0), Fraction(1), Fraction(2)]
-    from tropsolve import sample_cell
-
     for trial in range(60):
         s, n, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
         c = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(s)], cols=n)
@@ -146,8 +145,6 @@ def test_affine_degenerates_to_homogeneous():
     pinned = solve_affine(inst)
     plain = solve(a, b)
     rng = random.Random(0)
-    from tropsolve import sample_cell
-
     for cell in plain.cells:
         for point in sample_cell(cell, 10, seed=1, box=6):
             assert pinned.contains(point) or all(v is NEG_INF for v in point)
@@ -283,3 +280,27 @@ def test_residuation_law_random():
         holds = all(l <= r for l, r in zip(matvec_maxplus(a, x), b))
         below = all(xi <= si for xi, si in zip(x, star))
         assert holds == below
+
+
+def _pinned_line():
+    return pin_variable(solve(Matrix([[0, 1]]), Matrix([[0, 1]])).cells[0], 0, 0)
+
+
+@pytest.mark.parametrize(
+    "count,box,error",
+    [(0, 10, ValueError), (-3, 10, ValueError), (True, 10, TypeError), (2.0, 10, TypeError),
+     (1, 0, ValueError), (1, 2.5, TypeError), (0, 2.5, ValueError), (1, True, TypeError)],
+    ids=repr,
+)
+def test_pinned_sample_checks_count_and_box(count, box, error):
+    pinned = _pinned_line()
+    with pytest.raises(error, match="count|box"):
+        pinned.sample(count, box=box)
+    with pytest.raises(error, match="count|box"):
+        sample_cell(pinned.base, count, box=box)
+
+
+def test_pinned_sample_with_valid_arguments():
+    pinned = _pinned_line()
+    assert len(pinned.sample(1)) == 1
+    assert len(pinned.sample(3, box=1)) == 3

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import scaled_pair
+from conftest import pair_masks
 from tropsolve import Matrix, NEG_INF
 from tropsolve.bivariate import (
     OffsetUnionFind,
@@ -175,7 +175,7 @@ def test_loop_equals_component_closure_on_instances():
             Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
             for _ in range(2)
         )
-        red = reduce_instance(*scaled_pair(a, b), n)
+        red = reduce_instance(pair_masks(a, b))
         if red.verdict is not Verdict.REDUCED:
             continue
         classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))]

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import non_real_example, scaled_pair, scaled_rows, seq1
+from conftest import bold_rows, non_real_example, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
 from tropsolve.core import odot
-from tropsolve.preprocess import bold_pair, maximum_matrix
+from tropsolve.preprocess import maximum_matrix
 from tropsolve.winseq import (
     classify_row,
     enumerate_win_sequences_counted,
@@ -20,7 +20,7 @@ NI = "-inf"
 
 
 def _classes(a, b):
-    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    a_dom, b_dom = bold_rows(a, b)
     return [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
 
 
@@ -78,7 +78,7 @@ def test_compatible_neg_inf_absorbing():
 
 
 def _enumerate(a, b):
-    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    a_dom, b_dom = bold_rows(a, b)
     m = maximum_matrix(a, b)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
@@ -129,7 +129,7 @@ def test_enumerate_equals_product_filter():
         m_rows, n = rng.randint(1, 4), rng.randint(1, 5)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+        a_dom, b_dom = bold_rows(a, b)
         mx = maximum_matrix(a, b)
         classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
         pairs = [winning_pairs(c) for c in classes]
@@ -181,7 +181,7 @@ def test_enumeration_count_bound(running_example):
 
 def test_enumeration_counts_nodes(running_example):
     a, b = running_example
-    a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+    a_dom, b_dom = bold_rows(a, b)
     mx = maximum_matrix(a, b)
     classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
     pairs = [winning_pairs(c) for c in classes]
@@ -218,7 +218,7 @@ def test_necessity_for_real_valued_solutions():
         m_rows, n = rng.randint(2, 3), rng.randint(2, 3)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_pair(*scaled_pair(a, b))
+        a_dom, b_dom = bold_rows(a, b)
         mx = maximum_matrix(a, b)
         classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
         for x in itertools.product([NEG_INF, Fraction(0), Fraction(1)], repeat=n):
