@@ -54,8 +54,9 @@ from .core import (
     Matrix,
     Scalar,
     _ratios,
-    common_unit,
+    common_denominator,
     row_maxima,
+    scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
 from .winseq import (
@@ -288,7 +289,8 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     # one unit for every scenario, so that int keys compare like Fractions
-    scale, a_rows, b_rows = common_unit(a, b)
+    scale = common_denominator(v for m in (a, b) for row in m._data for v in row)
+    a_rows, b_rows = scaled_entries(a, scale), scaled_entries(b, scale)
     masks = row_masks(a_rows, b_rows, n)
 
     keys: set[tuple] = set()

@@ -158,25 +158,6 @@ def scaled_entries(matrix: Matrix, scale: int) -> list[list[int | None]]:
     ]
 
 
-def common_unit(
-    a: Matrix, b: Matrix
-) -> tuple[int, list[list[int | None]], list[list[int | None]]]:
-    """(scale, A's rows, B's rows): both matrices as exact ints in one unit.
-
-    scale is the lcm of the denominators of all their entries and the rows
-    hold every entry times scale, None for -inf: common_denominator and
-    scaled_entries over both matrices, read in one pass over their rows.
-    """
-    ratios = [
-        [None if v is NEG_INF else v.as_integer_ratio() for v in row]
-        for m in (a, b)
-        for row in m._data
-    ]
-    scale = math.lcm(*{r[1] for row in ratios for r in row if r is not None})
-    rows = [[None if r is None else r[0] * (scale // r[1]) for r in row] for row in ratios]
-    return scale, rows[: a.rows], rows[a.rows :]
-
-
 def as_vector(values: Sequence) -> tuple[Scalar, ...]:
     return tuple(as_scalar(v) for v in values)
 

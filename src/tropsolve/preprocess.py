@@ -7,9 +7,9 @@ until a fixed point.  Bookkeeping maps let every downstream result be
 reported in original coordinates.
 
 row_masks reads int rows, None standing for -inf: the entries of A and B
-times one common scale (core.common_unit; cells.solve scales once per
-solve).  The reduction only compares entries, so any common unit
-gives the same result.
+times one common scale (core.common_denominator and core.scaled_entries;
+cells.solve scales once per solve).  The reduction only compares entries,
+so any common unit gives the same result.
 
 The reduction runs on column bitmasks (bit j for column j).  row_masks
 builds them once per instance: for each row, the columns where a_ij ==

@@ -12,7 +12,6 @@ from tropsolve.core import (
     TokenTooLarge,
     as_scalar,
     common_denominator,
-    common_unit,
     odot,
     oplus,
     scaled,
@@ -170,7 +169,7 @@ def test_scaling_helpers_match_the_per_entry_scaling():
         assert common_denominator(values) == scale
         assert common_denominator(iter(values + [0, "x", None])) == scale
         assert scaled_entries(a, scale) == expected_a
+        assert scaled_entries(b, scale) == expected_b
         assert scaled_entries(b, 7 * scale) == ref_scaled_entries(b, 7 * scale)
-        assert common_unit(a, b) == (scale, expected_a, expected_b)
         scales.add(scale)
     assert 1 in scales and len(scales) >= 10
