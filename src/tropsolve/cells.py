@@ -1,8 +1,8 @@
 """End-to-end solver: from a matrix pair to a union of parameterized cells.
 
-solve scales A and B once into int rows (None for -inf), in units of
-1/scale, where scale is the lcm of the denominators of their entries; from
-there to the cell keys everything is an int in that unit.  Pipeline per
+solve reads the int rows of A and B (None for -inf) in units of 1/scale,
+the lcm of the two matrices' units; from there to the cell keys
+everything is an int in that unit.  Pipeline per
 instance: reduce, classify rows, enumerate win sequences, and for each
 sequence solve its equation system, substitute the inequalities onto its
 representatives, propagate -inf over them and tighten, looping while
@@ -54,9 +54,7 @@ from .core import (
     Matrix,
     Scalar,
     _ratios,
-    common_denominator,
     row_maxima,
-    scaled_entries,
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
 from .winseq import (
@@ -289,9 +287,8 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
     # one unit for every scenario, so that int keys compare like Fractions
-    scale = common_denominator(v for m in (a, b) for row in m._data for v in row)
-    a_rows, b_rows = scaled_entries(a, scale), scaled_entries(b, scale)
-    masks = row_masks(a_rows, b_rows, n)
+    scale = math.lcm(a.unit, b.unit)
+    masks = row_masks(a.in_unit(scale), b.in_unit(scale), n)
 
     keys: set[tuple] = set()
     seen: set[frozenset[int]] = set()

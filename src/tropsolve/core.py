@@ -6,13 +6,17 @@ no ``+inf``: every quantity the solver builds is a rational or ``-inf``.
 No floating point appears anywhere: the solver branches on exact equalities,
 which rounding would corrupt.  All values are immutable and every operation
 is pure.
+
+A Matrix keeps its entries as ints over one unit, None for -inf, and the
+solver, the bridges and the oracle compute on those ints.  _to_ints is the
+one rule that turns rationals into ints over a unit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 
 class TropicalError(Exception):
@@ -103,18 +107,11 @@ def _check_token_size(text: str) -> None:
         )
 
 
-def as_scalar(value) -> Scalar:
-    """Coerce ints, Fractions and strings ('3', '-7/2', '0.25', '-inf').
-
-    Floats are rejected: they are not exact.  So are number strings beyond
-    MAX_TOKEN_DIGITS, before any Fraction is built.
-    """
-    if isinstance(value, (NegInfinity, Fraction)):
+def _entry(value) -> int | Fraction | NegInfinity:
+    """value as an int (kept as it is), a Fraction or -inf; as_scalar's checks live here."""
+    # the exact types first: a failed isinstance against Fraction (an ABC) is slow
+    if value.__class__ is int or value is NEG_INF:
         return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a tropical scalar")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if text in ("-inf", "-oo"):
@@ -124,67 +121,50 @@ def as_scalar(value) -> Scalar:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a tropical scalar token: {value!r}") from exc
+    if isinstance(value, bool):
+        raise TypeError("bool is not a tropical scalar")
+    if isinstance(value, (int, Fraction)):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a string or Fraction")
     raise TypeError(f"cannot coerce {type(value).__name__} to a tropical scalar")
 
 
-def common_denominator(values: Iterable) -> int:
-    """Lcm of the denominators of the rationals among values (1 if none).
+def as_scalar(value) -> Scalar:
+    """Coerce ints, Fractions and strings ('3', '-7/2', '0.25', '-inf').
 
-    Multiplying by it turns every rational value into an integer, exactly.
+    Floats are rejected: they are not exact.  So are number strings beyond
+    MAX_TOKEN_DIGITS, before any Fraction is built.
     """
-    return math.lcm(*{v.denominator for v in values if isinstance(v, Fraction)})
+    v = _entry(value)
+    return Fraction(v) if isinstance(v, int) else v
 
 
-def scaled(value: Scalar, scale: int) -> int | None:
-    """value * scale as an exact int, with None standing for -inf.
-
-    scale must be a multiple of value's denominator (see common_denominator).
-    """
-    if isinstance(value, NegInfinity):
-        return None
-    return value.numerator * (scale // value.denominator)
-
-
-def scaled_entries(matrix: Matrix, scale: int) -> list[list[int | None]]:
-    """The matrix entries times scale, as exact ints, with None for -inf.
-
-    scale must be a multiple of every entry's denominator (see scaled).
-    """
-    return [
-        [None if v is NEG_INF else v.numerator * (scale // v.denominator) for v in row]
-        for row in matrix._data
-    ]
+def scaled(value, scale: int) -> int | None:
+    """value * scale as an int (None for -inf); scale is a multiple of value's denominator."""
+    return _to_ints((value,), scale)[0][0]
 
 
 def as_vector(values: Sequence) -> tuple[Scalar, ...]:
     return tuple(as_scalar(v) for v in values)
 
 
-def oplus(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical addition: the maximum."""
-    return a if a >= b else b
-
-
-def odot(a: Scalar, b: Scalar) -> Scalar:
-    """Tropical multiplication: classical addition, -inf absorbing."""
-    if isinstance(a, NegInfinity) or isinstance(b, NegInfinity):
-        return NEG_INF
-    return a + b
-
-
 class Matrix:
     """Dense, immutable matrix over tropical scalars.
+
+    ints[i][j] is the entry times unit (None for -inf), where unit is the
+    lcm of the entries' reduced denominators, so equal matrices have equal
+    (cols, unit, ints).  Indexing, row and to_rows give Fractions and -inf.
 
     Zero-row matrices are permitted (they arise from block constructions with
     no constraints) but must state their column count explicitly.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "unit", "ints")
 
     def __init__(self, data: Sequence[Sequence], cols: int | None = None):
-        grid = tuple(tuple(as_scalar(v) for v in row) for row in data)
+        grid = list(map(list, data))
+        flat, unit = _to_ints([v for row in grid for v in row])
         if grid:
             widths = {len(row) for row in grid}
             if len(widths) != 1:
@@ -197,90 +177,108 @@ class Matrix:
             raise DimensionMismatch("a zero-row matrix needs an explicit column count")
         if cols < 1:
             raise DimensionMismatch("matrices need at least one column")
-        object.__setattr__(self, "rows", len(grid))
+        self._set(cols, unit, tuple(tuple(flat[k : k + cols]) for k in range(0, len(flat), cols)))
+
+    @classmethod
+    def _of_ints(cls, ints: Sequence[Sequence[int | None]], unit: int, cols: int) -> "Matrix":
+        """The matrix of int rows over unit, in its canonical unit (unchecked)."""
+        g = math.gcd(unit, *(v for row in ints for v in row if v is not None))
+        if g > 1:
+            unit //= g
+            ints = [[None if v is None else v // g for v in row] for row in ints]
+        out = object.__new__(cls)
+        out._set(cols, unit, tuple(tuple(row) for row in ints))
+        return out
+
+    def _set(self, cols: int, unit: int, ints: tuple) -> None:
+        object.__setattr__(self, "rows", len(ints))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", grid)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "ints", ints)
+
+    def in_unit(self, unit: int) -> tuple[tuple[int | None, ...], ...]:
+        """The entries times unit, None for -inf; unit is a multiple of self.unit."""
+        if unit == self.unit:
+            return self.ints
+        f = unit // self.unit
+        return tuple(tuple([None if v is None else v * f for v in row]) for row in self.ints)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
 
+    def _scalar(self, v: int | None) -> Scalar:
+        return NEG_INF if v is None else Fraction(v, self.unit)
+
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self._data[i][j]
+        return self._scalar(self.ints[i][j])
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self._data[i]
+        return tuple(map(self._scalar, self.ints[i]))
 
     def to_rows(self) -> list[list[Scalar]]:
-        return [list(row) for row in self._data]
+        return [list(map(self._scalar, row)) for row in self.ints]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.cols == other.cols and self._data == other._data
+        return (self.cols, self.unit, self.ints) == (other.cols, other.unit, other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._data))
+        return hash((self.cols, self.unit, self.ints))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(repr(v) for v in row) for row in self._data)
+        body = "; ".join(" ".join(repr(v) for v in row) for row in self.to_rows())
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
 
-def _ratios(x: Sequence) -> list[tuple[int, int] | None]:
-    """x's entries as (numerator, denominator), None for -inf.
-
-    Fractions and -inf are read as they are; every other entry goes through
-    as_scalar, so a float or bool raises TypeError and a bad token ValueError.
-    """
+def _ratios(values: Sequence) -> list[tuple[int, int] | None]:
+    """The values as (numerator, denominator), None for -inf, each read by _entry."""
     out: list[tuple[int, int] | None] = []
-    for v in x:
-        if v.__class__ is not Fraction and v is not NEG_INF:
-            v = as_scalar(v)
+    for v in values:
+        if v.__class__ is not Fraction and v is not NEG_INF and v.__class__ is not int:
+            v = _entry(v)
         out.append(None if v is NEG_INF else v.as_integer_ratio())
     return out
+
+
+def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
+    """The values as ints over one unit, None for -inf, and that unit.
+
+    This is the one rule that turns rationals into ints over a unit.  The
+    unit is the lcm of unit and the values' reduced denominators.  Each
+    value is read by _entry (a float or bool raises TypeError, a bad token
+    ValueError), so an int builds no Fraction.
+    """
+    ratios = _ratios(values)
+    unit = math.lcm(unit, *{r[1] for r in ratios if r is not None})
+    return [None if r is None else r[0] * (unit // r[1]) for r in ratios], unit
 
 
 def row_maxima(matrices: Sequence[Matrix], x: Sequence) -> tuple[list[int | None], int]:
     """Every row's max_j (m_ij + x_j), for the matrices in turn, as ints.
 
     Returns (maxima, scale): the maxima in units of 1/scale, None for -inf,
-    where scale is the lcm of the denominators of every term a_ij + x_j with
-    both parts finite.  x's entries are coerced first, then its length is
-    checked against the columns of the matrices, which must all agree.
+    where scale is the lcm of the matrices' units and the denominators of
+    x.  x's entries are coerced first, then its length is checked against
+    the columns of the matrices, which must all agree.
     """
-    parts = _ratios(x)
+    xs, scale = _to_ints(x, math.lcm(*{m.unit for m in matrices}))
     cols = matrices[0].cols
-    if len(parts) != cols:
-        raise DimensionMismatch(f"vector of length {len(parts)} against {cols} columns")
-    scale = 1
-    live: list[tuple[int, int, int]] = []  # (j, numerator, denominator) of finite x_j
-    for j, part in enumerate(parts):
-        if part is not None:
-            live.append((j, *part))
-            if scale % part[1]:
-                scale = math.lcm(scale, part[1])
-    sides: list[list[tuple[int, int, int, int]]] = []  # the rows of every matrix
-    for matrix in matrices:
-        for i in range(matrix.rows):
-            row = matrix.row(i)
-            terms = []
-            for j, xn, xd in live:
-                v = row[j]
-                if v is not NEG_INF:
-                    num, den = v.as_integer_ratio()
-                    if scale % den:
-                        scale = math.lcm(scale, den)
-                    terms.append((num, den, xn, xd))
-            sides.append(terms)
+    if len(xs) != cols:
+        raise DimensionMismatch(f"vector of length {len(xs)} against {cols} columns")
+    live = [(j, xv) for j, xv in enumerate(xs) if xv is not None]
     maxima: list[int | None] = []
-    for terms in sides:
-        best = None
-        for num, den, xn, xd in terms:
-            t = num * (scale // den) + xn * (scale // xd)
-            if best is None or t > best:
-                best = t
-        maxima.append(best)
+    for matrix in matrices:
+        for row in matrix.in_unit(scale):
+            best = None
+            for j, xv in live:
+                v = row[j]
+                if v is not None:
+                    t = v + xv
+                    if best is None or t > best:
+                        best = t
+            maxima.append(best)
     return maxima, scale
 
 

@@ -5,7 +5,7 @@ scalar and matrix arithmetic with it.  Cross validation also takes three
 per-cell tools from cells: cell_membership, sample_cell and
 verify_solution.  Candidates are drawn from the grid values plus -inf in
 every coordinate, so solution faces reaching -inf are exercised.
-Enumeration runs on integers after clearing denominators, which is exact.
+Enumeration runs on ints in one unit, which is exact.
 
 grid_solutions searches depth first over the columns, in lexicographic
 order, keeping each row's running left and right maxima.  It cuts a subtree
@@ -27,6 +27,7 @@ misses are the same, in the same order, as for a scan of every cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,10 +39,8 @@ from .core import (
     Matrix,
     Scalar,
     TropicalError,
+    _to_ints,
     as_scalar,
-    common_denominator,
-    scaled,
-    scaled_entries,
 )
 
 
@@ -51,7 +50,7 @@ class GridTooLarge(TropicalError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite, strictly ascending list of rational grid values."""
+    """Finite, strictly ascending list of rational grid values: ints or Fractions."""
 
     values: tuple[Fraction, ...]
     include_neg_inf: bool = True
@@ -59,6 +58,12 @@ class GridSpec:
     def __post_init__(self):
         if not self.values:
             raise ValueError("grid needs at least one value")
+        for v in self.values:
+            if v is NEG_INF:
+                raise ValueError("grid values must be finite: -inf is a grid point already")
+            if isinstance(v, str):
+                raise TypeError("grid values are numbers, not str; GridSpec.of parses tokens")
+            as_scalar(v)  # TypeError for a float, a bool or any other type
         if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
             raise ValueError("grid values must be strictly ascending")
 
@@ -71,9 +76,7 @@ class GridSpec:
         adds by itself (include_neg_inf).  Equal values collapse into one,
         however they are spelled.
         """
-        points = sorted(map(as_scalar, values))  # -inf sorts first
-        if points and points[0] is NEG_INF:
-            raise ValueError("grid values must be finite: -inf is a grid point already")
+        points = sorted(map(as_scalar, values))  # -inf sorts first: __post_init__ rejects it
         return cls(tuple(v for i, v in enumerate(points) if i == 0 or v != points[i - 1]))
 
     def points(self) -> tuple[Scalar, ...]:
@@ -98,26 +101,23 @@ def grid_solutions(
     if size > cap:
         raise GridTooLarge(f"{size} candidates exceed the cap of {cap}")
 
-    scale = common_denominator(
-        [v for row in a.to_rows() + b.to_rows() for v in row] + list(grid.values)
-    )
-    am = scaled_entries(a, scale)
-    bm = scaled_entries(b, scale)
-    scaled_points = [scaled(p, scale) for p in points]
-    top = scaled(grid.values[-1], scale)
+    values, scale = _to_ints(grid.values, math.lcm(a.unit, b.unit))
+    am, bm = a.in_unit(scale), b.in_unit(scale)
+    scaled_points = [None] * (len(points) - len(values)) + values  # -inf first, if included
+    top = values[-1]
     # One int below every finite term stands for -inf, so that the running
     # maxima and the reach bounds compare as plain ints.
     finite = [v for row in am + bm for v in row if v is not None]
-    floor = min(finite, default=0) + scaled(grid.values[0], scale) - 1
+    floor = min(finite, default=0) + values[0] - 1
 
-    def terms(rows: list[list[int | None]], j: int) -> list[tuple[int, ...]]:
+    def terms(rows: Sequence[Sequence[int | None]], j: int) -> list[tuple[int, ...]]:
         """Per grid point, the column-j term of every row."""
         return [
             tuple(floor if x is None or r[j] is None else r[j] + x for r in rows)
             for x in scaled_points
         ]
 
-    def reach(rows: list[list[int | None]]) -> list[tuple[int, ...]]:
+    def reach(rows: Sequence[Sequence[int | None]]) -> list[tuple[int, ...]]:
         """Per depth d, the largest term columns d.. can add to every row."""
         bounds = [(floor,) * a.rows]
         for j in reversed(range(n)):

@@ -7,8 +7,8 @@ until a fixed point.  Bookkeeping maps let every downstream result be
 reported in original coordinates.
 
 row_masks reads int rows, None standing for -inf: the entries of A and B
-times one common scale (core.common_denominator and core.scaled_entries;
-cells.solve scales once per solve).  The reduction only compares entries,
+in one common unit (Matrix.ints, which cells.solve rescales to the lcm of
+the two units when they differ).  The reduction only compares entries,
 so any common unit gives the same result.
 
 The reduction runs on column bitmasks (bit j for column j).  row_masks
@@ -18,16 +18,17 @@ B entry, is finite.  None of these depends on which other columns are live,
 so one RowMasks serves every silencing scenario of a solve: a scenario only
 declares more columns dead, and reduce_instance intersects the masks with
 its own set of live columns.  maximum_matrix is the entrywise maximum of
-two Matrix objects.
+two Matrix objects, taken on their ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import DimensionMismatch, Matrix, oplus
+from .core import DimensionMismatch, Matrix
 
 IntRows = Sequence[Sequence[int | None]]
 
@@ -81,20 +82,16 @@ class RowMasks:
     b_win: tuple[int, ...]
 
 
-def _check_same_shape(a: Matrix, b: Matrix) -> None:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionMismatch(
-            f"shape mismatch: {a.rows}x{a.cols} versus {b.rows}x{b.cols}"
-        )
-
-
 def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise maximum of the two sides."""
-    _check_same_shape(a, b)
-    return Matrix(
-        [[oplus(a[i, j], b[i, j]) for j in range(a.cols)] for i in range(a.rows)],
-        cols=a.cols,
-    )
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch(f"shape mismatch: {a.rows}x{a.cols} versus {b.rows}x{b.cols}")
+    unit = math.lcm(a.unit, b.unit)
+    rows = [
+        [x if y is None or (x is not None and x >= y) else y for x, y in zip(ar, br)]
+        for ar, br in zip(a.in_unit(unit), b.in_unit(unit))
+    ]
+    return Matrix._of_ints(rows, unit, a.cols)
 
 
 def row_masks(a: IntRows, b: IntRows, n: int) -> RowMasks:

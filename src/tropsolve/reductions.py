@@ -32,11 +32,12 @@ from .core import (
     NegInfinity,
     Scalar,
     UndefinedOperation,
+    _to_ints,
     as_scalar,
     as_vector,
     matvec_maxplus,
-    odot,
     row_maxima,
+    scaled,
 )
 
 
@@ -55,9 +56,9 @@ def hetero_to_homo(c: Matrix, d: Matrix) -> tuple[Matrix, Matrix]:
     if c.rows != d.rows:
         raise DimensionMismatch("row counts differ")
     n, m = c.cols, d.cols
-    a_rows = [[c[i, j] for j in range(n)] + [NEG_INF] * m for i in range(c.rows)]
-    b_rows = [[NEG_INF] * n + [d[i, j] for j in range(m)] for i in range(c.rows)]
-    return Matrix(a_rows, cols=n + m), Matrix(b_rows, cols=n + m)
+    a_rows = [row + (None,) * m for row in c.ints]
+    b_rows = [(None,) * n + row for row in d.ints]
+    return Matrix._of_ints(a_rows, c.unit, n + m), Matrix._of_ints(b_rows, d.unit, n + m)
 
 
 def solve_hetero(c: Matrix, d: Matrix, collect_stats: bool = False) -> SolutionSet:
@@ -80,15 +81,14 @@ class AffineInstance:
 
 def homogenize_affine(inst: AffineInstance) -> tuple[Matrix, Matrix]:
     """Append the constant columns: ([A | a], [B | b]) over n+1 variables."""
-    a_rows = [
-        [inst.a[i, j] for j in range(inst.a.cols)] + [inst.a_vec[i]]
-        for i in range(inst.a.rows)
-    ]
-    b_rows = [
-        [inst.b[i, j] for j in range(inst.b.cols)] + [inst.b_vec[i]]
-        for i in range(inst.b.rows)
-    ]
-    return Matrix(a_rows, cols=inst.a.cols + 1), Matrix(b_rows, cols=inst.b.cols + 1)
+    return _with_column(inst.a, inst.a_vec), _with_column(inst.b, inst.b_vec)
+
+
+def _with_column(a: Matrix, vec: Sequence) -> Matrix:
+    """[a | vec] on ints, in the lcm of a's unit and vec's denominators."""
+    column, unit = _to_ints(vec, a.unit)
+    rows = [row + (v,) for row, v in zip(a.in_unit(unit), column)]
+    return Matrix._of_ints(rows, unit, a.cols + 1)
 
 
 def affine_holds(inst: AffineInstance, x: Sequence) -> bool:
@@ -210,11 +210,13 @@ def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
     """Specialize a cell by fixing one variable; None if the cell forces it to -inf.
 
     value goes through as_scalar (a float or bool raises TypeError) and must
-    be finite; var must index one of the cell's variables.
+    be finite; var must be an int, not a bool, indexing a cell variable.
     """
     val = as_scalar(value)
     if isinstance(val, NegInfinity):
         raise UndefinedOperation("cannot pin a variable to -inf")
+    if isinstance(var, bool) or not isinstance(var, int):
+        raise TypeError(f"var must be an int, not {type(var).__name__}")
     if not 0 <= var < cell.num_vars:
         raise DimensionMismatch(f"variable {var} outside a cell of {cell.num_vars} variables")
     if var in cell.neg_inf:
@@ -222,7 +224,7 @@ def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
     scale = math.lcm(cell.scale, val.denominator)
     factor = scale // cell.scale
     _, param0, off0 = next(entry for entry in cell.assigned if entry[0] == var)
-    t0 = val.numerator * (scale // val.denominator) - off0 * factor
+    t0 = scaled(val, scale) - off0 * factor
 
     def at(k: int) -> int:
         return k - 1 if k > var else k
@@ -304,14 +306,17 @@ def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:
     x#_j = min_i (b_i - a_ij), which is -inf when some b_i is -inf
     (Butkovic, Max-linear Systems, 2010).
     """
-    if any(isinstance(v, NegInfinity) for row in a.to_rows() for v in row):
+    if any(v is None for row in a.ints for v in row):
         raise UndefinedOperation("residuation requires a real matrix")
     if a.rows == 0:
         raise DimensionMismatch("residuation needs at least one row")
-    bs = as_vector(b)
+    bs, unit = _to_ints(b, a.unit)
     if len(bs) != a.rows:
         raise DimensionMismatch(f"vector of length {len(bs)} against {a.rows} rows")
-    return tuple(min(odot(v, -a[i, j]) for i, v in enumerate(bs)) for j in range(a.cols))
+    if None in bs:
+        return (NEG_INF,) * a.cols
+    rows = a.in_unit(unit)
+    return tuple(Fraction(min(v - r[j] for v, r in zip(bs, rows)), unit) for j in range(a.cols))
 
 
 def decide_eq_b(a: Matrix, b: Sequence) -> tuple[Scalar, ...] | None:

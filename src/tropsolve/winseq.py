@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Matrix, odot
+from .core import Matrix
 
 Pair = tuple[int, int]
 WinSequence = tuple[Pair, ...]
@@ -74,13 +74,13 @@ def is_compatible(max_matrix: Matrix, i: int, first: Pair, k: int, second: Pair)
 
     Checks m_{i kappa} + m_{k iota} <= m_{i iota} + m_{k kappa} for the up
     to four column combinations, with -inf absorbing; a minor that is -inf
-    on both sides passes.
+    on both sides passes.  The test runs on the matrix's ints.
     """
+    row_i, row_k = max_matrix.ints[i], max_matrix.ints[k]
     for iota in set(first):
         for kappa in set(second):
-            lhs = odot(max_matrix[i, kappa], max_matrix[k, iota])
-            rhs = odot(max_matrix[i, iota], max_matrix[k, kappa])
-            if not lhs <= rhs:
+            lhs, rhs = (row_i[kappa], row_k[iota]), (row_i[iota], row_k[kappa])
+            if None not in lhs and (None in rhs or sum(lhs) > sum(rhs)):
                 return False
     return True
 

@@ -6,13 +6,13 @@ Helpers convert the human-readable 1-based transcription into the package's
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from tropsolve import NEG_INF, Matrix
 from tropsolve.cells import SolutionCell, dimension_bound
-from tropsolve.core import common_denominator, scaled, scaled_entries
 from tropsolve.preprocess import row_masks
 
 NI = "-inf"
@@ -54,14 +54,49 @@ def planted_rows(rng, m, n):
     return a, b
 
 
+def ref_unit(values):
+    """The lcm of the denominators of the finite values (1 if none).
+
+    The reference scaling of the tests: it reads Fraction views and shares
+    no code with the package's own scaling.
+    """
+    return math.lcm(*(Fraction(v).denominator for v in values if v is not NEG_INF))
+
+
+def ref_scaled(value, unit):
+    """value * unit as an int, None for -inf; unit is a multiple of value's denominator."""
+    if value is NEG_INF:
+        return None
+    product = Fraction(value) * unit
+    assert product.denominator == 1
+    return product.numerator
+
+
+def ref_scaled_rows(matrix, unit):
+    """The matrix's to_rows() view times unit, as int rows with None for -inf."""
+    return [[ref_scaled(v, unit) for v in row] for row in matrix.to_rows()]
+
+
+def ref_oplus(a, b):
+    """Tropical addition of two scalars: the maximum, -inf neutral."""
+    return a if a >= b else b
+
+
+def ref_odot(a, b):
+    """Tropical multiplication of two scalars: the sum, -inf absorbing."""
+    if a is NEG_INF or b is NEG_INF:
+        return NEG_INF
+    return a + b
+
+
 def scaled_rows(matrix):
     """The matrix entries as exact ints over their common denominator, None for -inf."""
-    return scaled_entries(matrix, common_denominator(v for row in matrix.to_rows() for v in row))
+    return ref_scaled_rows(matrix, ref_unit(v for row in matrix.to_rows() for v in row))
 
 
 def pair_scale(a, b):
     """The lcm of the denominators of both matrices: the unit solve works in."""
-    return common_denominator(v for m in (a, b) for row in m.to_rows() for v in row)
+    return ref_unit(v for m in (a, b) for row in m.to_rows() for v in row)
 
 
 def scaled_pair(a, b):
@@ -71,7 +106,7 @@ def scaled_pair(a, b):
     (scaled_rows) would give the two sides different units.
     """
     scale = pair_scale(a, b)
-    return scaled_entries(a, scale), scaled_entries(b, scale)
+    return ref_scaled_rows(a, scale), ref_scaled_rows(b, scale)
 
 
 def pair_masks(a, b):
@@ -103,14 +138,14 @@ def make_cell(num_vars, assignments, constraints, neg_inf=(), win_sequence=()):
     """
     assign = sorted((v - 1, p - 1, Fraction(o)) for v, p, o in assignments)
     cons = [(p - 1, m - 1, Fraction(c)) for p, m, c in constraints]
-    scale = common_denominator([o for *_, o in assign] + [c for *_, c in cons])
+    scale = ref_unit([o for *_, o in assign] + [c for *_, c in cons])
     seq = seq0(win_sequence)
     return SolutionCell(
         win_sequence=seq,
         neg_inf=frozenset(v - 1 for v in neg_inf),
         scale=scale,
-        assigned=tuple((v, p, scaled(o, scale)) for v, p, o in assign),
-        rows=tuple((p, m, scaled(c, scale)) for p, m, c in cons),
+        assigned=tuple((v, p, ref_scaled(o, scale)) for v, p, o in assign),
+        rows=tuple((p, m, ref_scaled(c, scale)) for p, m, c in cons),
         dimension_bound=dimension_bound(seq, num_vars),
         num_vars=num_vars,
     )

@@ -10,6 +10,8 @@ from conftest import (
     make_cell,
     pair_scale,
     planted_rows,
+    ref_scaled,
+    ref_unit,
     pair_masks,
     running_reference_cells,
     seq0,
@@ -29,7 +31,7 @@ from tropsolve import (
 import tropsolve.cells as cells_mod
 from tropsolve.bivariate import Constraint
 from tropsolve.cells import _solve_sequence, dimension_bound
-from tropsolve.core import DimensionMismatch, common_denominator, scaled
+from tropsolve.core import DimensionMismatch
 from tropsolve.preprocess import reduce_instance
 from tropsolve.reductions import pin_variable
 from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
@@ -317,11 +319,11 @@ def _ints_from_views(cell):
     scale is the lcm of the views' denominators and the ints are over it,
     as cells computed them before they stored their ints.
     """
-    scale = common_denominator(
+    scale = ref_unit(
         [o for _, o in cell.assignments.values()] + [c.constant for c in cell.constraints]
     )
-    assigned = tuple((v, p, scaled(o, scale)) for v, (p, o) in cell.assignments.items())
-    rows = tuple((c.plus, c.minus, scaled(c.constant, scale)) for c in cell.constraints)
+    assigned = tuple((v, p, ref_scaled(o, scale)) for v, (p, o) in cell.assignments.items())
+    rows = tuple((c.plus, c.minus, ref_scaled(c.constant, scale)) for c in cell.constraints)
     return scale, assigned, rows
 
 

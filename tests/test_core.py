@@ -1,38 +1,49 @@
-import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tropsolve import NEG_INF, Matrix, matvec_maxplus
+from conftest import ref_oplus, ref_scaled_rows, ref_unit
+from tropsolve import NEG_INF, Matrix, matvec_maxplus, solve
 from tropsolve.core import (
     MAX_TOKEN_DIGITS,
     DimensionMismatch,
     TokenTooLarge,
     as_scalar,
-    common_denominator,
-    odot,
-    oplus,
-    scaled,
-    scaled_entries,
 )
+from tropsolve.preprocess import maximum_matrix
+from tropsolve.reductions import AffineInstance, hetero_to_homo, homogenize_affine
 
 rationals = st.fractions(max_denominator=50)
 scalars = st.one_of(st.just(NEG_INF), rationals)
 
+# The scalar operations as the product evaluates them: one row [0 0]
+# against (p, q) gives p (+) q, and one entry a against x gives a (.) x.
+_ROW_OF_ZEROS = Matrix([[0, 0]])
+
+
+def _oplus(p, q):
+    return matvec_maxplus(_ROW_OF_ZEROS, [p, q])[0]
+
+
+def _odot(a, x):
+    return matvec_maxplus(Matrix([[a]]), [x])[0]
+
 
 def test_scalar_ops_basic():
-    assert oplus(Fraction(3), Fraction(7)) == 7 and odot(Fraction(3), Fraction(7)) == 10
+    assert _oplus(Fraction(3), Fraction(7)) == 7 and _odot(Fraction(3), Fraction(7)) == 10
 
 
 def test_scalar_ops_neg_inf_neutral_absorbing():
-    assert oplus(NEG_INF, Fraction(5)) == 5
-    assert odot(NEG_INF, Fraction(5)) is NEG_INF
+    assert _oplus(NEG_INF, Fraction(5)) == 5
+    assert _odot(NEG_INF, Fraction(5)) is NEG_INF
 
 
 def test_scalar_ops_zero_is_multiplicative_neutral():
-    assert oplus(Fraction(0), Fraction(0)) == 0 and odot(Fraction(0), Fraction(0)) == 0
+    assert _oplus(Fraction(0), Fraction(0)) == 0 and _odot(Fraction(0), Fraction(0)) == 0
+    assert _odot(0, Fraction(-7, 3)) == Fraction(-7, 3)
 
 
 def test_total_order():
@@ -44,9 +55,9 @@ def test_total_order():
 
 
 def test_odot_extended_rules():
-    assert odot(Fraction(2), NEG_INF) is NEG_INF
-    assert odot(NEG_INF, NEG_INF) is NEG_INF
-    assert odot(Fraction(-3, 2), Fraction(7, 2)) == 2
+    assert _odot(Fraction(2), NEG_INF) is NEG_INF
+    assert _odot(NEG_INF, NEG_INF) is NEG_INF
+    assert _odot(Fraction(-3, 2), Fraction(7, 2)) == 2
 
 
 def test_as_scalar_tokens():
@@ -73,12 +84,12 @@ def test_as_scalar_token_size_bound():
 
 @given(scalars)
 def test_oplus_idempotent(a):
-    assert oplus(a, a) == a
+    assert _oplus(a, a) == a
 
 
 @given(scalars, scalars, scalars)
 def test_oplus_associative(a, b, c):
-    assert oplus(oplus(a, b), c) == oplus(a, oplus(b, c))
+    assert _oplus(_oplus(a, b), c) == _oplus(a, _oplus(b, c))
 
 
 def test_matvec_running_example(running_example):
@@ -129,47 +140,143 @@ def test_matrix_never_holds_pos_inf():
 
 def test_scaled_entries_exact():
     m = Matrix([["1/2", "-inf", "-2/3"], [4, "5/6", 0]])
-    scale = common_denominator(v for row in m.to_rows() for v in row)
-    assert scale == 6
-    assert scaled_entries(m, scale) == [[3, None, -4], [24, 5, 0]]
-    assert common_denominator([NEG_INF]) == 1
+    assert m.unit == 6
+    assert m.ints == ((3, None, -4), (24, 5, 0))
+    assert Matrix([["-inf"]]).unit == 1 and Matrix([["-inf"]]).ints == ((None,),)
+    assert Matrix([], cols=2).ints == () and Matrix([], cols=2).unit == 1
 
 
-def ref_common_denominator(values):
-    return math.lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+def _spelled(rng, value):
+    """value as an int, a Fraction or a token string, picked at random."""
+    if value is NEG_INF:
+        return rng.choice((NEG_INF, "-inf", " -oo "))
+    choices = [value, str(value)]
+    if value.denominator == 1:
+        choices.append(int(value))
+    if 10**6 % value.denominator == 0:  # a terminating decimal, spelled exactly
+        choices.append(str(Decimal(value.numerator) / value.denominator))
+    return rng.choice(choices)
 
 
-def ref_scaled_entries(matrix, scale):
-    return [[scaled(v, scale) for v in row] for row in matrix.to_rows()]
-
-
-def _mixed_matrix(rng, rows, cols):
-    """Entries over denominators 1 to 12, negative ones too, and -inf."""
+def _mixed_rows(rng, rows, cols):
+    """Entries over denominators 1 to 15, negative ones too, and -inf."""
     dens = rng.choice(((1,), (1, 2), (2, 3, 4), (1, 5, 7, 12), (6, 10, 15)))
-    density = rng.choice((0.0, 0.3, 0.9))
-    return Matrix(
-        [
-            [NEG_INF if rng.random() < density else Fraction(rng.randint(-60, 60), rng.choice(dens))
-             for _ in range(cols)]
-            for _ in range(rows)
-        ],
-        cols=cols,
-    )
+    density = rng.choice((0.0, 0.3, 0.9, 1.0))
+    return [
+        [NEG_INF if rng.random() < density else Fraction(rng.randint(-60, 60), rng.choice(dens))
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
 
 
 def test_scaling_helpers_match_the_per_entry_scaling():
+    """A Matrix's (unit, ints) is the per-entry scaling of its Fraction view."""
     rng = random.Random(2718)
-    scales = set()
+    units = set()
     for _ in range(1500):
         m, n = rng.randint(0, 6), rng.randint(1, 7)
-        a, b = _mixed_matrix(rng, m, n), _mixed_matrix(rng, m, n)
-        values = [v for mat in (a, b) for row in mat.to_rows() for v in row]
-        scale = ref_common_denominator(values)
-        expected_a, expected_b = ref_scaled_entries(a, scale), ref_scaled_entries(b, scale)
-        assert common_denominator(values) == scale
-        assert common_denominator(iter(values + [0, "x", None])) == scale
-        assert scaled_entries(a, scale) == expected_a
-        assert scaled_entries(b, scale) == expected_b
-        assert scaled_entries(b, 7 * scale) == ref_scaled_entries(b, 7 * scale)
-        scales.add(scale)
-    assert 1 in scales and len(scales) >= 10
+        rows = _mixed_rows(rng, m, n)
+        matrix = Matrix([[_spelled(rng, v) for v in row] for row in rows], cols=n)
+        assert matrix.to_rows() == rows
+        unit = ref_unit(v for row in rows for v in row)
+        assert matrix.unit == unit
+        assert matrix.ints == tuple(map(tuple, ref_scaled_rows(matrix, unit)))
+        assert all(type(v) is int for row in matrix.ints for v in row if v is not None)
+        units.add(unit)
+    assert 1 in units and len(units) >= 10
+
+
+def test_equal_values_give_equal_matrices_whatever_the_spelling():
+    spellings = ("1/2", "0.5", Fraction(1, 2), " 2/4 ", "5e-1")
+    matrices = [Matrix([[v, "-inf", 3]]) for v in spellings]
+    assert len(set(matrices)) == 1
+    assert len({hash(m) for m in matrices}) == 1
+    assert all(m.unit == 2 and m.ints == ((1, None, 6),) for m in matrices)
+    ints = [Matrix([[v]]) for v in (3, "3", Fraction(3), "3.0", Fraction(6, 2))]
+    assert len(set(ints)) == 1 and all(m.unit == 1 and m.ints == ((3,),) for m in ints)
+    assert Matrix([[1, 2]]) != Matrix([[1, "5/2"]])
+
+
+# The bridges as they were built on Fraction entries, one scalar at a time.
+
+
+def ref_maximum_matrix(a, b):
+    return Matrix(
+        [[ref_oplus(a[i, j], b[i, j]) for j in range(a.cols)] for i in range(a.rows)],
+        cols=a.cols,
+    )
+
+
+def ref_hetero_to_homo(c, d):
+    n, m = c.cols, d.cols
+    a_rows = [[c[i, j] for j in range(n)] + [NEG_INF] * m for i in range(c.rows)]
+    b_rows = [[NEG_INF] * n + [d[i, j] for j in range(m)] for i in range(c.rows)]
+    return Matrix(a_rows, cols=n + m), Matrix(b_rows, cols=n + m)
+
+
+def ref_homogenize_affine(inst):
+    a_rows = [
+        [inst.a[i, j] for j in range(inst.a.cols)] + [inst.a_vec[i]] for i in range(inst.a.rows)
+    ]
+    b_rows = [
+        [inst.b[i, j] for j in range(inst.b.cols)] + [inst.b_vec[i]] for i in range(inst.b.rows)
+    ]
+    return Matrix(a_rows, cols=inst.a.cols + 1), Matrix(b_rows, cols=inst.b.cols + 1)
+
+
+def _same_matrix(got, expected):
+    """Equal, with equal hashes, views and units (the unit of the view's entries)."""
+    assert got == expected and hash(got) == hash(expected)
+    assert got.to_rows() == expected.to_rows()
+    assert got.unit == ref_unit(v for row in got.to_rows() for v in row)
+
+
+def test_bridges_match_the_fraction_built_versions():
+    rng = random.Random(3141)
+    shrunk = 0
+    for _ in range(1500):
+        m, n, k = rng.randint(0, 5), rng.randint(1, 6), rng.randint(1, 4)
+        a, b = (Matrix(_mixed_rows(rng, m, n), cols=n) for _ in "ab")
+        merged = maximum_matrix(a, b)
+        _same_matrix(merged, ref_maximum_matrix(a, b))
+        shrunk += merged.unit < max(a.unit, b.unit)
+        d = Matrix(_mixed_rows(rng, m, k), cols=k)
+        for got, expected in zip(hetero_to_homo(a, d), ref_hetero_to_homo(a, d)):
+            _same_matrix(got, expected)
+        vecs = _mixed_rows(rng, 2, m) if m else [[], []]
+        inst = AffineInstance(a, b, tuple(vecs[0]), tuple(_spelled(rng, v) for v in vecs[1]))
+        for got, expected in zip(homogenize_affine(inst), ref_homogenize_affine(inst)):
+            _same_matrix(got, expected)
+    assert shrunk >= 20, shrunk
+
+
+def test_an_int_matrix_solves_without_building_a_fraction(monkeypatch, running_example):
+    """Matrices of ints and '-inf' are parsed and solved on ints alone."""
+    rng = random.Random(77)
+    pairs = [
+        [[[rng.choice(("-inf", rng.randint(-4, 4))) for _ in range(5)] for _ in range(4)]
+         for _ in "ab"]
+        for _ in range(30)
+    ]
+    pairs.append([_int_rows(m) for m in running_example])
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the wrapper sees every construction
+    built.clear()
+    cells = 0
+    for rows_a, rows_b in pairs:
+        cells += len(solve(Matrix(rows_a), Matrix(rows_b), collect_stats=True).cells)
+    assert built == []
+    assert cells >= 10, cells
+
+
+def _int_rows(matrix):
+    """An integral matrix as rows of ints and '-inf' tokens."""
+    return [["-inf" if v is NEG_INF else int(v) for v in row] for row in matrix.to_rows()]

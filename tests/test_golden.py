@@ -33,10 +33,9 @@ from pathlib import Path
 import pytest
 
 import tropsolve.cells as cells_mod
-from conftest import pair_scale, planted_rows, random_rows
+from conftest import pair_scale, planted_rows, random_rows, ref_unit
 from tropsolve import NEG_INF, Matrix, solve
 from tropsolve.cli import run
-from tropsolve.core import common_denominator
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_json.json"
 STATS = GOLDEN.with_name("eq_stats.json")
@@ -244,7 +243,7 @@ def _scenario_denominators(monkeypatch, a, b):
     def recording(*args, **kwargs):
         red = original(*args, **kwargs)
         if red.scaled_max:
-            seen.add(common_denominator(
+            seen.add(ref_unit(
                 Fraction(v, scale) for row in red.scaled_max for v in row if v is not None
             ))
         return red

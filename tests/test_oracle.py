@@ -67,6 +67,40 @@ def test_grid_spec_validation():
     assert GridSpec.of([3, 1, 2]).values == (1, 2, 3)
 
 
+def _error_of(make):
+    with pytest.raises((TypeError, ValueError)) as info:
+        make()
+    return info.type, str(info.value)
+
+
+def test_grid_spec_rejects_a_float_as_of_does():
+    assert _error_of(lambda: GridSpec((0.5,))) == _error_of(lambda: GridSpec.of((0.5,)))
+    assert _error_of(lambda: GridSpec((0, 1.0)))[0] is TypeError
+
+
+def test_grid_spec_rejects_a_bool_as_of_does():
+    assert _error_of(lambda: GridSpec((True,))) == _error_of(lambda: GridSpec.of((True,)))
+    assert _error_of(lambda: GridSpec((-1, False)))[0] is TypeError
+
+
+def test_grid_spec_rejects_a_string_value():
+    for values in (("1",), (0, "1/2"), ("-inf", 0)):
+        with pytest.raises(TypeError, match="GridSpec.of parses"):
+            GridSpec(values)
+    assert GridSpec.of(("1",)).values == (1,)
+
+
+def test_grid_spec_rejects_neg_inf_as_of_does():
+    assert _error_of(lambda: GridSpec((NEG_INF, 0))) == _error_of(lambda: GridSpec.of((NEG_INF, 0)))
+    assert _error_of(lambda: GridSpec((NEG_INF, 0)))[0] is ValueError
+
+
+def test_grid_spec_of_ints_and_fractions_solves():
+    a = Matrix([[0, "-inf"], [1, 0]])
+    grid = GridSpec((-1, Fraction(1, 2), 1))
+    assert grid_solutions(a, a, grid) == grid_solutions(a, a, GridSpec.of(["-1", "1/2", 1]))
+
+
 def test_cross_validate_running(running_example):
     a, b = running_example
     result = solve(a, b)

@@ -18,7 +18,16 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from conftest import FRACTIONAL_VALUES, make_cell, planted_rows
+from conftest import (
+    FRACTIONAL_VALUES,
+    make_cell,
+    planted_rows,
+    ref_odot,
+    ref_oplus,
+    ref_scaled,
+    ref_scaled_rows,
+    ref_unit,
+)
 from tropsolve import (
     NEG_INF,
     GridSpec,
@@ -39,11 +48,6 @@ from tropsolve.core import (
     TokenTooLarge,
     as_scalar,
     as_vector,
-    common_denominator,
-    odot,
-    oplus,
-    scaled,
-    scaled_entries,
 )
 from tropsolve.oracle import CrossValidationReport, GridTooLarge
 from tropsolve.reductions import AffineInstance, affine_holds
@@ -75,12 +79,10 @@ def ref_grid_solutions(a, b, grid, cap=10**6):
     size = len(points) ** n
     if size > cap:
         raise GridTooLarge(f"{size} candidates exceed the cap of {cap}")
-    scale = common_denominator(
-        [v for row in a.to_rows() + b.to_rows() for v in row] + list(grid.values)
-    )
-    am = scaled_entries(a, scale)
-    bm = scaled_entries(b, scale)
-    scaled_points = [scaled(p, scale) for p in points]
+    scale = ref_unit([v for row in a.to_rows() + b.to_rows() for v in row] + list(grid.values))
+    am = ref_scaled_rows(a, scale)
+    bm = ref_scaled_rows(b, scale)
+    scaled_points = [ref_scaled(p, scale) for p in points]
     out = []
     for combo in product(range(len(points)), repeat=n):
         xs = [scaled_points[c] for c in combo]
@@ -214,7 +216,7 @@ def ref_matvec_maxplus(a, x):
         row = a.row(i)
         best = NEG_INF
         for j in range(a.cols):
-            term = odot(row[j], xs[j])
+            term = ref_odot(row[j], xs[j])
             if term > best:
                 best = term
         out.append(best)
@@ -540,8 +542,8 @@ def ref_affine_holds(inst, x):
     xs = as_vector(x)
     left = ref_matvec_maxplus(inst.a, xs)
     right = ref_matvec_maxplus(inst.b, xs)
-    return tuple(oplus(l, v) for l, v in zip(left, inst.a_vec)) == tuple(
-        oplus(r, v) for r, v in zip(right, inst.b_vec)
+    return tuple(ref_oplus(l, v) for l, v in zip(left, inst.a_vec)) == tuple(
+        ref_oplus(r, v) for r, v in zip(right, inst.b_vec)
     )
 
 
@@ -605,8 +607,8 @@ def test_affine_holds_matches_the_fraction_products():
         if rng.random() < 0.5:
             # plant: raise the constant of each row's lower side to its higher side
             left, right = ref_matvec_maxplus(inst.a, x), ref_matvec_maxplus(inst.b, x)
-            lhs = [oplus(l, v) for l, v in zip(left, inst.a_vec)]
-            rhs = [oplus(r, v) for r, v in zip(right, inst.b_vec)]
+            lhs = [ref_oplus(l, v) for l, v in zip(left, inst.a_vec)]
+            rhs = [ref_oplus(r, v) for r, v in zip(right, inst.b_vec)]
             a_vec, b_vec = list(inst.a_vec), list(inst.b_vec)
             for i in range(m):
                 if lhs[i] < rhs[i]:

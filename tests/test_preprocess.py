@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bold_rows, pair_masks, pair_scale, random_rows, scaled_pair
+from conftest import (
+    bold_rows,
+    pair_masks,
+    pair_scale,
+    random_rows,
+    ref_scaled_rows,
+    scaled_pair,
+)
 from tropsolve import NEG_INF, Matrix, verify_solution
-from tropsolve.core import DimensionMismatch, scaled_entries
+from tropsolve.core import DimensionMismatch
 from tropsolve.preprocess import Verdict, maximum_matrix, reduce_instance, row_masks
 from tropsolve.winseq import classify_row, winning_pairs
 
@@ -207,7 +214,7 @@ def _reference_reduction(a, b, dead):
         Matrix([[m[i, j] for j in keep] for i in range(m.rows)], cols=len(keep))
         for m in (a, b)
     )
-    red = reduce_instance(row_masks(scaled_entries(a0, scale), scaled_entries(b0, scale), len(keep)))
+    red = reduce_instance(row_masks(ref_scaled_rows(a0, scale), ref_scaled_rows(b0, scale), len(keep)))
     return replace(
         red,
         col_origin=tuple(keep[c] for c in red.col_origin),

@@ -209,6 +209,13 @@ def test_pin_variable_rejects_a_variable_outside_the_cell(running_example, var):
         pin_variable(cell, var, 0)
 
 
+@pytest.mark.parametrize("var", [True, False, 1.0, 0.0, "1", None], ids=repr)
+def test_pin_variable_rejects_a_variable_that_is_not_an_int(running_example, var):
+    cell = solve(*running_example).cells[0]
+    with pytest.raises(TypeError, match="var must be an int"):
+        pin_variable(cell, var, 0)
+
+
 def test_pin_variable_reads_value_tokens_and_skips_forced_variables():
     cell = solve(Matrix([[0, NI]]), Matrix([[0, 0]])).cells[0]  # x2 <= x1
     pc = pin_variable(cell, 0, "-7/4")

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import bold_rows, non_real_example, scaled_rows, seq1
+from conftest import bold_rows, non_real_example, ref_odot, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
-from tropsolve.core import odot
 from tropsolve.preprocess import maximum_matrix
 from tropsolve.winseq import (
     classify_row,
@@ -231,7 +230,7 @@ def test_necessity_for_real_valued_solutions():
             for i in range(m_rows):
                 cand = None
                 for p, q in winning_pairs(classes[i]):
-                    if odot(mx[i, p], x[p]) == left[i] and odot(mx[i, q], x[q]) == left[i]:
+                    if ref_odot(mx[i, p], x[p]) == left[i] and ref_odot(mx[i, q], x[q]) == left[i]:
                         cand = (p, q)
                         break
                 assert cand is not None
