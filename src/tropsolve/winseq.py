@@ -8,16 +8,22 @@ column against itself); two pairs from different rows are compatible when
 every 2x2 tropical minor of the maximum matrix they span attains its value
 on the main diagonal.  Win sequences (one pair per row, pairwise compatible)
 are enumerated by forward checking over the maximum matrix scaled to exact
-ints (the reduced instance's scaled_max): the minor test is tabulated once
-per enumeration as one bitmask per pair and later row, and each choice
-intersects the domains of all later rows, backtracking as soon as one is
+ints (the reduced instance's scaled_max).  For rows i < k the minor test
+m_i kappa + m_k iota <= m_i iota + m_k kappa is a comparison of one key per
+column, key(kappa) <= key(iota) with key(c) = m_ic - m_kc, so one sort of
+row k's columns by key gives, for each column of row i, the bitmask of row
+k's pairs it rules out; a column with an -inf entry needs no key (it rules
+out all or none).  That table is built the first time the search narrows row
+k from row i, each choice removes the pairs its two columns rule out from
+the domains of all later rows, and the search backtracks as soon as one is
 empty.  is_compatible is the readable reference for the same test.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import Matrix
 
@@ -85,47 +91,49 @@ def is_compatible(max_matrix: Matrix, i: int, first: Pair, k: int, second: Pair)
     return True
 
 
-def _compatibility_masks(
-    rows: Sequence[Sequence[int | None]], pairs_per_row: list[list[Pair]]
-) -> list[list[list[int]]]:
-    """masks[i][a][k], for rows i < k: bit b is set when pair b of row k is
-    compatible with pair a of row i (the test of is_compatible).
+def _bad_columns(
+    row_i: Sequence[int | None],
+    row_k: Sequence[int | None],
+    cols_i: Iterable[int],
+    held_k: dict[int, int],
+) -> dict[int, int]:
+    """bad[iota]: the pairs of row k (bits of held_k, column -> pairs using
+    it) failing the minor test of is_compatible against column iota of row i.
 
-    A column-level table of the 2x2 minor test over the int rows is folded
-    over the pairs holding each column.
+    With key(c) = m_ic - m_kc the test m_i kappa + m_k iota <= m_i iota +
+    m_k kappa reads key(kappa) <= key(iota), so it fails when m_i kappa and
+    m_k iota are finite and m_i iota = -inf, m_k kappa = -inf or key(kappa) >
+    key(iota).  The kappa columns with both entries finite are sorted by key
+    once; those with m_k kappa = -inf fail against every iota with m_k iota
+    finite.
     """
-    # per row: column -> bitmask of the pairs that use it
-    holders: list[dict[int, int]] = []
-    for pairs in pairs_per_row:
-        held: dict[int, int] = {}
-        for b, pair in enumerate(pairs):
-            for col in set(pair):
-                held[col] = held.get(col, 0) | 1 << b
-        holders.append(held)
-
-    masks = []
-    for i, pairs in enumerate(pairs_per_row):
-        row_i = rows[i]
-        per_pair = [[0] * len(pairs_per_row) for _ in pairs]
-        for k in range(i + 1, len(pairs_per_row)):
-            row_k = rows[k]
-            # bad[iota]: pairs of row k failing the minor test against column iota
-            bad: dict[int, int] = {}
-            for iota in holders[i]:
-                mask = 0
-                for kappa, held in holders[k].items():
-                    l1, l2 = row_i[kappa], row_k[iota]
-                    if l1 is None or l2 is None:
-                        continue  # the left side is -inf: the minor passes
-                    r1, r2 = row_i[iota], row_k[kappa]
-                    if r1 is None or r2 is None or l1 + l2 > r1 + r2:
-                        mask |= held
-                bad[iota] = mask
-            full = (1 << len(pairs_per_row[k])) - 1
-            for a, (p, q) in enumerate(pairs):
-                per_pair[a][k] = full & ~(bad[p] | bad[q])
-        masks.append(per_pair)
-    return masks
+    keyed: list[tuple[int, int]] = []
+    always = 0
+    for kappa, held in held_k.items():
+        top = row_i[kappa]
+        if top is None:
+            continue  # m_i kappa = -inf: the minor passes
+        low = row_k[kappa]
+        if low is None:
+            always |= held
+        else:
+            keyed.append((top - low, held))
+    keyed.sort()
+    keys = [key for key, _ in keyed]
+    # above[j]: the always pairs and those holding a keyed column at sorted
+    # position >= j
+    above = [always] * (len(keyed) + 1)
+    for j in range(len(keyed) - 1, -1, -1):
+        above[j] = above[j + 1] | keyed[j][1]
+    bad = {}
+    for iota in cols_i:
+        low = row_k[iota]
+        if low is None:
+            bad[iota] = 0  # m_k iota = -inf: the minor passes
+        else:
+            top = row_i[iota]
+            bad[iota] = above[0] if top is None else above[bisect_right(keys, top - low)]
+    return bad
 
 
 def enumerate_win_sequences_counted(
@@ -135,17 +143,32 @@ def enumerate_win_sequences_counted(
 
     rows is the maximum matrix scaled to exact ints, None for -inf (as in
     ReducedInstance.scaled_max); any positive scale gives the same result.
-    Forward checking over the bitmasks of _compatibility_masks: choosing a
-    pair narrows the domain of every later row, and the search backtracks as
-    soon as one is empty.  Pairs are tried in list order, so the sequences
-    come out in the order of a plain depth-first search.  A node is one pair
-    taken from a filtered domain.  The stack is explicit, so the number of
-    rows is not limited by the recursion limit.
+    Forward checking on bitmask domains: choosing pair (p, q) at row d
+    removes bad[p] | bad[q] from the domain of every later row k, where bad
+    is the _bad_columns table of rows d and k (the minor test as one sort by
+    key, the -inf cases apart).  A table is built the first time a choice at
+    row d narrows row k, so row pairs the search never reaches cost nothing
+    and the last row has no table; the search backtracks as soon as a domain
+    is empty.  Pairs are tried in list order, so the sequences come out in
+    the order of a plain depth-first search.  A node is one pair taken from a
+    filtered domain.  The stack is explicit, so the number of rows is not
+    limited by the recursion limit.
     """
     m = len(pairs_per_row)
     if m == 0:
         return [()], 0
-    masks = _compatibility_masks(rows, pairs_per_row)
+    # per row: column -> bitmask of the pairs that use it
+    holders: list[dict[int, int]] = []
+    for pairs in pairs_per_row:
+        held: dict[int, int] = {}
+        bit = 1
+        for p, q in pairs:
+            held[p] = held.get(p, 0) | bit
+            held[q] = held.get(q, 0) | bit
+            bit <<= 1
+        holders.append(held)
+    # tables[d][k]: the _bad_columns table of rows d < k, None until needed
+    tables: list[list[dict[int, int] | None]] = [[None] * m for _ in range(m)]
     out: list[WinSequence] = []
     nodes = 0
     chosen = [0] * m
@@ -168,10 +191,14 @@ def enumerate_win_sequences_counted(
         if d == m - 1:
             out.append(tuple(pairs_per_row[k][chosen[k]] for k in range(m)))
             continue
+        p, q = pairs_per_row[d][a]
         narrowed = domains[d].copy()
-        row_masks = masks[d][a]
+        row_tables = tables[d]
         for k in range(d + 1, m):
-            narrowed[k] &= row_masks[k]
+            bad = row_tables[k]
+            if bad is None:
+                bad = row_tables[k] = _bad_columns(rows[d], rows[k], holders[d], holders[k])
+            narrowed[k] &= ~(bad[p] | bad[q])
             if not narrowed[k]:
                 break
         else:

@@ -207,6 +207,86 @@ def test_compatibility_translation_invariant(row_shift, col_shift):
             )
 
 
+# (row i, row k, compatible): pair (0, 0) of row i against pair (1, 1) of
+# row k, so the one minor is m_i1 + m_k0 <= m_i0 + m_k1, i.e. key(1) <= key(0)
+# with key(c) = m_ic - m_kc
+MINOR_CASES = [
+    ([0, 1], [2, 3], True),  # tied keys: the minor holds with equality
+    ([0, 2], [2, 3], False),  # key(1) > key(0)
+    ([1, 1], [2, 3], True),  # key(1) < key(0)
+    ([NI, 1], [2, 3], False),  # m_i0 = -inf
+    ([0, 1], [2, NI], False),  # m_k1 = -inf
+    ([NI, 1], [2, NI], False),  # both right-hand entries -inf
+    ([0, NI], [2, NI], True),  # m_i1 = -inf: the left side is -inf
+    ([NI, 1], [NI, 3], True),  # m_k0 = -inf: the left side is -inf
+]
+
+
+def test_enumerator_minor_boundaries_match_is_compatible():
+    for row_i, row_k, expected in MINOR_CASES:
+        mx = Matrix([row_i, row_k])
+        assert is_compatible(mx, 0, (0, 0), 1, (1, 1)) is expected, (row_i, row_k)
+        seqs, _ = enumerate_win_sequences_counted(mx.ints, [[(0, 0)], [(1, 1)]])
+        assert seqs == ([((0, 0), (1, 1))] if expected else []), (row_i, row_k)
+
+
+def test_enumerator_sorted_keys_match_is_compatible():
+    """Against one column of row i, the pairs of row k on either side of its
+    key, tied with it and on -inf columns."""
+    mx = Matrix([[0, 1, 2, 3, NI, 5], [0, 0, 2, 4, 1, NI]])
+    seconds = [(c, c) for c in range(6)] + [(3, 1), (2, 5)]
+    for first in [(0, 0), (1, 1), (2, 2), (4, 4), (0, 3)]:
+        seqs, _ = enumerate_win_sequences_counted(mx.ints, [[first], seconds])
+        expected = [(first, s) for s in seconds if is_compatible(mx, 0, first, 1, s)]
+        assert seqs == expected, first
+
+
+def _transformed_rows(rng):
+    m, n = rng.randint(2, 6), rng.randint(1, 7)
+    density = rng.choice((0.0, 0.3, 0.6))
+    rows = [
+        [None if rng.random() < density else rng.randint(-3, 3) for _ in range(n)]
+        for _ in range(m)
+    ]
+    pairs = [
+        sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, n))})
+        for _ in range(m)
+    ]
+    c, r, j = rng.randint(-5, 5), rng.randrange(m), rng.randrange(n)
+    t = rng.randint(2, 7)
+    shifted_row = [
+        [v if v is None or i != r else v + c for v in row] for i, row in enumerate(rows)
+    ]
+    shifted_col = [
+        [v if v is None or col != j else v + c for col, v in enumerate(row)] for row in rows
+    ]
+    scaled = [[v if v is None else v * t for v in row] for row in rows]
+    return rows, pairs, (shifted_row, shifted_col, scaled)
+
+
+def test_enumeration_invariant_under_shifts_and_scale():
+    """Adding a constant to one row or one column, or scaling every entry by
+    a positive int, leaves the sequences and the node count unchanged."""
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, pairs, variants = _transformed_rows(rng)
+        base = enumerate_win_sequences_counted(rows, pairs)
+        for variant in variants:
+            assert enumerate_win_sequences_counted(variant, pairs) == base, (rows, pairs)
+
+
+class _Untouchable:
+    def __getitem__(self, index):
+        raise AssertionError("the enumerator read a row it never needed")
+
+
+def test_enumerator_builds_no_table_it_does_not_need():
+    """Rows 0 and 1 have no compatible pair, so nothing of row 2 is read."""
+    rows = [[0, 1], [5, 0], _Untouchable()]
+    pairs = [[(0, 1)], [(0, 1)], [(0, 1)]]
+    assert enumerate_win_sequences_counted(rows, pairs) == ([], 1)
+
+
 def test_necessity_for_real_valued_solutions():
     """Any solution with every row value real chooses pairwise-compatible pairs."""
     rng = random.Random(23)
