@@ -165,13 +165,15 @@ def build_systems(
 ) -> tuple[list[Row], list[Row]]:
     """Equation and inequality rows a solution arising from the sequence obeys.
 
-    rows is the maximum matrix scaled to exact ints (None for -inf, see
-    ReducedInstance.scaled_max); the constants come out in the same units.
-    Row h with pair (i1, i2) contributes the equation
+    rows[h] is the maximum-matrix row that the h-th pair belongs to, scaled
+    to exact ints (None for -inf, see preprocess.RowMasks.maximum), and
+    classifications[h] is its RowClassification; the constants come out in
+    the units of rows.  Row h with pair (i1, i2) contributes the equation
     x_i2 - x_i1 + (m_hi2 - m_hi1) = 0 (tautological and skipped when
-    i1 = i2) and, for every live column j outside the pair, the inequality
-    x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by eliminating the common row
-    value.
+    i1 = i2) and, for every column j outside the pair and outside the row's
+    dead set, the inequality x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by
+    eliminating the common row value.  A column that is not live is in every
+    dead set, so it takes part in no row.
     """
     eqs: list[Row] = []
     ineqs: list[Row] = []

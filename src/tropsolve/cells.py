@@ -9,9 +9,12 @@ representatives, propagate -inf over them and tighten, looping while
 tightening forces variables or extracts equations.  Each surviving
 sequence yields one convex cell: variables forced to -inf, parameterized
 assignments x_v = t_p + offset, and a canonical list of residual
-inequalities over the parameters.  The per-sequence work runs
-on int rows (plus, minus, constant).  Each solved sequence yields an int key
-in original coordinates; keys are deduplicated and sorted, and only then is
+inequalities over the parameters.  The per-sequence work runs on int rows
+(plus, minus, constant) over the n original columns: the reduction only
+names the kept rows and the live columns, so classification, enumeration,
+the bivariate systems and the cell key all use the original column indices,
+and a column that is not live takes part in no row.  Each solved sequence
+yields an int key; keys are deduplicated and sorted, and only then is
 a SolutionCell built per kept key: its ints are divided by their gcd with
 the solve's scale, so that every cell holds its numbers in its own lowest
 unit and equal cells are equal whatever solve built them.  The cell's
@@ -24,9 +27,8 @@ can escape the pairwise-compatibility filter, so the solver additionally
 explores silencing scenarios: for each row, the variant instance with that
 row's live columns pinned to -inf is solved recursively.  Every scenario is
 reduced from the same column masks (preprocess.row_masks, built once per
-solve), with its pinned columns dead, so its reduction comes back in
-original coordinates.  Scenario cells are deduplicated; the reported
-win-sequence count is that of the root instance.
+solve), with its pinned columns dead.  Scenario cells are deduplicated;
+the reported win-sequence count is that of the root instance.
 """
 
 from __future__ import annotations
@@ -165,19 +167,21 @@ def dimension_bound(sequence: Sequence[Pair], num_vars: int) -> int:
 
 def _solve_sequence(
     sequence: WinSequence,
-    red: ReducedInstance,
+    rows: Sequence[Sequence[int | None]],
     classifications,
     nvars: int,
     systems: dict | None = None,
 ):
     """Run one win sequence to a fixed point.
 
-    Returns (omega, assignment, residue): reduced-coordinate variables forced
-    to -inf, the final potential assignment, and the sub-special residue rows
-    over its representatives.  Offsets and constants are ints in the unit of
-    red's rows.  systems maps (row h, pair) to the rows build_systems gives
-    for that row alone; solve passes one dict per scenario, so that every
-    row's system is built once and only concatenated per sequence.
+    rows[h] is the maximum-matrix row of the sequence's h-th pair and
+    classifications[h] its RowClassification.  Returns (omega, assignment,
+    residue): the variables forced to -inf, the final potential assignment,
+    and the sub-special residue rows over its representatives.  Offsets and
+    constants are ints in the unit of rows.  systems maps (row h, pair) to
+    the rows build_systems gives for that row alone; solve passes one dict
+    per scenario, so that every row's system is built once and only
+    concatenated per sequence.
 
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
@@ -193,9 +197,7 @@ def _solve_sequence(
     for h, pair in enumerate(sequence):
         part = systems.get((h, pair))
         if part is None:
-            part = systems[h, pair] = build_systems(
-                (pair,), (red.scaled_max[h],), (classifications[h],)
-            )
+            part = systems[h, pair] = build_systems((pair,), (rows[h],), (classifications[h],))
         eqs += part[0]
         ineqs += part[1]
     uf = OffsetUnionFind(nvars)
@@ -204,9 +206,9 @@ def _solve_sequence(
         for row in eqs:
             uf.add_equation(row)
         pa = uf.snapshot(nvars)
-        rows, flagged = substitute(ineqs, pa)
-        rows, dead = remove_and_enlarge(rows, dead | pa.inconsistent_roots | flagged)
-        eqs, ineqs, forced = sub_specialize(rows)
+        kept, flagged = substitute(ineqs, pa)
+        kept, dead = remove_and_enlarge(kept, dead | pa.inconsistent_roots | flagged)
+        eqs, ineqs, forced = sub_specialize(kept)
         if forced:
             dead |= forced
         elif not eqs:
@@ -221,28 +223,20 @@ def _cell_key(
     residue: Sequence[Row],
     red: ReducedInstance,
 ) -> tuple | None:
-    """Identity of one solved sequence's cell, in original coordinates and ints.
+    """Identity of one solved sequence's cell, in ints.
 
     The key is (win sequence, sorted -inf set, sorted (v, param, offset),
     residue rows), with offsets and constants in units of 1/scale, the scale
     of the whole solve; None when the cell is only the all--inf point, which
-    lies in every cell.
+    lies in every cell.  A free column takes part in no row, so it is its
+    own representative at offset 0.
     """
-    orig = red.col_origin
+    neg = red.forced_neg_inf.union(omega)
     rep, off = pa.representative, pa.offset
-    assigned = [(orig[v], orig[rep[v]], off[v]) for v in range(len(orig)) if v not in omega]
-    assigned.extend((f, f, 0) for f in red.free_cols)
+    assigned = tuple([(v, rep[v], off[v]) for v in range(len(rep)) if v not in neg])
     if not assigned:
         return None
-    assigned.sort()
-    neg = set(red.forced_neg_inf)
-    neg.update(orig[v] for v in omega)
-    return (
-        tuple((orig[p], orig[q]) for p, q in sequence),
-        tuple(sorted(neg)),
-        tuple(assigned),
-        tuple((orig[p], orig[q], c) for p, q, c in residue),
-    )
+    return sequence, tuple(sorted(neg)), assigned, tuple(residue)
 
 
 def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
@@ -314,13 +308,11 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             keys.add(_unconstrained_key(sorted(red.free_cols), n))
             continue
 
-        n_red = len(red.col_origin)
-        classifications = [
-            classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))
-        ]
+        classifications = [classify_row(masks, i, red.live) for i in red.rows]
+        maxima = [masks.maximum[i] for i in red.rows]
         pair_lists = [winning_pairs(c) for c in classifications]
         t0 = time.perf_counter()
-        sequences, nodes = enumerate_win_sequences_counted(red.scaled_max, pair_lists)
+        sequences, nodes = enumerate_win_sequences_counted(maxima, pair_lists)
         t_enum += time.perf_counter() - t0
         if not forced0:
             root_p = len(sequences)
@@ -329,9 +321,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
         t0 = time.perf_counter()
         systems: dict = {}
         for sequence in sequences:
-            omega, pa, residue = _solve_sequence(
-                sequence, red, classifications, n_red, systems
-            )
+            omega, pa, residue = _solve_sequence(sequence, maxima, classifications, n, systems)
             key = _cell_key(sequence, omega, pa, residue, red)
             if key is None:
                 collapsed += 1
@@ -340,7 +330,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
         t_cells += time.perf_counter() - t0
 
         for cls in classifications:
-            child = forced0 | {c for j, c in enumerate(red.col_origin) if j not in cls.dead}
+            child = forced0 | cls.a_wins | cls.b_wins | cls.ties
             if len(child) < n and child not in seen:
                 stack.append(child)
 

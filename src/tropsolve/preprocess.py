@@ -3,8 +3,9 @@
 A raw instance (A, B) is first filtered so that each entry survives only
 where it is at least the opposing entry (the "dominant" pair), then rows and
 columns that impose nothing, or that force variables to -inf, are peeled off
-until a fixed point.  Bookkeeping maps let every downstream result be
-reported in original coordinates.
+until a fixed point.  The reduction copies nothing: it names the rows it
+keeps and the columns left live, and every downstream stage reads the
+instance's own rows in original column indices.
 
 row_masks reads int rows, None standing for -inf: the entries of A and B
 in one common unit (Matrix.ints, which cells.solve rescales to the lcm of
@@ -41,22 +42,17 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Reduced instance plus the bookkeeping to undo the reduction.
+    """What is left of an instance after the reduction, in original indices.
 
-    a_dom, b_dom and their entrywise maximum scaled_max are int rows in the
-    unit of the rows row_masks was given (None for -inf), indexed in
-    reduced coordinates; row_origin and col_origin map them back.
-    forced_neg_inf, free_cols and the image of col_origin partition the
-    original column set, and forced_neg_inf includes the dead columns the
-    reduction started from.  For the verdicts other than REDUCED the three
-    row tuples and col_origin are empty.
+    rows lists the kept rows of the instance, in order, and live is the
+    bitmask of the columns still live.  forced_neg_inf, free_cols and the
+    columns of live partition the original column set, and forced_neg_inf
+    includes the dead columns the reduction started from.  For the verdicts
+    other than REDUCED, rows is empty and live is 0.
     """
 
-    a_dom: tuple[tuple[int | None, ...], ...]
-    b_dom: tuple[tuple[int | None, ...], ...]
-    scaled_max: tuple[tuple[int | None, ...], ...]
-    row_origin: tuple[int, ...]
-    col_origin: tuple[int, ...]
+    rows: tuple[int, ...]
+    live: int
     forced_neg_inf: frozenset[int]
     free_cols: frozenset[int]
     verdict: Verdict
@@ -66,16 +62,14 @@ class ReducedInstance:
 class RowMasks:
     """The part of a reduction that no silencing scenario changes.
 
-    a_bold and b_bold are the bold pair of the instance's int rows over n
-    columns and maximum is their entrywise maximum.  For row i, bit j of
-    same[i] is set where a_ij == b_ij (both -inf included), of a_win[i]
-    where the bold A entry is finite and of b_win[i] where the bold B entry
-    is finite.
+    maximum is the entrywise maximum of the instance's int rows over n
+    columns.  For row i, bit j of same[i] is set where a_ij == b_ij (both
+    -inf included), of a_win[i] where the bold A entry (a_ij, kept where it
+    is at least b_ij) is finite and of b_win[i] where the bold B entry is
+    finite.
     """
 
     n: int
-    a_bold: tuple[tuple[int | None, ...], ...]
-    b_bold: tuple[tuple[int | None, ...], ...]
     maximum: tuple[tuple[int | None, ...], ...]
     same: tuple[int, ...]
     a_win: tuple[int, ...]
@@ -95,20 +89,21 @@ def maximum_matrix(a: Matrix, b: Matrix) -> Matrix:
 
 
 def row_masks(a: IntRows, b: IntRows, n: int) -> RowMasks:
-    """The bold pair and the column masks of int rows a and b over n columns.
+    """The entrywise maximum and the column masks of int rows a and b over n columns.
 
     The bold pair keeps each entry only where it weakly dominates the
     opposing entry: where the entries tie both survive, elsewhere the loser
-    becomes None.  It has the same solution set as the original pair.  n is
-    explicit because an instance without rows has no row to tell it.
+    becomes None.  It has the same solution set as the original pair, and
+    a_win and b_win hold its finite entries.  n is explicit because an
+    instance without rows has no row to tell it.
     """
     if any(len(row) != n for row in a):
         raise DimensionMismatch(f"rows do not have {n} entries")
     if len(a) != len(b) or any(len(row) != n for row in b):
         raise DimensionMismatch("the two sides differ in shape")
-    a_bold, b_bold, maximum, same, a_win, b_win = [], [], [], [], [], []
+    maximum, same, a_win, b_win = [], [], [], []
     for ar, br in zip(a, b):
-        xs, ys, zs = [], [], []
+        zs = []
         s = aw = bw = 0
         bit = 1
         for x, y in zip(ar, br):
@@ -117,40 +112,29 @@ def row_masks(a: IntRows, b: IntRows, n: int) -> RowMasks:
                 if x is not None:
                     aw |= bit
                     bw |= bit
-                xs.append(x)
-                ys.append(y)
                 zs.append(x)
             elif y is None or (x is not None and x > y):
                 aw |= bit
-                xs.append(x)
-                ys.append(None)
                 zs.append(x)
             else:
                 bw |= bit
-                xs.append(None)
-                ys.append(y)
                 zs.append(y)
             bit <<= 1
-        a_bold.append(tuple(xs))
-        b_bold.append(tuple(ys))
         maximum.append(tuple(zs))
         same.append(s)
         a_win.append(aw)
         b_win.append(bw)
-    return RowMasks(
-        n, tuple(a_bold), tuple(b_bold), tuple(maximum), tuple(same), tuple(a_win), tuple(b_win)
-    )
+    return RowMasks(n, tuple(maximum), tuple(same), tuple(a_win), tuple(b_win))
 
 
-def _columns(mask: int, n: int) -> list[int]:
-    return [j for j in range(n) if mask >> j & 1]
-
-
-def _take(rows: IntRows, keep_rows: list[int], keep_cols: list[int] | None) -> tuple:
-    """The given rows, restricted to the given columns (None keeps them all)."""
-    if keep_cols is None:
-        return tuple([rows[i] for i in keep_rows])
-    return tuple([tuple([rows[i][j] for j in keep_cols]) for i in keep_rows])
+def columns(mask: int) -> list[int]:
+    """The columns of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstance:
@@ -172,9 +156,7 @@ def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstanc
       * drop every live column that is -inf on both sides of every live
         row, live & ~OR(a_win[i] | b_win[i]) (it is unconstrained, free).
 
-    Each move strictly shrinks rows+columns, so the loop terminates.  The
-    dominated rows a_dom, b_dom and scaled_max are read off masks only for
-    the REDUCED verdict.
+    Each move strictly shrinks rows+columns, so the loop terminates.
     """
     n = masks.n
     dead_mask = 0
@@ -212,27 +194,15 @@ def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstanc
             free |= idle
             live ^= idle
 
-    if not rows:
-        # no live column is left: every one is forced or free
-        return ReducedInstance(
-            a_dom=(),
-            b_dom=(),
-            scaled_max=(),
-            row_origin=(),
-            col_origin=(),
-            forced_neg_inf=frozenset(_columns(full ^ free, n)),
-            free_cols=frozenset(_columns(free, n)),
-            verdict=Verdict.ALL_ROWS_GONE if free else Verdict.TRIVIAL_ONLY,
-        )
-    cols = _columns(live, n)
-    keep = None if live == full else cols
+    if rows:
+        verdict = Verdict.REDUCED
+    else:
+        # no live column is left (live is 0): every one is forced or free
+        verdict = Verdict.ALL_ROWS_GONE if free else Verdict.TRIVIAL_ONLY
     return ReducedInstance(
-        a_dom=_take(masks.a_bold, rows, keep),
-        b_dom=_take(masks.b_bold, rows, keep),
-        scaled_max=_take(masks.maximum, rows, keep),
-        row_origin=tuple(rows),
-        col_origin=tuple(cols),
-        forced_neg_inf=frozenset(_columns(full ^ live ^ free, n)),
-        free_cols=frozenset(_columns(free, n)),
-        verdict=Verdict.REDUCED,
+        rows=tuple(rows),
+        live=live,
+        forced_neg_inf=frozenset(columns(full ^ live ^ free)),
+        free_cols=frozenset(columns(free)),
+        verdict=verdict,
     )

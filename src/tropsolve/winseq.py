@@ -1,14 +1,16 @@
 """Row classification, winning pairs, compatibility, and enumeration.
 
-For each row of the dominated pair (int rows of the reduced instance,
-None for -inf), the columns split into those where the left side strictly
-wins, those where the right side strictly wins, ties, and columns dead on
-both sides.  A winning pair picks one column from each strict side (or a tie
-column against itself); two pairs from different rows are compatible when
-every 2x2 tropical minor of the maximum matrix they span attains its value
-on the main diagonal.  Win sequences (one pair per row, pairwise compatible)
-are enumerated by forward checking over the maximum matrix scaled to exact
-ints (the reduced instance's scaled_max).  For rows i < k the minor test
+For each kept row of a reduced instance, the columns split into those where
+the left side strictly wins, those where the right side strictly wins, ties,
+and the dead columns: -inf on both sides of the bold pair, or not live in
+the scenario.  classify_row reads the split off the row's column bitmasks
+(preprocess.RowMasks), in original column indices.  A winning pair picks
+one column from each strict side (or a tie column against itself); two
+pairs from different rows are compatible when every 2x2 tropical minor of
+the maximum matrix they span attains its value on the main diagonal.  Win
+sequences (one pair per row, pairwise compatible) are enumerated by forward
+checking over the kept rows of the maximum matrix scaled to exact ints
+(RowMasks.maximum).  For rows i < k the minor test
 m_i kappa + m_k iota <= m_i iota + m_k kappa is a comparison of one key per
 column, key(kappa) <= key(iota) with key(c) = m_ic - m_kc, so one sort of
 row k's columns by key gives, for each column of row i, the bitmask of row
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Matrix
+from .preprocess import RowMasks, columns
 
 Pair = tuple[int, int]
 WinSequence = tuple[Pair, ...]
@@ -33,7 +36,11 @@ WinSequence = tuple[Pair, ...]
 
 @dataclass(frozen=True)
 class RowClassification:
-    """Disjoint column sets of one row: their union is the full column range."""
+    """Disjoint column sets of one row: their union is the full column range.
+
+    The columns are original column indices; dead holds every column that
+    is in none of the other three sets.
+    """
 
     a_wins: frozenset[int]
     b_wins: frozenset[int]
@@ -41,20 +48,23 @@ class RowClassification:
     dead: frozenset[int]
 
 
-def classify_row(
-    a_dom: Sequence[Sequence[int | None]], b_dom: Sequence[Sequence[int | None]], i: int
-) -> RowClassification:
-    """The column sets of row i of a dominated pair of int rows (None for -inf)."""
-    a_wins, b_wins, ties, dead = set(), set(), set(), set()
-    for j, (av, bv) in enumerate(zip(a_dom[i], b_dom[i])):
-        if av == bv:
-            (ties if av is not None else dead).add(j)
-        elif bv is None or (av is not None and av > bv):
-            a_wins.add(j)
-        else:
-            b_wins.add(j)
+def classify_row(masks: RowMasks, i: int, live: int) -> RowClassification:
+    """The column sets of row i of the instance masks holds, on the live columns.
+
+    live is a column bitmask: a column outside it is dead whatever the row
+    holds there.  A live column is a tie where both bold entries are finite
+    (they are then equal), a strict win for the side whose bold entry alone
+    is finite, and dead where both are -inf.
+    """
+    a_win = masks.a_win[i] & live
+    b_win = masks.b_win[i] & live
+    ties = a_win & b_win
+    dead = ((1 << masks.n) - 1) ^ (a_win | b_win)
     return RowClassification(
-        frozenset(a_wins), frozenset(b_wins), frozenset(ties), frozenset(dead)
+        frozenset(columns(a_win ^ ties)),
+        frozenset(columns(b_win ^ ties)),
+        frozenset(columns(ties)),
+        frozenset(columns(dead)),
     )
 
 
@@ -141,8 +151,10 @@ def enumerate_win_sequences_counted(
 ) -> tuple[list[WinSequence], int]:
     """Enumerate win sequences and report the number of search nodes visited.
 
-    rows is the maximum matrix scaled to exact ints, None for -inf (as in
-    ReducedInstance.scaled_max); any positive scale gives the same result.
+    rows[d] is the row of the maximum matrix that pairs_per_row[d] belongs
+    to, as exact ints over one positive scale, None for -inf (RowMasks.maximum
+    at the kept rows, in original column indices); any positive scale gives
+    the same result.
     Forward checking on bitmask domains: choosing pair (p, q) at row d
     removes bad[p] | bad[q] from the domain of every later row k, where bad
     is the _bad_columns table of rows d and k (the minor test as one sort by

@@ -14,6 +14,7 @@ import pytest
 from tropsolve import NEG_INF, Matrix
 from tropsolve.cells import SolutionCell, dimension_bound
 from tropsolve.preprocess import row_masks
+from tropsolve.winseq import classify_row
 
 NI = "-inf"
 
@@ -102,8 +103,8 @@ def pair_scale(a, b):
 def scaled_pair(a, b):
     """Both matrices as int rows in one unit (None for -inf), as solve scales them.
 
-    row_masks and classify_row take these rows; scaling each matrix alone
-    (scaled_rows) would give the two sides different units.
+    row_masks takes these rows; scaling each matrix alone (scaled_rows)
+    would give the two sides different units.
     """
     scale = pair_scale(a, b)
     return ref_scaled_rows(a, scale), ref_scaled_rows(b, scale)
@@ -114,10 +115,10 @@ def pair_masks(a, b):
     return row_masks(*scaled_pair(a, b), a.cols)
 
 
-def bold_rows(a, b):
-    """The bold pair of a Matrix pair as int rows (None for -inf)."""
+def row_classes(a, b):
+    """The RowClassification of every row of a Matrix pair, all columns live."""
     masks = pair_masks(a, b)
-    return masks.a_bold, masks.b_bold
+    return [classify_row(masks, i, (1 << a.cols) - 1) for i in range(a.rows)]
 
 
 def seq0(pairs):

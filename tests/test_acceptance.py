@@ -123,10 +123,11 @@ def test_criterion_2_empty_case(empty_case_example):
         failures.append("expected trivial_only with no cells")
 
     # the inconsistent-component path: its lone win sequence forces all of [4]
-    red = reduce_instance(pair_masks(a, b))
-    classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(3)]
+    masks = pair_masks(a, b)
+    red = reduce_instance(masks)
+    classes = [classify_row(masks, i, red.live) for i in red.rows]
     omega, _, residue = _solve_sequence(
-        seq0([(1, 4), (1, 3), (3, 4)]), red, classes, 4
+        seq0([(1, 4), (1, 3), (3, 4)]), [masks.maximum[i] for i in red.rows], classes, 4
     )
     if omega != {0, 1, 2, 3}:
         failures.append(f"inconsistent-component path produced omega {omega}")

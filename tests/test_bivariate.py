@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bold_rows, scaled_rows, seq0
+from conftest import row_classes, scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
@@ -17,7 +17,6 @@ from tropsolve.bivariate import (
 )
 from tropsolve.core import TropicalError
 from tropsolve.preprocess import maximum_matrix
-from tropsolve.winseq import classify_row
 
 NI = "-inf"
 
@@ -45,9 +44,8 @@ D2_ROWS = [
 
 
 def _systems_for(a, b, sequence_1based):
-    a_dom, b_dom = bold_rows(a, b)
     mx = maximum_matrix(a, b)
-    classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
+    classes = row_classes(a, b)
     return build_systems(seq0(sequence_1based), scaled_rows(mx), classes)
 
 

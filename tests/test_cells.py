@@ -282,15 +282,14 @@ def test_soundness_random_instances():
 
 def _sequence_results(a, b, systems=None):
     """Every root sequence of the pair with its _solve_sequence result."""
-    red = reduce_instance(pair_masks(a, b))
-    classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))]
-    sequences, _ = enumerate_win_sequences_counted(
-        red.scaled_max, [winning_pairs(c) for c in classes]
-    )
-    n_red = len(red.col_origin)
+    masks = pair_masks(a, b)
+    red = reduce_instance(masks)
+    classes = [classify_row(masks, i, red.live) for i in red.rows]
+    maxima = [masks.maximum[i] for i in red.rows]
+    sequences, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
     if systems is None:
-        return {s: _solve_sequence(s, red, classes, n_red) for s in sequences}
-    return {s: _solve_sequence(s, red, classes, n_red, systems) for s in sequences}
+        return {s: _solve_sequence(s, maxima, classes, a.cols) for s in sequences}
+    return {s: _solve_sequence(s, maxima, classes, a.cols, systems) for s in sequences}
 
 
 def test_row_systems_do_not_outlive_a_scenario(running_example):

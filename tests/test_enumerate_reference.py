@@ -102,7 +102,7 @@ def _real_pairs(rng, m, n, density):
     """The maximum matrix and winning pairs of a drawn pair (a, b)."""
     a, b = _rows(rng, m, n, density, 3), _rows(rng, m, n, density, 3)
     masks = row_masks(a, b, n)
-    pairs = [winning_pairs(classify_row(masks.a_bold, masks.b_bold, i)) for i in range(m)]
+    pairs = [winning_pairs(classify_row(masks, i, (1 << n) - 1)) for i in range(m)]
     return masks.maximum, pairs
 
 

@@ -240,11 +240,14 @@ def _scenario_denominators(monkeypatch, a, b):
     scale = pair_scale(a, b)
     seen = set()
 
-    def recording(*args, **kwargs):
-        red = original(*args, **kwargs)
-        if red.scaled_max:
+    def recording(masks, *args, **kwargs):
+        red = original(masks, *args, **kwargs)
+        if red.rows:
             seen.add(ref_unit(
-                Fraction(v, scale) for row in red.scaled_max for v in row if v is not None
+                Fraction(v, scale)
+                for i in red.rows
+                for j, v in enumerate(masks.maximum[i])
+                if red.live >> j & 1 and v is not None
             ))
         return red
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    bold_rows,
     pair_masks,
     pair_scale,
     random_rows,
@@ -14,7 +13,7 @@ from conftest import (
 )
 from tropsolve import NEG_INF, Matrix, verify_solution
 from tropsolve.core import DimensionMismatch
-from tropsolve.preprocess import Verdict, maximum_matrix, reduce_instance, row_masks
+from tropsolve.preprocess import Verdict, columns, maximum_matrix, reduce_instance, row_masks
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"
@@ -35,30 +34,46 @@ def _tuples(rows):
     return tuple(map(tuple, rows))
 
 
+def _bold_pair(masks):
+    """The bold pair that a_win, b_win and maximum hold: a bold entry is the
+    row maximum where its side's bit is set and -inf elsewhere."""
+
+    def side(wins):
+        return tuple(
+            tuple(v if w >> j & 1 else None for j, v in enumerate(row))
+            for row, w in zip(masks.maximum, wins)
+        )
+
+    return side(masks.a_win), side(masks.b_win)
+
+
 def test_bold_pair_elementwise():
-    a_dom, b_dom = bold_rows(Matrix([[1, 5]]), Matrix([[2, 3]]))
+    masks = pair_masks(Matrix([[1, 5]]), Matrix([[2, 3]]))
     expected_a, expected_b = scaled_pair(Matrix([[NI, 5]]), Matrix([[2, NI]]))
-    assert a_dom == _tuples(expected_a)
-    assert b_dom == _tuples(expected_b)
+    assert masks.a_win == (0b10,) and masks.b_win == (0b01,)
+    assert masks.maximum == _tuples(scaled_pair(Matrix([[2, 5]]), Matrix([[2, 5]]))[0])
+    assert _bold_pair(masks) == (_tuples(expected_a), _tuples(expected_b))
 
 
 def test_bold_pair_running_example_is_fixed(running_example):
     a, b = scaled_pair(*running_example)
     masks = row_masks(a, b, 4)
-    assert masks.a_bold == _tuples(a) and masks.b_bold == _tuples(b)
+    assert _bold_pair(masks) == (_tuples(a), _tuples(b))
 
 
 def test_bold_pair_equal_keeps_both():
     a, _ = scaled_pair(Matrix([[1, NI], [0, 2]]), Matrix([[1, NI], [0, 2]]))
     masks = row_masks(a, a, 2)
-    assert masks.a_bold == masks.b_bold == _tuples(a)
+    assert masks.a_win == masks.b_win == (0b01, 0b11)
+    assert masks.maximum == _tuples(a)
+    assert _bold_pair(masks) == (_tuples(a), _tuples(a))
 
 
 def test_row_masks_bits():
     # columns: tie, A wins, B wins, both -inf, A alone finite
     masks = row_masks([[1, 5, 0, None, 2]], [[1, 3, 4, None, None]], 5)
-    assert masks.a_bold == ((1, 5, None, None, 2),)
-    assert masks.b_bold == ((1, None, 4, None, None),)
+    assert masks.maximum == ((1, 5, 4, None, 2),)
+    assert _bold_pair(masks) == (((1, 5, None, None, 2),), ((1, None, 4, None, None),))
     assert masks.same == (0b01001,)
     assert masks.a_win == (0b10011,)
     assert masks.b_win == (0b00101,)
@@ -124,8 +139,8 @@ def test_reduce_running_example_untouched(running_example):
     a, b = running_example
     red = _reduce(a, b)
     assert red.verdict is Verdict.REDUCED
-    assert red.row_origin == (0, 1, 2)
-    assert red.col_origin == (0, 1, 2, 3)
+    assert red.rows == (0, 1, 2)
+    assert red.live == 0b1111
     assert not red.forced_neg_inf and not red.free_cols
 
 
@@ -152,9 +167,11 @@ def test_reduce_cascade():
 
 def test_reduced_instance_rows_have_pairs(running_example):
     a, b = running_example
-    red = _reduce(a, b)
-    for i in range(len(red.scaled_max)):
-        cls = classify_row(red.a_dom, red.b_dom, i)
+    masks = pair_masks(a, b)
+    red = reduce_instance(masks)
+    assert red.rows
+    for i in red.rows:
+        cls = classify_row(masks, i, red.live)
         assert winning_pairs(cls)
 
 
@@ -172,8 +189,13 @@ def test_reduction_preserves_solutions(seed):
     m, n = rng.randint(1, 3), rng.randint(1, 3)
     a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
-    red = _reduce(a, b)
-    live = list(red.col_origin)
+    masks = pair_masks(a, b)
+    red = reduce_instance(masks)
+    live = columns(red.live)
+    # the reduced instance: the bold pair on the kept rows and live columns
+    a_red, b_red = (
+        [[side[i][j] for j in live] for i in red.rows] for side in _bold_pair(masks)
+    )
     for x in _grid_points(n, [0, 1, 2]):
         direct = verify_solution(a, b, x)
         if red.verdict is Verdict.TRIVIAL_ONLY:
@@ -184,7 +206,7 @@ def test_reduction_preserves_solutions(seed):
                 sub = [x[j] for j in live]
                 scale, cols = pair_scale(a, b), len(live)
                 expected = verify_solution(
-                    _matrix(red.a_dom, cols, scale), _matrix(red.b_dom, cols, scale), sub
+                    _matrix(a_red, cols, scale), _matrix(b_red, cols, scale), sub
                 )
         assert direct == expected, (a.to_rows(), b.to_rows(), x)
 
@@ -197,9 +219,10 @@ def test_reduction_terminates_and_partitions(seed):
     a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     red = _reduce(a, b)
-    cover = set(red.forced_neg_inf) | set(red.free_cols) | set(red.col_origin)
+    live = columns(red.live)
+    cover = set(red.forced_neg_inf) | set(red.free_cols) | set(live)
     assert cover == set(range(n))
-    assert len(red.forced_neg_inf) + len(red.free_cols) + len(red.col_origin) == n
+    assert len(red.forced_neg_inf) + len(red.free_cols) + len(live) == n
 
 
 def _reference_reduction(a, b, dead):
@@ -217,7 +240,7 @@ def _reference_reduction(a, b, dead):
     red = reduce_instance(row_masks(ref_scaled_rows(a0, scale), ref_scaled_rows(b0, scale), len(keep)))
     return replace(
         red,
-        col_origin=tuple(keep[c] for c in red.col_origin),
+        live=sum(1 << keep[c] for c in columns(red.live)),
         forced_neg_inf=frozenset(dead) | {keep[c] for c in red.forced_neg_inf},
         free_cols=frozenset(keep[c] for c in red.free_cols),
     )

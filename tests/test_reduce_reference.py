@@ -6,6 +6,8 @@ move as a scan over the live columns.  They are kept here as the definition
 the mask-based reduce_instance must match: every field of ReducedInstance
 equal on seeded draws with every shape from 0x1 to 7x8, -inf densities from
 0 to 0.9, planted identical (or nearly identical) rows and random dead sets.
+ref_max_rows is the earlier copy of the dominated maximum matrix onto the
+kept rows and live columns; RowMasks.maximum must hold it there.
 """
 
 from __future__ import annotations
@@ -78,22 +80,25 @@ def ref_reduce_instance(a, b, n, dead=()):
     else:
         verdict = Verdict.ALL_ROWS_GONE
 
-    a_dom = tuple(tuple(a_bold[i][j] for j in live_cols) for i in live_rows)
-    b_dom = tuple(tuple(b_bold[i][j] for j in live_cols) for i in live_rows)
-    mx = tuple(
-        tuple(x if x is not None else y for x, y in zip(ar, br))
-        for ar, br in zip(a_dom, b_dom)
-    )
     return ReducedInstance(
-        a_dom=a_dom,
-        b_dom=b_dom,
-        scaled_max=mx,
-        row_origin=tuple(live_rows),
-        col_origin=tuple(live_cols),
+        rows=tuple(live_rows),
+        live=sum(1 << j for j in live_cols),
         forced_neg_inf=frozenset(forced),
         free_cols=frozenset(free),
         verdict=verdict,
     )
+
+
+def ref_max_rows(a, b, rows, cols):
+    """The maximum of the dominated pair, copied onto the given rows and columns."""
+    a_bold, b_bold = ref_bold_pair(a, b)
+    a_dom = [[a_bold[i][j] for j in cols] for i in rows]
+    b_dom = [[b_bold[i][j] for j in cols] for i in rows]
+    return [[x if x is not None else y for x, y in zip(ar, br)] for ar, br in zip(a_dom, b_dom)]
+
+
+def _cols(red, n):
+    return [j for j in range(n) if red.live >> j & 1]
 
 
 def _draw(rng):
@@ -125,12 +130,13 @@ def _draw(rng):
 
 
 def _check_partition(red, n):
-    forced, free, cols = red.forced_neg_inf, red.free_cols, red.col_origin
+    forced, free, cols = red.forced_neg_inf, red.free_cols, _cols(red, n)
+    assert red.live >> n == 0
     assert len(forced) + len(free) + len(cols) == n
     assert forced | free | set(cols) == set(range(n))
-    assert list(cols) == sorted(cols)
+    assert list(red.rows) == sorted(red.rows)
     if red.verdict is not Verdict.REDUCED:
-        assert red.a_dom == red.b_dom == red.scaled_max == red.row_origin == cols == ()
+        assert red.rows == () and red.live == 0
 
 
 def test_reduce_instance_matches_the_list_reduction():
@@ -138,10 +144,14 @@ def test_reduce_instance_matches_the_list_reduction():
     verdicts = Counter()
     for _ in range(20000):
         a, b, n, dead = _draw(rng)
-        red = reduce_instance(row_masks(a, b, n), dead=iter(dead) if isinstance(dead, tuple) else dead)
+        masks = row_masks(a, b, n)
+        red = reduce_instance(masks, dead=iter(dead) if isinstance(dead, tuple) else dead)
         ref = ref_reduce_instance(a, b, n, dead=dead)
         assert red == ref, (a, b, n, dead)
         _check_partition(red, n)
+        cols = _cols(red, n)
+        kept_max = [[masks.maximum[i][j] for j in cols] for i in red.rows]
+        assert kept_max == ref_max_rows(a, b, red.rows, cols)
         assert set(dead) <= red.forced_neg_inf
         verdicts[red.verdict] += 1
     assert set(verdicts) == set(Verdict)

@@ -175,18 +175,17 @@ def test_loop_equals_component_closure_on_instances():
             Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
             for _ in range(2)
         )
-        red = reduce_instance(pair_masks(a, b))
+        masks = pair_masks(a, b)
+        red = reduce_instance(masks)
         if red.verdict is not Verdict.REDUCED:
             continue
-        classes = [classify_row(red.a_dom, red.b_dom, i) for i in range(len(red.row_origin))]
-        found, _ = enumerate_win_sequences_counted(
-            red.scaled_max, [winning_pairs(c) for c in classes]
-        )
-        n_red = len(red.col_origin)
+        classes = [classify_row(masks, i, red.live) for i in red.rows]
+        maxima = [masks.maximum[i] for i in red.rows]
+        found, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
         for sequence in found:
-            eqs, ineqs = build_systems(sequence, red.scaled_max, classes)
-            omega, pa, residue = _solve_sequence(sequence, red, classes, n_red)
-            ref_omega, ref_pa, ref_residue = ref_solve_sequence(eqs, ineqs, n_red)
+            eqs, ineqs = build_systems(sequence, maxima, classes)
+            omega, pa, residue = _solve_sequence(sequence, maxima, classes, n)
+            ref_omega, ref_pa, ref_residue = ref_solve_sequence(eqs, ineqs, n)
             assert (omega, pa.representative, pa.offset, residue) == (
                 ref_omega, ref_pa.representative, ref_pa.offset, ref_residue
             )

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from conftest import bold_rows, non_real_example, ref_odot, scaled_rows, seq1
+from conftest import non_real_example, ref_odot, row_classes, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
 from tropsolve.preprocess import maximum_matrix
 from tropsolve.winseq import (
-    classify_row,
     enumerate_win_sequences_counted,
     is_compatible,
     winning_pairs,
@@ -18,14 +17,9 @@ from tropsolve.winseq import (
 NI = "-inf"
 
 
-def _classes(a, b):
-    a_dom, b_dom = bold_rows(a, b)
-    return [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
-
-
 def test_classify_running_example(running_example):
     a, b = running_example
-    cls = _classes(a, b)
+    cls = row_classes(a, b)
     assert cls[0].a_wins == {0, 1, 2} and cls[0].b_wins == {3}
     assert not cls[0].ties and not cls[0].dead
     assert cls[2].a_wins == set() and cls[2].b_wins == {3}
@@ -35,13 +29,13 @@ def test_classify_running_example(running_example):
 def test_classify_dead_column():
     a = Matrix([[1, NI]])
     b = Matrix([[0, NI]])
-    cls = _classes(a, b)[0]
+    cls = row_classes(a, b)[0]
     assert cls.a_wins == {0} and cls.dead == {1}
 
 
 def test_winning_pairs_running_example(running_example):
     a, b = running_example
-    cls = _classes(a, b)
+    cls = row_classes(a, b)
     assert seq1(winning_pairs(cls[0])) == ((1, 4), (2, 4), (3, 4))
     assert seq1(winning_pairs(cls[1])) == ((1, 3), (1, 4), (2, 3), (2, 4))
     assert seq1(winning_pairs(cls[2])) == ((1, 1), (2, 2), (3, 3))
@@ -60,7 +54,7 @@ def test_pair_count_bound():
         n = rng.randint(1, 6)
         a = Matrix([[rng.choice([NEG_INF, Fraction(rng.randint(0, 3))]) for _ in range(n)]], cols=n)
         b = Matrix([[rng.choice([NEG_INF, Fraction(rng.randint(0, 3))]) for _ in range(n)]], cols=n)
-        cls = _classes(a, b)[0]
+        cls = row_classes(a, b)[0]
         assert len(winning_pairs(cls)) <= max_pairs_per_row(n)
 
 
@@ -77,9 +71,8 @@ def test_compatible_neg_inf_absorbing():
 
 
 def _enumerate(a, b):
-    a_dom, b_dom = bold_rows(a, b)
     m = maximum_matrix(a, b)
-    classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
+    classes = row_classes(a, b)
     pairs = [winning_pairs(c) for c in classes]
     return m, pairs, enumerate_win_sequences_counted(scaled_rows(m), pairs)[0]
 
@@ -128,9 +121,8 @@ def test_enumerate_equals_product_filter():
         m_rows, n = rng.randint(1, 4), rng.randint(1, 5)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_rows(a, b)
         mx = maximum_matrix(a, b)
-        classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
+        classes = row_classes(a, b)
         pairs = [winning_pairs(c) for c in classes]
         total = 1
         for row in pairs:
@@ -180,9 +172,8 @@ def test_enumeration_count_bound(running_example):
 
 def test_enumeration_counts_nodes(running_example):
     a, b = running_example
-    a_dom, b_dom = bold_rows(a, b)
     mx = maximum_matrix(a, b)
-    classes = [classify_row(a_dom, b_dom, i) for i in range(a.rows)]
+    classes = row_classes(a, b)
     pairs = [winning_pairs(c) for c in classes]
     seqs, nodes = enumerate_win_sequences_counted(scaled_rows(mx), pairs)
     assert nodes >= len(seqs)
@@ -297,9 +288,8 @@ def test_necessity_for_real_valued_solutions():
         m_rows, n = rng.randint(2, 3), rng.randint(2, 3)
         a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
         b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m_rows)], cols=n)
-        a_dom, b_dom = bold_rows(a, b)
         mx = maximum_matrix(a, b)
-        classes = [classify_row(a_dom, b_dom, i) for i in range(m_rows)]
+        classes = row_classes(a, b)
         for x in itertools.product([NEG_INF, Fraction(0), Fraction(1)], repeat=n):
             left = matvec_maxplus(a, x)
             if left != matvec_maxplus(b, x):
