@@ -268,8 +268,9 @@ def sub_specialize(
     variables on a negative cycle must be -inf over the tropical scalars and
     are reported as forced, with propagation left to the caller; adjacent
     opposite rows of zero width turn into one equation each.  The residue is
-    canonically ordered and sub-special, and 2*len(eqs) + len(residue) never
-    exceeds len(ineqs).
+    canonically ordered and sub-special (is_sub_special in
+    tests/test_bivariate.py checks that structure), and 2*len(eqs) +
+    len(residue) never exceeds len(ineqs).
 
     Only the cyclic core is closed: the variables that are the plus side of
     one kept row and the minus side of another.  The closure is read only on
@@ -339,41 +340,3 @@ def sub_specialize(
     if 2 * len(eqs) + len(residue) > len(ineqs):
         raise TropicalError("sub-specialization grew the system")  # unreachable
     return eqs, residue, frozenset()
-
-
-def is_sub_special(rows: Sequence[Row]) -> bool:
-    """Structural check for a canonical irredundant inequality list.
-
-    Rows must be pairwise distinct with distinct variable parts and no exact
-    opposites; rows with opposite variable parts must be adjacent, the first
-    positively oriented, bounding a nonempty open interval; elsewhere the
-    leading variable index must not decrease.
-    """
-    rows = list(rows)
-    seen_full = set()
-    seen_parts = set()
-    for plus, minus, constant in rows:
-        if (plus, minus, constant) in seen_full or (minus, plus, -constant) in seen_full:
-            return False
-        seen_full.add((plus, minus, constant))
-        if (plus, minus) in seen_parts:
-            return False
-        seen_parts.add((plus, minus))
-    for i, (plus, minus, _) in enumerate(rows):
-        opposite = (minus, plus)
-        if opposite in seen_parts:
-            partner = next(k for k, d in enumerate(rows) if d[:2] == opposite)
-            if abs(partner - i) != 1:
-                return False
-            first = rows[min(i, partner)]
-            second = rows[max(i, partner)]
-            if not first[0] < first[1]:
-                return False
-            if not first[2] < -second[2]:
-                return False
-    for c, d in zip(rows, rows[1:]):
-        if (c[1], c[0]) == d[:2]:
-            continue
-        if min(c[0], c[1]) > min(d[0], d[1]):
-            return False
-    return True

@@ -7,22 +7,49 @@ verify_solution.  Candidates are drawn from the grid values plus -inf in
 every coordinate, so solution faces reaching -inf are exercised.
 Enumeration runs on ints in one unit, which is exact.
 
-grid_solutions searches depth first over the columns, in lexicographic
-order, keeping each row's running left and right maxima.  It cuts a subtree
-when some row can no longer balance: its lower side, raised by the best the
-remaining columns can add (their largest entry of that side plus the largest
-grid value), still stays below its higher side.  The cut drops only
-candidates that fail, so the result is the full product's, in its order.
-The search keeps an explicit stack: no recursion, and no closure that
-refers to itself and leaves a reference cycle behind on every call.  At the
-last column each grid value's completion is tested in place (every row's
-two sides must end equal) and appended, without a stack entry of its own.
+grid_solutions splits the n columns into leading ones and a trailing block
+of the last r, where r is the largest r <= n with k**r <= 4096 candidates
+(k grid points, -inf included).  The block is decided bit-parallel, on
+int masks over its k**r candidates; it is bounded so that no mask grows
+past 4096 bits (512 bytes), where one mask over the whole space would grow
+with it (279,936 bits for 7 columns of 6 points).  Only a grid of more
+than 4096 points leaves r = 0: the block is then the empty tuple, one
+candidate, and the search decides every column.
+
+The leading columns are searched depth first, in lexicographic order,
+keeping each row's running left and right maxima.  The search cuts a
+subtree when some row can no longer balance: its lower side, raised by the
+best the remaining columns can add (their largest entry of that side plus
+the largest grid value), still stays below its higher side.  The cut drops
+only candidates that fail, so the result is the full product's, in its
+order.  The search keeps an explicit stack: no recursion, and no closure
+that refers to itself and leaves a reference cycle behind on every call.
+
+Block candidate (c_0, ..., c_{r-1}) is bit sum c_j * k**(r-1-j), so
+ascending bits are the lexicographic order.  Each (column, grid point) has
+one cylinder mask, the candidates that take that point in that column,
+built once per call.  Two maxima are equal iff, for every value t either
+side can take, both are >= t or both are < t.  So each row sweeps the
+distinct values of its block terms in descending order, ORs each term's
+cylinder into a left or a right mask (the candidates whose side reaches
+the value) and accumulates bad |= left ^ right; the row holds on ~bad.
+The sweep depends only on the block, so it is built once per call.  It
+keeps its state at each height a prefix maximum can take: -inf's floor
+and the terms of the leading columns.  A leaf merges only its prefix
+maxima lv and rv, at h = max(lv, rv): the values above h are read off the
+state kept at h, and at h the side whose prefix reaches h covers every
+candidate.  Below h nothing more can differ, because from h down one side
+covers every candidate and the other's mask only grows.  The rows' bad
+masks OR together, and the set bits of the rest decode in ascending
+order.
 
 cross_validate tests each grid solution first against the cell that
 covered the previous covered one, then against the other cells in their
 order.  Solutions come in lexicographic order, so the next one usually lies
 in the same cell; coverage is a yes/no answer over all cells, so the
-misses are the same, in the same order, as for a scan of every cell.
+misses are the same, in the same order, as for a scan of every cell.  Each
+distinct sampled point is verified once per call: the first sample of
+every cell is the all -inf point, and draws repeat.
 """
 
 from __future__ import annotations
@@ -85,6 +112,61 @@ class GridSpec:
         return self.values
 
 
+# The trailing block holds at most this many candidates, so each of its
+# masks is an int of at most this many bits.
+_BLOCK = 4096
+
+
+def _cylinders(k: int, r: int) -> list[list[int]]:
+    """cyl[j][c]: the block candidates whose column j takes grid point c.
+
+    Candidate (c_0, ..., c_{r-1}) is bit sum c_j * k**(r-1-j).  Digit j is
+    c on runs of s = k**(r-1-j) bits starting at c * s, one run every k * s
+    bits; the geometric series (2**(k**r) - 1) // (2**(k*s) - 1) has one bit
+    at the start of every period.
+    """
+    out = []
+    for j in range(r):
+        s = k ** (r - 1 - j)
+        period = ((1 << k**r) - 1) // ((1 << k * s) - 1)
+        out.append([period * (((1 << s) - 1) << c * s) for c in range(k)])
+    return out
+
+
+def _sweep(
+    row_a: Sequence[int | None],
+    row_b: Sequence[int | None],
+    cylinders: list[list[int]],
+    points: Sequence[int | None],
+    heights: set[int],
+) -> dict[int, tuple[int, int, int]]:
+    """One row's block sweep, kept at the heights a prefix maximum can take.
+
+    Sweeps the distinct values of the row's block terms, and the heights,
+    in descending order.  At each height h it keeps (bad, left, right): the
+    candidates whose two block maxima differ above h, and those whose left
+    (right) block maximum reaches h.  So a row holds at most len(heights)
+    states of three masks, however many values its block terms take.
+    """
+    hits: dict[int, list[int]] = {h: [0, 0] for h in heights}
+    for side, row in enumerate((row_a, row_b)):
+        for e, cyl in zip(row, cylinders):
+            if e is not None:
+                for c, x in enumerate(points):
+                    if x is not None:
+                        hits.setdefault(e + x, [0, 0])[side] |= cyl[c]
+    left = right = bad = 0
+    states = {}
+    for t in sorted(hits, reverse=True):
+        on_left, on_right = hits[t]
+        left |= on_left
+        right |= on_right
+        if t in heights:
+            states[t] = (bad, left, right)
+        bad |= left ^ right
+    return states
+
+
 def grid_solutions(
     a: Matrix, b: Matrix, grid: GridSpec, cap: int = 10**6
 ) -> list[tuple[Scalar, ...]]:
@@ -97,13 +179,14 @@ def grid_solutions(
         raise DimensionMismatch("matrix shapes differ")
     n = a.cols
     points = grid.points()
-    size = len(points) ** n
+    k = len(points)
+    size = k**n
     if size > cap:
         raise GridTooLarge(f"{size} candidates exceed the cap of {cap}")
 
     values, scale = _to_ints(grid.values, math.lcm(a.unit, b.unit))
     am, bm = a.in_unit(scale), b.in_unit(scale)
-    scaled_points = [None] * (len(points) - len(values)) + values  # -inf first, if included
+    scaled_points = [None] * (k - len(values)) + values  # -inf first, if included
     top = values[-1]
     # One int below every finite term stands for -inf, so that the running
     # maxima and the reach bounds compare as plain ints.
@@ -129,31 +212,63 @@ def grid_solutions(
             )
         return bounds[::-1]
 
-    a_terms = [terms(am, j) for j in range(n)]
-    b_terms = [terms(bm, j) for j in range(n)]
+    # the trailing block: the last r columns, k**r <= _BLOCK candidates
+    r = 0
+    while r < n and k ** (r + 1) <= _BLOCK:
+        r += 1
+    lead = n - r
+    full = (1 << k**r) - 1
+    a_terms = [terms(am, j) for j in range(lead)]
+    b_terms = [terms(bm, j) for j in range(lead)]
     a_reach, b_reach = reach(am), reach(bm)
+    # a row's prefix maxima are floor or terms of its leading columns
+    heights = [{floor} for _ in range(a.rows)]
+    for col in a_terms + b_terms:
+        for row_terms in col:
+            for row_heights, t in zip(heights, row_terms):
+                row_heights.add(t)
+    cylinders = _cylinders(k, r)
+    sweeps = [
+        _sweep(ra[lead:], rb[lead:], cylinders, scaled_points, hs)
+        for ra, rb, hs in zip(am, bm, heights)
+    ]
+    tails: dict[int, tuple[Scalar, ...]] = {}
 
     out: list[tuple[Scalar, ...]] = []
     start = (floor,) * a.rows
-    # depth-first over columns; children are pushed in reverse so that they
-    # pop in ascending order and the output stays lexicographic
+    # depth-first over the leading columns; children are pushed in reverse
+    # so that they pop in ascending order and the output stays lexicographic
     stack: list[tuple[tuple[Scalar, ...], Sequence[int], Sequence[int]]] = [((), start, start)]
     while stack:
         prefix, left, right = stack.pop()
         d = len(prefix)
-        a_col, b_col = a_terms[d], b_terms[d]
-        if d == n - 1:
-            # the last column: a completion solves the system when every
-            # row's two sides end equal, and solutions append in order
-            for c, point in enumerate(points):
-                for lv, rv, at, bt in zip(left, right, a_col[c], b_col[c]):
-                    if (at if at > lv else lv) != (bt if bt > rv else rv):
-                        break
-                else:
-                    out.append(prefix + (point,))
+        if d == lead:
+            # the block: merge each row's prefix maxima into its sweep
+            bad = 0
+            for states, lv, rv in zip(sweeps, left, right):
+                h = lv if lv > rv else rv
+                above, reach_l, reach_r = states[h]
+                if lv == h:
+                    reach_l = full
+                if rv == h:
+                    reach_r = full
+                bad |= above | (reach_l ^ reach_r)
+            bits = bin(full ^ bad)[:1:-1]  # candidate q at position q
+            q = bits.find("1")
+            while q >= 0:
+                tail = tails.get(q)
+                if tail is None:
+                    digits, rest = [], q
+                    for _ in range(r):
+                        rest, c = divmod(rest, k)
+                        digits.append(points[c])
+                    tail = tails[q] = tuple(reversed(digits))
+                out.append(prefix + tail)
+                q = bits.find("1", q + 1)
             continue
+        a_col, b_col = a_terms[d], b_terms[d]
         a_next, b_next = a_reach[d + 1], b_reach[d + 1]
-        for c in reversed(range(len(points))):
+        for c in reversed(range(k)):
             lft: list[int] = []
             rgt: list[int] = []
             for lv, rv, at, bt, la, rb in zip(left, right, a_col[c], b_col[c], a_next, b_next):
@@ -226,10 +341,14 @@ def cross_validate(
             missed.append(x)
     invalid = []
     total = 0
+    verdicts: dict[tuple[Scalar, ...], bool] = {}  # each distinct point is verified once
     for idx, cell in enumerate(solution_set.cells):
         for point in sample_cell(cell, samples_per_cell, seed=seed + idx, box=box):
             total += 1
-            if not verify_solution(a, b, point):
+            holds = verdicts.get(point)
+            if holds is None:
+                holds = verdicts[point] = verify_solution(a, b, point)
+            if not holds:
                 invalid.append((idx, point))
     return CrossValidationReport(
         missed=tuple(missed),

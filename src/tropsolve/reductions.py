@@ -139,41 +139,6 @@ class PinnedCell:
     def contains(self, x: Sequence) -> bool:
         return cell_membership(self.base, self._embed(x))
 
-    def contains_by_view(self, x: Sequence) -> bool:
-        """Same predicate, evaluated on the specialized fields (cross-check)."""
-        xs = [as_scalar(v) for v in self._embed(x)]
-        del xs[self.pinned_var]  # numbered as the fields are
-        unit = Fraction(1, self.scale)
-        for v in self.neg_inf:
-            if not isinstance(xs[v], NegInfinity):
-                return False
-        for v, value in self.fixed:
-            if xs[v] != value * unit:
-                return False
-        values: dict[int, Scalar] = {}
-        for v, param, offset in self.assigned:
-            val = xs[v]
-            t = val if isinstance(val, NegInfinity) else val - offset * unit
-            if values.setdefault(param, t) != t:
-                return False
-        for param, bound in self.lower:
-            t = values[param]
-            if isinstance(t, NegInfinity) or t < bound * unit:
-                return False
-        for param, bound in self.upper:
-            t = values[param]
-            if not isinstance(t, NegInfinity) and t > bound * unit:
-                return False
-        for plus, minus, constant in self.rows:
-            tp, tm = values[plus], values[minus]
-            if isinstance(tp, NegInfinity):
-                continue
-            if isinstance(tm, NegInfinity):
-                return False
-            if tp - tm + constant * unit > 0:
-                return False
-        return True
-
     def sample(self, count: int, seed: int = 0, box: int = 10) -> list[tuple[Scalar, ...]]:
         """Members with the pinned variable already substituted out.
 

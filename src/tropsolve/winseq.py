@@ -18,7 +18,8 @@ k's pairs it rules out; a column with an -inf entry needs no key (it rules
 out all or none).  That table is built the first time the search narrows row
 k from row i, each choice removes the pairs its two columns rule out from
 the domains of all later rows, and the search backtracks as soon as one is
-empty.  is_compatible is the readable reference for the same test.
+empty.  tests/test_winseq.py keeps is_compatible, the readable reference
+for the same test.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Matrix
 from .preprocess import RowMasks, columns
 
 Pair = tuple[int, int]
@@ -85,22 +85,6 @@ def max_pairs_per_row(n: int) -> int:
     return max(((n + 1) // 2) * (n // 2), n)
 
 
-def is_compatible(max_matrix: Matrix, i: int, first: Pair, k: int, second: Pair) -> bool:
-    """Whether the pair of row k is compatible with the pair of row i < k.
-
-    Checks m_{i kappa} + m_{k iota} <= m_{i iota} + m_{k kappa} for the up
-    to four column combinations, with -inf absorbing; a minor that is -inf
-    on both sides passes.  The test runs on the matrix's ints.
-    """
-    row_i, row_k = max_matrix.ints[i], max_matrix.ints[k]
-    for iota in set(first):
-        for kappa in set(second):
-            lhs, rhs = (row_i[kappa], row_k[iota]), (row_i[iota], row_k[kappa])
-            if None not in lhs and (None in rhs or sum(lhs) > sum(rhs)):
-                return False
-    return True
-
-
 def _bad_columns(
     row_i: Sequence[int | None],
     row_k: Sequence[int | None],
@@ -108,7 +92,8 @@ def _bad_columns(
     held_k: dict[int, int],
 ) -> dict[int, int]:
     """bad[iota]: the pairs of row k (bits of held_k, column -> pairs using
-    it) failing the minor test of is_compatible against column iota of row i.
+    it) failing the minor test (is_compatible in tests/test_winseq.py)
+    against column iota of row i.
 
     With key(c) = m_ic - m_kc the test m_i kappa + m_k iota <= m_i iota +
     m_k kappa reads key(kappa) <= key(iota), so it fails when m_i kappa and

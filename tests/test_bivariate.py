@@ -11,7 +11,6 @@ from tropsolve.bivariate import (
     PotentialAssignment,
     build_systems,
     eq,
-    is_sub_special,
     leq,
     remove_and_enlarge,
 )
@@ -19,6 +18,47 @@ from tropsolve.core import TropicalError
 from tropsolve.preprocess import maximum_matrix
 
 NI = "-inf"
+
+
+def is_sub_special(rows):
+    """Structural check for a canonical irredundant inequality list.
+
+    The shape sub_specialize promises for its residue; it reads structure
+    only, so it does not see a zero-weight cycle through three or more rows.
+
+    Rows must be pairwise distinct with distinct variable parts and no exact
+    opposites; rows with opposite variable parts must be adjacent, the first
+    positively oriented, bounding a nonempty open interval; elsewhere the
+    leading variable index must not decrease.
+    """
+    rows = list(rows)
+    seen_full = set()
+    seen_parts = set()
+    for plus, minus, constant in rows:
+        if (plus, minus, constant) in seen_full or (minus, plus, -constant) in seen_full:
+            return False
+        seen_full.add((plus, minus, constant))
+        if (plus, minus) in seen_parts:
+            return False
+        seen_parts.add((plus, minus))
+    for i, (plus, minus, _) in enumerate(rows):
+        opposite = (minus, plus)
+        if opposite in seen_parts:
+            partner = next(k for k, d in enumerate(rows) if d[:2] == opposite)
+            if abs(partner - i) != 1:
+                return False
+            first = rows[min(i, partner)]
+            second = rows[max(i, partner)]
+            if not first[0] < first[1]:
+                return False
+            if not first[2] < -second[2]:
+                return False
+    for c, d in zip(rows, rows[1:]):
+        if (c[1], c[0]) == d[:2]:
+            continue
+        if min(c[0], c[1]) > min(d[0], d[1]):
+            return False
+    return True
 
 
 # --- the displayed coefficient matrices of the worked example (1-based) ---

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -225,3 +226,22 @@ def test_cross_validate_leaves_no_reference_cycles(running_example, three_by_thr
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_grid_solutions_memory_stays_bounded(two_by_seven_example):
+    """The trailing block keeps every mask within 4096 bits, whatever the grid's size.
+
+    The README 2x7 fixture on six points has 279,936 candidates; one mask
+    over all of them would take 34 KiB, and the per-row sweeps hold many.
+    """
+    a, b = two_by_seven_example
+    grid = GridSpec.of([-3, -1, 0, 1, 3])
+    assert len(grid.points()) ** a.cols == 279_936
+    tracemalloc.start()
+    try:
+        sols = grid_solutions(a, b, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sols) == 2607
+    assert peak < 1 << 20, f"peak {peak} bytes"

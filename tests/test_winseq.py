@@ -10,11 +10,27 @@ from tropsolve import NEG_INF, Matrix, max_pairs_per_row
 from tropsolve.preprocess import maximum_matrix
 from tropsolve.winseq import (
     enumerate_win_sequences_counted,
-    is_compatible,
     winning_pairs,
 )
 
 NI = "-inf"
+
+
+def is_compatible(max_matrix, i, first, k, second):
+    """Whether the pair of row k is compatible with the pair of row i < k.
+
+    The readable reference for the enumerator's minor test: checks
+    m_{i kappa} + m_{k iota} <= m_{i iota} + m_{k kappa} for the up to four
+    column combinations, with -inf absorbing; a minor that is -inf on both
+    sides passes.  The test runs on the matrix's ints.
+    """
+    row_i, row_k = max_matrix.ints[i], max_matrix.ints[k]
+    for iota in set(first):
+        for kappa in set(second):
+            lhs, rhs = (row_i[kappa], row_k[iota]), (row_i[iota], row_k[kappa])
+            if None not in lhs and (None in rhs or sum(lhs) > sum(rhs)):
+                return False
+    return True
 
 
 def test_classify_running_example(running_example):
