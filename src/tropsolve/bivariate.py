@@ -3,9 +3,11 @@
 Every relation produced by the solver is a normal form x_plus - x_minus + c
 with an exact constant c.  Inside the cell stage a relation is a plain row
 tuple (plus, minus, constant) and the list it sits in gives its kind:
-equation rows mean = 0, inequality rows mean <= 0.  Equations are solved by
-a weighted union-find (offsets to the component representative);
-inequalities are tightened by difference-constraint analysis: negative
+equation rows mean = 0, inequality rows mean <= 0.  The equation system S
+is kept in reduced form as its equations arrive (OffsetUnionFind): every
+variable is its component's smallest member plus an offset, so substitute
+reads it as it stands and a sequence freezes it once, when it returns.
+Inequalities are tightened by difference-constraint analysis: negative
 cycles force variables to -inf, opposite rows of zero width become
 equations, and per ordered pair only the tightest row survives.
 
@@ -24,8 +26,11 @@ runs on Python ints: build_systems reads the maximum matrix scaled by one
 common denominator per solve, every constant and offset is an int in units
 of 1/scale, and the cells that cells.solve keeps store their rows as ints
 too, each cell in its own lowest unit; a Constraint with a Fraction constant
-is only a view that a cell derives from one of its rows.  The functions here
-accept Fraction constants just as well.
+is only a view that a cell derives from one of its rows.  So the cell stage
+is int-only, and Row still types its constant int | Fraction only for the
+public solve_equations, substitute and sub_specialize (with eq and leq):
+they take and return Fraction constants as well, and the tests pass them
+such rows.
 """
 
 from __future__ import annotations
@@ -93,61 +98,54 @@ class PotentialAssignment:
 
 
 class OffsetUnionFind:
-    """Union-find tracking x_child = x_parent + shift, with inconsistency flags."""
+    """The equation system S in reduced form, updated as each equation arrives.
+
+    x_v = x_representative[v] + offset[v] at every moment: the representative
+    is the smallest member of v's component and carries offset 0, so the
+    lists can be read as they stand (substitute reads only these two).  A
+    component whose equations close a cycle with nonzero residual is listed,
+    by its representative, in inconsistent_roots.  Merging two components
+    relabels the one with the larger representative, drop, in one pass over
+    the variables v >= drop (drop is its smallest member): O(n) per merge,
+    at most n - 1 merges, and no parent chains to walk when reading.
+    """
 
     def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.shift = [0] * n
-        self.bad = [False] * n  # meaningful on roots
-
-    def location(self, v: int) -> tuple[int, int | Fraction]:
-        """Root of v and the offset x_v - x_root."""
-        root = v
-        off = 0
-        while self.parent[root] != root:
-            off += self.shift[root]
-            root = self.parent[root]
-        return root, off
+        self.representative = list(range(n))
+        self.offset: list[int | Fraction] = [0] * n
+        self.inconsistent_roots: set[int] = set()
 
     def add_equation(self, row: Row) -> None:
         """Absorb the equation row x_plus - x_minus + c = 0, flagging inconsistent cycles."""
         plus, minus, constant = row
-        rp, op = self.location(plus)
-        rm, om = self.location(minus)
+        rep, off = self.representative, self.offset
+        rp, rm = rep[plus], rep[minus]
+        # x_plus = x_minus - c, hence x_rp - x_rm = off[minus] - c - off[plus]
+        shift = off[minus] - constant - off[plus]
         if rp == rm:
-            if op - om + constant != 0:
-                self.bad[rp] = True
+            if shift != 0:
+                self.inconsistent_roots.add(rp)
             return
-        # x_plus = x_minus - c, hence x_rp = x_rm + (om - c - op)
-        self.parent[rp] = rm
-        self.shift[rp] = om - constant - op
-        self.bad[rm] = self.bad[rm] or self.bad[rp]
+        if rp < rm:
+            keep, drop, shift = rp, rm, -shift  # x_rm = x_rp + shift
+        else:
+            keep, drop = rm, rp  # x_rp = x_rm + shift
+        for v in range(drop, len(rep)):
+            if rep[v] == drop:
+                rep[v] = keep
+                off[v] += shift
+        bad = self.inconsistent_roots
+        if drop in bad:
+            bad.remove(drop)
+            bad.add(keep)
 
-    def snapshot(self, n: int) -> PotentialAssignment:
-        """Normalize to smallest-index representatives.
-
-        One pass over the variables in index order: the first member of a
-        component seen is its smallest, so it becomes the representative.
-        """
-        rep = list(range(n))
-        offs = [0] * n
-        leads: dict[int, tuple[int, int | Fraction]] = {}  # root -> (lead, x_lead - x_root)
-        bad_roots = set()
-        parent, shift = self.parent, self.shift
-        for v in range(n):
-            root, off = v, 0
-            while parent[root] != root:  # location(v), inlined
-                off += shift[root]
-                root = parent[root]
-            lead = leads.get(root)
-            if lead is None:
-                leads[root] = (v, off)
-                if self.bad[root]:
-                    bad_roots.add(v)
-            else:
-                rep[v] = lead[0]
-                offs[v] = off - lead[1]
-        return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
+    def snapshot(self) -> PotentialAssignment:
+        """The current reduced form, frozen."""
+        return PotentialAssignment(
+            tuple(self.representative),
+            tuple(self.offset),
+            frozenset(self.inconsistent_roots),
+        )
 
 
 def solve_equations(equations: Iterable[Row], num_vars: int) -> PotentialAssignment:
@@ -155,7 +153,7 @@ def solve_equations(equations: Iterable[Row], num_vars: int) -> PotentialAssignm
     uf = OffsetUnionFind(num_vars)
     for row in equations:
         uf.add_equation(row)
-    return uf.snapshot(num_vars)
+    return uf.snapshot()
 
 
 def build_systems(
@@ -223,7 +221,7 @@ def remove_and_enlarge(
 
 
 def substitute(
-    ineqs: Iterable[Row], pa: PotentialAssignment
+    ineqs: Iterable[Row], pa: PotentialAssignment | OffsetUnionFind
 ) -> tuple[list[Row], frozenset[int]]:
     """Rewrite inequality rows over component representatives.
 
@@ -233,6 +231,8 @@ def substitute(
     Rows touching an inconsistent component are mapped too, with meaningless
     constants; that component is -inf throughout, so the caller must seed
     remove_and_enlarge with pa.inconsistent_roots, which drops those rows.
+    Only pa.representative and pa.offset are read, so pa may also be an
+    OffsetUnionFind, in reduced form at every moment.
     """
     out: list[Row] = []
     flagged: set[int] = set()
@@ -283,16 +283,21 @@ def sub_specialize(
     Constraint rejects it.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
+    heads: set[int] = set()
+    tails: set[int] = set()
     for plus, minus, constant in ineqs:
         if plus == minus:
             raise TropicalError("constraint endpoints must differ")
         key = (plus, minus)
         old = best.get(key)
-        if old is None or constant > old:
+        if old is None:
+            best[key] = constant
+            heads.add(plus)
+            tails.add(minus)
+        elif constant > old:
             best[key] = constant
 
-    heads = {p for p, _ in best}
-    core = sorted({m for _, m in best if m in heads})
+    core = sorted(heads & tails)
     if not core:
         return [], _canonical_rows(best), frozenset()
     index = {v: i for i, v in enumerate(core)}

@@ -183,6 +183,11 @@ def _solve_sequence(
     per scenario, so that every row's system is built once and only
     concatenated per sequence.
 
+    The union-find keeps the equations in reduced form as they arrive, so
+    each round hands it to substitute as it stands; it is frozen into a
+    PotentialAssignment once, when the sequence returns.  A round is one
+    sub_specialize call.
+
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
     touching a dead one, so later equations join live representatives only.
@@ -205,15 +210,14 @@ def _solve_sequence(
     while True:
         for row in eqs:
             uf.add_equation(row)
-        pa = uf.snapshot(nvars)
-        kept, flagged = substitute(ineqs, pa)
-        kept, dead = remove_and_enlarge(kept, dead | pa.inconsistent_roots | flagged)
+        kept, flagged = substitute(ineqs, uf)
+        kept, dead = remove_and_enlarge(kept, dead | uf.inconsistent_roots | flagged)
         eqs, ineqs, forced = sub_specialize(kept)
         if forced:
             dead |= forced
         elif not eqs:
-            rep = pa.representative
-            return {v for v in range(nvars) if rep[v] in dead}, pa, ineqs
+            rep = uf.representative
+            return {v for v in range(nvars) if rep[v] in dead}, uf.snapshot(), ineqs
 
 
 def _cell_key(
@@ -246,9 +250,15 @@ def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
 
 
 def _build_cell(key: tuple, num_vars: int, scale: int) -> SolutionCell:
-    """The SolutionCell of a kept key, its ints reduced to the cell's own scale."""
+    """The SolutionCell of a kept key, its ints reduced to the cell's own scale.
+
+    One gcd per cell, skipped when the solve's scale is 1: ints over the
+    unit 1 are in lowest terms already.
+    """
     sequence, neg, assigned, rows = key
-    g = math.gcd(scale, *(o for _, _, o in assigned), *(c for _, _, c in rows))
+    g = 1
+    if scale > 1:
+        g = math.gcd(scale, *(o for _, _, o in assigned), *(c for _, _, c in rows))
     if g > 1:
         assigned = tuple([(v, p, o // g) for v, p, o in assigned])
         rows = tuple([(p, m, c // g) for p, m, c in rows])

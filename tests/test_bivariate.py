@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import row_classes, scaled_rows, seq0
+from conftest import ParentPointerUnionFind, row_classes, scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
@@ -384,7 +384,7 @@ def _reference_sub_specialize(ineqs):
 
 
 def _reference_snapshot(uf, n):
-    """OffsetUnionFind.snapshot by grouping, sorting and re-reading every location."""
+    """Reduced form of a ParentPointerUnionFind: group, sort, re-read each location."""
     groups, locs = {}, {}
     for v in range(n):
         locs[v] = uf.location(v)
@@ -453,13 +453,19 @@ def test_sub_specialize_equals_full_closure():
 
 
 def test_snapshot_equals_two_pass_normalization():
+    # the reduced form kept as equations arrive equals the parent-pointer
+    # forest normalized afterwards, after every equation, offsets of
+    # inconsistent components included
     rng = random.Random(809)
-    seen_bad = seen_shared = 0
+    seen_bad = seen_shared = snapshots = 0
     for _ in range(2000):
         n = rng.randint(1, 8)
         fractional = rng.random() < 0.4
         potential = [_constant(rng, fractional) for _ in range(n)]
         uf = OffsetUnionFind(n)
+        ref = ParentPointerUnionFind(n)
+        got = uf.snapshot()
+        assert got == _reference_snapshot(ref, n)
         for _ in range(rng.randint(0, 2 * n)):
             p, m = rng.randrange(n), rng.randrange(n)
             if p == m:
@@ -469,11 +475,13 @@ def test_snapshot_equals_two_pass_normalization():
             if rng.random() < 0.15:
                 c += rng.choice((-1, 1, Fraction(1, 2)))
             uf.add_equation(eq(p, m, c))
-        got = uf.snapshot(n)
-        assert got == _reference_snapshot(uf, n)
+            ref.add_equation(eq(p, m, c))
+            got = uf.snapshot()
+            assert got == _reference_snapshot(ref, n)
+            snapshots += 1
         seen_bad += bool(got.inconsistent_roots)
         seen_shared += any(r != v for v, r in enumerate(got.representative))
-    assert seen_bad >= 200 and seen_shared >= 1000
+    assert seen_bad >= 200 and seen_shared >= 1000 and snapshots >= 5000
 
 
 def test_is_sub_special():

@@ -17,7 +17,7 @@ import random
 from collections import Counter
 
 from conftest import pair_masks
-from tropsolve import Matrix, NEG_INF
+from tropsolve import Matrix, NEG_INF, cells
 from tropsolve.bivariate import (
     OffsetUnionFind,
     build_systems,
@@ -47,7 +47,7 @@ def ref_solve_sequence(eqs, ineqs, nvars, features=None):
         for row in eqs:
             uf.add_equation(row)
         eqs = []
-        pa = uf.snapshot(nvars)
+        pa = uf.snapshot()
         components: dict[int, list[int]] = {}
         for v, r in enumerate(pa.representative):
             components.setdefault(r, []).append(v)
@@ -195,15 +195,15 @@ def test_loop_equals_component_closure_on_instances():
 
 def test_rounds_are_bounded(monkeypatch):
     # each round that does not return forces a live representative or merges
-    # two live components, so there are at most nvars + 1 snapshots
+    # two live components, so there are at most nvars + 1 rounds; every round
+    # calls sub_specialize once (snapshot runs once per sequence, at the end)
     calls = [0]
-    original = OffsetUnionFind.snapshot
 
-    def counted(self, n):
+    def counted(ineqs):
         calls[0] += 1
-        return original(self, n)
+        return sub_specialize(ineqs)
 
-    monkeypatch.setattr(OffsetUnionFind, "snapshot", counted)
+    monkeypatch.setattr(cells, "sub_specialize", counted)
     most = 0
     for eqs, ineqs, n in SYSTEMS:
         calls[0] = 0
