@@ -6,20 +6,23 @@ tuple (plus, minus, constant) and the list it sits in gives its kind:
 equation rows mean = 0, inequality rows mean <= 0.  The equation system S
 is kept in reduced form as its equations arrive (OffsetUnionFind): every
 variable is its component's smallest member plus an offset, so substitute
-reads it as it stands and a sequence freezes it once, when it returns.
+reads it as it stands, and the cell stage reads its cell key off it
+directly (snapshot freezes it for solve_equations only).
 Inequalities are tightened by difference-constraint analysis: negative
 cycles force variables to -inf, opposite rows of zero width become
 equations, and per ordered pair only the tightest row survives.
 
 The shortest-path closure of sub_specialize covers only the cyclic core:
 the variables that are the plus side of one row and the minus side of
-another.  Only its diagonal is read (a negative entry means a negative
-cycle), and a variable outside the core lies on no cycle, so its diagonal
-entry stays 0.  Floyd-Warshall never improves an entry between two
-variables of one strongly connected component through a pivot outside it,
-so the core's diagonal, and with it the forced set, is the same as that of
-the closure over every variable (the zone/DBM argument of Bengtsson & Yi,
-"Timed automata: semantics, algorithms and tools", LNCS 3098, 2004).
+another.  Its matrix is filled by looking up the core's ordered pairs
+among the tightest rows, not by scanning every row.  Only its diagonal is
+read (a negative entry means a negative cycle), and a variable outside
+the core lies on no cycle, so its diagonal entry stays 0.  Floyd-Warshall
+never improves an entry between two variables of one strongly connected
+component through a pivot outside it, so the core's diagonal, and with it
+the forced set, is the same as that of the closure over every variable
+(the zone/DBM argument of Bengtsson & Yi, "Timed automata: semantics,
+algorithms and tools", LNCS 3098, 2004).
 
 Every step only adds, subtracts and compares constants, so the cell stage
 runs on Python ints: build_systems reads the maximum matrix scaled by one
@@ -273,9 +276,11 @@ def sub_specialize(
     len(residue) never exceeds len(ineqs).
 
     Only the cyclic core is closed: the variables that are the plus side of
-    one kept row and the minus side of another.  The closure is read only on
-    its diagonal, and a variable without both edge directions lies on no
-    cycle, so its diagonal stays 0.  Within one strongly connected component
+    one kept row and the minus side of another.  Its nv x nv matrix is filled
+    by looking up the nv**2 core pairs in the tightest-row dict, so the rows
+    outside the core are not read again.  The closure is read only on its
+    diagonal, and a variable without both edge directions lies on no cycle,
+    so its diagonal stays 0.  Within one strongly connected component
     Floyd-Warshall never improves an entry through a pivot outside it (a
     path i -> k -> j back to i would put k in the component), so the core's
     diagonal, and with it the forced set, equals that of the full closure.
@@ -300,17 +305,15 @@ def sub_specialize(
     core = sorted(heads & tails)
     if not core:
         return [], _canonical_rows(best), frozenset()
-    index = {v: i for i, v in enumerate(core)}
     nv = len(core)
     dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
-    for i in range(nv):
-        dist[i][i] = 0
-    for (p, m), c in best.items():
-        if p in index and m in index:
-            u, v = index[m], index[p]
-            w = -c
-            if dist[u][v] is None or w < dist[u][v]:
-                dist[u][v] = w
+    for u, m in enumerate(core):
+        row_u = dist[u]
+        row_u[u] = 0
+        for v, p in enumerate(core):
+            c = best.get((p, m))
+            if c is not None:
+                row_u[v] = -c
     for k in range(nv):
         row_k = dist[k]
         for row_i in dist:

@@ -6,7 +6,10 @@ everything is an int in that unit.  Pipeline per
 instance: reduce, classify rows, enumerate win sequences, and for each
 sequence solve its equation system, substitute the inequalities onto its
 representatives, propagate -inf over them and tighten, looping while
-tightening forces variables or extracts equations.  Each surviving
+tightening forces variables or extracts equations.  A solved sequence
+yields its union-find (S in reduced form), the set of its representatives
+forced to -inf, the residue, and the dimension bound: the number of
+components right after the sequence's own equations.  Each surviving
 sequence yields one convex cell: variables forced to -inf, parameterized
 assignments x_v = t_p + offset, and a canonical list of residual
 inequalities over the parameters.  The per-sequence work runs on int rows
@@ -14,7 +17,8 @@ inequalities over the parameters.  The per-sequence work runs on int rows
 names the kept rows and the live columns, so classification, enumeration,
 the bivariate systems and the cell key all use the original column indices,
 and a column that is not live takes part in no row.  Each solved sequence
-yields an int key; keys are deduplicated and sorted, and only then is
+yields an int key, read off the union-find in one pass over the columns
+with nothing frozen; keys are deduplicated and sorted, and only then is
 a SolutionCell built per kept key: its ints are divided by their gcd with
 the solve's scale, so that every cell holds its numbers in its own lowest
 unit and equal cells are equal whatever solve built them.  The cell's
@@ -60,7 +64,6 @@ from .core import (
 )
 from .preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
 from .winseq import (
-    Pair,
     WinSequence,
     classify_row,
     enumerate_win_sequences_counted,
@@ -141,30 +144,6 @@ def verify_solution(a: Matrix, b: Matrix, x: Sequence) -> bool:
     return maxima[: a.rows] == maxima[a.rows :]
 
 
-def dimension_bound(sequence: Sequence[Pair], num_vars: int) -> int:
-    """Bound on the cell dimension: num_vars - |linked columns| + |classes|.
-
-    Columns sharing a pair are linked, and linking two classes of columns
-    removes one degree of freedom, so the bound is num_vars minus the number
-    of pairs that join two classes.
-    """
-    parent = {c: c for pair in sequence for c in pair}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    bound = num_vars
-    for p, q in sequence:
-        rp, rq = find(p), find(q)
-        if rp != rq:
-            parent[rp] = rq
-            bound -= 1
-    return bound
-
-
 def _solve_sequence(
     sequence: WinSequence,
     rows: Sequence[Sequence[int | None]],
@@ -175,25 +154,30 @@ def _solve_sequence(
     """Run one win sequence to a fixed point.
 
     rows[h] is the maximum-matrix row of the sequence's h-th pair and
-    classifications[h] its RowClassification.  Returns (omega, assignment,
-    residue): the variables forced to -inf, the final potential assignment,
-    and the sub-special residue rows over its representatives.  Offsets and
-    constants are ints in the unit of rows.  systems maps (row h, pair) to
-    the rows build_systems gives for that row alone; solve passes one dict
-    per scenario, so that every row's system is built once and only
+    classifications[h] its RowClassification.  Returns (uf, dead, residue,
+    bound): the union-find holding S in reduced form, the frozenset of its
+    representatives forced to -inf (a variable is -inf when its
+    representative is), the sub-special residue rows over the
+    representatives, and the dimension bound.  Offsets and constants are
+    ints in the unit of rows.  systems maps (row h, pair) to the rows
+    build_systems gives for that row alone; solve passes one dict per
+    scenario, so that every row's system is built once and only
     concatenated per sequence.
 
+    The bound is the number of components right after the sequence's own
+    equations: each of them that merges two components is a pair joining
+    two classes of columns, so the count is num_vars minus those pairs.
     The union-find keeps the equations in reduced form as they arrive, so
-    each round hands it to substitute as it stands; it is frozen into a
-    PotentialAssignment once, when the sequence returns.  A round is one
-    sub_specialize call.
+    each round hands it to substitute as it stands, and nothing is frozen.
+    A round is one sub_specialize call.
 
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
-    touching a dead one, so later equations join live representatives only.
-    Hence at most nvars + 1 rounds (2 * nvars for nvars >= 1): a round that
-    does not return forces a live representative or merges two live ones,
-    so the number of live components drops, and with none left it returns.
+    touching a dead one, so later equations join live representatives only
+    and every member of dead stays a representative.  Hence at most
+    nvars + 1 rounds (2 * nvars for nvars >= 1): a round that does not
+    return forces a live representative or merges two live ones, so the
+    number of live components drops, and with none left it returns.
     """
     if systems is None:
         systems = {}
@@ -206,56 +190,69 @@ def _solve_sequence(
         eqs += part[0]
         ineqs += part[1]
     uf = OffsetUnionFind(nvars)
+    for row in eqs:
+        uf.add_equation(row)
+    bound = len(set(uf.representative))
     dead: frozenset[int] = frozenset()
     while True:
-        for row in eqs:
-            uf.add_equation(row)
         kept, flagged = substitute(ineqs, uf)
         kept, dead = remove_and_enlarge(kept, dead | uf.inconsistent_roots | flagged)
         eqs, ineqs, forced = sub_specialize(kept)
         if forced:
             dead |= forced
         elif not eqs:
-            rep = uf.representative
-            return {v for v in range(nvars) if rep[v] in dead}, uf.snapshot(), ineqs
+            return uf, dead, ineqs, bound
+        for row in eqs:
+            uf.add_equation(row)
 
 
 def _cell_key(
     sequence: WinSequence,
-    omega: set[int],
-    pa,
+    uf: OffsetUnionFind,
+    dead: frozenset[int],
     residue: Sequence[Row],
+    bound: int,
     red: ReducedInstance,
 ) -> tuple | None:
     """Identity of one solved sequence's cell, in ints.
 
-    The key is (win sequence, sorted -inf set, sorted (v, param, offset),
-    residue rows), with offsets and constants in units of 1/scale, the scale
-    of the whole solve; None when the cell is only the all--inf point, which
-    lies in every cell.  A free column takes part in no row, so it is its
-    own representative at offset 0.
+    The key is (win sequence, -inf columns, (v, param, offset) per other
+    column, residue rows, dimension bound), with offsets and constants in
+    units of 1/scale, the scale of the whole solve; None when the cell is
+    only the all--inf point, which lies in every cell.  One ascending pass
+    over the columns fills both lists, so they come out sorted: a column is
+    -inf when the scenario forces it or its representative is dead.  A free
+    column takes part in no row, so it is its own representative at offset
+    0.  The bound depends on the sequence alone, so it never separates two
+    keys that the other fields do not.
     """
-    neg = red.forced_neg_inf.union(omega)
-    rep, off = pa.representative, pa.offset
-    assigned = tuple([(v, rep[v], off[v]) for v in range(len(rep)) if v not in neg])
+    forced = red.forced_neg_inf
+    off = uf.offset
+    neg: list[int] = []
+    assigned: list[tuple[int, int, int]] = []
+    for v, r in enumerate(uf.representative):
+        if r in dead or v in forced:
+            neg.append(v)
+        else:
+            assigned.append((v, r, off[v]))
     if not assigned:
         return None
-    return sequence, tuple(sorted(neg)), assigned, tuple(residue)
+    return sequence, tuple(neg), tuple(assigned), tuple(residue), bound
 
 
 def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
     """Key of the cell where the alive variables are free and the rest -inf."""
     neg = tuple(sorted(set(range(num_vars)) - set(alive)))
-    return ((), neg, tuple((v, v, 0) for v in alive), ())
+    return ((), neg, tuple((v, v, 0) for v in alive), (), num_vars)
 
 
 def _build_cell(key: tuple, num_vars: int, scale: int) -> SolutionCell:
     """The SolutionCell of a kept key, its ints reduced to the cell's own scale.
 
     One gcd per cell, skipped when the solve's scale is 1: ints over the
-    unit 1 are in lowest terms already.
+    unit 1 are in lowest terms already.  The dimension bound is the key's.
     """
-    sequence, neg, assigned, rows = key
+    sequence, neg, assigned, rows, bound = key
     g = 1
     if scale > 1:
         g = math.gcd(scale, *(o for _, _, o in assigned), *(c for _, _, c in rows))
@@ -268,7 +265,7 @@ def _build_cell(key: tuple, num_vars: int, scale: int) -> SolutionCell:
         scale=scale // g,
         assigned=assigned,
         rows=rows,
-        dimension_bound=dimension_bound(sequence, num_vars),
+        dimension_bound=bound,
         num_vars=num_vars,
     )
 
@@ -331,8 +328,8 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
         t0 = time.perf_counter()
         systems: dict = {}
         for sequence in sequences:
-            omega, pa, residue = _solve_sequence(sequence, maxima, classifications, n, systems)
-            key = _cell_key(sequence, omega, pa, residue, red)
+            solved = _solve_sequence(sequence, maxima, classifications, n, systems)
+            key = _cell_key(sequence, *solved, red)
             if key is None:
                 collapsed += 1
             else:

@@ -168,7 +168,7 @@ def enumerate_win_sequences_counted(
     tables: list[list[dict[int, int] | None]] = [[None] * m for _ in range(m)]
     out: list[WinSequence] = []
     nodes = 0
-    chosen = [0] * m
+    chosen: list[Pair] = [(0, 0)] * m
     # domains[d][k]: pair indices of row k still open after the choices at
     # rows < d; untried[d]: the pairs of row d not taken yet
     domains = [[(1 << len(pairs)) - 1 for pairs in pairs_per_row]]
@@ -182,13 +182,11 @@ def enumerate_win_sequences_counted(
             continue
         low = bits & -bits
         untried[d] = bits ^ low
-        a = low.bit_length() - 1
-        chosen[d] = a
+        p, q = chosen[d] = pairs_per_row[d][low.bit_length() - 1]
         nodes += 1
         if d == m - 1:
-            out.append(tuple(pairs_per_row[k][chosen[k]] for k in range(m)))
+            out.append(tuple(chosen))
             continue
-        p, q = pairs_per_row[d][a]
         narrowed = domains[d].copy()
         row_tables = tables[d]
         for k in range(d + 1, m):

@@ -13,7 +13,7 @@ import pytest
 
 from tropsolve import NEG_INF, Matrix
 from tropsolve.bivariate import PotentialAssignment
-from tropsolve.cells import SolutionCell, dimension_bound
+from tropsolve.cells import SolutionCell
 from tropsolve.preprocess import row_masks
 from tropsolve.winseq import classify_row
 
@@ -148,6 +148,43 @@ class ParentPointerUnionFind:
                 rep[v] = lead[0]
                 offs[v] = off - lead[1]
         return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
+
+
+def dimension_bound(sequence, num_vars):
+    """Bound on the cell dimension: num_vars - |linked columns| + |classes|.
+
+    Columns sharing a pair are linked, and linking two classes of columns
+    removes one degree of freedom, so the bound is num_vars minus the number
+    of pairs that join two classes.  The reference for the bound that
+    cells._solve_sequence counts off its union-find.
+    """
+    parent = {c: c for pair in sequence for c in pair}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    bound = num_vars
+    for p, q in sequence:
+        rp, rq = find(p), find(q)
+        if rp != rq:
+            parent[rp] = rq
+            bound -= 1
+    return bound
+
+
+def omega_assignment(solved):
+    """(omega, assignment, residue) of a cells._solve_sequence result.
+
+    omega is the set of variables whose representative is dead, the
+    assignment the union-find frozen by its snapshot: the form the
+    sequence's result had before it returned the union-find itself.
+    """
+    uf, dead, residue, _ = solved
+    rep = uf.representative
+    return {v for v in range(len(rep)) if rep[v] in dead}, uf.snapshot(), residue
 
 
 def scaled_rows(matrix):

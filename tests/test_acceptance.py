@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    omega_assignment,
     pair_masks,
     running_reference_cells,
     seq0,
@@ -126,9 +127,9 @@ def test_criterion_2_empty_case(empty_case_example):
     masks = pair_masks(a, b)
     red = reduce_instance(masks)
     classes = [classify_row(masks, i, red.live) for i in red.rows]
-    omega, _, residue = _solve_sequence(
+    omega, _, residue = omega_assignment(_solve_sequence(
         seq0([(1, 4), (1, 3), (3, 4)]), [masks.maximum[i] for i in red.rows], classes, 4
-    )
+    ))
     if omega != {0, 1, 2, 3}:
         failures.append(f"inconsistent-component path produced omega {omega}")
     if residue:

@@ -274,6 +274,32 @@ def test_sub_specialize_negative_long_cycle():
     assert forced == {0, 1, 2}
 
 
+def test_sub_specialize_negative_three_cycle_only():
+    # core {2, 5, 7} beside the non-core variables 0 and 9: the cycle
+    # 5 -> 7 -> 2 -> 5 has weight -1 while every 2-cycle weighs 4 or 5, so
+    # only a closure through a third core variable finds it
+    w = {(5, 7): 0, (7, 2): 0, (2, 5): -1, (7, 5): 5, (2, 7): 5, (5, 2): 5}
+    rows = [leq(p, m, -weight) for (m, p), weight in w.items()]  # edge m -> p
+    rows += [leq(0, 2, 3), leq(9, 7, 1)]
+    for (m, p), weight in w.items():
+        assert weight + w[(p, m)] >= 0
+    eqs, residue, forced = sub_specialize(rows)
+    assert forced == {2, 5, 7}
+    assert not eqs
+    assert sorted(residue) == sorted(rows)
+
+
+def test_sub_specialize_zero_width_pair_beside_a_third_core_variable():
+    # x1 - x4 = -2 exactly; x6 shares a cycle of positive width with each,
+    # and (x1, x4, x6) = (-2, 0, 0) satisfies every row strictly but the pair
+    rows = [leq(1, 4, 2), leq(4, 1, -2), leq(6, 1, -3), leq(1, 6, 1), leq(4, 6, -1), leq(6, 4, -2)]
+    eqs, residue, forced = sub_specialize(rows)
+    assert not forced
+    assert eqs == [eq(1, 4, 2)]
+    assert residue == [leq(1, 6, 1), leq(6, 1, -3), leq(4, 6, -1), leq(6, 4, -2)]
+    assert is_sub_special(residue)
+
+
 @pytest.mark.parametrize("rows", [[leq(0, 0, 0)], [leq(0, 1, 2), leq(1, 1, -2)]])
 def test_sub_specialize_rejects_equal_endpoints(rows):
     with pytest.raises(TropicalError, match="endpoints must differ"):

@@ -7,7 +7,9 @@ import pytest
 
 from conftest import (
     NI,
+    dimension_bound,
     make_cell,
+    omega_assignment,
     pair_scale,
     planted_rows,
     ref_scaled,
@@ -30,7 +32,7 @@ from tropsolve import (
 )
 import tropsolve.cells as cells_mod
 from tropsolve.bivariate import Constraint
-from tropsolve.cells import _solve_sequence, dimension_bound
+from tropsolve.cells import _solve_sequence
 from tropsolve.core import DimensionMismatch
 from tropsolve.preprocess import reduce_instance
 from tropsolve.reductions import pin_variable
@@ -281,15 +283,18 @@ def test_soundness_random_instances():
 
 
 def _sequence_results(a, b, systems=None):
-    """Every root sequence of the pair with its _solve_sequence result."""
+    """Every root sequence of the pair with its _solve_sequence result, as
+    (omega, assignment, residue)."""
     masks = pair_masks(a, b)
     red = reduce_instance(masks)
     classes = [classify_row(masks, i, red.live) for i in red.rows]
     maxima = [masks.maximum[i] for i in red.rows]
     sequences, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
     if systems is None:
-        return {s: _solve_sequence(s, maxima, classes, a.cols) for s in sequences}
-    return {s: _solve_sequence(s, maxima, classes, a.cols, systems) for s in sequences}
+        return {s: omega_assignment(_solve_sequence(s, maxima, classes, a.cols))
+                for s in sequences}
+    return {s: omega_assignment(_solve_sequence(s, maxima, classes, a.cols, systems))
+            for s in sequences}
 
 
 def test_row_systems_do_not_outlive_a_scenario(running_example):

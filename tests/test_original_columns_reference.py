@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from conftest import pair_scale, scaled_pair
+from conftest import dimension_bound, omega_assignment, pair_scale, scaled_pair
 from tropsolve import NEG_INF, Matrix
 from tropsolve.cells import _build_cell, _solve_sequence, _unconstrained_key, solve
 from tropsolve.preprocess import Verdict, reduce_instance, row_masks
@@ -121,14 +121,15 @@ def ref_solve(a, b, drops):
             drops["free"] += bool(red.free_cols)
         systems: dict = {}
         for sequence in sequences:
-            omega, pa, residue = _solve_sequence(
+            omega, pa, residue = omega_assignment(_solve_sequence(
                 sequence, scaled_max, classes, len(orig), systems
-            )
+            ))
             key = ref_cell_key(sequence, omega, pa, residue, red, orig)
             if key is None:
                 collapsed += 1
             else:
-                keys.add(key)
+                # the bound over all n columns, which _build_cell reads off the key
+                keys.add(key + (dimension_bound(key[0], n),))
         for cls in classes:
             child = forced0 | {c for j, c in enumerate(orig) if j not in cls.dead}
             if len(child) < n and child not in seen:

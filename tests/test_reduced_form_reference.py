@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from functools import partial
 
-from conftest import ParentPointerUnionFind, planted_rows
+from conftest import ParentPointerUnionFind, dimension_bound, planted_rows
 from tropsolve import Matrix, NEG_INF, cells
 from tropsolve.bivariate import build_systems, remove_and_enlarge, sub_specialize, substitute
 from tropsolve.cli import emit
@@ -56,9 +56,21 @@ def ref_solve_sequence(sequence, rows, classifications, nvars, systems=None, *, 
             return {v for v in range(nvars) if rep[v] in dead}, pa, ineqs
 
 
+def solved_for_cell_key(sequence, rows, classifications, nvars, systems=None, *, stats):
+    """ref_solve_sequence's result in the form cells._cell_key reads.
+
+    The assignment stands in for the union-find, and omega for the dead
+    representatives: a representative is in omega exactly when it is dead.
+    """
+    omega, pa, residue = ref_solve_sequence(
+        sequence, rows, classifications, nvars, systems, stats=stats
+    )
+    return pa, omega, residue, dimension_bound(sequence, nvars)
+
+
 def ref_build_cell(key, num_vars, scale, *, stats):
     """The SolutionCell of a kept key, with the gcd taken whatever the scale."""
-    sequence, neg, assigned, rows = key
+    sequence, neg, assigned, rows, _ = key
     g = math.gcd(scale, *(o for _, _, o in assigned), *(c for _, _, c in rows))
     if g > 1:
         assigned = tuple([(v, p, o // g) for v, p, o in assigned])
@@ -72,7 +84,7 @@ def ref_build_cell(key, num_vars, scale, *, stats):
         scale=scale // g,
         assigned=assigned,
         rows=rows,
-        dimension_bound=cells.dimension_bound(sequence, num_vars),
+        dimension_bound=dimension_bound(sequence, num_vars),
         num_vars=num_vars,
     )
 
@@ -119,7 +131,7 @@ def test_solve_equals_snapshot_per_round(monkeypatch):
     new = [emit(cells.solve(a, b), "json") for a, b in pairs]
     stats = Counter()
     with monkeypatch.context() as patch:
-        patch.setattr(cells, "_solve_sequence", partial(ref_solve_sequence, stats=stats))
+        patch.setattr(cells, "_solve_sequence", partial(solved_for_cell_key, stats=stats))
         patch.setattr(cells, "_build_cell", partial(ref_build_cell, stats=stats))
         old = [emit(cells.solve(a, b), "json") for a, b in pairs]
     for got, want, pair in zip(new, old, pairs):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import pair_masks
+from conftest import omega_assignment, pair_masks
 from tropsolve import Matrix, NEG_INF, cells
 from tropsolve.bivariate import (
     OffsetUnionFind,
@@ -94,7 +94,8 @@ def ref_solve_sequence(eqs, ineqs, nvars, features=None):
 
 def new_solve(eqs, ineqs, nvars):
     """_solve_sequence on a given system, handed in as the cached part of a one-row sequence."""
-    return _solve_sequence(((0, 0),), None, (), nvars, {(0, (0, 0)): (eqs, ineqs)})
+    solved = _solve_sequence(((0, 0),), None, (), nvars, {(0, (0, 0)): (eqs, ineqs)})
+    return omega_assignment(solved)
 
 
 def random_system(rng):
@@ -184,7 +185,7 @@ def test_loop_equals_component_closure_on_instances():
         found, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
         for sequence in found:
             eqs, ineqs = build_systems(sequence, maxima, classes)
-            omega, pa, residue = _solve_sequence(sequence, maxima, classes, n)
+            omega, pa, residue = omega_assignment(_solve_sequence(sequence, maxima, classes, n))
             ref_omega, ref_pa, ref_residue = ref_solve_sequence(eqs, ineqs, n)
             assert (omega, pa.representative, pa.offset, residue) == (
                 ref_omega, ref_pa.representative, ref_pa.offset, ref_residue
