@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import TropicalError
+from .preprocess import columns
 from .winseq import RowClassification, WinSequence
 
 # (plus, minus, constant): x_plus - x_minus + constant, = 0 or <= 0 by list
@@ -171,23 +172,23 @@ def build_systems(
     classifications[h] is its RowClassification; the constants come out in
     the units of rows.  Row h with pair (i1, i2) contributes the equation
     x_i2 - x_i1 + (m_hi2 - m_hi1) = 0 (tautological and skipped when
-    i1 = i2) and, for every column j outside the pair and outside the row's
-    dead set, the inequality x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by
-    eliminating the common row value.  A column that is not live is in every
-    dead set, so it takes part in no row.
+    i1 = i2) and, for every column j of the row's live support (a_wins |
+    b_wins | ties) outside the pair, in increasing order, the inequality
+    x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by eliminating the common row
+    value.  A column that is not live is in no class, so it takes part in
+    no row.
     """
     eqs: list[Row] = []
     ineqs: list[Row] = []
     for h, (i1, i2) in enumerate(sequence):
         row = rows[h]
-        dead = classifications[h].dead
+        cls = classifications[h]
         base = row[i1]
         if i1 != i2:
             eqs.append(eq(i2, i1, row[i2] - base))
-        for j, value in enumerate(row):
-            if j in dead or j == i1 or j == i2:
-                continue
-            ineqs.append((j, i1, value - base))
+        support = (cls.a_wins | cls.b_wins | cls.ties) & ~(1 << i1 | 1 << i2)
+        for j in columns(support):
+            ineqs.append((j, i1, row[j] - base))
     return eqs, ineqs
 
 

@@ -31,8 +31,14 @@ can escape the pairwise-compatibility filter, so the solver additionally
 explores silencing scenarios: for each row, the variant instance with that
 row's live columns pinned to -inf is solved recursively.  Every scenario is
 reduced from the same column masks (preprocess.row_masks, built once per
-solve), with its pinned columns dead.  Scenario cells are deduplicated;
-the reported win-sequence count is that of the root instance.
+solve), with its pinned columns dead.  A scenario is its int bitmask of
+pinned columns: the loop keeps the seen scenarios and the stack of open ones
+as ints, a row's child is the parent's mask or'ed with the row's a_wins,
+b_wins and ties masks, and a child that pins every column is skipped (its
+only solution is the all--inf point).  A scenario whose reduction keeps no
+row yields the unconstrained cell over its free columns, if it has any.
+Scenario cells are deduplicated; the reported win-sequence count is that
+of the root instance.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .core import (
     _ratios,
     row_maxima,
 )
-from .preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
+from .preprocess import ReducedInstance, columns, reduce_instance, row_masks
 from .winseq import (
     WinSequence,
     classify_row,
@@ -149,7 +155,7 @@ def _solve_sequence(
     rows: Sequence[Sequence[int | None]],
     classifications,
     nvars: int,
-    systems: dict | None = None,
+    systems: dict,
 ):
     """Run one win sequence to a fixed point.
 
@@ -179,8 +185,6 @@ def _solve_sequence(
     return forces a live representative or merges two live ones, so the
     number of live components drops, and with none left it returns.
     """
-    if systems is None:
-        systems = {}
     eqs: list[Row] = []
     ineqs: list[Row] = []
     for h, pair in enumerate(sequence):
@@ -226,12 +230,12 @@ def _cell_key(
     0.  The bound depends on the sequence alone, so it never separates two
     keys that the other fields do not.
     """
-    forced = red.forced_neg_inf
+    forced = red.forced
     off = uf.offset
     neg: list[int] = []
     assigned: list[tuple[int, int, int]] = []
     for v, r in enumerate(uf.representative):
-        if r in dead or v in forced:
+        if r in dead or forced >> v & 1:
             neg.append(v)
         else:
             assigned.append((v, r, off[v]))
@@ -240,10 +244,10 @@ def _cell_key(
     return sequence, tuple(neg), tuple(assigned), tuple(residue), bound
 
 
-def _unconstrained_key(alive: Sequence[int], num_vars: int) -> tuple:
-    """Key of the cell where the alive variables are free and the rest -inf."""
-    neg = tuple(sorted(set(range(num_vars)) - set(alive)))
-    return ((), neg, tuple((v, v, 0) for v in alive), (), num_vars)
+def _unconstrained_key(free: int, num_vars: int) -> tuple:
+    """Key of the cell where the variables of the mask free are free and the rest -inf."""
+    neg = tuple(v for v in range(num_vars) if not free >> v & 1)
+    return ((), neg, tuple((v, v, 0) for v in columns(free)), (), num_vars)
 
 
 def _build_cell(key: tuple, num_vars: int, scale: int) -> SolutionCell:
@@ -291,9 +295,10 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     scale = math.lcm(a.unit, b.unit)
     masks = row_masks(a.in_unit(scale), b.in_unit(scale), n)
 
+    full = (1 << n) - 1
     keys: set[tuple] = set()
-    seen: set[frozenset[int]] = set()
-    stack: list[frozenset[int]] = [frozenset()]
+    seen: set[int] = set()
+    stack: list[int] = [0]
     root_p = 0
     root_nodes = 0
     scenario_count = 0
@@ -307,12 +312,10 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
             continue
         seen.add(forced0)
         scenario_count += 1
-        red = reduce_instance(masks, dead=forced0)
-
-        if red.verdict is Verdict.TRIVIAL_ONLY:
-            continue
-        if red.verdict is Verdict.ALL_ROWS_GONE:
-            keys.add(_unconstrained_key(sorted(red.free_cols), n))
+        red = reduce_instance(masks, forced0)
+        if not red.rows:
+            if red.free:
+                keys.add(_unconstrained_key(red.free, n))
             continue
 
         classifications = [classify_row(masks, i, red.live) for i in red.rows]
@@ -338,7 +341,7 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
 
         for cls in classifications:
             child = forced0 | cls.a_wins | cls.b_wins | cls.ties
-            if len(child) < n and child not in seen:
+            if child != full and child not in seen:
                 stack.append(child)
 
     t0 = time.perf_counter()
@@ -369,7 +372,12 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     parameter value; a constraint with -inf on its plus side holds, while
     -inf on the minus side demands the plus side be -inf as well.  The test
     runs on ints: x and the cell's numbers are scaled to one unit, the lcm
-    of the cell's scale and the denominators of x, on every call.
+    of the cell's scale and the denominators of x, on every call.  The
+    scaling is written out here rather than done by core._to_ints, which
+    the oracle's many calls made measurably slower: this loop rejects a
+    point finite on a neg_inf column before it scales anything, takes an
+    lcm only for a denominator that does not divide the unit yet, and
+    scales only the assigned variables.
     """
     parts = _ratios(x)
     if len(parts) != cell.num_vars:
@@ -403,18 +411,6 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
         if tp - tm + constant * factor > 0:
             return False
     return True
-
-
-def _closed_dead_set(cell: SolutionCell, rng: Random, params: Sequence[int]) -> set[int]:
-    dead = {p for p in params if rng.random() < 0.3}
-    changed = True
-    while changed:
-        changed = False
-        for plus, minus, _ in cell.rows:
-            if minus in dead and plus not in dead:
-                dead.add(plus)
-                changed = True
-    return dead
 
 
 def _feasible_values(
@@ -481,6 +477,9 @@ def sample_cell(
     """Deterministic members of the cell; the first is the all--inf point.
 
     Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
+    Each point first puts every parameter at -inf with probability 0.3,
+    then closes that set under the cell's rows (remove_and_enlarge): a row
+    with its minus side at -inf forces its plus side there too.
     """
     _positive_int("count", count)
     _positive_int("box", box)
@@ -488,7 +487,8 @@ def sample_cell(
     params = cell.parameters()
     out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]
     while len(out) < count:
-        dead = _closed_dead_set(cell, rng, params)
+        drawn = [p for p in params if rng.random() < 0.3]
+        dead = remove_and_enlarge(cell.rows, drawn)[1]
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box) if alive else {}
         point: list[Scalar] = [NEG_INF] * cell.num_vars

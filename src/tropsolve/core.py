@@ -8,8 +8,9 @@ which rounding would corrupt.  All values are immutable and every operation
 is pure.
 
 A Matrix keeps its entries as ints over one unit, None for -inf, and the
-solver, the bridges and the oracle compute on those ints.  _to_ints is the
-one rule that turns rationals into ints over a unit.
+solver, the bridges and the oracle compute on those ints.  _to_ints turns
+a sequence of rationals into ints over a unit for most callers;
+cells.cell_membership scales its vector by hand (its docstring says why).
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ def _ratios(values: Sequence) -> list[tuple[int, int] | None]:
 def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
     """The values as ints over one unit, None for -inf, and that unit.
 
-    This is the one rule that turns rationals into ints over a unit.  The
-    unit is the lcm of unit and the values' reduced denominators.  Each
+    The unit is the lcm of unit and the values' reduced denominators.  Each
     value is read by _entry (a float or bool raises TypeError, a bad token
     ValueError), so an int builds no Fraction.
     """

@@ -18,44 +18,40 @@ b_ij (-inf included), and the columns where the bold A entry, and the bold
 B entry, is finite.  None of these depends on which other columns are live,
 so one RowMasks serves every silencing scenario of a solve: a scenario only
 declares more columns dead, and reduce_instance intersects the masks with
-its own set of live columns.  maximum_matrix is the entrywise maximum of
-two Matrix objects, taken on their ints.
+its own set of live columns.  A set of columns is an int bitmask from here
+to the cell key: the dead columns a scenario starts from, the live, forced
+and free columns of a ReducedInstance and the classes of
+winseq.RowClassification.  maximum_matrix is the entrywise maximum of two
+Matrix objects, taken on their ints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import DimensionMismatch, Matrix
 
 IntRows = Sequence[Sequence[int | None]]
 
 
-class Verdict(Enum):
-    REDUCED = "reduced"
-    TRIVIAL_ONLY = "trivial_only"
-    ALL_ROWS_GONE = "all_rows_gone"
-
-
 @dataclass(frozen=True)
 class ReducedInstance:
     """What is left of an instance after the reduction, in original indices.
 
-    rows lists the kept rows of the instance, in order, and live is the
-    bitmask of the columns still live.  forced_neg_inf, free_cols and the
-    columns of live partition the original column set, and forced_neg_inf
-    includes the dead columns the reduction started from.  For the verdicts
-    other than REDUCED, rows is empty and live is 0.
+    rows lists the kept rows of the instance, in order.  live, forced and
+    free are column bitmasks that partition the original column set: the
+    columns still live, those forced to -inf (the dead columns the
+    reduction started from included) and the unconstrained ones.  When rows
+    is empty, live is 0: with free columns the instance's solutions are the
+    unconstrained cell over them, without any only the all--inf point.
     """
 
     rows: tuple[int, ...]
     live: int
-    forced_neg_inf: frozenset[int]
-    free_cols: frozenset[int]
-    verdict: Verdict
+    forced: int
+    free: int
 
 
 @dataclass(frozen=True)
@@ -137,12 +133,13 @@ def columns(mask: int) -> list[int]:
     return out
 
 
-def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstance:
+def reduce_instance(masks: RowMasks, dead: int = 0) -> ReducedInstance:
     """Iterate the reduction moves to a fixed point.
 
-    masks holds the instance (see row_masks).  The dead columns, ints in
-    range(n), start at -inf: no move looks at them, so the result is that
-    of the instance with these columns deleted, in original coordinates.
+    masks holds the instance (see row_masks).  The dead columns, the bits
+    of the int mask dead (below bit n), start at -inf: no move looks at
+    them, so the result is that of the instance with these columns deleted,
+    in original coordinates.
 
     The live columns are one int mask, live; the moves, in order,
     restarting from the first after any change, are:
@@ -159,15 +156,12 @@ def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstanc
     Each move strictly shrinks rows+columns, so the loop terminates.
     """
     n = masks.n
-    dead_mask = 0
-    for j in dead:
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise TypeError(f"dead columns must be ints, not {type(j).__name__}")
-        if not 0 <= j < n:
-            raise ValueError(f"dead column {j} is not in range({n})")
-        dead_mask |= 1 << j
+    if isinstance(dead, bool) or not isinstance(dead, int):
+        raise TypeError(f"dead must be an int column mask, not {type(dead).__name__}")
+    if dead < 0 or dead >> n:
+        raise ValueError(f"dead mask {dead} has a bit outside range({n})")
     full = (1 << n) - 1
-    live = full ^ dead_mask
+    live = full ^ dead
     same, a_win, b_win = masks.same, masks.a_win, masks.b_win
     rows = list(range(len(same)))
     free = 0
@@ -194,15 +188,4 @@ def reduce_instance(masks: RowMasks, dead: Iterable[int] = ()) -> ReducedInstanc
             free |= idle
             live ^= idle
 
-    if rows:
-        verdict = Verdict.REDUCED
-    else:
-        # no live column is left (live is 0): every one is forced or free
-        verdict = Verdict.ALL_ROWS_GONE if free else Verdict.TRIVIAL_ONLY
-    return ReducedInstance(
-        rows=tuple(rows),
-        live=live,
-        forced_neg_inf=frozenset(columns(full ^ live ^ free)),
-        free_cols=frozenset(columns(free)),
-        verdict=verdict,
-    )
+    return ReducedInstance(tuple(rows), live, full ^ live ^ free, free)

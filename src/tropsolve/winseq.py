@@ -4,7 +4,8 @@ For each kept row of a reduced instance, the columns split into those where
 the left side strictly wins, those where the right side strictly wins, ties,
 and the dead columns: -inf on both sides of the bold pair, or not live in
 the scenario.  classify_row reads the split off the row's column bitmasks
-(preprocess.RowMasks), in original column indices.  A winning pair picks
+(preprocess.RowMasks) and keeps the first three classes as bitmasks over the
+original column indices; the dead columns are the rest.  A winning pair picks
 one column from each strict side (or a tie column against itself); two
 pairs from different rows are compatible when every 2x2 tropical minor of
 the maximum matrix they span attains its value on the main diagonal.  Win
@@ -36,20 +37,21 @@ WinSequence = tuple[Pair, ...]
 
 @dataclass(frozen=True)
 class RowClassification:
-    """Disjoint column sets of one row: their union is the full column range.
+    """Disjoint column bitmasks of one row, in original column indices.
 
-    The columns are original column indices; dead holds every column that
-    is in none of the other three sets.
+    Bit j of a_wins, b_wins or ties is set where column j is a strict win
+    for the left side, a strict win for the right side or a tie; a column
+    in none of the three is dead, and takes part in no pair and no row of
+    the row's system.
     """
 
-    a_wins: frozenset[int]
-    b_wins: frozenset[int]
-    ties: frozenset[int]
-    dead: frozenset[int]
+    a_wins: int
+    b_wins: int
+    ties: int
 
 
 def classify_row(masks: RowMasks, i: int, live: int) -> RowClassification:
-    """The column sets of row i of the instance masks holds, on the live columns.
+    """The column classes of row i of the instance masks holds, on the live columns.
 
     live is a column bitmask: a column outside it is dead whatever the row
     holds there.  A live column is a tie where both bold entries are finite
@@ -59,13 +61,7 @@ def classify_row(masks: RowMasks, i: int, live: int) -> RowClassification:
     a_win = masks.a_win[i] & live
     b_win = masks.b_win[i] & live
     ties = a_win & b_win
-    dead = ((1 << masks.n) - 1) ^ (a_win | b_win)
-    return RowClassification(
-        frozenset(columns(a_win ^ ties)),
-        frozenset(columns(b_win ^ ties)),
-        frozenset(columns(ties)),
-        frozenset(columns(dead)),
-    )
+    return RowClassification(a_win ^ ties, b_win ^ ties, ties)
 
 
 def winning_pairs(cls: RowClassification) -> list[Pair]:
@@ -75,8 +71,9 @@ def winning_pairs(cls: RowClassification) -> list[Pair]:
     columns arises from each diagonal pair separately, so mixed tie pairs
     would only duplicate sub-cells.
     """
-    pairs = [(p, q) for p in cls.a_wins for q in cls.b_wins]
-    pairs.extend((e, e) for e in cls.ties)
+    b_wins = columns(cls.b_wins)
+    pairs = [(p, q) for p in columns(cls.a_wins) for q in b_wins]
+    pairs.extend((e, e) for e in columns(cls.ties))
     return sorted(pairs)
 
 

@@ -218,6 +218,29 @@ def row_classes(a, b):
     return [classify_row(masks, i, (1 << a.cols) - 1) for i in range(a.rows)]
 
 
+def col_mask(cols):
+    """The int column bitmask of an iterable of column indices."""
+    mask = 0
+    for j in cols:
+        mask |= 1 << j
+    return mask
+
+
+OUTCOMES = ("reduced", "unconstrained", "trivial")
+
+
+def outcome(red):
+    """What a ReducedInstance leaves to solve, one of OUTCOMES.
+
+    Kept rows leave a reduced instance; without rows the free columns, if
+    any, make up the unconstrained cell, and with none the all--inf point
+    is the only solution.
+    """
+    if red.rows:
+        return "reduced"
+    return "unconstrained" if red.free else "trivial"
+
+
 def seq0(pairs):
     """1-based win sequence -> 0-based."""
     return tuple((p - 1, q - 1) for p, q in pairs)

@@ -128,7 +128,7 @@ def test_criterion_2_empty_case(empty_case_example):
     red = reduce_instance(masks)
     classes = [classify_row(masks, i, red.live) for i in red.rows]
     omega, _, residue = omega_assignment(_solve_sequence(
-        seq0([(1, 4), (1, 3), (3, 4)]), [masks.maximum[i] for i in red.rows], classes, 4
+        seq0([(1, 4), (1, 3), (3, 4)]), [masks.maximum[i] for i in red.rows], classes, 4, {}
     ))
     if omega != {0, 1, 2, 3}:
         failures.append(f"inconsistent-component path produced omega {omega}")

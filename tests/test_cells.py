@@ -291,7 +291,7 @@ def _sequence_results(a, b, systems=None):
     maxima = [masks.maximum[i] for i in red.rows]
     sequences, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
     if systems is None:
-        return {s: omega_assignment(_solve_sequence(s, maxima, classes, a.cols))
+        return {s: omega_assignment(_solve_sequence(s, maxima, classes, a.cols, {}))
                 for s in sequences}
     return {s: omega_assignment(_solve_sequence(s, maxima, classes, a.cols, systems))
             for s in sequences}

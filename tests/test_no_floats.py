@@ -26,7 +26,7 @@ ALLOWED = {
     ),
     ("cells", 0.3): (
         1,
-        "_closed_dead_set puts each parameter of a sampled point at -inf with "
+        "sample_cell puts each parameter of a sampled point at -inf with "
         "probability 0.3; it picks which member sample_cell returns, not the cells",
     ),
 }

@@ -20,7 +20,7 @@ import random
 from collections import Counter
 from functools import partial
 
-from conftest import dimension_bound, planted_rows
+from conftest import col_mask, dimension_bound, planted_rows
 from test_reduced_form_reference import planted_ints
 from tropsolve import Matrix, cells, solve_equations
 from tropsolve.bivariate import (
@@ -32,6 +32,7 @@ from tropsolve.bivariate import (
     substitute,
 )
 from tropsolve.cli import emit
+from tropsolve.preprocess import columns
 from tropsolve.winseq import RowClassification
 
 
@@ -67,7 +68,7 @@ def ref_solve_sequence(sequence, rows, classifications, nvars, systems=None, *, 
 
 def ref_cell_key(sequence, omega, pa, residue, red, *, stats):
     """(win sequence, sorted -inf set, sorted assignments, residue), or None."""
-    neg = red.forced_neg_inf.union(omega)
+    neg = set(columns(red.forced)).union(omega)
     rep, off = pa.representative, pa.offset
     assigned = tuple([(v, rep[v], off[v]) for v in range(len(rep)) if v not in neg])
     if not assigned:
@@ -76,7 +77,8 @@ def ref_cell_key(sequence, omega, pa, residue, red, *, stats):
     return sequence, tuple(sorted(neg)), assigned, tuple(residue)
 
 
-def ref_unconstrained_key(alive, num_vars):
+def ref_unconstrained_key(free, num_vars):
+    alive = columns(free)
     neg = tuple(sorted(set(range(num_vars)) - set(alive)))
     return ((), neg, tuple((v, v, 0) for v in alive), ())
 
@@ -149,7 +151,9 @@ def _pair_systems(rng, sequence, n):
     other half hold the hidden potential exactly at the pair's columns and
     at or just below it elsewhere, so the hidden potential solves them, many
     rows are tight there and opposite rows of zero width merge classes in
-    later rounds.  The dead columns are drawn outside each pair.
+    later rounds.  The dead columns are drawn outside each pair; the other
+    columns go into ties, since build_systems reads only the union of a
+    row's three classes.
     """
     pot = [rng.randint(-3, 3) for _ in range(n)] if rng.random() < 0.5 else None
     rows, classes = [], []
@@ -158,8 +162,8 @@ def _pair_systems(rng, sequence, n):
             rows.append([rng.randint(-3, 3) for _ in range(n)])
         else:
             rows.append([-x - (j not in pair and rng.random() < 0.25) for j, x in enumerate(pot)])
-        dead = frozenset(j for j in range(n) if j not in pair and rng.random() < 0.3)
-        classes.append(RowClassification(frozenset(), frozenset(), frozenset(), dead))
+        dead = col_mask(j for j in range(n) if j not in pair and rng.random() < 0.3)
+        classes.append(RowClassification(0, 0, ((1 << n) - 1) & ~dead))
     return rows, classes
 
 
@@ -177,7 +181,7 @@ def test_bound_is_the_component_count_after_the_own_equations():
                 sequence.append((rng.randrange(n), rng.randrange(n)))
         sequence = tuple(sequence)
         rows, classes = _pair_systems(rng, sequence, n)
-        uf, dead, residue, bound = cells._solve_sequence(sequence, rows, classes, n)
+        uf, dead, residue, bound = cells._solve_sequence(sequence, rows, classes, n, {})
         assert bound == dimension_bound(sequence, n)
         eqs, _ = build_systems(sequence, rows, classes)
         own = solve_equations(eqs, n)

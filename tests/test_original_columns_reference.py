@@ -8,7 +8,10 @@ coordinates"), classified them entry by entry and mapped each cell back
 through the list of live columns (col_origin).  ref_classify_row and
 ref_solve below are that pipeline, kept here as the definition the
 original-column solve must match: the same cells, win-sequence count,
-globally forced set and stats counts on seeded draws.
+globally forced set and stats counts on seeded draws.  The reference keeps
+its column sets as frozensets; it hands the row classes to the package
+(winning_pairs, _solve_sequence) as RowClassification masks over the
+reduced coordinates.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from conftest import dimension_bound, omega_assignment, pair_scale, scaled_pair
+from conftest import col_mask, dimension_bound, omega_assignment, outcome, pair_scale, scaled_pair
 from tropsolve import NEG_INF, Matrix
 from tropsolve.cells import _build_cell, _solve_sequence, _unconstrained_key, solve
-from tropsolve.preprocess import Verdict, reduce_instance, row_masks
+from tropsolve.preprocess import columns, reduce_instance, row_masks
 from tropsolve.winseq import (
     RowClassification,
     classify_row,
@@ -44,7 +47,8 @@ def ref_bold_pair(a, b):
 
 
 def ref_classify_row(a_dom, b_dom, i):
-    """The column sets of row i of a dominated pair, entry by entry."""
+    """The column sets (a_wins, b_wins, ties, dead) of row i of a dominated
+    pair, entry by entry, as frozensets."""
     a_wins, b_wins, ties, dead = set(), set(), set(), set()
     for j, (av, bv) in enumerate(zip(a_dom[i], b_dom[i])):
         if av == bv:
@@ -53,20 +57,24 @@ def ref_classify_row(a_dom, b_dom, i):
             a_wins.add(j)
         else:
             b_wins.add(j)
-    return RowClassification(
-        frozenset(a_wins), frozenset(b_wins), frozenset(ties), frozenset(dead)
-    )
+    return frozenset(a_wins), frozenset(b_wins), frozenset(ties), frozenset(dead)
+
+
+def as_masks(sets):
+    """The RowClassification of ref_classify_row's sets, in the same coordinates."""
+    a_wins, b_wins, ties, _ = sets
+    return RowClassification(col_mask(a_wins), col_mask(b_wins), col_mask(ties))
 
 
 def ref_cell_key(sequence, omega, pa, residue, red, orig):
     """The cell key of a sequence solved in reduced coordinates, mapped back."""
     rep, off = pa.representative, pa.offset
     assigned = [(orig[v], orig[rep[v]], off[v]) for v in range(len(orig)) if v not in omega]
-    assigned.extend((f, f, 0) for f in red.free_cols)
+    assigned.extend((f, f, 0) for f in columns(red.free))
     if not assigned:
         return None
     assigned.sort()
-    neg = set(red.forced_neg_inf)
+    neg = set(columns(red.forced))
     neg.update(orig[v] for v in omega)
     return (
         tuple((orig[p], orig[q]) for p, q in sequence),
@@ -96,11 +104,11 @@ def ref_solve(a, b, drops):
             continue
         seen.add(forced0)
         scenarios += 1
-        red = reduce_instance(masks, dead=forced0)
-        if red.verdict is Verdict.TRIVIAL_ONLY:
+        red = reduce_instance(masks, col_mask(forced0))
+        if outcome(red) == "trivial":
             continue
-        if red.verdict is Verdict.ALL_ROWS_GONE:
-            keys.add(_unconstrained_key(sorted(red.free_cols), n))
+        if outcome(red) == "unconstrained":
+            keys.add(_unconstrained_key(red.free, n))
             continue
         orig = ref_columns(red.live, n)
         a_dom = [[a_bold[i][j] for j in orig] for i in red.rows]
@@ -108,7 +116,8 @@ def ref_solve(a, b, drops):
         scaled_max = [
             [x if x is not None else y for x, y in zip(ar, br)] for ar, br in zip(a_dom, b_dom)
         ]
-        classes = [ref_classify_row(a_dom, b_dom, h) for h in range(len(red.rows))]
+        class_sets = [ref_classify_row(a_dom, b_dom, h) for h in range(len(red.rows))]
+        classes = [as_masks(sets) for sets in class_sets]
         sequences, nodes = enumerate_win_sequences_counted(
             scaled_max, [winning_pairs(c) for c in classes]
         )
@@ -117,8 +126,8 @@ def ref_solve(a, b, drops):
         if sequences and len(orig) < n:
             drops["any"] += 1
             drops["silenced"] += bool(forced0)
-            drops["forced"] += bool(red.forced_neg_inf - forced0)
-            drops["free"] += bool(red.free_cols)
+            drops["forced"] += bool(set(columns(red.forced)) - forced0)
+            drops["free"] += bool(red.free)
         systems: dict = {}
         for sequence in sequences:
             omega, pa, residue = omega_assignment(_solve_sequence(
@@ -130,8 +139,8 @@ def ref_solve(a, b, drops):
             else:
                 # the bound over all n columns, which _build_cell reads off the key
                 keys.add(key + (dimension_bound(key[0], n),))
-        for cls in classes:
-            child = forced0 | {c for j, c in enumerate(orig) if j not in cls.dead}
+        for _, _, _, dead in class_sets:
+            child = forced0 | {c for j, c in enumerate(orig) if j not in dead}
             if len(child) < n and child not in seen:
                 stack.append(child)
     cells = tuple(_build_cell(key, n, scale) for key in sorted(keys))
@@ -211,21 +220,25 @@ def test_classify_row_equals_the_entry_loop():
 
         orig = ref_columns(live, n)
         a_bold, b_bold = ref_bold_pair([a], [b])
-        ref = ref_classify_row(
+        ref_a, ref_b, ref_ties, ref_dead = ref_classify_row(
             [[a_bold[0][j] for j in orig]], [[b_bold[0][j] for j in orig]], 0
         )
-        assert cls.a_wins == {orig[j] for j in ref.a_wins}, (a, b, live)
-        assert cls.b_wins == {orig[j] for j in ref.b_wins}, (a, b, live)
-        assert cls.ties == {orig[j] for j in ref.ties}, (a, b, live)
-        assert cls.dead == {orig[j] for j in ref.dead} | (set(range(n)) - set(orig))
+        a_wins, b_wins, ties = (
+            frozenset(columns(mask)) for mask in (cls.a_wins, cls.b_wins, cls.ties)
+        )
+        dead = frozenset(range(n)) - a_wins - b_wins - ties
+        assert a_wins == {orig[j] for j in ref_a}, (a, b, live)
+        assert b_wins == {orig[j] for j in ref_b}, (a, b, live)
+        assert ties == {orig[j] for j in ref_ties}, (a, b, live)
+        assert dead == {orig[j] for j in ref_dead} | (set(range(n)) - set(orig))
 
-        parts = (cls.a_wins, cls.b_wins, cls.ties, cls.dead)
+        parts = (a_wins, b_wins, ties, dead)
         assert sum(map(len, parts)) == n
         assert frozenset().union(*parts) == set(range(n))
         if kind in ("all -inf", "finite not live"):
-            assert cls.dead == set(range(n))
+            assert dead == set(range(n))
         if kind == "ties only":
-            assert not cls.a_wins and not cls.b_wins and cls.ties == set(orig)
+            assert not a_wins and not b_wins and ties == set(orig)
         kinds[kind] += 1
     assert min(kinds.values()) >= 400, kinds
 

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    OUTCOMES,
+    col_mask,
+    outcome,
     pair_masks,
     pair_scale,
     random_rows,
@@ -13,14 +16,14 @@ from conftest import (
 )
 from tropsolve import NEG_INF, Matrix, verify_solution
 from tropsolve.core import DimensionMismatch
-from tropsolve.preprocess import Verdict, columns, maximum_matrix, reduce_instance, row_masks
+from tropsolve.preprocess import columns, maximum_matrix, reduce_instance, row_masks
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"
 
 
 def _reduce(a, b, dead=()):
-    return reduce_instance(pair_masks(a, b), dead=dead)
+    return reduce_instance(pair_masks(a, b), col_mask(dead))
 
 
 def _matrix(rows, cols, scale):
@@ -89,28 +92,32 @@ def test_row_masks_shape_checks():
     assert row_masks([], [], 3).same == ()
 
 
-@pytest.mark.parametrize("dead", [[5], [1], [-1], [0, 2]])
+OUT_OF_RANGE = [1 << 5, 1 << 1, -1, 0b101]
+NOT_INTS = [True, False, 0.0, "0", None, Fraction(0), [0], frozenset()]
+
+
+@pytest.mark.parametrize("dead", OUT_OF_RANGE, ids=[f"dead{k}" for k in range(len(OUT_OF_RANGE))])
 def test_reduce_rejects_dead_columns_out_of_range(dead):
     masks = row_masks([[0], [1]], [[0], [None]], 1)
-    with pytest.raises(ValueError, match=r"not in range\(1\)"):
-        reduce_instance(masks, dead=dead)
+    with pytest.raises(ValueError, match=r"outside range\(1\)"):
+        reduce_instance(masks, dead)
 
 
-@pytest.mark.parametrize("dead", [[True], [False], [0.0], ["0"], [None], [Fraction(0)]])
+@pytest.mark.parametrize("dead", NOT_INTS, ids=[f"dead{k}" for k in range(len(NOT_INTS))])
 def test_reduce_rejects_dead_columns_that_are_not_ints(dead):
     masks = row_masks([[0, 1]], [[0, None]], 2)
-    with pytest.raises(TypeError, match="dead columns must be ints"):
-        reduce_instance(masks, dead=dead)
+    with pytest.raises(TypeError, match="dead must be an int column mask"):
+        reduce_instance(masks, dead)
 
 
 def test_reduce_keeps_the_partition_with_dead_columns():
     masks = row_masks([[0]], [[0]], 1)
-    red = reduce_instance(masks, dead=[0])
-    assert red.verdict is Verdict.TRIVIAL_ONLY
-    assert red.forced_neg_inf == {0} and not red.free_cols
+    red = reduce_instance(masks, 0b1)
+    assert outcome(red) == "trivial"
+    assert columns(red.forced) == [0] and not red.free
     red = reduce_instance(masks)
-    assert red.verdict is Verdict.ALL_ROWS_GONE
-    assert red.free_cols == {0} and not red.forced_neg_inf
+    assert outcome(red) == "unconstrained"
+    assert columns(red.free) == [0] and not red.forced
 
 
 def test_maximum_matrix(running_example, running_example_m, empty_case_example):
@@ -130,30 +137,30 @@ def test_maximum_matrix_shape_check():
 
 def test_reduce_forcing_row():
     red = _reduce(Matrix([[NI, NI]]), Matrix([[0, NI]]))
-    assert red.forced_neg_inf == {0}
-    assert red.free_cols == {1}
-    assert red.verdict is Verdict.ALL_ROWS_GONE
+    assert columns(red.forced) == [0]
+    assert columns(red.free) == [1]
+    assert outcome(red) == "unconstrained"
 
 
 def test_reduce_running_example_untouched(running_example):
     a, b = running_example
     red = _reduce(a, b)
-    assert red.verdict is Verdict.REDUCED
+    assert outcome(red) == "reduced"
     assert red.rows == (0, 1, 2)
     assert red.live == 0b1111
-    assert not red.forced_neg_inf and not red.free_cols
+    assert not red.forced and not red.free
 
 
 def test_reduce_identical_rows_drop():
     red = _reduce(Matrix([[0, 1]]), Matrix([[0, 1]]))
-    assert red.verdict is Verdict.ALL_ROWS_GONE
-    assert red.free_cols == {0, 1}
+    assert outcome(red) == "unconstrained"
+    assert columns(red.free) == [0, 1]
 
 
 def test_reduce_trivial_only():
     red = _reduce(Matrix([[5]]), Matrix([[0]]))
-    assert red.verdict is Verdict.TRIVIAL_ONLY
-    assert red.forced_neg_inf == {0}
+    assert outcome(red) == "trivial"
+    assert columns(red.forced) == [0]
 
 
 def test_reduce_cascade():
@@ -161,8 +168,8 @@ def test_reduce_cascade():
     a = Matrix([[5, NI], [NI, NI]])
     b = Matrix([[0, NI], [NI, 3]])
     red = _reduce(a, b)
-    assert red.verdict is Verdict.TRIVIAL_ONLY
-    assert red.forced_neg_inf == {0, 1}
+    assert outcome(red) == "trivial"
+    assert columns(red.forced) == [0, 1]
 
 
 def test_reduced_instance_rows_have_pairs(running_example):
@@ -198,11 +205,11 @@ def test_reduction_preserves_solutions(seed):
     )
     for x in _grid_points(n, [0, 1, 2]):
         direct = verify_solution(a, b, x)
-        if red.verdict is Verdict.TRIVIAL_ONLY:
+        if outcome(red) == "trivial":
             expected = all(v is NEG_INF for v in x)
         else:
-            expected = all(x[j] is NEG_INF for j in red.forced_neg_inf)
-            if expected and red.verdict is Verdict.REDUCED:
+            expected = all(x[j] is NEG_INF for j in columns(red.forced))
+            if expected and outcome(red) == "reduced":
                 sub = [x[j] for j in live]
                 scale, cols = pair_scale(a, b), len(live)
                 expected = verify_solution(
@@ -219,10 +226,10 @@ def test_reduction_terminates_and_partitions(seed):
     a = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     b = Matrix([[rng.choice(values) for _ in range(n)] for _ in range(m)], cols=n)
     red = _reduce(a, b)
-    live = columns(red.live)
-    cover = set(red.forced_neg_inf) | set(red.free_cols) | set(live)
+    forced, free, live = columns(red.forced), columns(red.free), columns(red.live)
+    cover = set(forced) | set(free) | set(live)
     assert cover == set(range(n))
-    assert len(red.forced_neg_inf) + len(red.free_cols) + len(live) == n
+    assert len(forced) + len(free) + len(live) == n
 
 
 def _reference_reduction(a, b, dead):
@@ -240,15 +247,15 @@ def _reference_reduction(a, b, dead):
     red = reduce_instance(row_masks(ref_scaled_rows(a0, scale), ref_scaled_rows(b0, scale), len(keep)))
     return replace(
         red,
-        live=sum(1 << keep[c] for c in columns(red.live)),
-        forced_neg_inf=frozenset(dead) | {keep[c] for c in red.forced_neg_inf},
-        free_cols=frozenset(keep[c] for c in red.free_cols),
+        live=col_mask(keep[c] for c in columns(red.live)),
+        forced=col_mask(dead) | col_mask(keep[c] for c in columns(red.forced)),
+        free=col_mask(keep[c] for c in columns(red.free)),
     )
 
 
 def test_dead_columns_equal_deleted_columns():
     rng = random.Random(2024)
-    verdicts = set()
+    outcomes = set()
     for _ in range(600):
         m, n = rng.randint(0, 4), rng.randint(1, 5)
         a = Matrix(random_rows(rng, m, n), cols=n)
@@ -258,5 +265,5 @@ def test_dead_columns_equal_deleted_columns():
             continue
         red = _reduce(a, b, dead)
         assert red == _reference_reduction(a, b, dead), (a, b, dead)
-        verdicts.add(red.verdict)
-    assert verdicts == set(Verdict)
+        outcomes.add(outcome(red))
+    assert outcomes == set(OUTCOMES)

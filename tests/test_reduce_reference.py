@@ -2,10 +2,12 @@
 
 ref_bold_pair and ref_reduce_instance below are the earlier bold_pair and
 reduce_instance: they rebuild the dominated pair on every call and run each
-move as a scan over the live columns.  They are kept here as the definition
-the mask-based reduce_instance must match: every field of ReducedInstance
-equal on seeded draws with every shape from 0x1 to 7x8, -inf densities from
-0 to 0.9, planted identical (or nearly identical) rows and random dead sets.
+move as a scan over the live columns, on sets of columns.  They are kept
+here as the definition the mask-based reduce_instance must match: every
+field of ReducedInstance equal, and the same outcome (reduced, unconstrained
+or trivial), on seeded draws with every shape from 0x1 to 7x8, -inf
+densities from 0 to 0.9, planted identical (or nearly identical) rows and
+random dead sets.
 ref_max_rows is the earlier copy of the dominated maximum matrix onto the
 kept rows and live columns; RowMasks.maximum must hold it there.
 """
@@ -15,8 +17,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+from conftest import OUTCOMES, col_mask, outcome
 from tropsolve.core import DimensionMismatch
-from tropsolve.preprocess import ReducedInstance, Verdict, reduce_instance, row_masks
+from tropsolve.preprocess import ReducedInstance, columns, reduce_instance, row_masks
 
 
 def ref_bold_pair(a, b):
@@ -32,6 +35,7 @@ def ref_bold_pair(a, b):
 
 
 def ref_reduce_instance(a, b, n, dead=()):
+    """(ReducedInstance, outcome) of the list reduction with the dead columns dead."""
     if any(len(row) != n for row in a):
         raise DimensionMismatch(f"rows do not have {n} entries")
     a_bold, b_bold = ref_bold_pair(a, b)
@@ -74,19 +78,19 @@ def ref_reduce_instance(a, b, n, dead=()):
                 changed = True
 
     if live_rows:
-        verdict = Verdict.REDUCED
+        kind = "reduced"
     elif len(forced) == n:
-        verdict = Verdict.TRIVIAL_ONLY
+        kind = "trivial"
     else:
-        verdict = Verdict.ALL_ROWS_GONE
+        kind = "unconstrained"
 
-    return ReducedInstance(
+    red = ReducedInstance(
         rows=tuple(live_rows),
-        live=sum(1 << j for j in live_cols),
-        forced_neg_inf=frozenset(forced),
-        free_cols=frozenset(free),
-        verdict=verdict,
+        live=col_mask(live_cols),
+        forced=col_mask(forced),
+        free=col_mask(free),
     )
+    return red, kind
 
 
 def ref_max_rows(a, b, rows, cols):
@@ -130,32 +134,33 @@ def _draw(rng):
 
 
 def _check_partition(red, n):
-    forced, free, cols = red.forced_neg_inf, red.free_cols, _cols(red, n)
-    assert red.live >> n == 0
+    forced, free, cols = set(columns(red.forced)), set(columns(red.free)), _cols(red, n)
+    assert red.live >> n == 0 and red.forced >> n == 0 and red.free >> n == 0
     assert len(forced) + len(free) + len(cols) == n
     assert forced | free | set(cols) == set(range(n))
     assert list(red.rows) == sorted(red.rows)
-    if red.verdict is not Verdict.REDUCED:
+    if outcome(red) != "reduced":
         assert red.rows == () and red.live == 0
 
 
 def test_reduce_instance_matches_the_list_reduction():
     rng = random.Random(20240517)
-    verdicts = Counter()
+    outcomes = Counter()
     for _ in range(20000):
         a, b, n, dead = _draw(rng)
         masks = row_masks(a, b, n)
-        red = reduce_instance(masks, dead=iter(dead) if isinstance(dead, tuple) else dead)
-        ref = ref_reduce_instance(a, b, n, dead=dead)
+        red = reduce_instance(masks, col_mask(dead))
+        ref, ref_kind = ref_reduce_instance(a, b, n, dead=dead)
         assert red == ref, (a, b, n, dead)
+        assert outcome(red) == ref_kind, (a, b, n, dead)
         _check_partition(red, n)
         cols = _cols(red, n)
         kept_max = [[masks.maximum[i][j] for j in cols] for i in red.rows]
         assert kept_max == ref_max_rows(a, b, red.rows, cols)
-        assert set(dead) <= red.forced_neg_inf
-        verdicts[red.verdict] += 1
-    assert set(verdicts) == set(Verdict)
-    assert min(verdicts.values()) >= 500, verdicts
+        assert set(dead) <= set(columns(red.forced))
+        outcomes[outcome(red)] += 1
+    assert set(outcomes) == set(OUTCOMES)
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_every_scenario_of_one_masks_matches_a_fresh_reduction():
@@ -166,4 +171,4 @@ def test_every_scenario_of_one_masks_matches_a_fresh_reduction():
         masks = row_masks(a, b, n)
         for bits in range(1 << n):
             dead = [j for j in range(n) if bits >> j & 1]
-            assert reduce_instance(masks, dead=dead) == ref_reduce_instance(a, b, n, dead)
+            assert reduce_instance(masks, bits) == ref_reduce_instance(a, b, n, dead)[0]

@@ -28,7 +28,7 @@ from tropsolve.bivariate import (
     substitute,
 )
 from tropsolve.cells import _solve_sequence
-from tropsolve.preprocess import Verdict, reduce_instance
+from tropsolve.preprocess import reduce_instance
 from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
 
 
@@ -178,14 +178,14 @@ def test_loop_equals_component_closure_on_instances():
         )
         masks = pair_masks(a, b)
         red = reduce_instance(masks)
-        if red.verdict is not Verdict.REDUCED:
+        if not red.rows:
             continue
         classes = [classify_row(masks, i, red.live) for i in red.rows]
         maxima = [masks.maximum[i] for i in red.rows]
         found, _ = enumerate_win_sequences_counted(maxima, [winning_pairs(c) for c in classes])
         for sequence in found:
             eqs, ineqs = build_systems(sequence, maxima, classes)
-            omega, pa, residue = omega_assignment(_solve_sequence(sequence, maxima, classes, n))
+            omega, pa, residue = omega_assignment(_solve_sequence(sequence, maxima, classes, n, {}))
             ref_omega, ref_pa, ref_residue = ref_solve_sequence(eqs, ineqs, n)
             assert (omega, pa.representative, pa.offset, residue) == (
                 ref_omega, ref_pa.representative, ref_pa.offset, ref_residue
