@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Reads an instance file (or stdin) and sends every problem mode down one
-path.  _solve builds the mode's result (a SolutionSet for eq, leq and
+path.  parse_instance reads every number token with core._entry, so an
+integer token stays an int, and Matrix reads an int without building a
+Fraction.  _solve builds the mode's result (a SolutionSet for eq, leq and
 hetero; a PinnedSolutionSet for eqb and affine, whose base is the
 SolutionSet of the homogenized system) together with the two-sided pair
 A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
@@ -11,8 +13,8 @@ document from the cells' ints (each distinct (int, scale) formatted once),
 plain and pinned cells alike, a pinned cell numbered as its vectors are
 (without the pinned variable): JSON serializes it and text lays out its
 entries line by line; --stats prints the base result's counters and
-timings.  All external indices are 1-based; rationals serialize as
-strings so no consumer ever parses a float.
+timings.  All external indices are 1-based; rationals serialize as strings
+so no consumer ever parses a float.
 
 The argument parser is built once, when the module is imported, so run
 can be called again and again in one process at no fixed cost per call
@@ -37,7 +39,7 @@ from .core import (
     Scalar,
     TokenTooLarge,
     TropicalError,
-    as_scalar,
+    _entry,
 )
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
@@ -63,6 +65,13 @@ class ParseError(TropicalError):
 
 @dataclass(frozen=True)
 class InstanceFile:
+    """A parsed instance file.
+
+    matrices maps block names to Matrix; vectors maps block names to tuples
+    of the entries as read: an int for an integer token, a Fraction for any
+    other number, NEG_INF for -inf.
+    """
+
     problem: str
     m: int
     n: int
@@ -71,9 +80,9 @@ class InstanceFile:
     vectors: dict
 
 
-def _scalar_token(token: str, line: int) -> Scalar:
+def _scalar_token(token: str, line: int) -> int | Fraction | NegInfinity:
     try:
-        return as_scalar(token)
+        return _entry(token)
     except TokenTooLarge as exc:
         raise ParseError(line, str(exc))
     except (ValueError, TypeError):
@@ -145,7 +154,7 @@ def parse_instance(text: str) -> InstanceFile:
             grid.append([_scalar_token(t, lineno) for t in tokens])
         return Matrix(grid, cols=cols)
 
-    def vector_block(name: str, length: int) -> tuple[Scalar, ...]:
+    def vector_block(name: str, length: int) -> tuple[int | Fraction | NegInfinity, ...]:
         if name not in blocks:
             raise ParseError(len(lines), f"missing block '{name}:'")
         data = blocks[name]

@@ -11,6 +11,13 @@ A Matrix keeps its entries as ints over one unit, None for -inf, and the
 solver, the bridges and the oracle compute on those ints.  _to_ints turns
 a sequence of rationals into ints over a unit for most callers;
 cells.cell_membership scales its vector by hand (its docstring says why).
+
+Number tokens are read by _entry: a plain ASCII integer literal (an
+optional sign, then at most MAX_TOKEN_DIGITS decimal digits) becomes an int
+at once, and every other token is size-checked and read by Fraction, so an
+integer instance is parsed without building a Fraction.  Either way a token
+has the same value and raises the same error; as_scalar still returns a
+Fraction for every finite value.
 """
 
 from __future__ import annotations
@@ -109,7 +116,10 @@ def _check_token_size(text: str) -> None:
 
 
 def _entry(value) -> int | Fraction | NegInfinity:
-    """value as an int (kept as it is), a Fraction or -inf; as_scalar's checks live here."""
+    """value as an int (from an int or an integer token), a Fraction or -inf.
+
+    as_scalar's checks live here.
+    """
     # the exact types first: a failed isinstance against Fraction (an ABC) is slow
     if value.__class__ is int or value is NEG_INF:
         return value
@@ -117,6 +127,10 @@ def _entry(value) -> int | Fraction | NegInfinity:
         text = value.strip()
         if text in ("-inf", "-oo"):
             return NEG_INF
+        # a plain ASCII integer literal reads as an int, at the same bound
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isdigit() and digits.isascii() and len(digits) <= MAX_TOKEN_DIGITS:
+            return int(text)
         _check_token_size(text)
         try:
             return Fraction(text)

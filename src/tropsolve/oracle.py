@@ -22,8 +22,11 @@ subtree when some row can no longer balance: its lower side, raised by the
 best the remaining columns can add (their largest entry of that side plus
 the largest grid value), still stays below its higher side.  The cut drops
 only candidates that fail, so the result is the full product's, in its
-order.  The search keeps an explicit stack: no recursion, and no closure
-that refers to itself and leaves a reference cycle behind on every call.
+order.  These bounds (reach) are built only when there are leading
+columns: with 6 grid points and n <= 4 the block holds every column, and
+the search has nothing to cut.  The search keeps an explicit stack: no
+recursion, and no closure that refers to itself and leaves a reference
+cycle behind on every call.
 
 Block candidate (c_0, ..., c_{r-1}) is bit sum c_j * k**(r-1-j), so
 ascending bits are the lexicographic order.  Each (column, grid point) has
@@ -66,6 +69,7 @@ from .core import (
     Matrix,
     Scalar,
     TropicalError,
+    _entry,
     _to_ints,
     as_scalar,
 )
@@ -98,13 +102,16 @@ class GridSpec:
     def of(cls, values: Sequence) -> "GridSpec":
         """The grid of the given values, in any order, repeats allowed.
 
-        Each value goes through as_scalar once: a float or bool raises
+        Each value is read as as_scalar reads it: a float or bool raises
         TypeError, a bad token ValueError, and so does -inf, which the grid
-        adds by itself (include_neg_inf).  Equal values collapse into one,
-        however they are spelled.
+        adds by itself (include_neg_inf).  An integer token reads as an int;
+        equal values collapse into one, however they are spelled, and each
+        distinct value becomes one Fraction.
         """
-        points = sorted(map(as_scalar, values))  # -inf sorts first: __post_init__ rejects it
-        return cls(tuple(v for i, v in enumerate(points) if i == 0 or v != points[i - 1]))
+        points = sorted(map(_entry, values))  # -inf sorts first: __post_init__ rejects it
+        return cls(tuple(
+            as_scalar(v) for i, v in enumerate(points) if i == 0 or v != points[i - 1]
+        ))
 
     def points(self) -> tuple[Scalar, ...]:
         if self.include_neg_inf:
@@ -220,7 +227,8 @@ def grid_solutions(
     full = (1 << k**r) - 1
     a_terms = [terms(am, j) for j in range(lead)]
     b_terms = [terms(bm, j) for j in range(lead)]
-    a_reach, b_reach = reach(am), reach(bm)
+    # the cut bounds are read only while the search descends the leading columns
+    a_reach, b_reach = (reach(am), reach(bm)) if lead else ((), ())
     # a row's prefix maxima are floor or terms of its leading columns
     heights = [{floor} for _ in range(a.rows)]
     for col in a_terms + b_terms:

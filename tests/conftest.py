@@ -273,6 +273,23 @@ def make_cell(num_vars, assignments, constraints, neg_inf=(), win_sequence=()):
 
 
 @pytest.fixture
+def fraction_builds(monkeypatch):
+    """The list of every Fraction built from here on, as its constructor arguments."""
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the wrapper sees every construction
+    built.clear()
+    return built
+
+
+@pytest.fixture
 def running_example():
     a = Matrix([[3, 7, -1, NI], [6, 7, NI, NI], [1, 0, 1, NI]])
     b = Matrix([[NI, NI, NI, 8], [NI, NI, 5, 1], [1, 0, 1, 2]])

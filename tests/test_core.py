@@ -250,7 +250,7 @@ def test_bridges_match_the_fraction_built_versions():
     assert shrunk >= 20, shrunk
 
 
-def test_an_int_matrix_solves_without_building_a_fraction(monkeypatch, running_example):
+def test_an_int_matrix_solves_without_building_a_fraction(running_example, fraction_builds):
     """Matrices of ints and '-inf' are parsed and solved on ints alone."""
     rng = random.Random(77)
     pairs = [
@@ -259,21 +259,11 @@ def test_an_int_matrix_solves_without_building_a_fraction(monkeypatch, running_e
         for _ in range(30)
     ]
     pairs.append([_int_rows(m) for m in running_example])
-    built = []
-    original = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    Fraction(1, 3)
-    assert built == [(1, 3)]  # the wrapper sees every construction
-    built.clear()
+    fraction_builds.clear()  # to_rows built the running example's Fraction view
     cells = 0
     for rows_a, rows_b in pairs:
         cells += len(solve(Matrix(rows_a), Matrix(rows_b), collect_stats=True).cells)
-    assert built == []
+    assert fraction_builds == []
     assert cells >= 10, cells
 
 
