@@ -10,19 +10,9 @@ reads it as it stands, and the cell stage reads its cell key off it
 directly (snapshot freezes it for solve_equations only).
 Inequalities are tightened by difference-constraint analysis: negative
 cycles force variables to -inf, opposite rows of zero width become
-equations, and per ordered pair only the tightest row survives.
-
-The shortest-path closure of sub_specialize covers only the cyclic core:
-the variables that are the plus side of one row and the minus side of
-another.  Its matrix is filled by looking up the core's ordered pairs
-among the tightest rows, not by scanning every row.  Only its diagonal is
-read (a negative entry means a negative cycle), and a variable outside
-the core lies on no cycle, so its diagonal entry stays 0.  Floyd-Warshall
-never improves an entry between two variables of one strongly connected
-component through a pivot outside it, so the core's diagonal, and with it
-the forced set, is the same as that of the closure over every variable
-(the zone/DBM argument of Bengtsson & Yi, "Timed automata: semantics,
-algorithms and tools", LNCS 3098, 2004).
+equations, and per ordered pair only the tightest row survives.  close is
+the one shortest-path closure of such a system, shared by sub_specialize
+and the cell sampler (cells._feasible_values).
 
 Every step only adds, subtracts and compares constants, so the cell stage
 runs on Python ints: build_systems reads the maximum matrix scaled by one
@@ -261,6 +251,52 @@ def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Ro
     return [(lo, hi, c) if flip == 0 else (hi, lo, c) for lo, hi, flip, c in ordered]
 
 
+def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) -> list[list]:
+    """Shortest-path closure of a difference-constraint system on nodes.
+
+    best maps (plus, minus) to the tightest constant of x_plus - x_minus +
+    constant <= 0, which is an edge minus -> plus of weight -constant.  The
+    len(nodes)**2 ordered pairs are looked up in best, so its rows that
+    leave the node set are not read.  dist[u][v] (Floyd-Warshall) is None
+    when there is no path from nodes[u] to nodes[v], and otherwise, when
+    no cycle is negative, the lightest path weight; dist[u][u] is then 0.
+    With a negative cycle the entries are weights of some walks: dist[u][u]
+    is negative for every node on a negative simple cycle, and only for
+    nodes whose strongly connected component holds one.
+
+    Closing only the cyclic core, the nodes that are the plus side of one
+    row and the minus side of another, gives the same core entries as
+    closing every variable: a variable outside the core has no edge in or
+    no edge out, so it lies on no path between two others, and as a pivot
+    it changes only its own row or column.  This is how sub_specialize
+    finds its negative cycles (the zone/DBM view of Bengtsson & Yi, "Timed
+    automata: semantics, algorithms and tools", LNCS 3098, 2004).
+    """
+    nv = len(nodes)
+    dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
+    for u, m in enumerate(nodes):
+        row_u = dist[u]
+        row_u[u] = 0
+        for v, p in enumerate(nodes):
+            c = best.get((p, m))
+            if c is not None:
+                row_u[v] = -c
+    for k in range(nv):
+        row_k = dist[k]
+        for row_i in dist:
+            dik = row_i[k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(row_k):
+                if dkj is None:
+                    continue
+                through = dik + dkj
+                dij = row_i[j]
+                if dij is None or through < dij:
+                    row_i[j] = through
+    return dist
+
+
 def sub_specialize(
     ineqs: Sequence[Row],
 ) -> tuple[list[Row], list[Row], frozenset[int]]:
@@ -269,24 +305,18 @@ def sub_specialize(
     Per ordered variable pair only the tightest row is kept (a row with a
     smaller constant is superfluous).  The difference-constraint digraph
     (edge minus -> plus, weight -constant) is closed under shortest paths:
-    variables on a negative cycle must be -inf over the tropical scalars and
-    are reported as forced, with propagation left to the caller; adjacent
+    the variables it flags on a negative cycle must be -inf over the
+    tropical scalars and are reported as forced, with propagation, which
+    reaches the rest of their component, left to the caller; adjacent
     opposite rows of zero width turn into one equation each.  The residue is
     canonically ordered and sub-special (is_sub_special in
     tests/test_bivariate.py checks that structure), and 2*len(eqs) +
     len(residue) never exceeds len(ineqs).
 
-    Only the cyclic core is closed: the variables that are the plus side of
-    one kept row and the minus side of another.  Its nv x nv matrix is filled
-    by looking up the nv**2 core pairs in the tightest-row dict, so the rows
-    outside the core are not read again.  The closure is read only on its
-    diagonal, and a variable without both edge directions lies on no cycle,
-    so its diagonal stays 0.  Within one strongly connected component
-    Floyd-Warshall never improves an entry through a pivot outside it (a
-    path i -> k -> j back to i would put k in the component), so the core's
-    diagonal, and with it the forced set, equals that of the full closure.
-    A row whose plus and minus are the same variable is rejected, as
-    Constraint rejects it.
+    Only the cyclic core is closed (see close): the variables that are the
+    plus side of one kept row and the minus side of another, read only on
+    the diagonal.  A row whose plus and minus are the same variable is
+    rejected, as Constraint rejects it.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
     heads: set[int] = set()
@@ -306,30 +336,8 @@ def sub_specialize(
     core = sorted(heads & tails)
     if not core:
         return [], _canonical_rows(best), frozenset()
-    nv = len(core)
-    dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
-    for u, m in enumerate(core):
-        row_u = dist[u]
-        row_u[u] = 0
-        for v, p in enumerate(core):
-            c = best.get((p, m))
-            if c is not None:
-                row_u[v] = -c
-    for k in range(nv):
-        row_k = dist[k]
-        for row_i in dist:
-            dik = row_i[k]
-            if dik is None:
-                continue
-            for j, dkj in enumerate(row_k):
-                if dkj is None:
-                    continue
-                through = dik + dkj
-                dij = row_i[j]
-                if dij is None or through < dij:
-                    row_i[j] = through
-
-    forced = frozenset(core[i] for i in range(nv) if dist[i][i] < 0)
+    dist = close(core, best)
+    forced = frozenset(p for i, p in enumerate(core) if dist[i][i] < 0)
     if forced:
         return [], _canonical_rows(best), forced
 

@@ -55,6 +55,7 @@ from .bivariate import (
     Constraint,
     OffsetUnionFind,
     Row,
+    close,
     remove_and_enlarge,
     sub_specialize,
     substitute,
@@ -418,10 +419,11 @@ def _feasible_values(
 ) -> dict[int, int]:
     """A feasible assignment for the alive parameters, in the cell's int units.
 
-    Tries plain rejection first; falls back to shortest-path potentials
-    (shifted randomly per weakly connected component), which always satisfy
-    the difference constraints.  Draws are whole numbers, scaled by the
-    cell's scale.
+    Tries plain rejection first; falls back to the greatest point <= 0 of
+    the active rows, read off their shortest-path closure (bivariate.close)
+    as x_q = min_p dist[p][q], and shifted randomly per weakly connected
+    component, which always satisfies the difference constraints.  Draws
+    are whole numbers, scaled by the cell's scale.
     """
     scale = cell.scale
     active = [row for row in cell.rows if row[0] in alive and row[1] in alive]
@@ -429,17 +431,12 @@ def _feasible_values(
         vals = {p: rng.randint(-box, box) * scale for p in alive}
         if all(vals[plus] - vals[minus] + c <= 0 for plus, minus, c in active):
             return vals
-    # Bellman-Ford from a virtual source: d_p <= d_m - constant
-    vals = {p: 0 for p in alive}
-    for _ in range(len(alive) + 1):
-        changed = False
-        for plus, minus, c in active:
-            bound = vals[minus] - c
-            if vals[plus] > bound:
-                vals[plus] = bound
-                changed = True
-        if not changed:
-            break
+    best: dict[tuple[int, int], int] = {}
+    for plus, minus, c in active:
+        if best.get((plus, minus), c) <= c:
+            best[plus, minus] = c
+    into = zip(*close(alive, best))  # per parameter, the path weights into it
+    vals = {q: min(d for d in col if d is not None) for q, col in zip(alive, into)}
     neighbors: dict[int, set[int]] = {p: set() for p in alive}
     for plus, minus, _ in active:
         neighbors[plus].add(minus)

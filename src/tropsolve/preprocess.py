@@ -124,12 +124,22 @@ def row_masks(a: IntRows, b: IntRows, n: int) -> RowMasks:
 
 
 def columns(mask: int) -> list[int]:
-    """The columns of a bitmask, in increasing order."""
+    """The columns of a bitmask, in increasing order.
+
+    The mask is walked in 64-bit chunks: the low-bit loop runs on a small
+    int, and the wide mask is shifted once per chunk rather than copied
+    once per set bit.
+    """
     out = []
+    base = -1  # bit_length of a chunk's bit i is i + 1
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        chunk = mask & 0xFFFF_FFFF_FFFF_FFFF
+        mask >>= 64
+        while chunk:
+            low = chunk & -chunk
+            out.append(base + low.bit_length())
+            chunk ^= low
+        base += 64
     return out
 
 

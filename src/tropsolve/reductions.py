@@ -32,9 +32,9 @@ from .core import (
     NegInfinity,
     Scalar,
     UndefinedOperation,
+    _entry,
     _to_ints,
     as_scalar,
-    as_vector,
     matvec_maxplus,
     row_maxima,
     scaled,
@@ -254,9 +254,13 @@ def solve_affine(inst: AffineInstance, collect_stats: bool = False) -> PinnedSol
 
 
 def eq_b_to_affine(a: Matrix, b: Sequence) -> AffineInstance:
-    """A (x) x = b as the affine system A (x) x (+) -inf = -inf (x) x (+) b."""
+    """A (x) x = b as the affine system A (x) x (+) -inf = -inf (x) x (+) b.
+
+    b is read as core._entry reads it: an int stays an int, which
+    _with_column takes as it is.
+    """
     neg = Matrix([[NEG_INF] * a.cols for _ in range(a.rows)], cols=a.cols)
-    return AffineInstance(a, neg, tuple([NEG_INF] * a.rows), as_vector(b))
+    return AffineInstance(a, neg, tuple([NEG_INF] * a.rows), tuple(map(_entry, b)))
 
 
 def solve_eq_b(a: Matrix, b: Sequence, collect_stats: bool = False) -> PinnedSolutionSet:
@@ -286,7 +290,7 @@ def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:
 
 def decide_eq_b(a: Matrix, b: Sequence) -> tuple[Scalar, ...] | None:
     """The greatest solution of A (x) x = b for real A, or None if none exists."""
-    bs = as_vector(b)
+    bs = tuple(map(_entry, b))
     candidate = principal_solution(a, bs)
     if matvec_maxplus(a, candidate) == bs:
         return candidate

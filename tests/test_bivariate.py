@@ -10,6 +10,7 @@ from tropsolve.bivariate import (
     OffsetUnionFind,
     PotentialAssignment,
     build_systems,
+    close,
     eq,
     leq,
     remove_and_enlarge,
@@ -533,3 +534,95 @@ def test_rows_are_plain_tuples():
 def test_constraint_validation():
     with pytest.raises(Exception):
         Constraint(1, 1, Fraction(0))
+
+
+def _closed_walks(nodes, best):
+    """Brute force over the edges minus -> plus (weight -constant) inside nodes.
+
+    Returns (paths, cycles): paths[u, v] is the lightest simple path from u
+    to v (u != v), absent when there is none, and cycles[u] the lightest
+    simple cycle through u, absent when there is none.
+    """
+    succ = {u: [] for u in nodes}
+    for (plus, minus), c in best.items():
+        if plus in succ and minus in succ:
+            succ[minus].append((plus, -c))
+    paths, cycles = {}, {}
+
+    def walk(start, u, weight, seen):
+        for v, w in succ[u]:
+            if v == start:
+                cycles[start] = min(cycles.get(start, weight + w), weight + w)
+            elif v not in seen:
+                key = start, v
+                paths[key] = min(paths.get(key, weight + w), weight + w)
+                walk(start, v, weight + w, seen | {v})
+
+    for u in nodes:
+        walk(u, u, 0, {u})
+    return paths, cycles
+
+
+def test_close_fixed_system():
+    # x1 - x0 + 2 <= 0, x2 - x1 - 5 <= 0, x0 - x2 - 1 <= 0: cycle weight 4
+    dist = close([0, 1, 2], {(1, 0): 2, (2, 1): -5, (0, 2): -1})
+    assert dist == [[0, -2, 3], [6, 0, 5], [1, -1, 0]]
+    assert close([3, 7], {(7, 3): 1}) == [[0, -1], [None, 0]]
+    assert close([], {(1, 0): 2}) == []
+
+
+def test_close_matches_brute_force_paths_and_cycles():
+    """Shortest simple paths without a negative cycle; with one, the diagonal.
+
+    With a negative cycle the entries are walks of no fixed length, so only
+    their bounds are checked: every entry is at most the lightest simple
+    path, and the diagonal is negative on every negative simple cycle and
+    only in a strongly connected component that holds one.
+    """
+    rng = random.Random(2601)
+    seen = {"no path": 0, "negative": 0, "plain": 0}
+    for _ in range(1500):
+        nodes = sorted(rng.sample(range(9), rng.randint(2, 6)))
+        labels = nodes + [9, 10]  # rows that leave the node set
+        density = rng.choice((0.2, 0.4, 0.7))
+        best = {
+            (p, m): rng.randint(-6, 2)
+            for p in labels
+            for m in labels
+            if p != m and rng.random() < density
+        }
+        dist = close(nodes, best)
+        paths, cycles = _closed_walks(nodes, best)
+        negative = {u for u, w in cycles.items() if w < 0}
+        reach = {(u, v) for u, v in paths} | {(u, u) for u in nodes}
+        for i, u in enumerate(nodes):
+            for j, v in enumerate(nodes):
+                assert (dist[i][j] is None) == ((u, v) not in reach), (nodes, best)
+        seen["no path"] += len(nodes) ** 2 > len(reach)
+        if not negative:
+            seen["plain"] += 1
+            for i, u in enumerate(nodes):
+                for j, v in enumerate(nodes):
+                    assert dist[i][j] == (0 if u == v else paths.get((u, v))), (nodes, best)
+            continue
+        seen["negative"] += 1
+        # u and a node of a negative simple cycle reach each other
+        in_negative_component = {
+            u for u in nodes if any((u, c) in reach and (c, u) in reach for c in negative)
+        }
+        flagged = {u for i, u in enumerate(nodes) if dist[i][i] < 0}
+        assert negative <= flagged <= in_negative_component, (nodes, best)
+        for (u, v), w in paths.items():
+            assert dist[nodes.index(u)][nodes.index(v)] <= w
+        seen["no path"] += len(nodes) ** 2 > len(reach)
+    assert min(seen.values()) >= 200, seen
+
+
+def test_close_diagonal_is_bounded_not_exact_on_a_negative_component():
+    # node 2 shares a component with the cycle 0 <-> 1 but is not flagged,
+    # and node 3 is flagged though every simple cycle through it weighs 1;
+    # sub_specialize needs one flagged node per negative cycle, as the
+    # caller's propagation forces the rest of the component
+    edges = {(0, 1): -1, (1, 0): -1, (0, 2): 100, (2, 0): 100, (0, 3): 0, (3, 0): 1}
+    dist = close([0, 1, 2, 3], {(v, u): -w for (u, v), w in edges.items()})
+    assert [dist[i][i] < 0 for i in range(4)] == [True, True, False, True]

@@ -153,6 +153,32 @@ def test_sample_cell_contract(running_example):
             assert verify_solution(a, b, point)
 
 
+def test_sampler_falls_back_to_the_greatest_point_below_zero():
+    # t2 - t1 + 5 <= 0 rules out rejection at box=1 while t1 and t2 are
+    # alive; t3 - t2 + 2 <= 0 joins t3 to their component, and t5 is a
+    # component of its own.  The fallback is the greatest point <= 0,
+    # (0, -5, -7) and 0, shifted by one draw in [-1, 1] per component.
+    cell = make_cell(
+        5, [(1, 1, 0), (2, 2, "1/2"), (3, 3, 0), (4, 1, 2), (5, 5, 0)], [(2, 1, 5), (3, 2, 2)]
+    )
+    assert cell.scale == 2 and cell.parameters() == (0, 1, 2, 4)
+    for seed in range(20):
+        vals = cells_mod._feasible_values(cell, [0, 1, 2, 4], random.Random(seed), 1)
+        shift = vals[0]
+        assert shift in (-2, 0, 2) and vals[4] in (-2, 0, 2)
+        assert vals == {0: shift, 1: shift - 10, 2: shift - 14, 4: vals[4]}
+    fallbacks = 0
+    for seed in range(40):
+        first = sample_cell(cell, 2, seed=seed, box=1)[1]
+        assert cell_membership(cell, first)
+        x1, x2, x3, x4, x5 = first
+        if NEG_INF not in (x1, x2, x3):
+            fallbacks += 1
+            assert x1 in (-1, 0, 1) and x5 in (NEG_INF, -1, 0, 1)
+            assert (x2 - Fraction(1, 2) - x1, x3 - x1, x4 - x1) == (-5, -7, 2)
+    assert fallbacks >= 5, fallbacks
+
+
 def test_sample_cell_deterministic(running_example):
     a, b = running_example
     cell = solve(a, b).cells[1]

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -267,3 +268,30 @@ def test_dead_columns_equal_deleted_columns():
         assert red == _reference_reduction(a, b, dead), (a, b, dead)
         outcomes.add(outcome(red))
     assert outcomes == set(OUTCOMES)
+
+
+def _columns_by_low_bit(mask):
+    """The per-set-bit walk columns used before the 64-bit chunks, as the reference."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_columns_matches_the_low_bit_walk():
+    rng = random.Random(2600)
+    for width in range(301):
+        full = (1 << width) - 1
+        masks = [0, full, 1 << width, full ^ (1 << rng.randrange(width + 1))]
+        masks += [rng.getrandbits(width) for _ in range(8)]
+        masks += [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(4)]
+        for mask in masks:
+            assert columns(mask) == _columns_by_low_bit(mask), (width, mask)
+
+
+def test_columns_is_linear_in_the_mask_width():
+    started = time.perf_counter()
+    assert columns((1 << 200_000) - 1) == list(range(200_000))
+    assert time.perf_counter() - started < 1.0

@@ -123,13 +123,6 @@ def _draw(rng):
                 b[i][rng.randrange(n)] = entry()
     share = rng.choice((0.0, 0.0, 0.15, 0.4, 0.8))
     dead = [j for j in range(n) if rng.random() < share]
-    kind = rng.randrange(4)
-    if kind == 0:
-        dead = frozenset(dead)
-    elif kind == 1:
-        dead = tuple(reversed(dead))
-    elif kind == 2:
-        dead = dead + dead[:1]  # a repeated column counts once
     return a, b, n, dead
 
 

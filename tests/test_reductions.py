@@ -19,6 +19,7 @@ from tropsolve.reductions import (
     AffineInstance,
     affine_holds,
     decide_eq_b,
+    eq_b_to_affine,
     hetero_to_homo,
     homogenize_affine,
     pin_variable,
@@ -301,6 +302,25 @@ def test_solve_eq_b_general_matrix():
     assert pinned.contains((1, 2))
     assert not pinned.contains((1, 1))
     assert not pinned.contains((NI, 2))
+
+
+def test_eq_b_to_affine_reads_an_int_b_without_building_a_fraction(fraction_builds):
+    a = Matrix([[0, 3], [NI, 1], [2, NI]])
+    fraction_builds.clear()
+    inst = eq_b_to_affine(a, (4, NI, "-2"))
+    assert fraction_builds == []
+    assert inst.b_vec == (4, NEG_INF, -2)
+    assert [type(v) for v in inst.b_vec] == [int, NegInfinity, int]
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("read_b", [eq_b_to_affine, decide_eq_b])
+def test_reading_b_rejects_floats_and_bools(read_b, bad):
+    with pytest.raises(TypeError) as got:
+        read_b(Matrix([[0, 1]]), (bad,))
+    with pytest.raises(TypeError) as want:
+        as_scalar(bad)
+    assert str(got.value) == str(want.value)
 
 
 def test_solve_eq_b_no_solution():
