@@ -247,7 +247,7 @@ def _cell_key(
 
 def _unconstrained_key(free: int, num_vars: int) -> tuple:
     """Key of the cell where the variables of the mask free are free and the rest -inf."""
-    neg = tuple(v for v in range(num_vars) if not free >> v & 1)
+    neg = tuple(columns(((1 << num_vars) - 1) ^ free))
     return ((), neg, tuple((v, v, 0) for v in columns(free)), (), num_vars)
 
 

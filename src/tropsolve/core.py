@@ -160,10 +160,6 @@ def scaled(value, scale: int) -> int | None:
     return _to_ints((value,), scale)[0][0]
 
 
-def as_vector(values: Sequence) -> tuple[Scalar, ...]:
-    return tuple(as_scalar(v) for v in values)
-
-
 class Matrix:
     """Dense, immutable matrix over tropical scalars.
 

@@ -84,7 +84,6 @@ class GridSpec:
     """Finite, strictly ascending list of rational grid values: ints or Fractions."""
 
     values: tuple[Fraction, ...]
-    include_neg_inf: bool = True
 
     def __post_init__(self):
         if not self.values:
@@ -104,9 +103,9 @@ class GridSpec:
 
         Each value is read as as_scalar reads it: a float or bool raises
         TypeError, a bad token ValueError, and so does -inf, which the grid
-        adds by itself (include_neg_inf).  An integer token reads as an int;
-        equal values collapse into one, however they are spelled, and each
-        distinct value becomes one Fraction.
+        adds by itself.  An integer token reads as an int; equal values
+        collapse into one, however they are spelled, and each distinct value
+        becomes one Fraction.
         """
         points = sorted(map(_entry, values))  # -inf sorts first: __post_init__ rejects it
         return cls(tuple(
@@ -114,9 +113,8 @@ class GridSpec:
         ))
 
     def points(self) -> tuple[Scalar, ...]:
-        if self.include_neg_inf:
-            return (NEG_INF,) + self.values
-        return self.values
+        """-inf, then the values."""
+        return (NEG_INF,) + self.values
 
 
 # The trailing block holds at most this many candidates, so each of its
@@ -193,7 +191,7 @@ def grid_solutions(
 
     values, scale = _to_ints(grid.values, math.lcm(a.unit, b.unit))
     am, bm = a.in_unit(scale), b.in_unit(scale)
-    scaled_points = [None] * (k - len(values)) + values  # -inf first, if included
+    scaled_points = [None] + values  # -inf first
     top = values[-1]
     # One int below every finite term stands for -inf, so that the running
     # maxima and the reach bounds compare as plain ints.

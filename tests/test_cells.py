@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 
 from conftest import (
     NI,
+    col_mask,
     dimension_bound,
     make_cell,
     omega_assignment,
@@ -28,15 +31,22 @@ from tropsolve import (
     emit,
     sample_cell,
     solve,
+    solve_equations,
     verify_solution,
 )
 import tropsolve.cells as cells_mod
-from tropsolve.bivariate import Constraint
-from tropsolve.cells import _solve_sequence
+from test_golden import planted_ints
+from tropsolve.bivariate import Constraint, PotentialAssignment, build_systems, eq, leq
+from tropsolve.cells import _solve_sequence, _unconstrained_key
 from tropsolve.core import DimensionMismatch
 from tropsolve.preprocess import reduce_instance
 from tropsolve.reductions import pin_variable
-from tropsolve.winseq import classify_row, enumerate_win_sequences_counted, winning_pairs
+from tropsolve.winseq import (
+    RowClassification,
+    classify_row,
+    enumerate_win_sequences_counted,
+    winning_pairs,
+)
 
 
 def cells_equal_as_sets(cell_a, cell_b, samples=200, seed=0, box=12):
@@ -432,3 +442,167 @@ def test_solve_builds_the_masks_once_and_reduces_once_per_scenario(monkeypatch):
         assert calls == {"row_masks": 1, "reduce_instance": stats.scenarios}
         scenarios.append(stats.scenarios)
     assert max(scenarios) >= 3
+
+
+def random_system(rng):
+    """(eqs, ineqs, nvars) around a hidden potential, with planted features.
+
+    Rows are tight or slack at the potential.  Planted: an equation cycle
+    with a nonzero residual (inconsistent), an inequality inside an equation
+    component that the component violates (flagged), an inequality cycle of
+    negative weight, a zero-width opposite pair, and a chain whose
+    zero-width pairs appear one round after another, each only once the
+    previous merge has put its two rows over one representative.
+    """
+    n = rng.randint(3, 9)
+    pot = [rng.randint(-4, 4) for _ in range(n)]
+
+    def tight(p, m):  # x_p - x_m + c = 0 at the potential
+        return pot[m] - pot[p]
+
+    eqs, ineqs = [], []
+    for _ in range(rng.randint(0, n // 2)):
+        p, m = rng.sample(range(n), 2)
+        eqs.append(eq(p, m, tight(p, m)))
+    for _ in range(rng.randint(0, n)):
+        p, m = rng.sample(range(n), 2)
+        ineqs.append(leq(p, m, tight(p, m) - rng.randint(0, 3)))
+    if rng.random() < 0.25:
+        a, b, c = rng.sample(range(n), 3)
+        eqs += [eq(a, b, tight(a, b)), eq(b, c, tight(b, c)), eq(c, a, tight(c, a) + 1)]
+    if rng.random() < 0.3:
+        p, m = rng.sample(range(n), 2)
+        eqs.append(eq(p, m, tight(p, m)))
+        ineqs.append(leq(p, m, tight(p, m) + 1))
+    if rng.random() < 0.3:
+        cycle = rng.sample(range(n), rng.randint(2, min(n, 4)))
+        # one row tightened by 1: the cycle's weight, minus its constants, is -1
+        pairs = list(zip(cycle[1:] + cycle[:1], cycle))
+        ineqs += [leq(p, m, tight(p, m) + (k == 0)) for k, (p, m) in enumerate(pairs)]
+    if rng.random() < 0.4:
+        p, m = rng.sample(range(n), 2)
+        ineqs += [leq(p, m, tight(p, m)), leq(m, p, tight(m, p))]
+    if rng.random() < 0.4:
+        chain = rng.sample(range(n), rng.randint(3, n))
+        v0, v1 = chain[:2]
+        ineqs += [leq(v0, v1, tight(v0, v1)), leq(v1, v0, tight(v1, v0))]
+        for i in range(2, len(chain)):
+            a, b, c = chain[i - 2], chain[i - 1], chain[i]
+            ineqs += [leq(c, a, tight(c, a)), leq(b, c, tight(b, c))]
+    ineqs = [row for row in ineqs if row[0] != row[1]]
+    rng.shuffle(eqs)
+    rng.shuffle(ineqs)
+    return eqs, ineqs, n
+
+
+def test_rounds_are_bounded(monkeypatch):
+    # each round that does not return forces a live representative or merges
+    # two live components, so there are at most nvars + 1 rounds; every round
+    # calls sub_specialize once
+    calls = [0]
+    original = cells_mod.sub_specialize
+
+    def counted(ineqs):
+        calls[0] += 1
+        return original(ineqs)
+
+    monkeypatch.setattr(cells_mod, "sub_specialize", counted)
+    most = 0
+    for k in range(1500):
+        eqs, ineqs, n = random_system(random.Random(f"solve-sequence:{k}"))
+        calls[0] = 0
+        # the system handed in as the cached part of a one-row sequence
+        _solve_sequence(((0, 0),), None, (), n, {(0, (0, 0)): (eqs, ineqs)})
+        assert calls[0] <= n + 1 <= 2 * n, (eqs, ineqs)
+        most = max(most, calls[0])
+    assert most >= 4
+
+
+def test_solve_builds_no_potential_assignment(monkeypatch):
+    built = [0]
+    init = PotentialAssignment.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PotentialAssignment, "__init__", counted)
+    rng = random.Random(77)
+    kept = 0
+    for a, b in (planted_ints(rng, rng.randint(2, 5), rng.randint(3, 8), 0.3, True)
+                 for _ in range(40)):
+        kept += len(solve(Matrix(a), Matrix(b)).cells)
+    assert built[0] == 0 and kept >= 100
+    solve_equations([], 2)
+    assert built[0] == 1
+
+
+def _pair_systems(rng, sequence, n):
+    """Rows and classifications for a sequence of arbitrary pairs.
+
+    Every entry is finite.  Half the systems draw their entries at random,
+    so pairs that close a cycle of columns are often inconsistent; the
+    other half hold the hidden potential exactly at the pair's columns and
+    at or just below it elsewhere, so the hidden potential solves them, many
+    rows are tight there and opposite rows of zero width merge classes in
+    later rounds.  The dead columns are drawn outside each pair; the other
+    columns go into ties, since build_systems reads only the union of a
+    row's three classes.
+    """
+    pot = [rng.randint(-3, 3) for _ in range(n)] if rng.random() < 0.5 else None
+    rows, classes = [], []
+    for pair in sequence:
+        if pot is None:
+            rows.append([rng.randint(-3, 3) for _ in range(n)])
+        else:
+            rows.append([-x - (j not in pair and rng.random() < 0.25) for j, x in enumerate(pot)])
+        dead = col_mask(j for j in range(n) if j not in pair and rng.random() < 0.3)
+        classes.append(RowClassification(0, 0, ((1 << n) - 1) & ~dead))
+    return rows, classes
+
+
+def test_bound_is_the_component_count_after_the_own_equations():
+    rng = random.Random(2323)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        sequence = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.3:
+                e = rng.randrange(n)
+                sequence.append((e, e))  # a tie pair: no equation
+            else:
+                sequence.append((rng.randrange(n), rng.randrange(n)))
+        sequence = tuple(sequence)
+        rows, classes = _pair_systems(rng, sequence, n)
+        uf, dead, residue, bound = _solve_sequence(sequence, rows, classes, n, {})
+        assert bound == dimension_bound(sequence, n)
+        eqs, _ = build_systems(sequence, rows, classes)
+        own = solve_equations(eqs, n)
+        assert bound == len(set(own.representative))
+        seen["ties"] += any(p == q for p, q in sequence)
+        seen["inconsistent"] += bool(own.inconsistent_roots)
+        # a pair inside one class: more pairs with p != q than merges
+        seen["cycles"] += sum(p != q for p, q in sequence) > n - bound
+        seen["later_merges"] += len(set(uf.representative)) < bound
+    floors = {"ties": 1000, "cycles": 300, "later_merges": 200, "inconsistent": 150}
+    assert all(seen[name] >= floor for name, floor in floors.items()), seen
+
+
+def _unconstrained_key_per_column(free, num_vars):
+    """The key read with one bit test per column, as the reference."""
+    neg = tuple(v for v in range(num_vars) if not free >> v & 1)
+    return ((), neg, tuple((v, v, 0) for v in range(num_vars) if free >> v & 1), (), num_vars)
+
+
+def test_unconstrained_key_matches_the_per_column_test():
+    rng = random.Random(2700)
+    for width in range(301):
+        full = (1 << width) - 1
+        sparse = rng.getrandbits(width) & rng.getrandbits(width)
+        for free in [0, full, rng.getrandbits(width), sparse]:
+            assert _unconstrained_key(free, width) == _unconstrained_key_per_column(free, width)
+    started = time.perf_counter()
+    key = _unconstrained_key(((1 << 200_000) - 1) ^ (1 << 7), 200_000)
+    assert time.perf_counter() - started < 0.5
+    assert key[1] == (7,) and len(key[2]) == 199_999

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tropsolve
-from conftest import planted_rows, random_rows
+from conftest import make_cell, planted_rows, random_rows
 from tropsolve import NEG_INF, emit, solve
 from tropsolve.cli import ParseError, format_instance, parse_instance, run
 
@@ -224,6 +224,18 @@ def test_emit_pinned_set():
     assert doc["problem"] == "affine" and doc["cells"]
     text = emit(solve_affine(inst), "text")
     assert "t1 >= 1" in text
+
+
+def test_emit_lists_bounded_parameters_in_numeric_order():
+    from tropsolve.cells import SolutionSet
+    from tropsolve.reductions import PinnedSolutionSet, pin_variable
+
+    # twelve variables on their own parameters; pinning x1 bounds the eleven others
+    cell = make_cell(12, [(v, v, 0) for v in range(1, 13)], [(1, p, -p) for p in range(2, 13)])
+    base = SolutionSet((cell,), frozenset(), False, 0, 12)
+    text = emit(PinnedSolutionSet(base, (pin_variable(cell, 0, 0),), 11), "text")
+    bounded = [int(line.split()[0][1:]) for line in text.splitlines() if " >= " in line]
+    assert bounded == list(range(1, 12))
 
 
 def test_module_entry_point(tmp_path):

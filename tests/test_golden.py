@@ -14,8 +14,9 @@ any change to them is a change of output and must be deliberate.  The
 ``--stats`` counters (``p``, ``enum_nodes``, ``scenarios``, ``collapsed``;
 timings dropped) of every plain ``eq`` case are pinned the same way in
 ``golden/eq_stats.json``, so that a faster cell stage that changes how many
-sequences or scenarios it visits fails here.  To rewrite both files after
-such a change:
+sequences or scenarios it visits fails here.  ``golden/digests.json`` pins
+a larger seeded pool by digest (see the digests section below).  To
+rewrite all three files after such a change:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -23,10 +24,13 @@ such a change:
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,11 +38,14 @@ import pytest
 
 import tropsolve.cells as cells_mod
 from conftest import pair_scale, planted_rows, random_rows, ref_unit
-from tropsolve import NEG_INF, Matrix, solve
-from tropsolve.cli import run
+from tropsolve import NEG_INF, Matrix, emit, solve
+from tropsolve.cells import SolutionSet
+from tropsolve.cli import _dedupe, _solve, parse_instance, run
+from tropsolve.reductions import PinnedSolutionSet, pin_variable
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_json.json"
 STATS = GOLDEN.with_name("eq_stats.json")
+DIGESTS = GOLDEN.with_name("digests.json")
 
 FIXTURES = {
     "running": (
@@ -97,29 +104,37 @@ def _block(name, rows):
 
 
 def _eq_text(a, b):
-    head = ["problem: eq", f"m: {len(a)}", f"n: {len(a[0])}"]
-    return "\n".join(head + _block("A", a) + _block("B", b)) + "\n"
+    return _instance("eq", {"A": a, "B": b})
+
+
+def _instance(mode, blocks):
+    """Instance text of the mode from its named blocks of rows."""
+    if mode == "hetero":
+        head = [f"m: {len(blocks['D'][0])}", f"n: {len(blocks['C'][0])}", f"s: {len(blocks['C'])}"]
+    else:
+        head = [f"m: {len(blocks['A'])}", f"n: {len(blocks['A'][0])}"]
+    body = [line for name, rows in blocks.items() for line in _block(name, rows)]
+    return "\n".join([f"problem: {mode}", *head, *body]) + "\n"
+
+
+def _blocks(rng, mode, m, n):
+    """A, then B, a and b as the mode (not hetero) has them, drawn by random_rows."""
+    blocks = {"A": random_rows(rng, m, n)}
+    if mode != "eqb":
+        blocks["B"] = random_rows(rng, m, n)
+    if mode == "affine":
+        blocks["a"] = random_rows(rng, 1, m)
+    if mode in ("eqb", "affine"):
+        blocks["b"] = random_rows(rng, 1, m)
+    return blocks
 
 
 def _mode_text(rng, mode):
     m, n = rng.randint(1, 3), rng.randint(1, 3)
-    head = [f"problem: {mode}", f"m: {m}", f"n: {n}"]
-    if mode == "leq":
-        body = _block("A", random_rows(rng, m, n)) + _block("B", random_rows(rng, m, n))
-    elif mode == "eqb":
-        body = _block("A", random_rows(rng, m, n)) + _block("b", random_rows(rng, 1, m))
-    elif mode == "hetero":
+    if mode == "hetero":
         s = rng.randint(1, 3)
-        head.append(f"s: {s}")
-        body = _block("C", random_rows(rng, s, n)) + _block("D", random_rows(rng, s, m))
-    else:
-        body = (
-            _block("A", random_rows(rng, m, n))
-            + _block("B", random_rows(rng, m, n))
-            + _block("a", random_rows(rng, 1, m))
-            + _block("b", random_rows(rng, 1, m))
-        )
-    return "\n".join(head + body) + "\n"
+        return _instance(mode, {"C": random_rows(rng, s, n), "D": random_rows(rng, s, m)})
+    return _instance(mode, _blocks(rng, mode, m, n))
 
 
 ZERO_ROWS = {
@@ -292,6 +307,320 @@ def test_multi_scale_cells_sorted_by_fraction_key():
         assert len(set(keys)) == len(keys)
 
 
+# ------------------------------------------------------------ digests
+#
+# digests.json pins a seeded pool drawn through solve, the CLI's solve of
+# every mode, --dedupe and pin_variable: per instance, a 16-hex-digit
+# sha256 of its output (json, and text where TEXT_FAMILIES says), then p,
+# enum_nodes, scenarios and collapsed of its base result.
+
+
+def planted_ints(rng, m, n, p_inf, plant):
+    """Int rows of A and B with -inf at density p_inf; if plant, a drawn x solves them."""
+
+    def entry():
+        return NEG_INF if rng.random() < p_inf else rng.randint(-5, 5)
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    b = [[entry() for _ in range(n)] for _ in range(m)]
+    if plant:
+        x = [rng.randint(-4, 4) for _ in range(n)]
+        for i in range(m):
+            sides = [a[i], b[i]]
+            rng.shuffle(sides)
+            low, high = sides
+            k = rng.randrange(n)
+            tops = [v + x[j] for j, v in enumerate(high) if v is not NEG_INF]
+            if not tops:
+                high[k] = -x[k]
+                tops = [0]
+            low_tops = [v + x[j] for j, v in enumerate(low) if v is not NEG_INF]
+            if not low_tops or max(low_tops) < max(tops):
+                low[k] = max(tops) - x[k]
+            else:
+                high[k] = max(low_tops) - x[k]
+    return a, b
+
+
+def _solved(text):
+    """The result the CLI computes for the instance text of any mode, with its stats."""
+    return _solve(parse_instance(text))[0]
+
+
+def _eq(a, b):
+    """(instance text, [solve's result]) of a pair of rows."""
+    n = len(a[0])
+    return _eq_text(a, b), [solve(Matrix(a, cols=n), Matrix(b, cols=n), collect_stats=True)]
+
+
+def wide_draws(seed, wide, shape, mixed):
+    """Planted all-finite 3x8 pairs, pairs at -inf density 0.3 (every other
+    one planted) and planted rational pairs, whose scale is above 1."""
+    rng = random.Random(seed)
+    pairs = [planted_ints(rng, 3, 8, 0.0, True) for _ in range(wide)]
+    pairs += [planted_ints(rng, *shape(rng), 0.3, k % 2 == 0) for k in range(mixed)]
+    pairs += [planted_rows(rng, rng.randint(2, 4), rng.randint(3, 6)) for _ in range(30)]
+    return [_eq(a, b) for a, b in pairs]
+
+
+SPARSE_VALUES = (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 0, 1, 2, -1)
+
+
+def sparse_draws():
+    """Sparse rows: columns left free, forced, and kept through silencing."""
+    rng = random.Random(5150)
+    out = []
+    for _ in range(1500):
+        m, n = rng.randint(2, 4), rng.randint(3, 7)
+        density = rng.choice((0.3, 0.5, 0.7))
+        out.append(_eq(*(
+            [[NEG_INF if rng.random() < density else rng.choice(SPARSE_VALUES) for _ in range(n)]
+             for _ in range(m)]
+            for _ in "ab"
+        )))
+    return out
+
+
+def small_int_draws():
+    rng = random.Random(1616)
+    out = []
+    for _ in range(120):
+        m, n = rng.randint(1, 4), rng.randint(2, 6)
+        out.append(_eq(*(
+            [[rng.choice((NEG_INF, 0, 1, 2, 3, -2)) for _ in range(n)] for _ in range(m)]
+            for _ in "ab"
+        )))
+    return out
+
+
+def mode_result(rng, mode):
+    """(instance text, result) of a seeded instance of the mode, drawn by random_rows."""
+    m, n = rng.randint(1, 3), rng.randint(2, 4)
+    if mode == "eq" and rng.random() < 0.5:
+        blocks = dict(zip("AB", planted_rows(rng, m, n)))
+    elif mode == "hetero":
+        blocks = {"C": random_rows(rng, m, n)}
+        blocks["D"] = random_rows(rng, m, rng.randint(1, 3))
+    else:
+        blocks = _blocks(rng, mode, m, n)
+    text = _instance(mode, blocks)
+    return text, _solved(text)
+
+
+def mode_draws():
+    """Every mode in turn; a plain set is digested with and without --dedupe."""
+    rng = random.Random(1500)
+    out = []
+    for trial in range(250):
+        text, result = mode_result(rng, ("eq", "leq", "hetero", "eqb", "affine")[trial % 5])
+        deduped = [_dedupe(result)] if isinstance(result, SolutionSet) else []
+        out.append((text, [result, *deduped]))
+    return out
+
+
+def dedupe_draws():
+    rng = random.Random(1501)
+    out = []
+    for _ in range(120):
+        text, result = mode_result(rng, rng.choice(("eq", "leq", "hetero")))
+        out.append((text + "--dedupe\n", [_dedupe(result)]))
+    return out
+
+
+def _pinned(base, var, value, problem="affine"):
+    cells = (pin_variable(cell, var, value) for cell in base.cells)
+    return PinnedSolutionSet(base, tuple(c for c in cells if c), base.num_vars - 1, problem)
+
+
+def pinned_everywhere_draws():
+    """Solution sets of eq cells pinned on each variable in turn, not only the last."""
+    rng = random.Random(1502)
+    out = []
+    for _ in range(80):
+        text, base = mode_result(rng, "eq")
+        results = []
+        for var in range(base.num_vars):
+            value = rng.choice((Fraction(0), Fraction(1, 2), Fraction(-7, 3)))
+            results.append(_pinned(base, var, value, rng.choice(("affine", "eqb"))))
+            text += f"pin x{var + 1} = {value} ({results[-1].problem})\n"
+        out.append((text, results))
+    return out
+
+
+# Entries over halves and thirds: the base cells have scales 1, 2, 3 and 6.
+HALVES_AND_THIRDS = (NEG_INF, Fraction(0), Fraction(1, 2), Fraction(-3, 2),
+                     Fraction(2, 3), Fraction(-1, 3), Fraction(1))
+
+
+def _thirds(rng, m, n):
+    return [[rng.choice(HALVES_AND_THIRDS) for _ in range(n)] for _ in range(m)]
+
+
+def pin_draws():
+    """Every variable of every cell pinned to 0, 1/2, 1/3 and -7/4."""
+    rng = random.Random(5100)
+    out = []
+    for _ in range(80):
+        m, n = rng.randint(1, 3), rng.randint(2, 4)
+        text, (base,) = _eq(_thirds(rng, m, n), _thirds(rng, m, n))
+        values = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(-7, 4))
+        out.append((text, [_pinned(base, var, v) for var in range(n) for v in values]))
+    return out
+
+
+def affine_draws():
+    rng = random.Random(5200)
+    out = []
+    for _ in range(80):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        shapes = {"A": (m, n), "B": (m, n), "a": (1, m), "b": (1, m)}
+        text = _instance("affine", {name: _thirds(rng, *shape) for name, shape in shapes.items()})
+        out.append((text, [_solved(text)]))
+    return out
+
+
+FAMILIES = {
+    "wide-7x7-rational": lambda: wide_draws("reduced-form", 60, lambda rng: (7, 7), 60),
+    "wide-mixed-rational": lambda: wide_draws(
+        "one-pass-key", 50, lambda rng: (rng.randint(3, 6), rng.randint(4, 7)), 80
+    ),
+    "sparse": sparse_draws,
+    "small-int": small_int_draws,
+    "modes": mode_draws,
+    "dedupe": dedupe_draws,
+    "pinned-everywhere": pinned_everywhere_draws,
+    "pin": pin_draws,
+    "affine": affine_draws,
+}
+# The families drawn through every mode also pin the text layout; the
+# others pin --format json, the document the text is laid out from.
+TEXT_FAMILIES = {"modes", "dedupe", "pinned-everywhere", "pin", "affine"}
+
+
+def digest(results, formats=("json", "text")):
+    """The sha256 prefix of the results' output, then the counts of the first's base."""
+    out = "".join(emit(r, fmt) for r in results for fmt in formats)
+    base = getattr(results[0], "base", results[0])
+    counts = (base.win_sequence_count, base.stats.enum_nodes, base.stats.scenarios,
+              base.stats.collapsed)
+    return " ".join([hashlib.sha256(out.encode()).hexdigest()[:16], *map(str, counts)])
+
+
+def _observe(seen, results):
+    """Count what the pool reaches in its outputs."""
+    base = getattr(results[0], "base", results[0])
+    seen["collapsed"] += base.stats.collapsed
+    seen["multi-scenario solves"] += base.stats.scenarios > 1
+    for r in results:
+        if isinstance(r, SolutionSet):
+            seen["trivial only"] += r.trivial_only
+            seen["forced everywhere"] += bool(r.globally_forced) and not r.trivial_only
+            seen["cells"] += len(r.cells)
+            seen["cells at scale > 1"] += sum(cell.scale > 1 for cell in r.cells)
+            continue
+        for pc in r.cells:
+            seen["pinned cells"] += 1
+            seen["pinned, fixed"] += bool(pc.fixed)
+            seen["pinned, both bounds"] += bool({p for p, _ in pc.lower} & {p for p, _ in pc.upper})
+            seen["pinned, rows"] += bool(pc.rows)
+            seen["pinned, moved"] += pc.pinned_var < pc.num_vars and bool(pc.assigned)
+
+
+def _hooks(seen):
+    """Pass-through wrappers of the cell stage's steps that count what they meet."""
+
+    def reduce_instance(original, masks, dead=0):
+        red = original(masks, dead)
+        seen["reduced" if red.rows else "unconstrained" if red.free else "trivial"] += 1
+        if red.rows and red.live != (1 << masks.n) - 1:
+            seen["kept rows on fewer columns"] += 1
+            seen["..., silenced"] += bool(dead)
+            seen["..., forced"] += bool(red.forced & ~dead)
+            seen["..., free"] += bool(red.free)
+        return red
+
+    def substitute(original, rows, uf):
+        kept, flagged = original(rows, uf)
+        seen["flagged rounds"] += bool(flagged)
+        return kept, flagged
+
+    def sub_specialize(original, rows):
+        eqs, residue, forced = original(rows)
+        core = len({p for p, _, _ in rows} & {m for _, m, _ in rows})
+        seen["rounds"] += 1
+        seen["core 2" if core == 2 else "core 3+" if core > 2 else "core 0"] += 1
+        seen["forcing rounds"] += bool(forced)
+        seen["zero-width rounds"] += bool(eqs)
+        return eqs, residue, forced
+
+    def _solve_sequence(original, *args):
+        before = seen["rounds"]
+        solved = original(*args)
+        seen["sequences of several rounds"] += seen["rounds"] - before > 1
+        seen["inconsistent sequences"] += bool(solved[0].inconsistent_roots)
+        return solved
+
+    return [reduce_instance, substitute, sub_specialize, _solve_sequence]
+
+
+@functools.cache
+def digest_run():
+    """{family: [(instance text, digest)]} and the counts that the pool reached.
+
+    The cell stage's steps are wrapped while the pool is solved, to count
+    reduction outcomes, scenarios kept on fewer than all columns, forcing
+    and zero-width rounds, cyclic cores of 2 and of 3 or more, flagged and
+    inconsistent components, and sequences of several rounds.
+    """
+    seen = Counter()
+    originals = {}
+    try:
+        for hook in _hooks(seen):
+            original = originals[hook.__name__] = getattr(cells_mod, hook.__name__)
+            setattr(cells_mod, hook.__name__, functools.partial(hook, original))
+        out = {}
+        for family, draws in FAMILIES.items():
+            out[family] = []
+            formats = ("json", "text") if family in TEXT_FAMILIES else ("json",)
+            for text, results in draws():
+                out[family].append((text, digest(results, formats)))
+                _observe(seen, results)
+    finally:
+        for name, original in originals.items():
+            setattr(cells_mod, name, original)
+    return out, seen
+
+
+def test_digests_cover_every_family():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    got, _ = digest_run()
+    assert {f: len(v) for f, v in expected.items()} == {f: len(v) for f, v in got.items()}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_digest(family):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
+    got, _ = digest_run()
+    for index, ((text, line), want) in enumerate(zip(got[family], expected)):
+        assert line == want, f"{family}[{index}]: digest {line}, pinned {want}, on\n{text}"
+
+
+DIGEST_FLOORS = {
+    "reduced": 500, "unconstrained": 400, "trivial": 500, "kept rows on fewer columns": 200,
+    "..., silenced": 50, "..., forced": 50, "..., free": 50, "forcing rounds": 300,
+    "zero-width rounds": 500, "core 2": 1500, "core 3+": 400, "flagged rounds": 150,
+    "inconsistent sequences": 150, "sequences of several rounds": 1000, "cells": 3000,
+    "cells at scale > 1": 100, "collapsed": 800, "multi-scenario solves": 500,
+    "trivial only": 50, "forced everywhere": 50, "pinned cells": 1000, "pinned, fixed": 100,
+    "pinned, both bounds": 20, "pinned, rows": 100, "pinned, moved": 100,
+}
+
+
+def test_digest_pool_reaches_every_floor():
+    _, seen = digest_run()
+    assert all(seen[name] >= floor for name, floor in DIGEST_FLOORS.items()), seen
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
@@ -302,7 +631,10 @@ if __name__ == "__main__":
             sys.exit(f"{name}: exit code {code}")
         docs[name] = out
     stats = {name: cli_stats(text) for name, text in stats_cases()}
+    digests = {family: [line for _, line in lines] for family, lines in digest_run()[0].items()}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     STATS.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(docs)} documents to {GOLDEN} and {len(stats)} to {STATS}")
+    DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(docs)} documents to {GOLDEN}, {len(stats)} to {STATS}"
+          f" and {sum(map(len, digests.values()))} digests to {DIGESTS}")

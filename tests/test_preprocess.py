@@ -17,7 +17,13 @@ from conftest import (
 )
 from tropsolve import NEG_INF, Matrix, verify_solution
 from tropsolve.core import DimensionMismatch
-from tropsolve.preprocess import columns, maximum_matrix, reduce_instance, row_masks
+from tropsolve.preprocess import (
+    ReducedInstance,
+    columns,
+    maximum_matrix,
+    reduce_instance,
+    row_masks,
+)
 from tropsolve.winseq import classify_row, winning_pairs
 
 NI = "-inf"
@@ -268,6 +274,20 @@ def test_dead_columns_equal_deleted_columns():
         assert red == _reference_reduction(a, b, dead), (a, b, dead)
         outcomes.add(outcome(red))
     assert outcomes == set(OUTCOMES)
+
+
+def test_every_scenario_of_one_masks_matches_a_fresh_reduction():
+    """One RowMasks serves every dead set: scenarios share nothing else."""
+    rng = random.Random(77)
+    for _ in range(60):
+        m, n = rng.randint(0, 4), rng.randint(1, 5)
+        a, b = (Matrix(random_rows(rng, m, n), cols=n) for _ in "ab")
+        masks = pair_masks(a, b)
+        full = (1 << n) - 1
+        assert reduce_instance(masks, full) == ReducedInstance((), 0, full, 0)
+        for bits in range(full):
+            dead = columns(bits)
+            assert reduce_instance(masks, bits) == _reference_reduction(a, b, dead), (a, b, dead)
 
 
 def _columns_by_low_bit(mask):

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_golden import HALVES_AND_THIRDS
 from tropsolve import (
     NEG_INF,
     Matrix,
     cell_membership,
+    emit,
     leq_to_eq,
     matvec_maxplus,
     principal_solution,
@@ -367,3 +369,27 @@ def test_pinned_sample_with_valid_arguments():
     pinned = _pinned_line()
     assert len(pinned.sample(1)) == 1
     assert len(pinned.sample(3, box=1)) == 3
+
+
+def test_emit_of_a_pinned_set_builds_no_fraction_views():
+    rng = random.Random(5200)
+    cells = 0
+    for _ in range(80):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        a, b = (
+            Matrix([[rng.choice(HALVES_AND_THIRDS) for _ in range(n)] for _ in range(m)], cols=n)
+            for _ in "ab"
+        )
+        inst = AffineInstance(
+            a, b,
+            tuple(rng.choice(HALVES_AND_THIRDS) for _ in range(m)),
+            tuple(rng.choice(HALVES_AND_THIRDS) for _ in range(m)),
+        )
+        result = solve_affine(inst)
+        emit(result, "text")
+        emit(result, "json")
+        for cell in result.cells:
+            assert "assignments" not in cell.base.__dict__
+            assert "constraints" not in cell.base.__dict__
+        cells += len(result.cells)
+    assert cells >= 60

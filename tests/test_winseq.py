@@ -220,6 +220,27 @@ def test_enumerate_equals_product_filter():
     assert checked >= 200
 
 
+def test_no_rows_give_the_empty_sequence():
+    assert enumerate_win_sequences_counted([], []) == ([()], 0)
+
+
+def test_empty_pair_list_at_any_depth():
+    rng = random.Random(5)
+    for depth in range(4):
+        for _ in range(40):
+            rows = [[None if rng.random() < 0.3 else rng.randint(-4, 4) for _ in range(5)]
+                    for _ in range(4)]
+            pairs = [
+                sorted({(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(0, 5))})
+                for _ in range(4)
+            ]
+            pairs[depth] = []
+            sequences, nodes = enumerate_win_sequences_counted(rows, pairs)
+            assert sequences == []
+            if depth == 0:
+                assert nodes == 0
+
+
 def test_enumerate_deeper_than_recursion_limit():
     depth = 0
     frame = sys._getframe()
