@@ -66,7 +66,7 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Scalar,
-    _ratios,
+    _to_ints,
     row_maxima,
 )
 from .preprocess import ReducedInstance, columns, reduce_instance, row_masks
@@ -372,31 +372,25 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     Variables sharing a parameter must be -inf together or agree on the
     parameter value; a constraint with -inf on its plus side holds, while
     -inf on the minus side demands the plus side be -inf as well.  The test
-    runs on ints: x and the cell's numbers are scaled to one unit, the lcm
-    of the cell's scale and the denominators of x, on every call.  The
-    scaling is written out here rather than done by core._to_ints, which
-    the oracle's many calls made measurably slower: this loop rejects a
-    point finite on a neg_inf column before it scales anything, takes an
-    lcm only for a denominator that does not divide the unit yet, and
-    scales only the assigned variables.
+    runs on ints: core._to_ints reads x over the lcm of the cell's scale
+    and the denominators of x (every entry is read before the length is
+    checked), and a point finite on a neg_inf column is rejected before
+    any parameter is compared.
     """
-    parts = _ratios(x)
-    if len(parts) != cell.num_vars:
+    xs, unit = _to_ints(x, cell.scale)
+    if len(xs) != cell.num_vars:
         raise DimensionMismatch(
-            f"vector of length {len(parts)} against {cell.num_vars} variables"
+            f"vector of length {len(xs)} against {cell.num_vars} variables"
         )
     for v in cell.neg_inf:
-        if parts[v] is not None:
+        if xs[v] is not None:
             return False
-    scale = unit = cell.scale
-    for part in parts:
-        if part is not None and unit % part[1]:
-            unit = math.lcm(unit, part[1])
-    factor = unit // scale
+    factor = unit // cell.scale
     values: dict[int, int | None] = {}
     for v, param, offset in cell.assigned:
-        part = parts[v]
-        t = None if part is None else part[0] * (unit // part[1]) - offset * factor
+        t = xs[v]
+        if t is not None:
+            t -= offset * factor
         if param in values:
             if values[param] != t:
                 return False
@@ -470,28 +464,32 @@ def _positive_int(name: str, value) -> None:
 
 def sample_cell(
     cell: SolutionCell, count: int, seed: int = 0, box: int = 10
-) -> list[tuple[Scalar, ...]]:
+) -> list[tuple[int | Scalar, ...]]:
     """Deterministic members of the cell; the first is the all--inf point.
 
     Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
     Each point first puts every parameter at -inf with probability 0.3,
     then closes that set under the cell's rows (remove_and_enlarge): a row
-    with its minus side at -inf forces its plus side there too.
+    with its minus side at -inf forces its plus side there too.  A
+    coordinate is an int when it is integral, a Fraction otherwise, and
+    NEG_INF for -inf.
     """
     _positive_int("count", count)
     _positive_int("box", box)
     rng = Random(seed)
     params = cell.parameters()
-    out: list[tuple[Scalar, ...]] = [tuple(NEG_INF for _ in range(cell.num_vars))]
+    scale = cell.scale
+    out: list[tuple[int | Scalar, ...]] = [(NEG_INF,) * cell.num_vars]
     while len(out) < count:
         drawn = [p for p in params if rng.random() < 0.3]
         dead = remove_and_enlarge(cell.rows, drawn)[1]
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box) if alive else {}
-        point: list[Scalar] = [NEG_INF] * cell.num_vars
+        point: list[int | Scalar] = [NEG_INF] * cell.num_vars
         for v, param, offset in cell.assigned:
             if param in dead:
                 continue
-            point[v] = Fraction(vals[param] + offset, cell.scale)
+            t = vals[param] + offset
+            point[v] = t // scale if t % scale == 0 else Fraction(t, scale)
         out.append(tuple(point))
     return out[:count]

@@ -8,9 +8,9 @@ which rounding would corrupt.  All values are immutable and every operation
 is pure.
 
 A Matrix keeps its entries as ints over one unit, None for -inf, and the
-solver, the bridges and the oracle compute on those ints.  _to_ints turns
-a sequence of rationals into ints over a unit for most callers;
-cells.cell_membership scales its vector by hand (its docstring says why).
+solver, the bridges and the oracle compute on those ints.  _to_ints is
+the one reader of a vector: it turns a sequence of rationals into ints over
+a unit, and reads a vector of ints and -inf in one pass without a ratio.
 
 Number tokens are read by _entry: a plain ASCII integer literal (an
 optional sign, then at most MAX_TOKEN_DIGITS decimal digits) becomes an int
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 
@@ -243,26 +244,38 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
 
-def _ratios(values: Sequence) -> list[tuple[int, int] | None]:
-    """The values as (numerator, denominator), None for -inf, each read by _entry."""
-    out: list[tuple[int, int] | None] = []
-    for v in values:
-        if v.__class__ is not Fraction and v is not NEG_INF and v.__class__ is not int:
-            v = _entry(v)
-        out.append(None if v is NEG_INF else v.as_integer_ratio())
-    return out
-
-
 def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
     """The values as ints over one unit, None for -inf, and that unit.
 
-    The unit is the lcm of unit and the values' reduced denominators.  Each
-    value is read by _entry (a float or bool raises TypeError, a bad token
-    ValueError), so an int builds no Fraction.
+    The unit is the lcm of unit and the values' reduced denominators.  Ints
+    and -inf are read in one pass, times unit; from the first other value
+    on, each value is read by _entry (a float or bool raises TypeError, a
+    bad token ValueError) as a (numerator, denominator) pair, and the ints
+    read so far are rescaled to the final unit.  So a vector of ints builds
+    no Fraction and no pair.
     """
-    ratios = _ratios(values)
-    unit = math.lcm(unit, *{r[1] for r in ratios if r is not None})
-    return [None if r is None else r[0] * (unit // r[1]) for r in ratios], unit
+    out: list[int | None] = []
+    rest = iter(values)
+    for v in rest:
+        if v.__class__ is int:
+            out.append(v * unit)
+        elif v is NEG_INF:
+            out.append(None)
+        else:
+            break
+    else:
+        return out, unit
+    ratios = []
+    for v in chain((v,), rest):
+        if v.__class__ is not Fraction and v is not NEG_INF and v.__class__ is not int:
+            v = _entry(v)
+        ratios.append(None if v is NEG_INF else v.as_integer_ratio())
+    lcm = math.lcm(unit, *{r[1] for r in ratios if r is not None})
+    if lcm != unit:
+        f = lcm // unit
+        out = [None if v is None else v * f for v in out]
+    out.extend(None if r is None else r[0] * (lcm // r[1]) for r in ratios)
+    return out, lcm
 
 
 def row_maxima(matrices: Sequence[Matrix], x: Sequence) -> tuple[list[int | None], int]:

@@ -7,6 +7,14 @@ verify_solution.  Candidates are drawn from the grid values plus -inf in
 every coordinate, so solution faces reaching -inf are exercised.
 Enumeration runs on ints in one unit, which is exact.
 
+Points hold an integral coordinate as an int, any other as a Fraction,
+and -inf as NEG_INF: grid_solutions hands back an integral grid value as
+its numerator, and sample_cell does the same for its draws.  So on an
+integer grid and integer data cross_validate stays on ints from the grid
+to the verdicts: core._to_ints reads such a point in one pass, without a
+ratio, for cell_membership and verify_solution alike, the verdict cache
+is keyed on int tuples, and no Fraction is built.
+
 grid_solutions splits the n columns into leading ones and a trailing block
 of the last r, where r is the largest r <= n with k**r <= 4096 candidates
 (k grid points, -inf included).  The block is decided bit-parallel, on
@@ -50,9 +58,10 @@ cross_validate tests each grid solution first against the cell that
 covered the previous covered one, then against the other cells in their
 order.  Solutions come in lexicographic order, so the next one usually lies
 in the same cell; coverage is a yes/no answer over all cells, so the
-misses are the same, in the same order, as for a scan of every cell.  Each
-distinct sampled point is verified once per call: the first sample of
-every cell is the all -inf point, and draws repeat.
+misses are the same, in the same order, as for a scan of every cell.  The
+trivial point, which counts as covered, is found by comparison with one
+all -inf tuple.  Each distinct sampled point is verified once per call:
+the first sample of every cell is the all -inf point, and draws repeat.
 """
 
 from __future__ import annotations
@@ -174,16 +183,19 @@ def _sweep(
 
 def grid_solutions(
     a: Matrix, b: Matrix, grid: GridSpec, cap: int = 10**6
-) -> list[tuple[Scalar, ...]]:
+) -> list[tuple[int | Scalar, ...]]:
     """All grid vectors solving the system, in lexicographic order.
 
-    Rejects (rather than truncates) when the candidate count exceeds the
-    cap: a silently partial oracle would invalidate completeness claims.
+    A coordinate is the grid value as an int when it is integral, as a
+    Fraction otherwise, and NEG_INF for -inf.  Rejects (rather than
+    truncates) when the candidate count exceeds the cap: a silently partial
+    oracle would invalidate completeness claims.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("matrix shapes differ")
     n = a.cols
-    points = grid.points()
+    # what the output holds: -inf, then each grid value, an integral one as an int
+    points = (NEG_INF,) + tuple(v.numerator if v.denominator == 1 else v for v in grid.values)
     k = len(points)
     size = k**n
     if size > cap:
@@ -238,13 +250,15 @@ def grid_solutions(
         _sweep(ra[lead:], rb[lead:], cylinders, scaled_points, hs)
         for ra, rb, hs in zip(am, bm, heights)
     ]
-    tails: dict[int, tuple[Scalar, ...]] = {}
+    tails: dict[int, tuple[int | Scalar, ...]] = {}
 
-    out: list[tuple[Scalar, ...]] = []
+    out: list[tuple[int | Scalar, ...]] = []
     start = (floor,) * a.rows
     # depth-first over the leading columns; children are pushed in reverse
     # so that they pop in ascending order and the output stays lexicographic
-    stack: list[tuple[tuple[Scalar, ...], Sequence[int], Sequence[int]]] = [((), start, start)]
+    stack: list[tuple[tuple[int | Scalar, ...], Sequence[int], Sequence[int]]] = [
+        ((), start, start)
+    ]
     while stack:
         prefix, left, right = stack.pop()
         d = len(prefix)
@@ -296,8 +310,8 @@ def grid_solutions(
 class CrossValidationReport:
     """Two-sided comparison of the oracle and a computed solution set."""
 
-    missed: tuple[tuple[Scalar, ...], ...]
-    invalid: tuple[tuple[int, tuple[Scalar, ...]], ...]
+    missed: tuple[tuple[int | Scalar, ...], ...]
+    invalid: tuple[tuple[int, tuple[int | Scalar, ...]], ...]
     oracle_count: int
     sample_count: int
 
@@ -333,9 +347,10 @@ def cross_validate(
     sols = grid_solutions(a, b, grid, cap=cap)
     cells = solution_set.cells
     missed = []
+    trivial = (NEG_INF,) * a.cols
     hit = None  # the cell that covered the last covered point
     for x in sols:
-        if all(v is NEG_INF for v in x):
+        if x == trivial:
             continue
         if hit is not None and cell_membership(hit, x):
             continue
@@ -347,7 +362,7 @@ def cross_validate(
             missed.append(x)
     invalid = []
     total = 0
-    verdicts: dict[tuple[Scalar, ...], bool] = {}  # each distinct point is verified once
+    verdicts: dict[tuple[int | Scalar, ...], bool] = {}  # each distinct point is verified once
     for idx, cell in enumerate(solution_set.cells):
         for point in sample_cell(cell, samples_per_cell, seed=seed + idx, box=box):
             total += 1

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ref_oplus, ref_scaled_rows, ref_unit
-from tropsolve import NEG_INF, Matrix, matvec_maxplus, solve
+from conftest import make_cell, ref_oplus, ref_scaled_rows, ref_unit
+from test_oracle_reference import _outcome
+from tropsolve import NEG_INF, Matrix, cell_membership, matvec_maxplus, solve, verify_solution
 from tropsolve.core import (
     MAX_TOKEN_DIGITS,
     DimensionMismatch,
     TokenTooLarge,
+    _to_ints,
     as_scalar,
 )
 from tropsolve.preprocess import maximum_matrix
@@ -270,3 +272,55 @@ def test_an_int_matrix_solves_without_building_a_fraction(running_example, fract
 def _int_rows(matrix):
     """An integral matrix as rows of ints and '-inf' tokens."""
     return [["-inf" if v is NEG_INF else int(v) for v in row] for row in matrix.to_rows()]
+
+
+# Bad entries as as_scalar rejects them: bools, a float, None, bad tokens
+# and an oversized token.
+_BAD_ENTRIES = (True, False, 0.5, None, "x", "1/0", "1" * (MAX_TOKEN_DIGITS + 1), "1e999")
+_TOKENS = ("3", "-7/2", "0.25", "-inf", " 4 ", "+5", "1e2", "-oo", "12/8", "-0")
+
+
+def _any_entry(rng):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return rng.randint(-9, 9)
+    if pick == 1:
+        return NEG_INF
+    if pick == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.choice(_TOKENS)
+
+
+def test_to_ints_reads_every_vector_as_as_scalar_does():
+    """_to_ints against as_scalar, entry by entry: the same ints and unit, or the same error."""
+    rng = random.Random(2800)
+    valid = invalid = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        lead = rng.randint(0, n)
+        xs = [rng.choice([rng.randint(-9, 9), NEG_INF]) for _ in range(lead)]
+        xs += [_any_entry(rng) for _ in range(n - lead)]
+        if lead < n and rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                xs[rng.randrange(lead, n)] = rng.choice(_BAD_ENTRIES)
+        unit = rng.choice([1, 1, 2, 6])
+        outcomes = [_outcome(as_scalar, v) for v in xs]
+        first_bad = next((o for o in outcomes if isinstance(o, tuple)), None)
+        if first_bad is None:
+            valid += 1
+            ref = ref_unit(outcomes + [Fraction(1, unit)])
+            ints = [None if s is NEG_INF else s.numerator * (ref // s.denominator) for s in outcomes]
+            got = _to_ints(xs, unit)
+            assert got == (ints, ref), xs
+            assert all(type(v) is int for v in got[0] if v is not None)
+            continue
+        invalid += 1
+        assert _outcome(_to_ints, xs, unit) == first_bad, xs
+        # every entry is read before any shape is compared
+        wider = Matrix([[0] * (n + 1)])
+        assert _outcome(Matrix, [xs, [0] * (n + 1)]) == first_bad, xs
+        cell = make_cell(n + 1, [(v, v, 0) for v in range(1, n + 2)], [])
+        assert _outcome(cell_membership, cell, xs) == first_bad, xs
+        assert _outcome(verify_solution, wider, wider, xs) == first_bad, xs
+        assert _outcome(verify_solution, wider, Matrix([[0] * n]), xs)[0] is DimensionMismatch
+    assert valid >= 1000 and invalid >= 1000, (valid, invalid)

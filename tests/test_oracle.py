@@ -5,18 +5,27 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import planted_rows, random_rows
+import tropsolve.cells as cells_mod
+from conftest import make_cell, planted_rows, random_rows
 from tropsolve import (
     NEG_INF,
     GridSpec,
     Matrix,
     cross_validate,
     grid_solutions,
+    sample_cell,
     solve,
 )
 from tropsolve.cells import SolutionSet
-from tropsolve.core import DimensionMismatch
+from tropsolve.core import DimensionMismatch, NegInfinity
 from tropsolve.oracle import GridTooLarge
+from tropsolve.reductions import (
+    AffineInstance,
+    hetero_to_homo,
+    homogenize_affine,
+    solve_affine,
+    solve_hetero,
+)
 
 NI = "-inf"
 
@@ -245,3 +254,77 @@ def test_grid_solutions_memory_stays_bounded(two_by_seven_example):
         tracemalloc.stop()
     assert len(sols) == 2607
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def _int_rows(rng, m, n):
+    return [
+        [NEG_INF if rng.random() < 0.3 else rng.randint(-3, 3) for _ in range(n)] for _ in range(m)
+    ]
+
+
+def test_cross_validate_builds_no_fraction_on_integer_data(monkeypatch, fraction_builds):
+    """Integer pairs on an integer grid stay on ints from the grid to the verdicts.
+
+    eq pairs are checked directly, hetero and affine ones through their
+    bridges, as the command line checks them.  box is small, so that the
+    sampler often needs its shortest-path fallback (the only caller of
+    cells.close).
+    """
+    fallbacks = []
+    close = cells_mod.close
+    monkeypatch.setattr(cells_mod, "close", lambda *args: fallbacks.append(args) or close(*args))
+    rng = random.Random(6400)
+    grid = GridSpec.of(range(-2, 3))
+    solutions = samples = 0
+    for trial in range(150):
+        mode = ("eq", "hetero", "affine")[trial % 3]
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        if mode == "eq":
+            pair = Matrix(_int_rows(rng, m, n), cols=n), Matrix(_int_rows(rng, m, n), cols=n)
+            result = solve(*pair)
+        elif mode == "hetero":
+            c = Matrix(_int_rows(rng, m, n), cols=n)
+            d = Matrix(_int_rows(rng, m, rng.randint(1, 2)))
+            pair, result = hetero_to_homo(c, d), solve_hetero(c, d)
+        else:
+            vec_a, vec_b = _int_rows(rng, 2, m)
+            inst = AffineInstance(
+                Matrix(_int_rows(rng, m, n), cols=n), Matrix(_int_rows(rng, m, n), cols=n),
+                tuple(vec_a), tuple(vec_b),
+            )
+            pair, result = homogenize_affine(inst), solve_affine(inst).base
+        fraction_builds.clear()
+        report = cross_validate(*pair, grid, result, samples_per_cell=10, seed=trial, box=1)
+        assert fraction_builds == [], (mode, pair)
+        assert report.ok, (mode, pair, report)
+        solutions += report.oracle_count
+        samples += report.sample_count
+    assert solutions >= 3000 and samples >= 1000 and len(fallbacks) >= 50, (
+        solutions, samples, len(fallbacks)
+    )
+
+
+def _kinds(points):
+    """The coordinate types of the points; ints and Fractions are checked against their value."""
+    kinds = set()
+    for x in points:
+        for v in x:
+            kinds.add(type(v))
+            assert type(v) in (int, Fraction, NegInfinity), v
+            assert type(v) is not NegInfinity or v is NEG_INF
+            assert type(v) is not Fraction or v.denominator > 1, v
+    return kinds
+
+
+def test_oracle_points_are_ints_when_integral():
+    grid = GridSpec.of(["-1", "-1/2", 0, "1/2", 1])
+    a = Matrix([[0, "1/2", NI], [1, NI, 0]])
+    b = Matrix([[NI, 0, "1/2"], [1, 0, NI]])
+    assert _kinds(grid_solutions(a, a, grid)) == {int, Fraction, NegInfinity}
+    assert _kinds(grid_solutions(a, b, grid)) == {int, Fraction, NegInfinity}
+    # x1 = t1 is integral, x2 = t1 + 1/2 and x3 = t3 + 2/3 are not
+    cell = make_cell(3, [(1, 1, 0), (2, 1, "1/2"), (3, 3, "2/3")], [(3, 1, "1/3")])
+    assert cell.scale == 6
+    points = sample_cell(cell, 40, seed=3)
+    assert _kinds(points) == {int, Fraction, NegInfinity}
+    assert any(type(x[0]) is int and type(x[1]) is Fraction for x in points)
