@@ -18,12 +18,9 @@ Every step only adds, subtracts and compares constants, so the cell stage
 runs on Python ints: build_systems reads the maximum matrix scaled by one
 common denominator per solve, every constant and offset is an int in units
 of 1/scale, and the cells that cells.solve keeps store their rows as ints
-too, each cell in its own lowest unit; a Constraint with a Fraction constant
-is only a view that a cell derives from one of its rows.  So the cell stage
-is int-only, and Row still types its constant int | Fraction only for the
-public solve_equations, substitute and sub_specialize (with eq and leq):
-they take and return Fraction constants as well, and the tests pass them
-such rows.
+too, each cell in its own lowest unit.  The public eq and leq read their
+constants with core.as_scalar (a float, a bool or -inf raises), and
+build_systems orients its own int rows without the reader.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import TropicalError
+from .core import NEG_INF, TropicalError, as_scalar
 from .preprocess import columns
 from .winseq import RowClassification, WinSequence
 
@@ -45,7 +42,7 @@ class Constraint:
     """Validated inequality x_plus - x_minus + constant <= 0.
 
     The type of SolutionCell.constraints, the view a cell derives from its
-    int rows: plus != minus, and the constant is the Fraction value.
+    int rows: plus != minus, and the constant is a public number (core.unscaled).
     """
 
     plus: int
@@ -57,22 +54,29 @@ class Constraint:
             raise TropicalError("constraint endpoints must differ")
 
 
-def _exact(constant) -> int | Fraction:
-    """ints and Fractions as they are, anything else through Fraction."""
-    return constant if type(constant) in (int, Fraction) else Fraction(constant)
+def _constant(value) -> int | Fraction:
+    """A row constant as core.as_scalar reads it; -inf raises ValueError."""
+    c = as_scalar(value)
+    if c is NEG_INF:
+        raise ValueError("a row constant must be finite, not -inf")
+    return c
 
 
-def eq(plus: int, minus: int, constant) -> Row:
+def _oriented(plus: int, minus: int, c) -> Row:
     """Equation row in canonical orientation: the smaller index carries +1."""
-    c = _exact(constant)
     if plus > minus:
         return minus, plus, -c
     return plus, minus, c
 
 
+def eq(plus: int, minus: int, constant) -> Row:
+    """Equation row x_plus - x_minus + constant = 0, in canonical orientation."""
+    return _oriented(plus, minus, _constant(constant))
+
+
 def leq(plus: int, minus: int, constant) -> Row:
     """Inequality row x_plus - x_minus + constant <= 0."""
-    return plus, minus, _exact(constant)
+    return plus, minus, _constant(constant)
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ def build_systems(
         cls = classifications[h]
         base = row[i1]
         if i1 != i2:
-            eqs.append(eq(i2, i1, row[i2] - base))
+            eqs.append(_oriented(i2, i1, row[i2] - base))
         support = (cls.a_wins | cls.b_wins | cls.ties) & ~(1 << i1 | 1 << i2)
         for j in columns(support):
             ineqs.append((j, i1, row[j] - base))

@@ -22,7 +22,8 @@ with nothing frozen; keys are deduplicated and sorted, and only then is
 a SolutionCell built per kept key: its ints are divided by their gcd with
 the solve's scale, so that every cell holds its numbers in its own lowest
 unit and equal cells are equal whatever solve built them.  The cell's
-Fractions and Constraints are views derived from those ints on first use.
+assignments and Constraints are views derived from those ints on first
+use, their numbers written by core.unscaled.
 Within one scenario, each row's part of the system is built once per pair
 and shared by the sequences that pick it.
 
@@ -47,7 +48,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from random import Random
 from typing import Mapping, Sequence
 
@@ -62,12 +62,12 @@ from .bivariate import (
     build_systems,
 )
 from .core import (
-    NEG_INF,
     DimensionMismatch,
     Matrix,
     Scalar,
     _to_ints,
     row_maxima,
+    unscaled,
 )
 from .preprocess import ReducedInstance, columns, reduce_instance, row_masks
 from .winseq import (
@@ -88,9 +88,9 @@ class SolutionCell:
     The numbers are ints in units of 1/scale, where scale is the lcm of the
     cell's own denominators: assigned lists (v, param, offset) sorted by v,
     rows lists (plus, minus, constant) in canonical order.  assignments and
-    constraints are the same numbers as Fractions and Constraints, built on
-    first use and cached outside the fields, so eq, hash and repr do not
-    see them.
+    constraints are the same numbers as public numbers (core.unscaled) and
+    Constraints, built on first use and cached outside the fields, so eq,
+    hash and repr do not see them.
     """
 
     win_sequence: WinSequence
@@ -105,12 +105,12 @@ class SolutionCell:
         return tuple(sorted({p for _, p, _ in self.assigned}))
 
     @cached_property
-    def assignments(self) -> Mapping[int, tuple[int, Fraction]]:
-        return {v: (p, Fraction(o, self.scale)) for v, p, o in self.assigned}
+    def assignments(self) -> Mapping[int, tuple[int, Scalar]]:
+        return {v: (p, unscaled(o, self.scale)) for v, p, o in self.assigned}
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(Constraint(p, m, Fraction(c, self.scale)) for p, m, c in self.rows)
+        return tuple(Constraint(p, m, unscaled(c, self.scale)) for p, m, c in self.rows)
 
 
 @dataclass(frozen=True)
@@ -462,34 +462,39 @@ def _positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
-def sample_cell(
-    cell: SolutionCell, count: int, seed: int = 0, box: int = 10
-) -> list[tuple[int | Scalar, ...]]:
-    """Deterministic members of the cell; the first is the all--inf point.
-
-    Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
-    Each point first puts every parameter at -inf with probability 0.3,
-    then closes that set under the cell's rows (remove_and_enlarge): a row
-    with its minus side at -inf forces its plus side there too.  A
-    coordinate is an int when it is integral, a Fraction otherwise, and
-    NEG_INF for -inf.
-    """
-    _positive_int("count", count)
-    _positive_int("box", box)
+def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[list[int | None]]:
+    """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked)."""
     rng = Random(seed)
     params = cell.parameters()
-    scale = cell.scale
-    out: list[tuple[int | Scalar, ...]] = [(NEG_INF,) * cell.num_vars]
+    out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
         drawn = [p for p in params if rng.random() < 0.3]
         dead = remove_and_enlarge(cell.rows, drawn)[1]
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box) if alive else {}
-        point: list[int | Scalar] = [NEG_INF] * cell.num_vars
+        point: list[int | None] = [None] * cell.num_vars
         for v, param, offset in cell.assigned:
-            if param in dead:
-                continue
-            t = vals[param] + offset
-            point[v] = t // scale if t % scale == 0 else Fraction(t, scale)
-        out.append(tuple(point))
+            if param not in dead:
+                point[v] = vals[param] + offset
+        out.append(point)
     return out[:count]
+
+
+def sample_cell(
+    cell: SolutionCell, count: int, seed: int = 0, box: int = 10
+) -> list[tuple[Scalar, ...]]:
+    """Deterministic members of the cell; the first is the all--inf point.
+
+    Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
+    Each point first puts every parameter at -inf with probability 0.3,
+    then closes that set under the cell's rows (remove_and_enlarge): a row
+    with its minus side at -inf forces its plus side there too.  The
+    coordinates are public numbers (core.unscaled).
+    """
+    _positive_int("count", count)
+    _positive_int("box", box)
+    scale = cell.scale
+    return [
+        tuple([unscaled(t, scale) for t in point])
+        for point in _sample_ints(cell, count, seed, box)
+    ]

@@ -1,20 +1,20 @@
 """Command-line front end.
 
 Reads an instance file (or stdin) and sends every problem mode down one
-path.  parse_instance reads every number token with core._entry, so an
-integer token stays an int, and Matrix reads an int without building a
+path.  parse_instance reads every number token with core.as_scalar, so an
+integer token becomes an int, and Matrix reads an int without building a
 Fraction.  _solve builds the mode's result (a SolutionSet for eq, leq and
 hetero; a PinnedSolutionSet for eqb and affine, whose base is the
 SolutionSet of the homogenized system) together with the two-sided pair
 A (x) x = B (x) x that the base result solves.  --dedupe thins a plain
 result; --check cross-validates the base result against that pair with the
 brute-force grid oracle (GridSpec.of parses its values); emit builds one
-document from the cells' ints (each distinct (int, scale) formatted once),
-plain and pinned cells alike, a pinned cell numbered as its vectors are
-(without the pinned variable): JSON serializes it and text lays out its
-entries line by line; --stats prints the base result's counters and
-timings.  All external indices are 1-based; rationals serialize as strings
-so no consumer ever parses a float.
+document from the cells' ints (each distinct (int, scale) written once,
+by core.unscaled), plain and pinned cells alike, a pinned cell numbered
+as its vectors are (without the pinned variable): JSON serializes it and
+text lays out its entries line by line; --stats prints the base result's
+counters and timings.  All external indices are 1-based; rationals
+serialize as strings so no consumer ever parses a float.
 
 The argument parser is built once, when the module is imported, so run
 can be called again and again in one process at no fixed cost per call
@@ -30,16 +30,15 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .cells import SolutionCell, SolutionSet, geometric_key, solve
 from .core import (
     Matrix,
-    NegInfinity,
     Scalar,
     TokenTooLarge,
     TropicalError,
-    _entry,
+    as_scalar,
+    unscaled,
 )
 from .oracle import GridSpec, GridTooLarge, cross_validate
 from .reductions import (
@@ -68,8 +67,8 @@ class InstanceFile:
     """A parsed instance file.
 
     matrices maps block names to Matrix; vectors maps block names to tuples
-    of the entries as read: an int for an integer token, a Fraction for any
-    other number, NEG_INF for -inf.
+    of the entries as core.as_scalar reads them: an int for an integral
+    value, a Fraction for any other number, NEG_INF for -inf.
     """
 
     problem: str
@@ -80,9 +79,9 @@ class InstanceFile:
     vectors: dict
 
 
-def _scalar_token(token: str, line: int) -> int | Fraction | NegInfinity:
+def _scalar_token(token: str, line: int) -> Scalar:
     try:
-        return _entry(token)
+        return as_scalar(token)
     except TokenTooLarge as exc:
         raise ParseError(line, str(exc))
     except (ValueError, TypeError):
@@ -154,7 +153,7 @@ def parse_instance(text: str) -> InstanceFile:
             grid.append([_scalar_token(t, lineno) for t in tokens])
         return Matrix(grid, cols=cols)
 
-    def vector_block(name: str, length: int) -> tuple[int | Fraction | NegInfinity, ...]:
+    def vector_block(name: str, length: int) -> tuple[Scalar, ...]:
         if name not in blocks:
             raise ParseError(len(lines), f"missing block '{name}:'")
         data = blocks[name]
@@ -187,10 +186,6 @@ def parse_instance(text: str) -> InstanceFile:
     return InstanceFile(problem, m, n, s, matrices, vectors)
 
 
-def _scalar_text(v: Scalar) -> str:
-    return "-inf" if isinstance(v, NegInfinity) else str(v)
-
-
 def format_instance(inst: InstanceFile) -> str:
     """Serialize an instance back to the file grammar (parse round-trips)."""
     out = [f"problem: {inst.problem}", f"m: {inst.m}", f"n: {inst.n}"]
@@ -199,15 +194,15 @@ def format_instance(inst: InstanceFile) -> str:
     for name, matrix in inst.matrices.items():
         out.append(f"{name}:")
         for i in range(matrix.rows):
-            out.append(" ".join(_scalar_text(v) for v in matrix.row(i)))
+            out.append(" ".join(map(str, matrix.row(i))))
     for name, vector in inst.vectors.items():
         out.append(f"{name}:")
-        out.append(" ".join(_scalar_text(v) for v in vector))
+        out.append(" ".join(map(str, vector)))  # str(NEG_INF) is '-inf'
     return "\n".join(out) + "\n"
 
 
 def _scaled_text():
-    """A per-cell view of str(Fraction(value, scale)), memoized for one emit call.
+    """A per-cell view of str(unscaled(value, scale)), memoized for one emit call.
 
     Cells hold ints over a per-cell scale; the memo is keyed on
     (value, scale), so each distinct number of the output is formatted once.
@@ -219,7 +214,7 @@ def _scaled_text():
             key = (value, scale)
             out = memo.get(key)
             if out is None:
-                out = memo[key] = str(Fraction(value, scale))
+                out = memo[key] = str(unscaled(value, scale))
             return out
 
         return text

@@ -7,17 +7,18 @@ No floating point appears anywhere: the solver branches on exact equalities,
 which rounding would corrupt.  All values are immutable and every operation
 is pure.
 
-A Matrix keeps its entries as ints over one unit, None for -inf, and the
-solver, the bridges and the oracle compute on those ints.  _to_ints is
-the one reader of a vector: it turns a sequence of rationals into ints over
-a unit, and reads a vector of ints and -inf in one pass without a ratio.
+The number format is decided here, once.  A public number is an int when
+it is integral, a Fraction otherwise, and NEG_INF for -inf.  as_scalar is
+the one reader of a value that comes in (a float, a bool or any other type
+raises TypeError, a bad token ValueError), and unscaled the one writer of
+a value that goes out, from an int over a unit (None for -inf).  No other
+module builds a Fraction: as_scalar reads a plain ASCII integer token as an
+int at once, so an integer instance is parsed without building one.
 
-Number tokens are read by _entry: a plain ASCII integer literal (an
-optional sign, then at most MAX_TOKEN_DIGITS decimal digits) becomes an int
-at once, and every other token is size-checked and read by Fraction, so an
-integer instance is parsed without building a Fraction.  Either way a token
-has the same value and raises the same error; as_scalar still returns a
-Fraction for every finite value.
+A Matrix keeps its entries as ints over one unit, None for -inf, and the
+solver, the bridges and the oracle compute on those ints.  _to_ints is the
+one reader of a vector: it reads a sequence of numbers as ints over a
+unit, and a vector of ints and -inf in one pass without a ratio.
 """
 
 from __future__ import annotations
@@ -58,11 +59,8 @@ class NegInfinity:
     def __repr__(self) -> str:
         return "-inf"
 
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(("tropsolve", "-inf"))
+    def __reduce__(self):  # every pickle protocol unpickles to the one instance
+        return NegInfinity, ()
 
     def __lt__(self, other):
         if _comparable(other):
@@ -91,7 +89,7 @@ def _comparable(value: object) -> bool:
 
 NEG_INF = NegInfinity()
 
-Scalar = Union[Fraction, NegInfinity]
+Scalar = Union[int, Fraction, NegInfinity]
 
 
 # A number token may carry at most this many digits, and a decimal
@@ -116,10 +114,12 @@ def _check_token_size(text: str) -> None:
         )
 
 
-def _entry(value) -> int | Fraction | NegInfinity:
-    """value as an int (from an int or an integer token), a Fraction or -inf.
+def as_scalar(value) -> Scalar:
+    """value as a public number: an int when integral, a Fraction otherwise, or -inf.
 
-    as_scalar's checks live here.
+    Reads ints, Fractions and number strings ('3', '-7/2', '0.25', '-inf').
+    Floats are rejected: they are not exact.  So are bools, other types,
+    and number strings beyond MAX_TOKEN_DIGITS, before any Fraction is built.
     """
     # the exact types first: a failed isinstance against Fraction (an ABC) is slow
     if value.__class__ is int or value is NEG_INF:
@@ -134,31 +134,25 @@ def _entry(value) -> int | Fraction | NegInfinity:
             return int(text)
         _check_token_size(text)
         try:
-            return Fraction(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a tropical scalar token: {value!r}") from exc
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         raise TypeError("bool is not a tropical scalar")
-    if isinstance(value, (int, Fraction)):
+    elif isinstance(value, int):
         return value
-    if isinstance(value, float):
+    elif isinstance(value, float):
         raise TypeError("floats are not exact; pass a string or Fraction")
-    raise TypeError(f"cannot coerce {type(value).__name__} to a tropical scalar")
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot coerce {type(value).__name__} to a tropical scalar")
+    return value.numerator if value.denominator == 1 else value
 
 
-def as_scalar(value) -> Scalar:
-    """Coerce ints, Fractions and strings ('3', '-7/2', '0.25', '-inf').
-
-    Floats are rejected: they are not exact.  So are number strings beyond
-    MAX_TOKEN_DIGITS, before any Fraction is built.
-    """
-    v = _entry(value)
-    return Fraction(v) if isinstance(v, int) else v
-
-
-def scaled(value, scale: int) -> int | None:
-    """value * scale as an int (None for -inf); scale is a multiple of value's denominator."""
-    return _to_ints((value,), scale)[0][0]
+def unscaled(t: int | None, unit: int) -> Scalar:
+    """t / unit as a public number: an int when integral, a Fraction otherwise, -inf for None."""
+    if t is None:
+        return NEG_INF
+    return Fraction(t, unit) if t % unit else t // unit
 
 
 class Matrix:
@@ -166,7 +160,8 @@ class Matrix:
 
     ints[i][j] is the entry times unit (None for -inf), where unit is the
     lcm of the entries' reduced denominators, so equal matrices have equal
-    (cols, unit, ints).  Indexing, row and to_rows give Fractions and -inf.
+    (cols, unit, ints).  Indexing, row and to_rows give the entries as
+    public numbers (see unscaled).
 
     Zero-row matrices are permitted (they arise from block constructions with
     no constraints) but must state their column count explicitly.
@@ -218,18 +213,15 @@ class Matrix:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Matrix is immutable")
 
-    def _scalar(self, v: int | None) -> Scalar:
-        return NEG_INF if v is None else Fraction(v, self.unit)
-
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self._scalar(self.ints[i][j])
+        return unscaled(self.ints[i][j], self.unit)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(map(self._scalar, self.ints[i]))
+        return tuple([unscaled(v, self.unit) for v in self.ints[i]])
 
     def to_rows(self) -> list[list[Scalar]]:
-        return [list(map(self._scalar, row)) for row in self.ints]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -249,7 +241,7 @@ def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
 
     The unit is the lcm of unit and the values' reduced denominators.  Ints
     and -inf are read in one pass, times unit; from the first other value
-    on, each value is read by _entry (a float or bool raises TypeError, a
+    on, each value is read by as_scalar (a float or bool raises TypeError, a
     bad token ValueError) as a (numerator, denominator) pair, and the ints
     read so far are rescaled to the final unit.  So a vector of ints builds
     no Fraction and no pair.
@@ -268,7 +260,7 @@ def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
     ratios = []
     for v in chain((v,), rest):
         if v.__class__ is not Fraction and v is not NEG_INF and v.__class__ is not int:
-            v = _entry(v)
+            v = as_scalar(v)
         ratios.append(None if v is NEG_INF else v.as_integer_ratio())
     lcm = math.lcm(unit, *{r[1] for r in ratios if r is not None})
     if lcm != unit:
@@ -308,4 +300,4 @@ def row_maxima(matrices: Sequence[Matrix], x: Sequence) -> tuple[list[int | None
 def matvec_maxplus(a: Matrix, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Max-plus product A (x) x: component i is max_j (a_ij + x_j)."""
     maxima, scale = row_maxima((a,), x)
-    return tuple(NEG_INF if t is None else Fraction(t, scale) for t in maxima)
+    return tuple([unscaled(t, scale) for t in maxima])

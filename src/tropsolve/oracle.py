@@ -7,11 +7,12 @@ verify_solution.  Candidates are drawn from the grid values plus -inf in
 every coordinate, so solution faces reaching -inf are exercised.
 Enumeration runs on ints in one unit, which is exact.
 
-Points hold an integral coordinate as an int, any other as a Fraction,
-and -inf as NEG_INF: grid_solutions hands back an integral grid value as
-its numerator, and sample_cell does the same for its draws.  So on an
-integer grid and integer data cross_validate stays on ints from the grid
-to the verdicts: core._to_ints reads such a point in one pass, without a
+Points hold public numbers (see core): an integral coordinate as an int,
+any other as a Fraction, and -inf as NEG_INF.  grid_solutions gives the
+grid values as GridSpec keeps them, read by core.as_scalar, and
+sample_cell writes its draws with core.unscaled.  So on an integer grid
+and integer data cross_validate stays on ints from the grid to the
+verdicts: core._to_ints reads such a point in one pass, without a
 ratio, for cell_membership and verify_solution alike, the verdict cache
 is keyed on int tuples, and no Fraction is built.
 
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cells import SolutionSet, _positive_int, cell_membership, sample_cell, verify_solution
@@ -78,7 +78,6 @@ from .core import (
     Matrix,
     Scalar,
     TropicalError,
-    _entry,
     _to_ints,
     as_scalar,
 )
@@ -90,21 +89,27 @@ class GridTooLarge(TropicalError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite, strictly ascending list of rational grid values: ints or Fractions."""
+    """Finite, strictly ascending list of rational grid values.
 
-    values: tuple[Fraction, ...]
+    The values are kept as core.as_scalar reads them: an int when integral,
+    a Fraction otherwise.
+    """
+
+    values: tuple[Scalar, ...]
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("grid needs at least one value")
+        values = []
         for v in self.values:
             if v is NEG_INF:
                 raise ValueError("grid values must be finite: -inf is a grid point already")
             if isinstance(v, str):
                 raise TypeError("grid values are numbers, not str; GridSpec.of parses tokens")
-            as_scalar(v)  # TypeError for a float, a bool or any other type
-        if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
+            values.append(as_scalar(v))  # TypeError for a float, a bool or any other type
+        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
             raise ValueError("grid values must be strictly ascending")
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def of(cls, values: Sequence) -> "GridSpec":
@@ -112,14 +117,11 @@ class GridSpec:
 
         Each value is read as as_scalar reads it: a float or bool raises
         TypeError, a bad token ValueError, and so does -inf, which the grid
-        adds by itself.  An integer token reads as an int; equal values
-        collapse into one, however they are spelled, and each distinct value
-        becomes one Fraction.
+        adds by itself.  Equal values collapse into one, however they are
+        spelled.
         """
-        points = sorted(map(_entry, values))  # -inf sorts first: __post_init__ rejects it
-        return cls(tuple(
-            as_scalar(v) for i, v in enumerate(points) if i == 0 or v != points[i - 1]
-        ))
+        points = sorted(map(as_scalar, values))  # -inf sorts first: __post_init__ rejects it
+        return cls(tuple(v for i, v in enumerate(points) if i == 0 or v != points[i - 1]))
 
     def points(self) -> tuple[Scalar, ...]:
         """-inf, then the values."""
@@ -183,19 +185,17 @@ def _sweep(
 
 def grid_solutions(
     a: Matrix, b: Matrix, grid: GridSpec, cap: int = 10**6
-) -> list[tuple[int | Scalar, ...]]:
+) -> list[tuple[Scalar, ...]]:
     """All grid vectors solving the system, in lexicographic order.
 
-    A coordinate is the grid value as an int when it is integral, as a
-    Fraction otherwise, and NEG_INF for -inf.  Rejects (rather than
-    truncates) when the candidate count exceeds the cap: a silently partial
-    oracle would invalidate completeness claims.
+    The coordinates are the grid's values and NEG_INF.  Rejects (rather
+    than truncates) when the candidate count exceeds the cap: a silently
+    partial oracle would invalidate completeness claims.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("matrix shapes differ")
     n = a.cols
-    # what the output holds: -inf, then each grid value, an integral one as an int
-    points = (NEG_INF,) + tuple(v.numerator if v.denominator == 1 else v for v in grid.values)
+    points = grid.points()  # what the output holds: -inf, then the values as read
     k = len(points)
     size = k**n
     if size > cap:
@@ -250,13 +250,13 @@ def grid_solutions(
         _sweep(ra[lead:], rb[lead:], cylinders, scaled_points, hs)
         for ra, rb, hs in zip(am, bm, heights)
     ]
-    tails: dict[int, tuple[int | Scalar, ...]] = {}
+    tails: dict[int, tuple[Scalar, ...]] = {}
 
-    out: list[tuple[int | Scalar, ...]] = []
+    out: list[tuple[Scalar, ...]] = []
     start = (floor,) * a.rows
     # depth-first over the leading columns; children are pushed in reverse
     # so that they pop in ascending order and the output stays lexicographic
-    stack: list[tuple[tuple[int | Scalar, ...], Sequence[int], Sequence[int]]] = [
+    stack: list[tuple[tuple[Scalar, ...], Sequence[int], Sequence[int]]] = [
         ((), start, start)
     ]
     while stack:
@@ -310,8 +310,8 @@ def grid_solutions(
 class CrossValidationReport:
     """Two-sided comparison of the oracle and a computed solution set."""
 
-    missed: tuple[tuple[int | Scalar, ...], ...]
-    invalid: tuple[tuple[int, tuple[int | Scalar, ...]], ...]
+    missed: tuple[tuple[Scalar, ...], ...]
+    invalid: tuple[tuple[int, tuple[Scalar, ...]], ...]
     oracle_count: int
     sample_count: int
 
@@ -362,7 +362,7 @@ def cross_validate(
             missed.append(x)
     invalid = []
     total = 0
-    verdicts: dict[tuple[int | Scalar, ...], bool] = {}  # each distinct point is verified once
+    verdicts: dict[tuple[Scalar, ...], bool] = {}  # each distinct point is verified once
     for idx, cell in enumerate(solution_set.cells):
         for point in sample_cell(cell, samples_per_cell, seed=seed + idx, box=box):
             total += 1

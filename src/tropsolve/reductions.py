@@ -5,22 +5,21 @@ side; systems with separate unknown blocks concatenate into a single block;
 affine systems gain a homogenizing variable that is pinned to zero in every
 cell afterwards, on the cell's ints.  Residuation (the principal solution
 of A (x) x <= b for a real A) is computed directly in closed form,
-x#_j = min_i (b_i - a_ij).
+x#_j = min_i (b_i - a_ij).  Numbers come in through core.as_scalar (or
+core._to_ints for a vector) and go out through core.unscaled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .cells import (
     SolutionCell,
     SolutionSet,
     _positive_int,
+    _sample_ints,
     cell_membership,
-    sample_cell,
     solve,
 )
 from .bivariate import Row
@@ -29,15 +28,13 @@ from .core import (
     NEG_INF,
     DimensionMismatch,
     Matrix,
-    NegInfinity,
     Scalar,
     UndefinedOperation,
-    _entry,
     _to_ints,
     as_scalar,
     matvec_maxplus,
     row_maxima,
-    scaled,
+    unscaled,
 )
 
 
@@ -117,7 +114,7 @@ class PinnedCell:
 
     base: SolutionCell
     pinned_var: int
-    pinned_value: Fraction
+    pinned_value: Scalar
     num_vars: int
     neg_inf: frozenset[int]
     scale: int
@@ -144,25 +141,27 @@ class PinnedCell:
 
         Base-cell samples where the pinned variable is finite are shifted so
         it hits the pinned value exactly (cells are stable under adding one
-        constant to all finite coordinates).  count and box are checked as
-        sample_cell checks them: ints (not bools) of at least 1.
+        constant to all finite coordinates), on ints over scale, and
+        written as public numbers (core.unscaled).  count and box are
+        checked as sample_cell checks them: ints (not bools) of at least 1.
         """
         _positive_int("count", count)
         _positive_int("box", box)
+        scale, var = self.scale, self.pinned_var
+        factor = scale // self.base.scale
+        (pin,), _ = _to_ints((self.pinned_value,), scale)
         out: list[tuple[Scalar, ...]] = []
         attempt = 0
         while len(out) < count and attempt < 200:
-            chunk = sample_cell(self.base, count + 2, seed + 7919 * attempt, box)
-            for point in chunk:
-                z = point[self.pinned_var]
-                if isinstance(z, NegInfinity):
+            for point in _sample_ints(self.base, count + 2, seed + 7919 * attempt, box):
+                z = point[var]
+                if z is None:
                     continue
-                delta = self.pinned_value - z
-                shifted = [
-                    v if isinstance(v, NegInfinity) else v + delta for v in point
-                ]
-                del shifted[self.pinned_var]
-                out.append(tuple(shifted))
+                delta = pin - z * factor
+                del point[var]
+                out.append(tuple([
+                    unscaled(None if t is None else t * factor + delta, scale) for t in point
+                ]))
                 if len(out) == count:
                     break
             attempt += 1
@@ -178,7 +177,7 @@ def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
     be finite; var must be an int, not a bool, indexing a cell variable.
     """
     val = as_scalar(value)
-    if isinstance(val, NegInfinity):
+    if val is NEG_INF:
         raise UndefinedOperation("cannot pin a variable to -inf")
     if isinstance(var, bool) or not isinstance(var, int):
         raise TypeError(f"var must be an int, not {type(var).__name__}")
@@ -186,10 +185,10 @@ def pin_variable(cell: SolutionCell, var: int, value) -> PinnedCell | None:
         raise DimensionMismatch(f"variable {var} outside a cell of {cell.num_vars} variables")
     if var in cell.neg_inf:
         return None
-    scale = math.lcm(cell.scale, val.denominator)
+    (t,), scale = _to_ints((val,), cell.scale)
     factor = scale // cell.scale
     _, param0, off0 = next(entry for entry in cell.assigned if entry[0] == var)
-    t0 = scaled(val, scale) - off0 * factor
+    t0 = t - off0 * factor
 
     def at(k: int) -> int:
         return k - 1 if k > var else k
@@ -256,11 +255,11 @@ def solve_affine(inst: AffineInstance, collect_stats: bool = False) -> PinnedSol
 def eq_b_to_affine(a: Matrix, b: Sequence) -> AffineInstance:
     """A (x) x = b as the affine system A (x) x (+) -inf = -inf (x) x (+) b.
 
-    b is read as core._entry reads it: an int stays an int, which
-    _with_column takes as it is.
+    b is read by core.as_scalar: an int stays an int, which _with_column
+    takes as it is.
     """
     neg = Matrix([[NEG_INF] * a.cols for _ in range(a.rows)], cols=a.cols)
-    return AffineInstance(a, neg, tuple([NEG_INF] * a.rows), tuple(map(_entry, b)))
+    return AffineInstance(a, neg, tuple([NEG_INF] * a.rows), tuple(map(as_scalar, b)))
 
 
 def solve_eq_b(a: Matrix, b: Sequence, collect_stats: bool = False) -> PinnedSolutionSet:
@@ -285,12 +284,12 @@ def principal_solution(a: Matrix, b: Sequence) -> tuple[Scalar, ...]:
     if None in bs:
         return (NEG_INF,) * a.cols
     rows = a.in_unit(unit)
-    return tuple(Fraction(min(v - r[j] for v, r in zip(bs, rows)), unit) for j in range(a.cols))
+    return tuple([unscaled(min(v - r[j] for v, r in zip(bs, rows)), unit) for j in range(a.cols)])
 
 
 def decide_eq_b(a: Matrix, b: Sequence) -> tuple[Scalar, ...] | None:
     """The greatest solution of A (x) x = b for real A, or None if none exists."""
-    bs = tuple(map(_entry, b))
+    bs = tuple(map(as_scalar, b))
     candidate = principal_solution(a, bs)
     if matvec_maxplus(a, candidate) == bs:
         return candidate

@@ -79,6 +79,23 @@ def ref_scaled_rows(matrix, unit):
     return [[ref_scaled(v, unit) for v in row] for row in matrix.to_rows()]
 
 
+def ref_public(value):
+    """value as the package hands numbers out: an int when integral, a Fraction otherwise.
+
+    -inf stays NEG_INF.  The reference of the number contract, built from a
+    Fraction view and sharing no code with the package's writer.
+    """
+    if value is NEG_INF:
+        return NEG_INF
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def typed(values):
+    """The entries with their types, so that 1 and Fraction(1) differ."""
+    return [(v, type(v)) for v in values]
+
+
 def ref_oplus(a, b):
     """Tropical addition of two scalars: the maximum, -inf neutral."""
     return a if a >= b else b
@@ -224,6 +241,19 @@ def col_mask(cols):
     for j in cols:
         mask |= 1 << j
     return mask
+
+
+def result_of(fn, *args):
+    """("ok", type, value) of fn(*args), or ("raised", type, message) of what it raised.
+
+    Two callables agree on some arguments when their results are equal:
+    equal values of one type, or one exception type with one message.
+    """
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return ("raised", type(exc), str(exc))
+    return ("ok", type(value), value)
 
 
 OUTCOMES = ("reduced", "unconstrained", "trivial")

@@ -15,7 +15,8 @@ from tropsolve.bivariate import (
     leq,
     remove_and_enlarge,
 )
-from tropsolve.core import TropicalError
+import tropsolve.bivariate as bivariate
+from tropsolve.core import NEG_INF, TropicalError
 from tropsolve.preprocess import maximum_matrix
 
 NI = "-inf"
@@ -114,6 +115,34 @@ def test_build_systems_tie_pair_no_equation(running_example):
     anchors = {minus for _, minus, _ in ineqs}
     assert 2 in anchors  # the tie row anchors its inequalities at column 3
     assert all(plus < minus for plus, minus, _ in eqs) and len(eqs) == 2
+
+
+@pytest.mark.parametrize(
+    "constant", [0.1, True, False, "-inf", NEG_INF], ids=["0.1", "True", "False", "'-inf'", "NEG_INF"]
+)
+@pytest.mark.parametrize("make", [eq, leq], ids=["eq", "leq"])
+def test_row_constants_are_read_by_as_scalar(make, constant):
+    """A float, a bool or -inf is no row constant; before, 0.1 read as its binary Fraction."""
+    with pytest.raises(TypeError if constant in (0.1, True, False) else ValueError):
+        make(0, 1, constant)
+
+
+def test_row_constants_are_exact_numbers():
+    assert eq(1, 0, "3/1") == (0, 1, -3) and type(eq(1, 0, "3/1")[2]) is int
+    assert leq(0, 1, "-1/2") == (0, 1, Fraction(-1, 2))
+    assert eq(0, 1, Fraction(4, 2)) == (0, 1, 2)
+
+
+def test_build_systems_does_not_read_its_int_rows(running_example, monkeypatch):
+    """The cell stage's own rows are ints already: build_systems skips the reader."""
+    a, b = running_example
+    expected = _systems_for(a, b, [(1, 4), (1, 3), (3, 3)])
+
+    def refuse(value):
+        raise AssertionError(f"as_scalar({value!r}) on the build_systems path")
+
+    monkeypatch.setattr(bivariate, "as_scalar", refuse)
+    assert _systems_for(a, b, [(1, 4), (1, 3), (3, 3)]) == expected
 
 
 def test_remove_and_enlarge_empty_case():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -5,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_cell, ref_oplus, ref_scaled_rows, ref_unit
-from test_oracle_reference import _outcome
+from conftest import make_cell, ref_oplus, ref_scaled_rows, ref_unit, result_of
 from tropsolve import NEG_INF, Matrix, cell_membership, matvec_maxplus, solve, verify_solution
 from tropsolve.core import (
     MAX_TOKEN_DIGITS,
     DimensionMismatch,
+    NegInfinity,
     TokenTooLarge,
     _to_ints,
     as_scalar,
@@ -54,6 +56,22 @@ def test_total_order():
     assert NEG_INF <= NEG_INF
     assert max(Fraction(3), NEG_INF) == 3
     assert min(Fraction(3), NEG_INF) is NEG_INF
+
+
+def test_neg_inf_is_one_object_compared_by_identity():
+    """NEG_INF keeps object's identity eq and hash, across pickle and deepcopy too."""
+    assert NEG_INF == NEG_INF and NegInfinity() is NEG_INF
+    assert 0 != NEG_INF and NEG_INF != 0
+    assert Fraction(0) != NEG_INF and NEG_INF != Fraction(0)
+    assert NEG_INF not in (0, Fraction(0), -(10**100))
+    table = {NEG_INF: "bottom", 0: "zero"}
+    assert table[NEG_INF] == "bottom" and table[NegInfinity()] == "bottom"
+    assert len({NEG_INF, NegInfinity(), 0}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(NEG_INF, protocol)) is NEG_INF
+    assert copy.deepcopy(NEG_INF) is NEG_INF and copy.copy(NEG_INF) is NEG_INF
+    assert copy.deepcopy((NEG_INF, [NEG_INF])) == (NEG_INF, [NEG_INF])
+    test_total_order()
 
 
 def test_odot_extended_rules():
@@ -304,23 +322,24 @@ def test_to_ints_reads_every_vector_as_as_scalar_does():
             for _ in range(rng.randint(1, 2)):
                 xs[rng.randrange(lead, n)] = rng.choice(_BAD_ENTRIES)
         unit = rng.choice([1, 1, 2, 6])
-        outcomes = [_outcome(as_scalar, v) for v in xs]
-        first_bad = next((o for o in outcomes if isinstance(o, tuple)), None)
+        outcomes = [result_of(as_scalar, v) for v in xs]
+        first_bad = next((o for o in outcomes if o[0] == "raised"), None)
         if first_bad is None:
             valid += 1
-            ref = ref_unit(outcomes + [Fraction(1, unit)])
-            ints = [None if s is NEG_INF else s.numerator * (ref // s.denominator) for s in outcomes]
+            scalars = [o[2] for o in outcomes]
+            ref = ref_unit(scalars + [Fraction(1, unit)])
+            ints = [None if s is NEG_INF else s.numerator * (ref // s.denominator) for s in scalars]
             got = _to_ints(xs, unit)
             assert got == (ints, ref), xs
             assert all(type(v) is int for v in got[0] if v is not None)
             continue
         invalid += 1
-        assert _outcome(_to_ints, xs, unit) == first_bad, xs
+        assert result_of(_to_ints, xs, unit) == first_bad, xs
         # every entry is read before any shape is compared
         wider = Matrix([[0] * (n + 1)])
-        assert _outcome(Matrix, [xs, [0] * (n + 1)]) == first_bad, xs
+        assert result_of(Matrix, [xs, [0] * (n + 1)]) == first_bad, xs
         cell = make_cell(n + 1, [(v, v, 0) for v in range(1, n + 2)], [])
-        assert _outcome(cell_membership, cell, xs) == first_bad, xs
-        assert _outcome(verify_solution, wider, wider, xs) == first_bad, xs
-        assert _outcome(verify_solution, wider, Matrix([[0] * n]), xs)[0] is DimensionMismatch
+        assert result_of(cell_membership, cell, xs) == first_bad, xs
+        assert result_of(verify_solution, wider, wider, xs) == first_bad, xs
+        assert result_of(verify_solution, wider, Matrix([[0] * n]), xs)[1] is DimensionMismatch
     assert valid >= 1000 and invalid >= 1000, (valid, invalid)

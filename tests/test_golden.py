@@ -37,7 +37,7 @@ from pathlib import Path
 import pytest
 
 import tropsolve.cells as cells_mod
-from conftest import pair_scale, planted_rows, random_rows, ref_unit
+from conftest import pair_scale, planted_rows, random_rows, ref_public, ref_unit, typed
 from tropsolve import NEG_INF, Matrix, emit, solve
 from tropsolve.cells import SolutionSet
 from tropsolve.cli import _dedupe, _solve, parse_instance, run
@@ -296,15 +296,17 @@ def _fraction_key(cell):
 
 
 def test_multi_scale_cells_sorted_by_fraction_key():
+    kinds = set()
     for a, b in multi_scale_pairs():
         n = len(a[0])
         cells = solve(Matrix(a, cols=n), Matrix(b, cols=n)).cells
         keys = [_fraction_key(c) for c in cells]
-        assert all(
-            type(o) is Fraction for c in cells for _, o in c.assignments.values()
-        )
+        offsets = [o for c in cells for _, o in c.assignments.values()]
+        assert typed(offsets) == typed(map(ref_public, offsets))
+        kinds |= {type(o) for o in offsets}
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+    assert kinds == {int, Fraction}
 
 
 # ------------------------------------------------------------ digests

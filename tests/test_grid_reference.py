@@ -4,7 +4,7 @@ reference_parse_grid below is cli._parse_grid with the GridSpec.of it
 called before that sorted and dropped equal neighbours in place of building
 a set, and with its own token parse before GridSpec.of.  It is kept here as
 the definition of the grid's values: a valid option must give the same
-values of the same type.  A rejected option now fails in GridSpec.of's one
+values.  A rejected option now fails in GridSpec.of's one
 parse, through as_scalar: each token in turn, then the rule that -inf is a
 grid point already.  ERRORS pins those texts exactly.
 """
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_public, result_of, typed
 from tropsolve.cli import _parse_grid
 from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, TokenTooLarge, _check_token_size, as_scalar
 from tropsolve.oracle import GridSpec
@@ -34,15 +35,6 @@ def reference_parse_grid(option):
     except ZeroDivisionError:
         raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
     return tuple(sorted(set(values)))
-
-
-def outcome(fn, arg):
-    """(value, type) of fn(arg), or (exception type, message)."""
-    try:
-        value = fn(arg)
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc), str(exc)
-    return value, type(value)
 
 
 def grid_values(option):
@@ -83,12 +75,12 @@ ERRORS = {
 
 @pytest.mark.parametrize("option", GRID_OPTIONS)
 def test_check_grid_matches_the_reference(option):
-    expected = outcome(reference_parse_grid, option)
+    expected = result_of(reference_parse_grid, option)
     if option in ERRORS:
-        assert issubclass(expected[0], ValueError), expected  # rejected before too
-        assert outcome(grid_values, option) == ERRORS[option]
+        assert expected[0] == "raised" and issubclass(expected[1], ValueError), expected
+        assert result_of(grid_values, option) == ("raised", *ERRORS[option])
     else:
-        assert outcome(grid_values, option) == expected
+        assert result_of(grid_values, option) == expected
 
 
 def first_rejection(option):
@@ -111,12 +103,12 @@ def test_check_grid_random_sweep_matches_the_reference():
     rejected = 0
     for _ in range(3000):
         option = "grid=" + ",".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
-        expected = outcome(reference_parse_grid, option)
-        if expected[1] is tuple:
-            assert outcome(grid_values, option) == expected, option
+        expected = result_of(reference_parse_grid, option)
+        if expected[0] == "ok":
+            assert result_of(grid_values, option) == expected, option
         else:
             rejected += 1
-            assert outcome(grid_values, option) == first_rejection(option), option
+            assert result_of(grid_values, option) == ("raised", *first_rejection(option)), option
     assert rejected >= 1000, rejected
 
 
@@ -135,7 +127,7 @@ def test_grid_spec_of_rejects_neg_inf_by_name(values):
 def test_grid_spec_of_collapses_spellings_of_one_value():
     assert GridSpec.of([1, "1"]).values == (1,)
     grid = GridSpec.of(["1/2", Fraction(1, 2), "0.5", 2, "+2", " 002 ", 0, "-0"])
-    assert grid.values == (0, Fraction(1, 2), 2)
-    assert all(type(v) is Fraction for v in grid.values)
+    assert typed(grid.values) == typed(map(ref_public, (0, Fraction(1, 2), 2)))
+    assert [type(v) for v in grid.values] == [int, Fraction, int]
     with pytest.raises(ValueError, match="not a tropical scalar token"):
         GridSpec.of(["x"])

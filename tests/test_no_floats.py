@@ -4,6 +4,10 @@ Every source file of the package is read through ast.  A float (or complex)
 literal, a call of the float builtin or a true division ``/`` fails the test,
 unless it is listed in ALLOWED with its reason.  Floor division ``//`` and
 Fraction arithmetic are exact and pass.
+
+The number format is decided in core alone: a Fraction(...) call (or a call
+of one of Fraction's constructors) anywhere else fails, and FRACTION_CALLS
+lists core's own calls exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +34,48 @@ ALLOWED = {
         "probability 0.3; it picks which member sample_cell returns, not the cells",
     ),
 }
+
+
+# module -> (count, reason) of its Fraction calls.  Exact, like ALLOWED.
+FRACTION_CALLS = {
+    "core": (
+        2,
+        "as_scalar reads a token that is no plain integer literal with Fraction, "
+        "and unscaled writes a non-integral int over a unit as a Fraction",
+    ),
+}
+
+
+def _fraction_calls(tree: ast.AST) -> list[int]:
+    """The lines of Fraction(...), fractions.Fraction(...) and Fraction.from_*(...) calls."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "Fraction":
+                found.append(node.lineno)
+            elif getattr(func, "id", None) == "Fraction" or getattr(func, "attr", None) == "Fraction":
+                found.append(node.lineno)
+    return found
+
+
+def test_only_core_builds_fractions():
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = _fraction_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            calls[path.stem] = lines
+    assert {stem: len(lines) for stem, lines in calls.items()} == {
+        stem: count for stem, (count, _) in FRACTION_CALLS.items()
+    }, calls
+
+
+def test_the_fraction_scan_finds_each_spelling():
+    source = (
+        "a = Fraction(1, 2)\nb = fractions.Fraction('1/2')\nc = Fraction.from_float(x)\n"
+        "d = Fraction\ne = isinstance(v, Fraction)\nf: Fraction = g(Fraction)\n"
+    )
+    assert _fraction_calls(ast.parse(source)) == [1, 2, 3]
 
 
 def _inexact(tree: ast.AST) -> list[tuple[int, str, object]]:

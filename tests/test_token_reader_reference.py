@@ -1,14 +1,16 @@
 """The number-token reader against the one it replaced.
 
-core._entry reads a plain ASCII integer literal (an optional sign and at
+core.as_scalar reads a plain ASCII integer literal (an optional sign and at
 most MAX_TOKEN_DIGITS decimal digits) with int(); every other token goes
 through the size check and Fraction, as before.  ref_entry below is the
 previous reader, which sent every token through Fraction.  The tests check
-that the two read every token alike: the same value and type from
-as_scalar, the same error, the same parse of an instance file and the same
-grid from GridSpec.of.  Then a spelling-metamorphic test runs the command
-line on instances whose integers are spelled in other ways, and a guard
-checks that integer instances are parsed without building a Fraction.
+that the two read every token alike: the same value from as_scalar, in the
+type of the number contract (conftest.ref_public: an int when integral, a
+Fraction otherwise), the same error, the same parse of an instance file
+and the same grid from GridSpec.of.  Then a spelling-metamorphic test runs
+the command line on instances whose integers are spelled in other ways, and
+a guard checks that integer instances are parsed without building a
+Fraction.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from fractions import Fraction
 import pytest
 
 import tropsolve.cli as cli
-from conftest import NI
+from conftest import NI, ref_public, result_of, typed
 from test_golden import FIXTURES
-from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, _check_token_size, _entry, as_scalar
+from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, _check_token_size, as_scalar
 from tropsolve.oracle import GridSpec
 
 
@@ -93,31 +95,38 @@ def corpus(seed: int = 1729, count: int = 3000) -> list[str]:
     return out
 
 
-def outcome(fn, *args):
-    """("ok", type, value) or ("error", type, message) of fn(*args)."""
-    try:
-        value = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
-        return ("error", type(exc), str(exc))
+def _public(result):
+    """A result_of outcome with its value as the number contract has it."""
+    if result[0] == "raised":
+        return result
+    value = ref_public(result[2])
     return ("ok", type(value), value)
 
 
-def test_the_corpus_meets_both_readers():
-    kinds = Counter(outcome(_entry, t)[1].__name__ for t in corpus())
+def test_the_corpus_meets_both_readers(fraction_builds):
+    """"int" counts the tokens read without a Fraction, "Fraction" those read by one."""
+    kinds = Counter()
+    for token in corpus():
+        fraction_builds.clear()
+        status, kind, _ = result_of(as_scalar, token)
+        kinds["Fraction" if status == "ok" and fraction_builds else kind.__name__] += 1
     assert kinds["int"] >= 800 and kinds["Fraction"] >= 100, kinds
     assert kinds["TokenTooLarge"] >= 200 and kinds["ValueError"] >= 500, kinds
 
 
 def test_as_scalar_reads_every_token_as_before():
     for token in corpus():
-        assert outcome(as_scalar, token) == outcome(ref_as_scalar, token), repr(token)
+        assert result_of(as_scalar, token) == _public(result_of(ref_as_scalar, token)), repr(token)
 
 
 def test_entry_reads_integer_literals_as_ints():
-    assert [_entry(t) for t in ("+0", "-0", "007", " -12 ")] == [0, 0, 7, -12]
-    assert all(type(_entry(t)) is int for t in ("+0", "-0", "007", "1" * MAX_TOKEN_DIGITS))
-    for token in ("\u0663", "2.50", "1e3", "-7/2", "3/1"):
-        assert type(_entry(token)) is Fraction, token
+    assert [as_scalar(t) for t in ("+0", "-0", "007", " -12 ")] == [0, 0, 7, -12]
+    assert all(type(as_scalar(t)) is int for t in ("+0", "-0", "007", "1" * MAX_TOKEN_DIGITS))
+    # an integral value spelled otherwise is read by Fraction, then handed out as an int
+    for token in ("\u0663", "1e3", "3/1", "2.00"):
+        assert type(as_scalar(token)) is int, token
+    for token in ("2.50", "-7/2", "1e-3"):
+        assert type(as_scalar(token)) is Fraction, token
 
 
 def _instance(token: str) -> str:
@@ -149,7 +158,7 @@ def _parse_outcome(token: str):
 def test_parse_instance_reads_every_token_as_before(monkeypatch):
     tokens = corpus(count=1500)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_entry", ref_as_scalar)
+        patch.setattr(cli, "as_scalar", ref_as_scalar)
         expected = [_parse_outcome(t) for t in tokens]
     assert {e[0] for e in expected} == {"ok", "error"}
     for token, before in zip(tokens, expected):
@@ -166,12 +175,13 @@ def test_grid_spec_of_reads_every_value_list_as_before():
                       for _ in range(rng.randint(1, 5))])
     seen = set()
     for vals in lists:
-        now, before = outcome(GridSpec.of, vals), outcome(ref_grid_of, vals)
+        now, before = result_of(GridSpec.of, vals), result_of(ref_grid_of, vals)
         assert now == before, vals
         if now[0] == "ok":
-            assert [type(v) for v in now[2].values] == [type(v) for v in before[2].values]
+            points = sorted(set(map(ref_as_scalar, vals)))
+            assert typed(now[2].values) == typed(map(ref_public, points)), vals
         seen.add(now[0])
-    assert seen == {"ok", "error"}
+    assert seen == {"ok", "raised"}
 
 
 # ------------------------------------------------ spellings through the CLI
@@ -255,8 +265,9 @@ def test_integer_spellings_give_byte_identical_output(monkeypatch, capsys):
                 respelled = _respell(text, rng)
                 inst = cli.parse_instance(respelled)
                 assert inst == cli.parse_instance(text)
+                # a line mixing plain integer literals with other spellings
                 mixed += any(
-                    len({type(_entry(t)) for t in line.split() if t != NI}) == 2
+                    len({t.lstrip("+-").isdigit() for t in line.split() if t != NI}) == 2
                     for line in respelled.splitlines() if ":" not in line
                 )
                 assert _run(respelled, fmt, monkeypatch, capsys) == expected, respelled
@@ -275,9 +286,12 @@ def test_integer_instances_parse_without_building_a_fraction(fraction_builds):
 
 
 def test_grid_spec_of_builds_one_fraction_per_distinct_value(fraction_builds):
+    """An integral value builds none: only a non-integer token builds its one Fraction."""
     grid = GridSpec.of(["-3", "-1", "0", "1", "3"])
-    assert len(fraction_builds) == 5
-    assert grid.values == (-3, -1, 0, 1, 3)
-    fraction_builds.clear()
+    assert fraction_builds == []
+    assert typed(grid.values) == typed((-3, -1, 0, 1, 3))
     GridSpec.of(["3", "+3", "03", "-1", "-01"])
+    assert fraction_builds == []
+    grid = GridSpec.of(["1/2", "3", "1.5", "+3"])
     assert len(fraction_builds) == 2
+    assert typed(grid.values) == typed((Fraction(1, 2), Fraction(3, 2), 3))
