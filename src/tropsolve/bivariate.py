@@ -273,8 +273,9 @@ def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) 
     closing every variable: a variable outside the core has no edge in or
     no edge out, so it lies on no path between two others, and as a pivot
     it changes only its own row or column.  This is how sub_specialize
-    finds its negative cycles (the zone/DBM view of Bengtsson & Yi, "Timed
-    automata: semantics, algorithms and tools", LNCS 3098, 2004).
+    finds its negative cycles in a core of three or more variables (the
+    zone/DBM view of Bengtsson & Yi, "Timed automata: semantics, algorithms
+    and tools", LNCS 3098, 2004); a smaller core it reads without a closure.
     """
     nv = len(nodes)
     dist: list[list[int | Fraction | None]] = [[None] * nv for _ in range(nv)]
@@ -317,10 +318,16 @@ def sub_specialize(
     tests/test_bivariate.py checks that structure), and 2*len(eqs) +
     len(residue) never exceeds len(ineqs).
 
-    Only the cyclic core is closed (see close): the variables that are the
-    plus side of one kept row and the minus side of another, read only on
-    the diagonal.  A row whose plus and minus are the same variable is
-    rejected, as Constraint rejects it.
+    Every cycle runs through the cyclic core, the variables that are the
+    plus side of one kept row and the minus side of another.  A core of
+    fewer than two variables holds no cycle, so the kept rows are the
+    residue.  In a core of two, p < m, the only cycle is the 2-cycle
+    through best[p, m] and best[m, p], if both are kept: a positive sum of
+    the two constants forces both variables, and a zero sum is the one
+    equation (p, m, best[p, m]).  Only a core of three or more is closed
+    (see close), and the closure is read only on its diagonal.  A row
+    whose plus and minus are the same variable is rejected, as Constraint
+    rejects it.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
     heads: set[int] = set()
@@ -338,15 +345,29 @@ def sub_specialize(
             best[key] = constant
 
     core = sorted(heads & tails)
-    if not core:
+    if len(core) < 2:
         return [], _canonical_rows(best), frozenset()
+    eqs: list[Row] = []
+    if len(core) == 2:
+        # the only cycle is the 2-cycle through both rows between p < m
+        p, m = core
+        up, down = best.get((p, m)), best.get((m, p))
+        if up is not None and down is not None:
+            total = up + down  # the 2-cycle weighs -total
+            if total > 0:
+                return [], _canonical_rows(best), frozenset(core)
+            if total == 0:
+                eqs.append((p, m, up))  # p < m: canonical orientation
+                del best[(p, m)]
+                del best[(m, p)]
+        return eqs, _canonical_rows(best), frozenset()
+
     dist = close(core, best)
     forced = frozenset(p for i, p in enumerate(core) if dist[i][i] < 0)
     if forced:
         return [], _canonical_rows(best), forced
 
     # both rows of an opposite pair make both endpoints core variables
-    eqs: list[Row] = []
     for i, p in enumerate(core):
         for m in core[i + 1:]:
             if (p, m) not in best or (m, p) not in best:

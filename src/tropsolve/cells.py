@@ -17,9 +17,10 @@ inequalities over the parameters.  The per-sequence work runs on int rows
 names the kept rows and the live columns, so classification, enumeration,
 the bivariate systems and the cell key all use the original column indices,
 and a column that is not live takes part in no row.  Each solved sequence
-yields an int key, read off the union-find in one pass over the columns
-with nothing frozen; keys are deduplicated and sorted, and only then is
-a SolutionCell built per kept key: its ints are divided by their gcd with
+yields an int key, read off the union-find with nothing frozen (its lists
+as they stand when no column is -inf, else one pass over the columns);
+keys are deduplicated and sorted, and only then is a SolutionCell built
+per kept key: its ints are divided by their gcd with
 the solve's scale, so that every cell holds its numbers in its own lowest
 unit and equal cells are equal whatever solve built them.  The cell's
 assignments and Constraints are views derived from those ints on first
@@ -171,12 +172,16 @@ def _solve_sequence(
     scenario, so that every row's system is built once and only
     concatenated per sequence.
 
-    The bound is the number of components right after the sequence's own
-    equations: each of them that merges two components is a pair joining
-    two classes of columns, so the count is num_vars minus those pairs.
-    The union-find keeps the equations in reduced form as they arrive, so
-    each round hands it to substitute as it stands, and nothing is frozen.
-    A round is one sub_specialize call.
+    Each row's equation goes into the union-find as that row's part is
+    gathered.  The bound is the number of components right after the
+    sequence's own equations: each of them that merges two components is
+    a pair joining two classes of columns, so the count is num_vars minus
+    those pairs.  The union-find keeps the equations in reduced form as
+    they arrive, so each round hands it to substitute as it stands, and
+    nothing is frozen.  A round is one sub_specialize call; it propagates
+    -inf first (remove_and_enlarge) only when something is dead, flagged
+    or inconsistent, since with nothing to propagate the rows stand as
+    substitute returned them.
 
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
@@ -186,22 +191,21 @@ def _solve_sequence(
     return forces a live representative or merges two live ones, so the
     number of live components drops, and with none left it returns.
     """
-    eqs: list[Row] = []
+    uf = OffsetUnionFind(nvars)
     ineqs: list[Row] = []
     for h, pair in enumerate(sequence):
         part = systems.get((h, pair))
         if part is None:
             part = systems[h, pair] = build_systems((pair,), (rows[h],), (classifications[h],))
-        eqs += part[0]
+        for row in part[0]:
+            uf.add_equation(row)
         ineqs += part[1]
-    uf = OffsetUnionFind(nvars)
-    for row in eqs:
-        uf.add_equation(row)
     bound = len(set(uf.representative))
     dead: frozenset[int] = frozenset()
     while True:
         kept, flagged = substitute(ineqs, uf)
-        kept, dead = remove_and_enlarge(kept, dead | uf.inconsistent_roots | flagged)
+        if dead or flagged or uf.inconsistent_roots:
+            kept, dead = remove_and_enlarge(kept, dead | uf.inconsistent_roots | flagged)
         eqs, ineqs, forced = sub_specialize(kept)
         if forced:
             dead |= forced
@@ -224,22 +228,27 @@ def _cell_key(
     The key is (win sequence, -inf columns, (v, param, offset) per other
     column, residue rows, dimension bound), with offsets and constants in
     units of 1/scale, the scale of the whole solve; None when the cell is
-    only the all--inf point, which lies in every cell.  One ascending pass
-    over the columns fills both lists, so they come out sorted: a column is
-    -inf when the scenario forces it or its representative is dead.  A free
-    column takes part in no row, so it is its own representative at offset
-    0.  The bound depends on the sequence alone, so it never separates two
-    keys that the other fields do not.
+    only the all--inf point, which lies in every cell.  A column is -inf
+    when the scenario forces it or its representative is dead.  With
+    neither, every column is assigned, and the assignment is the
+    union-find's two lists zipped with the column index; otherwise one
+    ascending pass over the columns fills both lists.  Either way they come
+    out sorted.  A free column takes part in no row, so it is its own
+    representative at offset 0.  The bound depends on the sequence alone,
+    so it never separates two keys that the other fields do not.
     """
     forced = red.forced
-    off = uf.offset
+    rep, off = uf.representative, uf.offset
     neg: list[int] = []
-    assigned: list[tuple[int, int, int]] = []
-    for v, r in enumerate(uf.representative):
-        if r in dead or forced >> v & 1:
-            neg.append(v)
-        else:
-            assigned.append((v, r, off[v]))
+    if not dead and not forced:
+        assigned = tuple(zip(range(len(rep)), rep, off))
+    else:
+        assigned = []
+        for v, r in enumerate(rep):
+            if r in dead or forced >> v & 1:
+                neg.append(v)
+            else:
+                assigned.append((v, r, off[v]))
     if not assigned:
         return None
     return sequence, tuple(neg), tuple(assigned), tuple(residue), bound

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import NEG_INF, Matrix
-from tropsolve.bivariate import PotentialAssignment
 from tropsolve.cells import SolutionCell
 from tropsolve.preprocess import row_masks
 from tropsolve.winseq import classify_row
@@ -106,65 +105,6 @@ def ref_odot(a, b):
     if a is NEG_INF or b is NEG_INF:
         return NEG_INF
     return a + b
-
-
-class ParentPointerUnionFind:
-    """The earlier bivariate.OffsetUnionFind, kept as a reference.
-
-    A forest with x_child = x_parent + shift and inconsistency flags on its
-    roots: a merge links one root under the other, reading a variable walks
-    its parent chain, and snapshot normalizes the whole forest on every call.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.shift = [0] * n
-        self.bad = [False] * n  # meaningful on roots
-
-    def location(self, v):
-        """Root of v and the offset x_v - x_root."""
-        root = v
-        off = 0
-        while self.parent[root] != root:
-            off += self.shift[root]
-            root = self.parent[root]
-        return root, off
-
-    def add_equation(self, row):
-        """Absorb the equation row x_plus - x_minus + c = 0, flagging inconsistent cycles."""
-        plus, minus, constant = row
-        rp, op = self.location(plus)
-        rm, om = self.location(minus)
-        if rp == rm:
-            if op - om + constant != 0:
-                self.bad[rp] = True
-            return
-        # x_plus = x_minus - c, hence x_rp = x_rm + (om - c - op)
-        self.parent[rp] = rm
-        self.shift[rp] = om - constant - op
-        self.bad[rm] = self.bad[rm] or self.bad[rp]
-
-    def snapshot(self, n):
-        """PotentialAssignment with smallest-index representatives, in one pass.
-
-        The first member of a component seen in index order is its smallest,
-        so it becomes the representative.
-        """
-        rep = list(range(n))
-        offs = [0] * n
-        leads = {}  # root -> (lead, x_lead - x_root)
-        bad_roots = set()
-        for v in range(n):
-            root, off = self.location(v)
-            lead = leads.get(root)
-            if lead is None:
-                leads[root] = (v, off)
-                if self.bad[root]:
-                    bad_roots.add(v)
-            else:
-                rep[v] = lead[0]
-                offs[v] = off - lead[1]
-        return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
 
 
 def dimension_bound(sequence, num_vars):

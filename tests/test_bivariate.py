@@ -1,13 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import ParentPointerUnionFind, row_classes, scaled_rows, seq0
+from conftest import row_classes, scaled_rows, seq0
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
-    OffsetUnionFind,
     PotentialAssignment,
     build_systems,
     close,
@@ -385,7 +385,7 @@ def test_sub_specialize_keeps_tightest_bound():
                 assert out[(p, m)] >= c
 
 
-# --- reference copies: the full closure and the two-pass normalization ---
+# --- reference copy: the closure over every variable ---
 
 
 def _reference_canonical_rows(bounds):
@@ -439,24 +439,6 @@ def _reference_sub_specialize(ineqs):
     return eqs, _reference_canonical_rows(best), frozenset()
 
 
-def _reference_snapshot(uf, n):
-    """Reduced form of a ParentPointerUnionFind: group, sort, re-read each location."""
-    groups, locs = {}, {}
-    for v in range(n):
-        locs[v] = uf.location(v)
-        groups.setdefault(locs[v][0], []).append(v)
-    rep, offs, bad_roots = [0] * n, [0] * n, set()
-    for root, members in groups.items():
-        members.sort()
-        lead = members[0]
-        for v in members:
-            rep[v] = lead
-            offs[v] = locs[v][1] - locs[lead][1]
-        if uf.bad[root]:
-            bad_roots.add(lead)
-    return PotentialAssignment(tuple(rep), tuple(offs), frozenset(bad_roots))
-
-
 def _constant(rng, fractional):
     if fractional:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 3))
@@ -508,36 +490,78 @@ def test_sub_specialize_equals_full_closure():
     assert min(branches.values()) >= 200, branches
 
 
-def test_snapshot_equals_two_pass_normalization():
-    # the reduced form kept as equations arrive equals the parent-pointer
-    # forest normalized afterwards, after every equation, offsets of
-    # inconsistent components included
-    rng = random.Random(809)
-    seen_bad = seen_shared = snapshots = 0
-    for _ in range(2000):
-        n = rng.randint(1, 8)
-        fractional = rng.random() < 0.4
-        potential = [_constant(rng, fractional) for _ in range(n)]
-        uf = OffsetUnionFind(n)
-        ref = ParentPointerUnionFind(n)
-        got = uf.snapshot()
-        assert got == _reference_snapshot(ref, n)
-        for _ in range(rng.randint(0, 2 * n)):
-            p, m = rng.randrange(n), rng.randrange(n)
-            if p == m:
-                continue
-            # mostly consistent with a hidden potential, sometimes not
-            c = potential[m] - potential[p]
-            if rng.random() < 0.15:
-                c += rng.choice((-1, 1, Fraction(1, 2)))
-            uf.add_equation(eq(p, m, c))
-            ref.add_equation(eq(p, m, c))
-            got = uf.snapshot()
-            assert got == _reference_snapshot(ref, n)
-            snapshots += 1
-        seen_bad += bool(got.inconsistent_roots)
-        seen_shared += any(r != v for v, r in enumerate(got.representative))
-    assert seen_bad >= 200 and seen_shared >= 1000 and snapshots >= 5000
+def _small_system(rng):
+    """Inequality rows over two to five variables, most with an opposite pair.
+
+    Few rows over few variables leave cyclic cores of every size from none
+    to five; the planted opposite pair has width -1, 0 or 1, so a core of
+    two is often exactly that pair, at each of its three outcomes.
+    """
+    fractional = rng.random() < 0.4
+    names = rng.sample(range(10), rng.randint(2, 5))
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        p, m = rng.sample(names, 2)
+        rows.append(leq(p, m, _constant(rng, fractional)))
+    if rng.random() < 0.6:
+        p, m = rng.sample(names, 2)
+        c = _constant(rng, fractional)
+        rows += [leq(p, m, c), leq(m, p, -c - rng.choice((-1, 0, 0, 1)))]
+    rng.shuffle(rows)
+    return rows
+
+
+def _core_size(rows):
+    """Size class of the cyclic core: the variables with rows in and out."""
+    size = len({p for p, _, _ in rows} & {m for _, m, _ in rows})
+    return "<=1" if size <= 1 else "2" if size == 2 else ">=3"
+
+
+def test_sub_specialize_equals_full_closure_at_every_core_size():
+    # a core of two is read off its 2-cycle and only a larger one is closed;
+    # both must agree with the closure over every variable
+    rng = random.Random(810)
+    seen = Counter()
+    for _ in range(3000):
+        rows = _small_system(rng)
+        got = sub_specialize(rows)
+        assert got == _reference_sub_specialize(rows), rows
+        eqs, _, forced = got
+        outcome = "forced" if forced else "zero-width" if eqs else "plain"
+        fractional = any(isinstance(c, Fraction) for _, _, c in rows)
+        seen[_core_size(rows), outcome] += 1
+        seen["fractional", outcome] += fractional
+    floors = {
+        ("<=1", "plain"): 300,
+        ("2", "forced"): 400,
+        ("2", "zero-width"): 200,
+        ("2", "plain"): 150,
+        (">=3", "forced"): 250,
+        (">=3", "zero-width"): 60,
+        (">=3", "plain"): 50,
+        ("fractional", "forced"): 200,
+        ("fractional", "zero-width"): 100,
+        ("fractional", "plain"): 200,
+    }
+    assert all(seen[key] >= floor for key, floor in floors.items()), seen
+
+
+def test_sub_specialize_closes_only_cores_of_three_or_more(monkeypatch):
+    sizes = []
+    original = bivariate.close
+
+    def recorded(nodes, best):
+        sizes.append(len(nodes))
+        return original(nodes, best)
+
+    monkeypatch.setattr(bivariate, "close", recorded)
+    rng = random.Random(811)
+    large = 0
+    for _ in range(1000):
+        rows = _small_system(rng)
+        sub_specialize(rows)
+        large += _core_size(rows) == ">=3"
+    assert min(sizes) >= 3 and len(sizes) == large >= 150
 
 
 def test_is_sub_special():

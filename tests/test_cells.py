@@ -37,9 +37,9 @@ from tropsolve import (
 import tropsolve.cells as cells_mod
 from test_golden import planted_ints
 from tropsolve.bivariate import Constraint, PotentialAssignment, build_systems, eq, leq
-from tropsolve.cells import _solve_sequence, _unconstrained_key
+from tropsolve.cells import _cell_key, _solve_sequence, _unconstrained_key
 from tropsolve.core import DimensionMismatch
-from tropsolve.preprocess import reduce_instance
+from tropsolve.preprocess import ReducedInstance, reduce_instance
 from tropsolve.reductions import pin_variable
 from tropsolve.winseq import (
     RowClassification,
@@ -606,3 +606,38 @@ def test_unconstrained_key_matches_the_per_column_test():
     key = _unconstrained_key(((1 << 200_000) - 1) ^ (1 << 7), 200_000)
     assert time.perf_counter() - started < 0.5
     assert key[1] == (7,) and len(key[2]) == 199_999
+
+
+def _cell_key_per_column(sequence, uf, dead, residue, bound, red):
+    """The key read with one test per column, as the reference."""
+    rep, off = uf.representative, uf.offset
+    neg = tuple(v for v in range(len(rep)) if rep[v] in dead or red.forced >> v & 1)
+    assigned = tuple((v, rep[v], off[v]) for v in range(len(rep)) if v not in neg)
+    if not assigned:
+        return None
+    return sequence, neg, assigned, tuple(residue), bound
+
+
+def test_cell_key_matches_the_per_column_reading():
+    # with nothing dead and nothing forced the key zips the union-find's
+    # lists; otherwise it tests every column; both read the same key
+    rng = random.Random(3000)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        sequence = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 5)))
+        paired = col_mask(c for pair in sequence for c in pair)
+        # the scenario's forced columns, outside every pair and every row
+        forced = 0 if rng.random() < 0.5 else rng.getrandbits(n) & ~paired
+        rows, classes = _pair_systems(rng, sequence, n)
+        classes = [RowClassification(0, 0, c.ties & ~forced) for c in classes]
+        red = ReducedInstance(tuple(range(len(sequence))), (1 << n) - 1 & ~forced, forced, 0)
+        uf, dead, residue, bound = _solve_sequence(sequence, rows, classes, n, {})
+        key = _cell_key(sequence, uf, dead, residue, bound, red)
+        assert key == _cell_key_per_column(sequence, uf, dead, residue, bound, red)
+        seen["fast"] += not dead and not forced
+        seen["dead"] += bool(dead)
+        seen["forced"] += bool(forced)
+        seen["collapsed"] += key is None
+    floors = {"fast": 500, "dead": 300, "forced": 400, "collapsed": 100}
+    assert all(seen[name] >= floor for name, floor in floors.items()), seen
