@@ -66,6 +66,7 @@ from .core import (
     DimensionMismatch,
     Matrix,
     Scalar,
+    TropicalError,
     _to_ints,
     row_maxima,
     unscaled,
@@ -77,6 +78,10 @@ from .winseq import (
     enumerate_win_sequences_counted,
     winning_pairs,
 )
+
+
+class RoundBoundExceeded(TropicalError):
+    """A win sequence did not settle within 2 * nvars + 1 rounds."""
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,10 @@ def _solve_sequence(
     and every member of dead stays a representative.  Hence at most
     nvars + 1 rounds (2 * nvars for nvars >= 1): a round that does not
     return forces a live representative or merges two live ones, so the
-    number of live components drops, and with none left it returns.
+    number of live components drops, and with none left it returns.  The
+    loop enforces a looser 2 * nvars + 1 rounds: a sequence still going
+    after that many raises RoundBoundExceeded, so that a defect which
+    stops the count from dropping fails instead of looping forever.
     """
     uf = OffsetUnionFind(nvars)
     ineqs: list[Row] = []
@@ -202,6 +210,7 @@ def _solve_sequence(
         ineqs += part[1]
     bound = len(set(uf.representative))
     dead: frozenset[int] = frozenset()
+    rounds = 0  # rounds that did not return, counted only on that rare path
     while True:
         kept, flagged = substitute(ineqs, uf)
         if dead or flagged or uf.inconsistent_roots:
@@ -211,6 +220,11 @@ def _solve_sequence(
             dead |= forced
         elif not eqs:
             return uf, dead, ineqs, bound
+        rounds += 1
+        if rounds > 2 * nvars:
+            raise RoundBoundExceeded(
+                f"win sequence {sequence} over {nvars} variables did not settle in {rounds} rounds"
+            )
         for row in eqs:
             uf.add_equation(row)
 
@@ -426,13 +440,24 @@ def _feasible_values(
     the active rows, read off their shortest-path closure (bivariate.close)
     as x_q = min_p dist[p][q], and shifted randomly per weakly connected
     component, which always satisfies the difference constraints.  Draws
-    are whole numbers, scaled by the cell's scale.
+    are whole numbers in [-box, box] times the cell's scale, taken with
+    rng.choice over range(-box, box + 1) (scaled): choice makes the same
+    one _randbelow(2 * box + 1) call as rng.randint(-box, box), so the
+    generator advances alike and the draws are randint's
+    (test_sample_cell_matches_the_fraction_sampler, whose reference draws
+    with randint, pins this).
     """
     scale = cell.scale
-    active = [row for row in cell.rows if row[0] in alive and row[1] in alive]
+    draws = range(-box * scale, box * scale + 1, scale)  # randint(-box, box) * scale
+    choice = rng.choice
+    live = set(alive)
+    active = [row for row in cell.rows if row[0] in live and row[1] in live]
     for _ in range(40):
-        vals = {p: rng.randint(-box, box) * scale for p in alive}
-        if all(vals[plus] - vals[minus] + c <= 0 for plus, minus, c in active):
+        vals = {p: choice(draws) for p in alive}
+        for plus, minus, c in active:
+            if vals[plus] - vals[minus] + c > 0:
+                break
+        else:
             return vals
     best: dict[tuple[int, int], int] = {}
     for plus, minus, c in active:
@@ -457,7 +482,7 @@ def _feasible_values(
             visited.add(q)
             component.append(q)
             queue.extend(neighbors[q])
-        shift = rng.randint(-box, box) * scale
+        shift = choice(draws)
         for q in component:
             vals[q] += shift
     return vals
@@ -474,10 +499,11 @@ def _positive_int(name: str, value) -> None:
 def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[list[int | None]]:
     """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked)."""
     rng = Random(seed)
+    random = rng.random
     params = cell.parameters()
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
-        drawn = [p for p in params if rng.random() < 0.3]
+        drawn = [p for p in params if random() < 0.3]
         dead = remove_and_enlarge(cell.rows, drawn)[1]
         alive = [p for p in params if p not in dead]
         vals = _feasible_values(cell, alive, rng, box) if alive else {}
@@ -494,11 +520,15 @@ def sample_cell(
 ) -> list[tuple[Scalar, ...]]:
     """Deterministic members of the cell; the first is the all--inf point.
 
-    Parameters are drawn as whole numbers in [-box, box], box an int >= 1.
-    Each point first puts every parameter at -inf with probability 0.3,
-    then closes that set under the cell's rows (remove_and_enlarge): a row
-    with its minus side at -inf forces its plus side there too.  The
-    coordinates are public numbers (core.unscaled).
+    Parameters are drawn as whole numbers in [-box, box], box an int >= 1,
+    each through Random.choice over range(-box, box + 1): choice makes the
+    same generator call as randint(-box, box), so the points are those of
+    a randint sampler (test_sample_cell_matches_the_fraction_sampler, whose
+    reference draws with randint, pins this).  Each point first puts every
+    parameter at -inf with probability 0.3, then closes that set under the
+    cell's rows (remove_and_enlarge): a row with its minus side at -inf
+    forces its plus side there too.  The coordinates are public numbers
+    (core.unscaled).
     """
     _positive_int("count", count)
     _positive_int("box", box)

@@ -53,7 +53,12 @@ state kept at h, and at h the side whose prefix reaches h covers every
 candidate.  Below h nothing more can differ, because from h down one side
 covers every candidate and the other's mask only grows.  The rows' bad
 masks OR together, and the set bits of the rest decode in ascending
-order.
+order, each through two tables of digit tuples built once per call:
+high = product(points, repeat=r - r // 2) and low = product(points,
+repeat=r // 2).  product counts in base k, last digit fastest, as the bits
+do, so bit q's tail is high[q // k**(r // 2)] + low[q % k**(r // 2)]: two
+lookups in place of r digit steps.  A block of width 0 or 1 leaves low
+the one empty tuple, and width 0 high too.
 
 cross_validate tests each grid solution first against the cell that
 covered the previous covered one, then against the other cells in their
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .cells import SolutionSet, _positive_int, cell_membership, sample_cell, verify_solution
@@ -250,7 +256,10 @@ def grid_solutions(
         _sweep(ra[lead:], rb[lead:], cylinders, scaled_points, hs)
         for ra, rb, hs in zip(am, bm, heights)
     ]
-    tails: dict[int, tuple[Scalar, ...]] = {}
+    # the digit tables that decode block candidate q (see the module docstring)
+    high = list(product(points, repeat=r - r // 2))
+    low = list(product(points, repeat=r // 2))
+    low_size = len(low)
 
     out: list[tuple[Scalar, ...]] = []
     start = (floor,) * a.rows
@@ -276,14 +285,7 @@ def grid_solutions(
             bits = bin(full ^ bad)[:1:-1]  # candidate q at position q
             q = bits.find("1")
             while q >= 0:
-                tail = tails.get(q)
-                if tail is None:
-                    digits, rest = [], q
-                    for _ in range(r):
-                        rest, c = divmod(rest, k)
-                        digits.append(points[c])
-                    tail = tails[q] = tuple(reversed(digits))
-                out.append(prefix + tail)
+                out.append(prefix + high[q // low_size] + low[q % low_size])
                 q = bits.find("1", q + 1)
             continue
         a_col, b_col = a_terms[d], b_terms[d]

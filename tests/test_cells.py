@@ -38,7 +38,7 @@ import tropsolve.cells as cells_mod
 from test_golden import planted_ints
 from tropsolve.bivariate import Constraint, PotentialAssignment, build_systems, eq, leq
 from tropsolve.cells import _cell_key, _solve_sequence, _unconstrained_key
-from tropsolve.core import DimensionMismatch
+from tropsolve.core import DimensionMismatch, TropicalError
 from tropsolve.preprocess import ReducedInstance, reduce_instance
 from tropsolve.reductions import pin_variable
 from tropsolve.winseq import (
@@ -516,6 +516,26 @@ def test_rounds_are_bounded(monkeypatch):
         assert calls[0] <= n + 1 <= 2 * n, (eqs, ineqs)
         most = max(most, calls[0])
     assert most >= 4
+
+
+def test_a_sequence_that_never_settles_fails_at_its_round_bound(monkeypatch):
+    # sub_specialize stubbed to hand back, every round, an equation the
+    # union-find already holds: no round forces or merges anything, so only
+    # the bound ends the loop (the stub stops it at 100 calls regardless)
+    calls = [0]
+
+    def stuck(ineqs):
+        calls[0] += 1
+        if calls[0] > 100:
+            raise RuntimeError("sub_specialize called more than 100 times")
+        return [(0, 1, 0)], [], frozenset()
+
+    monkeypatch.setattr(cells_mod, "sub_specialize", stuck)
+    nvars = 3
+    with pytest.raises(cells_mod.RoundBoundExceeded, match="did not settle in 7 rounds"):
+        _solve_sequence(((0, 0),), None, (), nvars, {(0, (0, 0)): ([(0, 1, 0)], [])})
+    assert calls[0] == 2 * nvars + 1
+    assert issubclass(cells_mod.RoundBoundExceeded, TropicalError)
 
 
 def test_solve_builds_no_potential_assignment(monkeypatch):

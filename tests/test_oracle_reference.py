@@ -724,6 +724,28 @@ def test_grid_solutions_matches_the_product_loop_across_the_block_bound():
     assert min(leading) >= 2 and found >= 4, (leading, found)
 
 
+def test_grid_solutions_matches_the_product_loop_at_block_widths_zero_to_two():
+    # k grid points (-inf included) give a block of the largest r <= n with
+    # k**r <= 4096, decoded from digit tables of r - r // 2 and r // 2
+    # columns: k = 4097 leaves r = 0 (both tables hold only the empty
+    # tuple), 4096 gives r = 1 (so does low), 64 with n = 2 gives r = 2 and
+    # 65 with n = 2 gives r = 1 below one leading column
+    rng = random.Random(9901)
+    # the values planted_rows draws its solution from, so that a planted
+    # pair keeps a finite grid solution, padded with other ints
+    planted = [v for v in FRACTIONAL_VALUES if v is not NEG_INF]
+    others = sorted(set(range(-30000, 30000)).difference(planted))
+    found = {4097: 0, 4096: 0, 64: 0, 65: 0}
+    for k, n in [(4097, 1), (4096, 1), (64, 2), (65, 2)] * 4:
+        a, b = _pair(rng, rng.randint(1, 3), n)
+        grid = GridSpec.of(planted + rng.sample(others, k - 1 - len(planted)))
+        assert len(grid.points()) == k
+        expected = ref_grid_solutions(a, b, grid)
+        assert grid_solutions(a, b, grid) == expected, (a, b, grid)
+        found[k] += _finite_points(expected) > 0
+    assert min(found.values()) >= 1, found
+
+
 def test_cross_validate_verifies_each_distinct_point_once(monkeypatch):
     """A failing point drawn again is verified once and listed at each draw."""
     # x0 = t and x1 = t + 1/2 never balance [0 -inf] against [-inf 0] when
