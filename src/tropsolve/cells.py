@@ -95,7 +95,8 @@ class SolutionCell:
     cell's own denominators: assigned lists (v, param, offset) sorted by v,
     rows lists (plus, minus, constant) in canonical order.  assignments and
     constraints are the same numbers as public numbers (core.unscaled) and
-    Constraints, built on first use and cached outside the fields, so eq,
+    Constraints, and _plan is cell_membership's reading of the cell; all
+    three are built on first use and cached outside the fields, so eq,
     hash and repr do not see them.
     """
 
@@ -117,6 +118,32 @@ class SolutionCell:
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
         return tuple(Constraint(p, m, unscaled(c, self.scale)) for p, m, c in self.rows)
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[Row, ...]]:
+        """The cell as column comparisons: (neg_inf, links, rows), ints over scale.
+
+        Each parameter's anchor is its first assigned column.  A link
+        (v, anchor, d) says x_v - x_anchor = d, with d = offset_v -
+        offset_anchor.  A row (plus, minus, c) over parameters becomes
+        (anchor_plus, anchor_minus, c - offset_plus + offset_minus), since
+        t_p = x_anchor - offset_anchor.  So no parameter value is needed:
+        the anchor's column stands for its parameter, -inf included.
+        """
+        anchors: dict[int, tuple[int, int]] = {}
+        links = []
+        for v, p, o in self.assigned:
+            anchor = anchors.get(p)
+            if anchor is None:
+                anchors[p] = (v, o)
+            else:
+                links.append((v, anchor[0], o - anchor[1]))
+        rows = []
+        for plus, minus, c in self.rows:
+            ap, op = anchors[plus]
+            am, om = anchors[minus]
+            rows.append((ap, am, c - op + om))
+        return tuple(self.neg_inf), tuple(links), tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -397,36 +424,36 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
     -inf on the minus side demands the plus side be -inf as well.  The test
     runs on ints: core._to_ints reads x over the lcm of the cell's scale
     and the denominators of x (every entry is read before the length is
-    checked), and a point finite on a neg_inf column is rejected before
-    any parameter is compared.
+    checked).  Then it only compares columns, along the cell's plan
+    (SolutionCell._plan): a point finite on a neg_inf column is rejected
+    first, then every link x_v - x_anchor = d is checked (both -inf, or
+    both finite at that difference), so that each anchor column stands for
+    its parameter in the rows x_plus - x_minus + c <= 0 that follow.
     """
     xs, unit = _to_ints(x, cell.scale)
     if len(xs) != cell.num_vars:
         raise DimensionMismatch(
             f"vector of length {len(xs)} against {cell.num_vars} variables"
         )
-    for v in cell.neg_inf:
+    neg_inf, links, rows = cell._plan
+    for v in neg_inf:
         if xs[v] is not None:
             return False
     factor = unit // cell.scale
-    values: dict[int, int | None] = {}
-    for v, param, offset in cell.assigned:
-        t = xs[v]
-        if t is not None:
-            t -= offset * factor
-        if param in values:
-            if values[param] != t:
+    for v, anchor, d in links:
+        s = xs[v]
+        t = xs[anchor]
+        if s is None:
+            if t is not None:
                 return False
-        else:
-            values[param] = t
-    for plus, minus, constant in cell.rows:
-        tp = values[plus]
+        elif t is None or s - t != d * factor:
+            return False
+    for plus, minus, c in rows:
+        tp = xs[plus]
         if tp is None:
             continue
-        tm = values[minus]
-        if tm is None:
-            return False
-        if tp - tm + constant * factor > 0:
+        tm = xs[minus]
+        if tm is None or tp - tm + c * factor > 0:
             return False
     return True
 
@@ -440,20 +467,27 @@ def _feasible_values(
     the active rows, read off their shortest-path closure (bivariate.close)
     as x_q = min_p dist[p][q], and shifted randomly per weakly connected
     component, which always satisfies the difference constraints.  Draws
-    are whole numbers in [-box, box] times the cell's scale, taken with
-    rng.choice over range(-box, box + 1) (scaled): choice makes the same
-    one _randbelow(2 * box + 1) call as rng.randint(-box, box), so the
-    generator advances alike and the draws are randint's
-    (test_sample_cell_matches_the_fraction_sampler, whose reference draws
-    with randint, pins this).
+    are whole numbers in [-box, box] times the cell's scale.  Each is
+    r - box for r = rng.getrandbits(k), k = (2 * box + 1).bit_length(),
+    drawn again while r >= 2 * box + 1: that is the one
+    Random._randbelow_with_getrandbits(2 * box + 1) call that
+    rng.randint(-box, box) makes, so the generator advances alike and the
+    draws are randint's (test_feasible_values_draws_as_randint pins this),
+    with no Python frame per draw and no range, whatever the size of box.
     """
     scale = cell.scale
-    draws = range(-box * scale, box * scale + 1, scale)  # randint(-box, box) * scale
-    choice = rng.choice
+    size = 2 * box + 1
+    k = size.bit_length()
+    getrandbits = rng.getrandbits
     live = set(alive)
     active = [row for row in cell.rows if row[0] in live and row[1] in live]
     for _ in range(40):
-        vals = {p: choice(draws) for p in alive}
+        vals = {}
+        for p in alive:
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            vals[p] = (r - box) * scale
         for plus, minus, c in active:
             if vals[plus] - vals[minus] + c > 0:
                 break
@@ -482,7 +516,10 @@ def _feasible_values(
             visited.add(q)
             component.append(q)
             queue.extend(neighbors[q])
-        shift = choice(draws)
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        shift = (r - box) * scale
         for q in component:
             vals[q] += shift
     return vals
@@ -497,20 +534,31 @@ def _positive_int(name: str, value) -> None:
 
 
 def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[list[int | None]]:
-    """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked)."""
+    """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked).
+
+    Dead sets repeat from point to point, so each one's alive parameters
+    and live assigned triples are worked out once per call, in a dict
+    keyed by the dead set.  With no parameter drawn the dead set is empty,
+    and propagation (remove_and_enlarge) is skipped.
+    """
     rng = Random(seed)
     random = rng.random
     params = cell.parameters()
+    faces: dict[frozenset[int], tuple[list[int], list[tuple[int, int, int]]]] = {}
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
         drawn = [p for p in params if random() < 0.3]
-        dead = remove_and_enlarge(cell.rows, drawn)[1]
-        alive = [p for p in params if p not in dead]
+        dead = remove_and_enlarge(cell.rows, drawn)[1] if drawn else frozenset()
+        face = faces.get(dead)
+        if face is None:
+            alive = [p for p in params if p not in dead]
+            assigned = [t for t in cell.assigned if t[1] not in dead]
+            face = faces[dead] = alive, assigned
+        alive, assigned = face
         vals = _feasible_values(cell, alive, rng, box) if alive else {}
         point: list[int | None] = [None] * cell.num_vars
-        for v, param, offset in cell.assigned:
-            if param not in dead:
-                point[v] = vals[param] + offset
+        for v, param, offset in assigned:
+            point[v] = vals[param] + offset
         out.append(point)
     return out[:count]
 
@@ -520,11 +568,11 @@ def sample_cell(
 ) -> list[tuple[Scalar, ...]]:
     """Deterministic members of the cell; the first is the all--inf point.
 
-    Parameters are drawn as whole numbers in [-box, box], box an int >= 1,
-    each through Random.choice over range(-box, box + 1): choice makes the
-    same generator call as randint(-box, box), so the points are those of
-    a randint sampler (test_sample_cell_matches_the_fraction_sampler, whose
-    reference draws with randint, pins this).  Each point first puts every
+    Parameters are drawn as whole numbers in [-box, box], box any int >= 1,
+    each by the getrandbits calls that randint(-box, box) makes (see
+    _feasible_values), so the points are those of a randint sampler
+    (test_sample_cell_matches_the_fraction_sampler, whose reference draws
+    with randint, pins this).  Each point first puts every
     parameter at -inf with probability 0.3, then closes that set under the
     cell's rows (remove_and_enlarge): a row with its minus side at -inf
     forces its plus side there too.  The coordinates are public numbers

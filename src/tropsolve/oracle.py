@@ -14,7 +14,11 @@ sample_cell writes its draws with core.unscaled.  So on an integer grid
 and integer data cross_validate stays on ints from the grid to the
 verdicts: core._to_ints reads such a point in one pass, without a
 ratio, for cell_membership and verify_solution alike, the verdict cache
-is keyed on int tuples, and no Fraction is built.
+is keyed on int tuples, and no Fraction is built.  After that read,
+cell_membership only compares the point's columns, along a plan each
+cell builds on first use (its -inf columns, one anchor column per
+parameter, its rows over the anchors).  sample_cell draws whole numbers
+with the getrandbits calls randint makes, for a box of any size.
 
 grid_solutions splits the n columns into leading ones and a trailing block
 of the last r, where r is the largest r <= n with k**r <= 4096 candidates

@@ -189,6 +189,25 @@ def test_sampler_falls_back_to_the_greatest_point_below_zero():
     assert fallbacks >= 5, fallbacks
 
 
+@pytest.mark.parametrize(
+    "box", [1, 2, 3, 10, 2**62, 10**30], ids=["1", "2", "3", "10", "2**62", "10**30"]
+)
+def test_feasible_values_draws_as_randint(box):
+    # With no rows the first draw of each parameter is taken.  The sampler
+    # inlines Random._randbelow_with_getrandbits, so its draws, and the
+    # generator state after them, must be randint(-box, box)'s.
+    cell = make_cell(4, [(1, 1, 0), (2, 2, "1/3"), (3, 2, 0), (4, 4, 0)], [])
+    assert cell.scale == 3 and cell.parameters() == (0, 1, 3)
+    for seed in range(300):
+        reference, rng = random.Random(seed), random.Random(seed)
+        expected = {p: reference.randint(-box, box) * 3 for p in (0, 1, 3)}
+        got = cells_mod._feasible_values(cell, [0, 1, 3], rng, box)
+        assert (got, rng.getrandbits(32)) == (expected, reference.getrandbits(32)), (
+            f"seed {seed}, box {box}: the sampler's getrandbits draws are no longer "
+            "Random.randint(-box, box)'s; has Random._randbelow changed in this Python?"
+        )
+
+
 def test_sample_cell_deterministic(running_example):
     a, b = running_example
     cell = solve(a, b).cells[1]

@@ -15,7 +15,10 @@ whose candidate counts straddle the 4096-candidate block bound.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -395,6 +398,77 @@ def test_cell_membership_errors_match_the_fraction_rule():
         assert result_of(cell_membership, cell, x)[:2] == ("raised", TypeError)
 
 
+# Cells built by hand in shapes solve does not build: the anchor (first
+# assigned column) of a parameter is not at offset 0, or is not the
+# parameter's own column, which may be -inf or not exist; scales 1, 12, 5
+# and 6.  Rejection cannot draw the last cell's 1/2 <= t4 - t2 <= 2/3, so
+# its members come from the sampler's fallback.
+PLANNED_CELLS = (
+    make_cell(3, [(1, 1, 2), (2, 1, 5), (3, 3, -1)], [(1, 3, -2), (3, 1, 1)]),
+    make_cell(
+        4,
+        [(1, 3, "1/2"), (2, 3, "-1/3"), (4, 4, "3/4")],
+        [(3, 4, "1/6"), (4, 3, "-5/4")],
+        neg_inf=(3,),
+    ),
+    make_cell(3, [(1, 5, 1), (2, 5, 0), (3, 2, "2/5")], [(5, 2, "-3/5"), (2, 5, -4)]),
+    make_cell(
+        5,
+        [(1, 2, "-1/2"), (2, 2, "1/3"), (3, 2, 1), (4, 4, "7/6"), (5, 4, 0)],
+        [(2, 4, "1/2"), (4, 2, "-2/3")],
+    ),
+)
+
+
+def _planned_points(rng, cell, seed):
+    """Members, nudged members, members with one column at -inf, and random vectors."""
+    points = []
+    for member in ref_sample_cell(cell, 10, seed=seed, box=4):
+        points.append(list(member))
+        points.append(_nudged(rng, member))
+        dropped = list(member)
+        dropped[rng.randrange(cell.num_vars)] = NEG_INF
+        points.append(dropped)
+        points.append(_vector(rng, cell.num_vars))
+    return points
+
+
+def test_cell_membership_plan_matches_the_fraction_rule_on_built_cells():
+    rng = random.Random(9250)
+    verdicts = {True: 0, False: 0}
+    for seed in range(40):
+        for cell in PLANNED_CELLS:
+            for x in _planned_points(rng, cell, seed):
+                expected = ref_cell_membership(cell, x)
+                assert cell_membership(cell, x) is expected, (cell, x)
+                verdicts[expected] += 1
+    assert verdicts[True] >= 1500 and verdicts[False] >= 2500, verdicts
+    assert [c.scale for c in PLANNED_CELLS] == [1, 12, 5, 6]
+
+
+def test_cell_plan_is_lazy_and_seen_by_no_comparison_pickle_or_copy(running_example):
+    solved = solve(*running_example).cells
+    assert solved and not any("_plan" in vars(cell) for cell in solved)
+    rng = random.Random(9260)
+    for cell in PLANNED_CELLS:
+        twin = replace(cell)
+        shown = repr(cell), hash(cell)
+        points = _planned_points(rng, cell, 0)
+        verdicts = [ref_cell_membership(cell, x) for x in points]
+        assert [cell_membership(cell, x) for x in points] == verdicts
+        assert "_plan" in vars(cell) and "_plan" not in vars(twin)
+        assert (repr(cell), hash(cell)) == (repr(twin), hash(twin)) == shown
+        assert cell == twin and len({cell, twin}) == 1
+        for original in (cell, twin):
+            for clone in (
+                pickle.loads(pickle.dumps(original)),
+                copy.copy(original),
+                copy.deepcopy(original),
+            ):
+                assert clone == cell and repr(clone) == shown[0]
+                assert [cell_membership(clone, x) for x in points] == verdicts
+
+
 def _sampled_cells(rng, count):
     cells = []
     while len(cells) < count:
@@ -431,6 +505,28 @@ def test_sample_cell_matches_the_fraction_sampler():
             )
     assert fallbacks and dead, "the draws must reach the fallback and dead parameters"
     assert result_of(sample_cell, cell, 0) == result_of(ref_sample_cell, cell, 0)
+
+
+def test_sample_cell_and_cross_validate_accept_boxes_past_a_machine_word():
+    # 2 * box + 1 draws past sys.maxsize: a range of them has no len(),
+    # while getrandbits draws any box, as randint does
+    rng = random.Random(9310)
+    cells = _sampled_cells(rng, 5)
+    fallbacks: list = []
+    for box in (2**62, 10**30):
+        for idx, cell in enumerate(cells):
+            expected = ref_sample_cell(cell, 8, seed=idx, box=box, fallbacks=fallbacks)
+            assert sample_cell(cell, 8, seed=idx, box=box) == expected, (cell, box)
+    assert cells[-1] in fallbacks and cells[-2] in fallbacks
+    samples = 0
+    for trial in range(12):
+        m, n = _shape(rng)
+        a, b = _pair(rng, m, n)
+        args = (a, b, _grid(rng, n), solve(a, b), 3, trial, rng.choice([2**62, 10**30]))
+        expected = ref_cross_validate(*args)
+        assert cross_validate(*args) == expected, (a, b)
+        samples += expected.sample_count
+    assert samples >= 30, samples
 
 
 def test_cross_validate_matches_the_reference():
