@@ -7,7 +7,10 @@ equation rows mean = 0, inequality rows mean <= 0.  The equation system S
 is kept in reduced form as its equations arrive (OffsetUnionFind): every
 variable is its component's smallest member plus an offset, so substitute
 reads it as it stands, and the cell stage reads its cell key off it
-directly (snapshot freezes it for solve_equations only).
+directly.  The union-find is the one form of S: solve_equations returns it
+too.  Every set of variables here is an int bitmask (bit v for variable
+v): the inconsistent components, the flagged and the forced
+representatives, and the -inf set that remove_and_enlarge closes.
 Inequalities are tightened by difference-constraint analysis: negative
 cycles force variables to -inf, opposite rows of zero width become
 equations, and per ordered pair only the tightest row survives.  close is
@@ -15,7 +18,7 @@ the one shortest-path closure of such a system, shared by sub_specialize
 and the cell sampler (cells._feasible_values).
 
 Every step only adds, subtracts and compares constants, so the cell stage
-runs on Python ints: build_systems reads the maximum matrix scaled by one
+runs on Python ints: build_systems reads a maximum-matrix row scaled by one
 common denominator per solve, every constant and offset is an int in units
 of 1/scale, and the cells that cells.solve keeps store their rows as ints
 too, each cell in its own lowest unit.  The public eq and leq read their
@@ -31,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import NEG_INF, TropicalError, as_scalar
 from .preprocess import columns
-from .winseq import RowClassification, WinSequence
+from .winseq import RowClassification
 
 # (plus, minus, constant): x_plus - x_minus + constant, = 0 or <= 0 by list
 Row = tuple[int, int, "int | Fraction"]
@@ -79,39 +82,26 @@ def leq(plus: int, minus: int, constant) -> Row:
     return plus, minus, _constant(constant)
 
 
-@dataclass(frozen=True)
-class PotentialAssignment:
-    """Result of solving a system of bivariate equations.
-
-    x_v = x_representative[v] + offset[v]; a component is the variables
-    sharing a representative, its smallest index, which carries offset 0.
-    Components whose equations close a cycle with nonzero residual are
-    inconsistent (inconsistent_roots, offsets meaningless): over the reals
-    they have no solution, over the tropical scalars every member is -inf.
-    """
-
-    representative: tuple[int, ...]
-    offset: tuple[int | Fraction, ...]
-    inconsistent_roots: frozenset[int]
-
-
 class OffsetUnionFind:
     """The equation system S in reduced form, updated as each equation arrives.
 
     x_v = x_representative[v] + offset[v] at every moment: the representative
     is the smallest member of v's component and carries offset 0, so the
     lists can be read as they stand (substitute reads only these two).  A
-    component whose equations close a cycle with nonzero residual is listed,
-    by its representative, in inconsistent_roots.  Merging two components
-    relabels the one with the larger representative, drop, in one pass over
-    the variables v >= drop (drop is its smallest member): O(n) per merge,
-    at most n - 1 merges, and no parent chains to walk when reading.
+    component whose equations close a cycle with nonzero residual is
+    inconsistent: over the reals it has no solution, over the tropical
+    scalars every member is -inf, and its offsets mean nothing.  The int
+    mask inconsistent_roots holds the bit of its representative.  Merging
+    two components relabels the one with the larger representative, drop,
+    in one pass over the variables v >= drop (drop is its smallest member):
+    O(n) per merge, at most n - 1 merges, and no parent chains to walk when
+    reading.
     """
 
     def __init__(self, n: int):
         self.representative = list(range(n))
         self.offset: list[int | Fraction] = [0] * n
-        self.inconsistent_roots: set[int] = set()
+        self.inconsistent_roots = 0
 
     def add_equation(self, row: Row) -> None:
         """Absorb the equation row x_plus - x_minus + c = 0, flagging inconsistent cycles."""
@@ -122,7 +112,7 @@ class OffsetUnionFind:
         shift = off[minus] - constant - off[plus]
         if rp == rm:
             if shift != 0:
-                self.inconsistent_roots.add(rp)
+                self.inconsistent_roots |= 1 << rp
             return
         if rp < rm:
             keep, drop, shift = rp, rm, -shift  # x_rm = x_rp + shift
@@ -133,118 +123,105 @@ class OffsetUnionFind:
                 rep[v] = keep
                 off[v] += shift
         bad = self.inconsistent_roots
-        if drop in bad:
-            bad.remove(drop)
-            bad.add(keep)
+        if bad >> drop & 1:
+            self.inconsistent_roots = bad ^ (1 << drop) | 1 << keep
 
-    def snapshot(self) -> PotentialAssignment:
-        """The current reduced form, frozen."""
-        return PotentialAssignment(
-            tuple(self.representative),
-            tuple(self.offset),
-            frozenset(self.inconsistent_roots),
-        )
+    def snapshot(self) -> tuple[tuple[int, ...], tuple[int | Fraction, ...], int]:
+        """(representative, offset, inconsistent_roots) as they stand, in one plain tuple.
+
+        For tests that compare a solved sequence's S by value; the solver
+        never calls it (the benchmark's traced run still wraps it by name).
+        """
+        return tuple(self.representative), tuple(self.offset), self.inconsistent_roots
 
 
-def solve_equations(equations: Iterable[Row], num_vars: int) -> PotentialAssignment:
+def solve_equations(equations: Iterable[Row], num_vars: int) -> OffsetUnionFind:
     """Solve a system of bivariate equation rows over variables 0..num_vars-1."""
     uf = OffsetUnionFind(num_vars)
     for row in equations:
         uf.add_equation(row)
-    return uf.snapshot()
+    return uf
 
 
 def build_systems(
-    sequence: WinSequence,
-    rows: Sequence[Sequence[int | None]],
-    classifications: Sequence[RowClassification],
+    pair: tuple[int, int], row: Sequence[int | None], classification: RowClassification
 ) -> tuple[list[Row], list[Row]]:
-    """Equation and inequality rows a solution arising from the sequence obeys.
+    """Equation and inequality rows of one win-sequence row with pair (i1, i2).
 
-    rows[h] is the maximum-matrix row that the h-th pair belongs to, scaled
-    to exact ints (None for -inf, see preprocess.RowMasks.maximum), and
-    classifications[h] is its RowClassification; the constants come out in
-    the units of rows.  Row h with pair (i1, i2) contributes the equation
-    x_i2 - x_i1 + (m_hi2 - m_hi1) = 0 (tautological and skipped when
-    i1 = i2) and, for every column j of the row's live support (a_wins |
-    b_wins | ties) outside the pair, in increasing order, the inequality
-    x_j - x_i1 + (m_hj - m_hi1) <= 0 obtained by eliminating the common row
-    value.  A column that is not live is in no class, so it takes part in
-    no row.
+    row is the maximum-matrix row the pair belongs to, scaled to exact ints
+    (None for -inf, see preprocess.RowMasks.maximum), and classification is
+    its RowClassification; the constants come out in the units of row.  The
+    pair contributes the equation x_i2 - x_i1 + (m_i2 - m_i1) = 0
+    (tautological and skipped when i1 = i2) and, for every column j of the
+    row's live support (a_wins | b_wins | ties) outside the pair, in
+    increasing order, the inequality x_j - x_i1 + (m_j - m_i1) <= 0
+    obtained by eliminating the common row value.  A column that is not
+    live is in no class, so it takes part in no row.  A sequence's system
+    is its rows' parts, concatenated in order.
     """
-    eqs: list[Row] = []
-    ineqs: list[Row] = []
-    for h, (i1, i2) in enumerate(sequence):
-        row = rows[h]
-        cls = classifications[h]
-        base = row[i1]
-        if i1 != i2:
-            eqs.append(_oriented(i2, i1, row[i2] - base))
-        support = (cls.a_wins | cls.b_wins | cls.ties) & ~(1 << i1 | 1 << i2)
-        for j in columns(support):
-            ineqs.append((j, i1, row[j] - base))
-    return eqs, ineqs
+    i1, i2 = pair
+    base = row[i1]
+    eqs = [_oriented(i2, i1, row[i2] - base)] if i1 != i2 else []
+    cls = classification
+    support = (cls.a_wins | cls.b_wins | cls.ties) & ~(1 << i1 | 1 << i2)
+    return eqs, [(j, i1, row[j] - base) for j in columns(support)]
 
 
-def remove_and_enlarge(
-    ineqs: Iterable[Row], omega: Iterable[int]
-) -> tuple[list[Row], frozenset[int]]:
+def remove_and_enlarge(ineqs: Iterable[Row], omega: int) -> tuple[list[Row], int]:
     """Propagate -inf through inequality rows to a fixed point.
 
-    A row whose plus side is -inf holds vacuously; one whose minus side is
-    -inf forces the plus side to -inf.  The returned rows touch no variable
-    of the enlarged set.  The cell stage calls it on rows over component
+    omega is the int mask of the variables at -inf.  A row whose plus side
+    is -inf holds vacuously; one whose minus side is -inf forces the plus
+    side to -inf.  Returns the rows that touch no variable of the enlarged
+    mask, and that mask.  The cell stage calls it on rows over component
     representatives (see substitute), so that forcing a representative
     forces its whole equation component with it.
     """
-    om = set(omega)
     work = list(ineqs)
-    if not om:
-        return work, frozenset()
+    if not omega:
+        return work, 0
     changed = True
     while changed:
         changed = False
         keep = []
         for row in work:
             plus, minus, _ = row
-            if plus in om:
+            if omega >> plus & 1:
                 continue
-            if minus in om:
-                om.add(plus)
+            if omega >> minus & 1:
+                omega |= 1 << plus
                 changed = True
             else:
                 keep.append(row)
         work = keep
-    return work, frozenset(om)
+    return work, omega
 
 
-def substitute(
-    ineqs: Iterable[Row], pa: PotentialAssignment | OffsetUnionFind
-) -> tuple[list[Row], frozenset[int]]:
+def substitute(ineqs: Iterable[Row], uf: OffsetUnionFind) -> tuple[list[Row], int]:
     """Rewrite inequality rows over component representatives.
 
     A row whose endpoints share a representative either drops (constant
     <= 0, a tautology) or flags the component as infeasible over the reals;
-    flagged representatives are returned for the caller to force to -inf.
-    Rows touching an inconsistent component are mapped too, with meaningless
-    constants; that component is -inf throughout, so the caller must seed
-    remove_and_enlarge with pa.inconsistent_roots, which drops those rows.
-    Only pa.representative and pa.offset are read, so pa may also be an
-    OffsetUnionFind, in reduced form at every moment.
+    the int mask of flagged representatives is returned for the caller to
+    force to -inf.  Rows touching an inconsistent component are mapped too,
+    with meaningless constants; that component is -inf throughout, so the
+    caller must seed remove_and_enlarge with uf.inconsistent_roots, which
+    drops those rows.  Only uf.representative and uf.offset are read, in
+    reduced form at every moment.
     """
     out: list[Row] = []
-    flagged: set[int] = set()
-    rep, offset = pa.representative, pa.offset
+    flagged = 0
+    rep, offset = uf.representative, uf.offset
     for plus, minus, constant in ineqs:
         rp = rep[plus]
         rm = rep[minus]
         constant = offset[plus] - offset[minus] + constant
         if rp == rm:
             if constant > 0:
-                flagged.add(rp)
+                flagged |= 1 << rp
             continue
         out.append((rp, rm, constant))
-    return out, frozenset(flagged)
+    return out, flagged
 
 
 def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Row]:
@@ -302,24 +279,23 @@ def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) 
     return dist
 
 
-def sub_specialize(
-    ineqs: Sequence[Row],
-) -> tuple[list[Row], list[Row], frozenset[int]]:
+def sub_specialize(ineqs: Sequence[Row]) -> tuple[list[Row], list[Row], int]:
     """Tighten an inequality system into equations, a residue, and forced vars.
 
     Per ordered variable pair only the tightest row is kept (a row with a
     smaller constant is superfluous).  The difference-constraint digraph
     (edge minus -> plus, weight -constant) is closed under shortest paths:
     the variables it flags on a negative cycle must be -inf over the
-    tropical scalars and are reported as forced, with propagation, which
-    reaches the rest of their component, left to the caller; adjacent
-    opposite rows of zero width turn into one equation each.  The residue is
-    canonically ordered and sub-special (is_sub_special in
-    tests/test_bivariate.py checks that structure), and 2*len(eqs) +
-    len(residue) never exceeds len(ineqs).
+    tropical scalars and are reported as the int mask forced, with
+    propagation, which reaches the rest of their component, left to the
+    caller; adjacent opposite rows of zero width turn into one equation
+    each.  The residue is canonically ordered and sub-special
+    (is_sub_special in tests/test_bivariate.py checks that structure), and
+    2*len(eqs) + len(residue) never exceeds len(ineqs).
 
     Every cycle runs through the cyclic core, the variables that are the
-    plus side of one kept row and the minus side of another.  A core of
+    plus side of one kept row and the minus side of another (the masks
+    heads and tails, and core the columns of heads & tails).  A core of
     fewer than two variables holds no cycle, so the kept rows are the
     residue.  In a core of two, p < m, the only cycle is the 2-cycle
     through best[p, m] and best[m, p], if both are kept: a positive sum of
@@ -330,8 +306,7 @@ def sub_specialize(
     rejects it.
     """
     best: dict[tuple[int, int], int | Fraction] = {}
-    heads: set[int] = set()
-    tails: set[int] = set()
+    heads = tails = 0
     for plus, minus, constant in ineqs:
         if plus == minus:
             raise TropicalError("constraint endpoints must differ")
@@ -339,14 +314,14 @@ def sub_specialize(
         old = best.get(key)
         if old is None:
             best[key] = constant
-            heads.add(plus)
-            tails.add(minus)
+            heads |= 1 << plus
+            tails |= 1 << minus
         elif constant > old:
             best[key] = constant
 
-    core = sorted(heads & tails)
+    core = columns(heads & tails)
     if len(core) < 2:
-        return [], _canonical_rows(best), frozenset()
+        return [], _canonical_rows(best), 0
     eqs: list[Row] = []
     if len(core) == 2:
         # the only cycle is the 2-cycle through both rows between p < m
@@ -355,15 +330,15 @@ def sub_specialize(
         if up is not None and down is not None:
             total = up + down  # the 2-cycle weighs -total
             if total > 0:
-                return [], _canonical_rows(best), frozenset(core)
+                return [], _canonical_rows(best), heads & tails
             if total == 0:
                 eqs.append((p, m, up))  # p < m: canonical orientation
                 del best[(p, m)]
                 del best[(m, p)]
-        return eqs, _canonical_rows(best), frozenset()
+        return eqs, _canonical_rows(best), 0
 
     dist = close(core, best)
-    forced = frozenset(p for i, p in enumerate(core) if dist[i][i] < 0)
+    forced = sum(1 << p for i, p in enumerate(core) if dist[i][i] < 0)
     if forced:
         return [], _canonical_rows(best), forced
 
@@ -381,4 +356,4 @@ def sub_specialize(
     residue = _canonical_rows(best)
     if 2 * len(eqs) + len(residue) > len(ineqs):
         raise TropicalError("sub-specialization grew the system")  # unreachable
-    return eqs, residue, frozenset()
+    return eqs, residue, 0

@@ -7,9 +7,12 @@ instance: reduce, classify rows, enumerate win sequences, and for each
 sequence solve its equation system, substitute the inequalities onto its
 representatives, propagate -inf over them and tighten, looping while
 tightening forces variables or extracts equations.  A solved sequence
-yields its union-find (S in reduced form), the set of its representatives
-forced to -inf, the residue, and the dimension bound: the number of
-components right after the sequence's own equations.  Each surviving
+yields its union-find (S in reduced form, and its only form), the int
+mask of its representatives forced to -inf, the residue, and the
+dimension bound: the number of components right after the sequence's own
+equations.  Every set of variables in this stage is an int mask, as the
+column sets are from preprocess on; only the public SolutionCell.neg_inf
+and SolutionSet.globally_forced are frozensets.  Each surviving
 sequence yields one convex cell: variables forced to -inf, parameterized
 assignments x_v = t_p + offset, and a canonical list of residual
 inequalities over the parameters.  The per-sequence work runs on int rows
@@ -195,14 +198,14 @@ def _solve_sequence(
 
     rows[h] is the maximum-matrix row of the sequence's h-th pair and
     classifications[h] its RowClassification.  Returns (uf, dead, residue,
-    bound): the union-find holding S in reduced form, the frozenset of its
+    bound): the union-find holding S in reduced form, the int mask of its
     representatives forced to -inf (a variable is -inf when its
     representative is), the sub-special residue rows over the
     representatives, and the dimension bound.  Offsets and constants are
     ints in the unit of rows.  systems maps (row h, pair) to the rows
-    build_systems gives for that row alone; solve passes one dict per
-    scenario, so that every row's system is built once and only
-    concatenated per sequence.
+    build_systems gives for that row; solve passes one dict per scenario,
+    so that every row's system is built once and only concatenated per
+    sequence.
 
     Each row's equation goes into the union-find as that row's part is
     gathered.  The bound is the number of components right after the
@@ -231,12 +234,12 @@ def _solve_sequence(
     for h, pair in enumerate(sequence):
         part = systems.get((h, pair))
         if part is None:
-            part = systems[h, pair] = build_systems((pair,), (rows[h],), (classifications[h],))
+            part = systems[h, pair] = build_systems(pair, rows[h], classifications[h])
         for row in part[0]:
             uf.add_equation(row)
         ineqs += part[1]
     bound = len(set(uf.representative))
-    dead: frozenset[int] = frozenset()
+    dead = 0
     rounds = 0  # rounds that did not return, counted only on that rare path
     while True:
         kept, flagged = substitute(ineqs, uf)
@@ -259,7 +262,7 @@ def _solve_sequence(
 def _cell_key(
     sequence: WinSequence,
     uf: OffsetUnionFind,
-    dead: frozenset[int],
+    dead: int,
     residue: Sequence[Row],
     bound: int,
     red: ReducedInstance,
@@ -286,7 +289,7 @@ def _cell_key(
     else:
         assigned = []
         for v, r in enumerate(rep):
-            if r in dead or forced >> v & 1:
+            if dead >> r & 1 or forced >> v & 1:
                 neg.append(v)
             else:
                 assigned.append((v, r, off[v]))
@@ -466,7 +469,10 @@ def _feasible_values(
     Tries plain rejection first; falls back to the greatest point <= 0 of
     the active rows, read off their shortest-path closure (bivariate.close)
     as x_q = min_p dist[p][q], and shifted randomly per weakly connected
-    component, which always satisfies the difference constraints.  Draws
+    component, which always satisfies the difference constraints.  The
+    components come from an OffsetUnionFind fed each active row at constant
+    0 (so every offset stays 0); each representative, its component's
+    smallest member, draws the component's shift, in ascending order.  Draws
     are whole numbers in [-box, box] times the cell's scale.  Each is
     r - box for r = rng.getrandbits(k), k = (2 * box + 1).bit_length(),
     drawn again while r >= 2 * box + 1: that is the one
@@ -499,29 +505,18 @@ def _feasible_values(
             best[plus, minus] = c
     into = zip(*close(alive, best))  # per parameter, the path weights into it
     vals = {q: min(d for d in col if d is not None) for q, col in zip(alive, into)}
-    neighbors: dict[int, set[int]] = {p: set() for p in alive}
+    components = OffsetUnionFind(cell.num_vars)
     for plus, minus, _ in active:
-        neighbors[plus].add(minus)
-        neighbors[minus].add(plus)
-    visited: set[int] = set()
+        components.add_equation((plus, minus, 0))
+    rep = components.representative
+    shifts: dict[int, int] = {}
     for p in sorted(alive):
-        if p in visited:
-            continue
-        component = []
-        queue = [p]
-        while queue:
-            q = queue.pop()
-            if q in visited:
-                continue
-            visited.add(q)
-            component.append(q)
-            queue.extend(neighbors[q])
-        r = getrandbits(k)
-        while r >= size:
+        if rep[p] == p:
             r = getrandbits(k)
-        shift = (r - box) * scale
-        for q in component:
-            vals[q] += shift
+            while r >= size:
+                r = getrandbits(k)
+            shifts[p] = (r - box) * scale
+        vals[p] += shifts[rep[p]]
     return vals
 
 
@@ -536,23 +531,24 @@ def _positive_int(name: str, value) -> None:
 def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[list[int | None]]:
     """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked).
 
-    Dead sets repeat from point to point, so each one's alive parameters
-    and live assigned triples are worked out once per call, in a dict
-    keyed by the dead set.  With no parameter drawn the dead set is empty,
-    and propagation (remove_and_enlarge) is skipped.
+    The drawn and dead parameters are int masks.  Dead masks repeat from
+    point to point, so each one's alive parameters and live assigned
+    triples are worked out once per call, in a dict keyed by the dead mask.
+    With no parameter drawn the dead mask is 0, and propagation
+    (remove_and_enlarge) is skipped.
     """
     rng = Random(seed)
     random = rng.random
     params = cell.parameters()
-    faces: dict[frozenset[int], tuple[list[int], list[tuple[int, int, int]]]] = {}
+    faces: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
-        drawn = [p for p in params if random() < 0.3]
-        dead = remove_and_enlarge(cell.rows, drawn)[1] if drawn else frozenset()
+        drawn = sum(1 << p for p in params if random() < 0.3)
+        dead = remove_and_enlarge(cell.rows, drawn)[1] if drawn else 0
         face = faces.get(dead)
         if face is None:
-            alive = [p for p in params if p not in dead]
-            assigned = [t for t in cell.assigned if t[1] not in dead]
+            alive = [p for p in params if not dead >> p & 1]
+            assigned = [t for t in cell.assigned if not dead >> t[1] & 1]
             face = faces[dead] = alive, assigned
         alive, assigned = face
         vals = _feasible_values(cell, alive, rng, box) if alive else {}

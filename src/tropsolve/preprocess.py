@@ -20,8 +20,9 @@ so one RowMasks serves every silencing scenario of a solve: a scenario only
 declares more columns dead, and reduce_instance intersects the masks with
 its own set of live columns.  A set of columns is an int bitmask from here
 to the cell key: the dead columns a scenario starts from, the live, forced
-and free columns of a ReducedInstance and the classes of
-winseq.RowClassification.  maximum_matrix is the entrywise maximum of two
+and free columns of a ReducedInstance, the classes of
+winseq.RowClassification, and in the cell stage the inconsistent, flagged,
+forced and dead variables of bivariate and cells.  maximum_matrix is the entrywise maximum of two
 Matrix objects, taken on their ints.
 """
 

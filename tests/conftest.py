@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from tropsolve import NEG_INF, Matrix
+from tropsolve.bivariate import build_systems
 from tropsolve.cells import SolutionCell
 from tropsolve.preprocess import row_masks
 from tropsolve.winseq import classify_row
@@ -135,13 +136,27 @@ def dimension_bound(sequence, num_vars):
 def omega_assignment(solved):
     """(omega, assignment, residue) of a cells._solve_sequence result.
 
-    omega is the set of variables whose representative is dead, the
-    assignment the union-find frozen by its snapshot: the form the
-    sequence's result had before it returned the union-find itself.
+    omega is the set of variables whose representative is in the dead
+    mask, the assignment the union-find's lists and inconsistent mask as
+    plain tuples (its snapshot), so that two results compare by value.
     """
     uf, dead, residue, _ = solved
     rep = uf.representative
-    return {v for v in range(len(rep)) if rep[v] in dead}, uf.snapshot(), residue
+    return {v for v in range(len(rep)) if dead >> rep[v] & 1}, uf.snapshot(), residue
+
+
+def sequence_systems(sequence, rows, classifications):
+    """A whole win sequence's (equations, inequalities): its rows' parts in order.
+
+    rows[h] and classifications[h] belong to the h-th pair, as
+    bivariate.build_systems reads them one row at a time.
+    """
+    eqs, ineqs = [], []
+    for pair, row, cls in zip(sequence, rows, classifications):
+        part = build_systems(pair, row, cls)
+        eqs += part[0]
+        ineqs += part[1]
+    return eqs, ineqs
 
 
 def scaled_rows(matrix):

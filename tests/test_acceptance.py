@@ -44,7 +44,7 @@ from tropsolve import (
     substitute,
     verify_solution,
 )
-from tropsolve.bivariate import PotentialAssignment, leq
+from tropsolve.bivariate import OffsetUnionFind, leq
 from tropsolve.reductions import AffineInstance, affine_holds, solve_affine, solve_hetero
 from tropsolve.cells import _solve_sequence
 from tropsolve.preprocess import reduce_instance
@@ -221,11 +221,9 @@ def test_criterion_5_intermediate_fixtures():
     if eqs or forced or set(residue) != set(D2_ROWS):
         failures.append(f"sub-specialization row set differs: {residue}")
 
-    anchored = PotentialAssignment(
-        representative=(3, 1, 3, 3),
-        offset=(Fraction(5), Fraction(0), Fraction(6), Fraction(0)),
-        inconsistent_roots=frozenset(),
-    )
+    anchored = OffsetUnionFind(4)  # anchored at x4, as the displayed solution is
+    anchored.representative = [3, 1, 3, 3]
+    anchored.offset = [Fraction(5), Fraction(0), Fraction(6), Fraction(0)]
     rows, flagged = substitute(D2_ROWS, anchored)
     eqs2, residue2, forced2 = sub_specialize(rows)
     if flagged or eqs2 or forced2 or residue2 != [leq(1, 3, -1)]:

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import row_classes, scaled_rows, seq0
+from conftest import col_mask, row_classes, scaled_rows, seq0, sequence_systems
 from tropsolve import solve_equations, sub_specialize, substitute
 from tropsolve.bivariate import (
     Constraint,
-    PotentialAssignment,
-    build_systems,
+    OffsetUnionFind,
     close,
     eq,
     leq,
@@ -17,7 +16,7 @@ from tropsolve.bivariate import (
 )
 import tropsolve.bivariate as bivariate
 from tropsolve.core import NEG_INF, TropicalError
-from tropsolve.preprocess import maximum_matrix
+from tropsolve.preprocess import columns, maximum_matrix
 
 NI = "-inf"
 
@@ -88,7 +87,7 @@ D2_ROWS = [
 def _systems_for(a, b, sequence_1based):
     mx = maximum_matrix(a, b)
     classes = row_classes(a, b)
-    return build_systems(seq0(sequence_1based), scaled_rows(mx), classes)
+    return sequence_systems(seq0(sequence_1based), scaled_rows(mx), classes)
 
 
 def test_build_systems_first_sequence(running_example):
@@ -149,19 +148,19 @@ def test_remove_and_enlarge_empty_case():
     # the inconsistent component {1,3,4} seeds the forced set; the first-row
     # inequality x2 - x1 + 4 <= 0 then forces x2
     constraints = [leq(1, 0, 4)]
-    remaining, omega = remove_and_enlarge(constraints, {0, 2, 3})
+    remaining, omega = remove_and_enlarge(constraints, col_mask([0, 2, 3]))
     assert remaining == []
-    assert omega == {0, 1, 2, 3}
+    assert omega == col_mask([0, 1, 2, 3])
 
 
 def test_remove_and_enlarge_plus_side_dropped():
-    remaining, omega = remove_and_enlarge([leq(7, 3, 1)], {7})
-    assert remaining == [] and omega == {7}
+    remaining, omega = remove_and_enlarge([leq(7, 3, 1)], 1 << 7)
+    assert remaining == [] and omega == 1 << 7
 
 
 def test_remove_and_enlarge_chain():
-    remaining, omega = remove_and_enlarge([leq(1, 0, 0), leq(2, 1, 0)], {0})
-    assert remaining == [] and omega == {0, 1, 2}
+    remaining, omega = remove_and_enlarge([leq(1, 0, 0), leq(2, 1, 0)], 1 << 0)
+    assert remaining == [] and omega == col_mask([0, 1, 2])
 
 
 def test_remove_and_enlarge_equation_propagates():
@@ -170,29 +169,46 @@ def test_remove_and_enlarge_equation_propagates():
     pa = solve_equations([eq(5, 2, 3)], 6)  # x6 = x3 - 3
     rows, flagged = substitute([leq(4, 5, 0), leq(5, 1, 0)], pa)
     assert rows == [(4, 2, 3), (2, 1, -3)] and not flagged
-    remaining, omega = remove_and_enlarge(rows, {pa.representative[5]})
-    assert remaining == [] and omega == {2, 4}
-    assert {v for v in range(6) if pa.representative[v] in omega} == {2, 4, 5}
+    remaining, omega = remove_and_enlarge(rows, 1 << pa.representative[5])
+    assert remaining == [] and omega == col_mask([2, 4])
+    assert [v for v in range(6) if omega >> pa.representative[v] & 1] == [2, 4, 5]
+
+
+def _reference_enlarge(rows, omega):
+    """The least superset of omega closed under "minus dead => plus dead", as a set."""
+    dead = set(omega)
+    while True:
+        more = {plus for plus, minus, _ in rows if minus in dead} - dead
+        if not more:
+            return dead
+        dead |= more
 
 
 def test_remove_and_enlarge_fixed_point_bound():
-    rng = random.Random(3)
-    for _ in range(100):
-        n = rng.randint(2, 6)
-        cons = [
-            leq(*rng.sample(range(n), 2), rng.randint(-3, 3)) for _ in range(rng.randint(0, 8))
-        ]
-        omega0 = set(rng.sample(range(n), rng.randint(0, n)))
-        remaining, omega = remove_and_enlarge(cons, omega0)
-        assert omega0 <= omega
-        for plus, minus, _ in remaining:
-            assert plus not in omega and minus not in omega
+    # the least closed superset, and exactly the rows that touch none of it;
+    # indices up to 129, so that the masks span more than one 64-bit word
+    rng = random.Random(4100)
+    seen = Counter()
+    for _ in range(1500):
+        names = rng.sample(range(130), rng.randint(2, 9))
+        rows = [leq(*rng.sample(names, 2), rng.randint(-3, 3)) for _ in range(rng.randint(0, 10))]
+        start = set(rng.sample(names, rng.randint(0, len(names))))
+        remaining, omega = remove_and_enlarge(rows, col_mask(start))
+        dead = _reference_enlarge(rows, start)
+        assert omega == col_mask(dead), (rows, start)
+        assert remaining == [r for r in rows if r[0] not in dead and r[1] not in dead]
+        seen["enlarged"] += len(dead) > len(start)
+        seen["chains"] += len(dead) > len(start) + 1
+        seen["rows kept beside dead"] += bool(start) and 0 < len(remaining) < len(rows)
+        seen["nothing dead"] += not start
+    assert all(seen[key] >= 150 for key in
+               ("enlarged", "chains", "rows kept beside dead", "nothing dead")), seen
 
 
 def test_solve_equations_gaussian_family():
     pa = solve_equations(C1_ROWS, 4)
     # same affine family as the displayed solution x3 = x4 + 6, x1 = x4 + 5
-    assert pa.representative == (0, 1, 0, 0)
+    assert pa.representative == [0, 1, 0, 0]
     assert pa.offset[2] - pa.offset[3] == 6
     assert pa.offset[0] - pa.offset[3] == 5
     assert not pa.inconsistent_roots
@@ -200,14 +216,15 @@ def test_solve_equations_gaussian_family():
 
 def test_solve_equations_inconsistent_cycle():
     pa = solve_equations([eq(0, 3, -5), eq(0, 2, 1), eq(2, 3, 4)], 4)
-    assert pa.inconsistent_roots == {0}
+    assert pa.inconsistent_roots == 1 << 0
     assert [v for v in range(4) if pa.representative[v] == 0] == [0, 2, 3]
 
 
 def test_solve_equations_empty():
     pa = solve_equations([], 3)
-    assert pa.representative == (0, 1, 2)
-    assert pa.offset == (0, 0, 0)
+    assert pa.representative == [0, 1, 2]
+    assert pa.offset == [0, 0, 0]
+    assert pa.inconsistent_roots == 0
 
 
 def test_solve_equations_inconsistency_witness():
@@ -220,7 +237,7 @@ def test_solve_equations_inconsistency_witness():
             for _ in range(rng.randint(1, 6))
         ]
         pa = solve_equations(eqs, n)
-        for root in pa.inconsistent_roots:
+        for root in columns(pa.inconsistent_roots):
             members = {v for v in range(n) if pa.representative[v] == root}
             # independent replay: BFS potentials must hit a contradiction
             potential = {min(members): Fraction(0)}
@@ -245,11 +262,9 @@ def test_solve_equations_inconsistency_witness():
 
 def test_substitute_yields_displayed_normal_form():
     # anchor the component at x4 exactly as the displayed solution does
-    pa = PotentialAssignment(
-        representative=(3, 1, 3, 3),
-        offset=(Fraction(5), Fraction(0), Fraction(6), Fraction(0)),
-        inconsistent_roots=frozenset(),
-    )
+    pa = OffsetUnionFind(4)
+    pa.representative = [3, 1, 3, 3]
+    pa.offset = [Fraction(5), Fraction(0), Fraction(6), Fraction(0)]
     rows, flagged = substitute(D2_ROWS, pa)
     assert not flagged
     eqs, residue, forced = sub_specialize(rows)
@@ -266,18 +281,18 @@ def test_substitute_tautology_dropped():
 def test_substitute_flags_infeasible():
     pa = solve_equations([eq(0, 2, -1)], 3)
     rows, flagged = substitute([leq(0, 2, 9)], pa)
-    assert rows == [] and flagged == {0}
+    assert rows == [] and flagged == 1 << 0
 
 
 def test_substitute_maps_inconsistent_component():
     # {x1, x3} is inconsistent: substitute maps its rows without raising,
     # and seeding the propagation with its root removes every one of them
     pa = solve_equations([eq(0, 2, 1), eq(2, 0, 1)], 4)
-    assert pa.inconsistent_roots == {0}
+    assert pa.inconsistent_roots == 1 << 0
     rows, flagged = substitute([leq(1, 2, 0), leq(2, 3, 0), leq(3, 1, 0)], pa)
     assert [(p, m) for p, m, _ in rows] == [(1, 0), (0, 3), (3, 1)] and not flagged
     remaining, omega = remove_and_enlarge(rows, pa.inconsistent_roots)
-    assert remaining == [] and omega == {0, 1, 3}
+    assert remaining == [] and omega == col_mask([0, 1, 3])
 
 
 def test_sub_specialize_displayed_matrices():
@@ -294,14 +309,14 @@ def test_sub_specialize_opposite_rows_zero_width():
 
 def test_sub_specialize_negative_two_cycle():
     eqs, residue, forced = sub_specialize([leq(0, 1, 1), leq(1, 0, 1)])
-    assert forced == {0, 1}
+    assert forced == col_mask([0, 1])
     assert not eqs
 
 
 def test_sub_specialize_negative_long_cycle():
     rows = [leq(1, 0, 1), leq(2, 1, 1), leq(0, 2, 1)]
     _, _, forced = sub_specialize(rows)
-    assert forced == {0, 1, 2}
+    assert forced == col_mask([0, 1, 2])
 
 
 def test_sub_specialize_negative_three_cycle_only():
@@ -314,7 +329,7 @@ def test_sub_specialize_negative_three_cycle_only():
     for (m, p), weight in w.items():
         assert weight + w[(p, m)] >= 0
     eqs, residue, forced = sub_specialize(rows)
-    assert forced == {2, 5, 7}
+    assert forced == col_mask([2, 5, 7])
     assert not eqs
     assert sorted(residue) == sorted(rows)
 
@@ -425,7 +440,7 @@ def _reference_sub_specialize(ineqs):
             for j, dkj in enumerate(dist[k]):
                 if dkj is not None and (row_i[j] is None or dik + dkj < row_i[j]):
                     row_i[j] = dik + dkj
-    forced = frozenset(variables[i] for i in range(nv) if dist[i][i] < 0)
+    forced = col_mask(variables[i] for i in range(nv) if dist[i][i] < 0)
     if forced:
         return [], _reference_canonical_rows(best), forced
     eqs = []
@@ -436,7 +451,7 @@ def _reference_sub_specialize(ineqs):
             eqs.append((p, m, best[(p, m)]))
             del best[(p, m)]
             del best[(m, p)]
-    return eqs, _reference_canonical_rows(best), frozenset()
+    return eqs, _reference_canonical_rows(best), 0
 
 
 def _constant(rng, fractional):

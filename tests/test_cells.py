@@ -13,6 +13,7 @@ from conftest import (
     dimension_bound,
     make_cell,
     omega_assignment,
+    sequence_systems,
     pair_scale,
     planted_rows,
     ref_scaled,
@@ -36,7 +37,7 @@ from tropsolve import (
 )
 import tropsolve.cells as cells_mod
 from test_golden import planted_ints
-from tropsolve.bivariate import Constraint, PotentialAssignment, build_systems, eq, leq
+from tropsolve.bivariate import Constraint, OffsetUnionFind, eq, leq
 from tropsolve.cells import _cell_key, _solve_sequence, _unconstrained_key
 from tropsolve.core import DimensionMismatch, TropicalError
 from tropsolve.preprocess import ReducedInstance, reduce_instance
@@ -547,7 +548,7 @@ def test_a_sequence_that_never_settles_fails_at_its_round_bound(monkeypatch):
         calls[0] += 1
         if calls[0] > 100:
             raise RuntimeError("sub_specialize called more than 100 times")
-        return [(0, 1, 0)], [], frozenset()
+        return [(0, 1, 0)], [], 0
 
     monkeypatch.setattr(cells_mod, "sub_specialize", stuck)
     nvars = 3
@@ -557,23 +558,24 @@ def test_a_sequence_that_never_settles_fails_at_its_round_bound(monkeypatch):
     assert issubclass(cells_mod.RoundBoundExceeded, TropicalError)
 
 
-def test_solve_builds_no_potential_assignment(monkeypatch):
-    built = [0]
-    init = PotentialAssignment.__init__
+def test_solve_never_snapshots_the_union_find(monkeypatch):
+    # the union-find is read as it stands: solve copies none of its lists
+    calls = [0]
+    snapshot = OffsetUnionFind.snapshot
 
-    def counted(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
+    def counted(self):
+        calls[0] += 1
+        return snapshot(self)
 
-    monkeypatch.setattr(PotentialAssignment, "__init__", counted)
+    monkeypatch.setattr(OffsetUnionFind, "snapshot", counted)
     rng = random.Random(77)
     kept = 0
     for a, b in (planted_ints(rng, rng.randint(2, 5), rng.randint(3, 8), 0.3, True)
                  for _ in range(40)):
         kept += len(solve(Matrix(a), Matrix(b)).cells)
-    assert built[0] == 0 and kept >= 100
-    solve_equations([], 2)
-    assert built[0] == 1
+    assert calls[0] == 0 and kept >= 100
+    assert solve_equations([eq(0, 1, 2)], 2).snapshot() == ((0, 0), (0, 2), 0)  # x1 = x0 + 2
+    assert calls[0] == 1
 
 
 def _pair_systems(rng, sequence, n):
@@ -616,7 +618,7 @@ def test_bound_is_the_component_count_after_the_own_equations():
         rows, classes = _pair_systems(rng, sequence, n)
         uf, dead, residue, bound = _solve_sequence(sequence, rows, classes, n, {})
         assert bound == dimension_bound(sequence, n)
-        eqs, _ = build_systems(sequence, rows, classes)
+        eqs, _ = sequence_systems(sequence, rows, classes)
         own = solve_equations(eqs, n)
         assert bound == len(set(own.representative))
         seen["ties"] += any(p == q for p, q in sequence)
@@ -650,7 +652,7 @@ def test_unconstrained_key_matches_the_per_column_test():
 def _cell_key_per_column(sequence, uf, dead, residue, bound, red):
     """The key read with one test per column, as the reference."""
     rep, off = uf.representative, uf.offset
-    neg = tuple(v for v in range(len(rep)) if rep[v] in dead or red.forced >> v & 1)
+    neg = tuple(v for v in range(len(rep)) if dead >> rep[v] & 1 or red.forced >> v & 1)
     assigned = tuple((v, rep[v], off[v]) for v in range(len(rep)) if v not in neg)
     if not assigned:
         return None
