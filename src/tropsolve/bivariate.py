@@ -11,10 +11,12 @@ directly.  The union-find is the one form of S: solve_equations returns it
 too.  Every set of variables here is an int bitmask (bit v for variable
 v): the inconsistent components, the flagged and the forced
 representatives, and the -inf set that remove_and_enlarge closes.
-Inequalities are tightened by difference-constraint analysis: negative
-cycles force variables to -inf, opposite rows of zero width become
-equations, and per ordered pair only the tightest row survives.  close is
-the one shortest-path closure of such a system, shared by sub_specialize
+The inequality system T of a round is one flat n*n difference-bound
+array (Bounds): substitute writes every row into it over representatives,
+keeping only the tightest row per ordered pair, remove_and_enlarge narrows
+its entries, and sub_specialize tightens it: negative cycles force
+variables to -inf, opposite rows of zero width become equations.  close is
+the one shortest-path closure of such an array, shared by sub_specialize
 and the cell sampler (cells._feasible_values).
 
 Every step only adds, subtracts and compares constants, so the cell stage
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .core import NEG_INF, TropicalError, as_scalar
 from .preprocess import columns
@@ -95,13 +98,14 @@ class OffsetUnionFind:
     two components relabels the one with the larger representative, drop,
     in one pass over the variables v >= drop (drop is its smallest member):
     O(n) per merge, at most n - 1 merges, and no parent chains to walk when
-    reading.
+    reading.  components counts the components, one fewer per merge.
     """
 
     def __init__(self, n: int):
         self.representative = list(range(n))
         self.offset: list[int | Fraction] = [0] * n
         self.inconsistent_roots = 0
+        self.components = n
 
     def add_equation(self, row: Row) -> None:
         """Absorb the equation row x_plus - x_minus + c = 0, flagging inconsistent cycles."""
@@ -122,6 +126,7 @@ class OffsetUnionFind:
             if rep[v] == drop:
                 rep[v] = keep
                 off[v] += shift
+        self.components -= 1
         bad = self.inconsistent_roots
         if bad >> drop & 1:
             self.inconsistent_roots = bad ^ (1 << drop) | 1 << keep
@@ -167,51 +172,70 @@ def build_systems(
     return eqs, [(j, i1, row[j] - base) for j in columns(support)]
 
 
-def remove_and_enlarge(ineqs: Iterable[Row], omega: int) -> tuple[list[Row], int]:
-    """Propagate -inf through inequality rows to a fixed point.
+# T over variables 0..n-1 as a difference-bound matrix (n, bound, entries,
+# heads, tails): bound[p*n + m] is the largest constant c of the rows
+# x_p - x_m + c <= 0, None where no row was written; entries lists the
+# entries written, each once, in order of first write; heads and tails mask
+# their plus and minus sides.  remove_and_enlarge narrows entries and shares
+# bound, so bound is read only at listed entries and between two variables
+# of heads & tails, whose written entries are all listed.
+Bounds = tuple[int, list, list[int], int, int]
+
+
+def remove_and_enlarge(t: Bounds, omega: int) -> tuple[Bounds, int]:
+    """Propagate -inf through the entries of T to a fixed point.
 
     omega is the int mask of the variables at -inf.  A row whose plus side
     is -inf holds vacuously; one whose minus side is -inf forces the plus
-    side to -inf.  Returns the rows that touch no variable of the enlarged
-    mask, and that mask.  The cell stage calls it on rows over component
-    representatives (see substitute), so that forcing a representative
-    forces its whole equation component with it.
+    side to -inf.  Returns T narrowed to the entries that touch no variable
+    of the enlarged mask, with its heads and tails recomputed and its bound
+    list shared, and that mask; t itself is left as it is.  The cell stage
+    calls it on T over component representatives (see substitute), so that
+    forcing a representative forces its whole equation component with it.
     """
-    work = list(ineqs)
     if not omega:
-        return work, 0
+        return t, 0
+    n, bound, work, _, _ = t
     changed = True
     while changed:
         changed = False
         keep = []
-        for row in work:
-            plus, minus, _ = row
-            if omega >> plus & 1:
+        for e in work:
+            if omega >> e // n & 1:
                 continue
-            if omega >> minus & 1:
-                omega |= 1 << plus
+            if omega >> e % n & 1:
+                omega |= 1 << e // n
                 changed = True
             else:
-                keep.append(row)
+                keep.append(e)
         work = keep
-    return work, omega
+    heads = tails = 0
+    for e in work:
+        heads |= 1 << e // n
+        tails |= 1 << e % n
+    return (n, bound, work, heads, tails), omega
 
 
-def substitute(ineqs: Iterable[Row], uf: OffsetUnionFind) -> tuple[list[Row], int]:
-    """Rewrite inequality rows over component representatives.
+def substitute(ineqs: Iterable[Row], uf: OffsetUnionFind) -> tuple[Bounds, int]:
+    """Write inequality rows over component representatives into one Bounds.
 
-    A row whose endpoints share a representative either drops (constant
-    <= 0, a tautology) or flags the component as infeasible over the reals;
-    the int mask of flagged representatives is returned for the caller to
-    force to -inf.  Rows touching an inconsistent component are mapped too,
-    with meaningless constants; that component is -inf throughout, so the
-    caller must seed remove_and_enlarge with uf.inconsistent_roots, which
-    drops those rows.  Only uf.representative and uf.offset are read, in
-    reduced form at every moment.
+    Each row goes straight into the n*n array, which keeps the largest
+    constant per ordered pair; heads and tails grow on an entry's first
+    write.  A row whose endpoints share a representative is not written: it
+    either drops (constant <= 0, a tautology) or flags the component as
+    infeasible over the reals; the int mask of flagged representatives is
+    returned for the caller to force to -inf.  Rows touching an
+    inconsistent component are written too, with meaningless constants;
+    that component is -inf throughout, so the caller must seed
+    remove_and_enlarge with uf.inconsistent_roots, which drops them.  Only
+    uf.representative and uf.offset are read, in reduced form at every
+    moment.
     """
-    out: list[Row] = []
-    flagged = 0
     rep, offset = uf.representative, uf.offset
+    n = len(rep)
+    bound: list = [None] * (n * n)
+    entries: list[int] = []
+    heads = tails = flagged = 0
     for plus, minus, constant in ineqs:
         rp = rep[plus]
         rm = rep[minus]
@@ -220,30 +244,42 @@ def substitute(ineqs: Iterable[Row], uf: OffsetUnionFind) -> tuple[list[Row], in
             if constant > 0:
                 flagged |= 1 << rp
             continue
-        out.append((rp, rm, constant))
-    return out, flagged
+        e = rp * n + rm
+        old = bound[e]
+        if old is None:
+            bound[e] = constant
+            entries.append(e)
+            heads |= 1 << rp
+            tails |= 1 << rm
+        elif constant > old:
+            bound[e] = constant
+    return (n, bound, entries, heads, tails), flagged
 
 
-def _canonical_rows(bounds: Mapping[tuple[int, int], int | Fraction]) -> list[Row]:
-    """Rows ordered by (smaller index, larger index, positive orientation first)."""
-    ordered = sorted(
-        (p, m, 0, c) if p < m else (m, p, 1, c) for (p, m), c in bounds.items()
-    )
-    return [(lo, hi, c) if flip == 0 else (hi, lo, c) for lo, hi, flip, c in ordered]
+def fill_bounds(ineqs: Iterable[Row], n: int) -> Bounds:
+    """The Bounds of rows over variables 0..n-1 as they stand.
+
+    That is substitute with no equation.  A row whose plus and minus are
+    one variable is rejected, as Constraint rejects it.
+    """
+    ineqs = list(ineqs)
+    for plus, minus, _ in ineqs:
+        if plus == minus:
+            raise TropicalError("constraint endpoints must differ")
+    return substitute(ineqs, OffsetUnionFind(n))[0]
 
 
-def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) -> list[list]:
+def close(nodes: Sequence[int], bound: Sequence, n: int) -> list[list]:
     """Shortest-path closure of a difference-constraint system on nodes.
 
-    best maps (plus, minus) to the tightest constant of x_plus - x_minus +
-    constant <= 0, which is an edge minus -> plus of weight -constant.  The
-    len(nodes)**2 ordered pairs are looked up in best, so its rows that
-    leave the node set are not read.  dist[u][v] (Floyd-Warshall) is None
-    when there is no path from nodes[u] to nodes[v], and otherwise, when
-    no cycle is negative, the lightest path weight; dist[u][u] is then 0.
-    With a negative cycle the entries are weights of some walks: dist[u][u]
-    is negative for every node on a negative simple cycle, and only for
-    nodes whose strongly connected component holds one.
+    bound is the n*n array of a Bounds: a constant c at bound[p*n + m] is
+    an edge m -> p of weight -c.  Only the entries between two nodes are
+    read.  dist[u][v] (Floyd-Warshall) is None when there is no path from
+    nodes[u] to nodes[v], and otherwise, when no cycle is negative, the
+    lightest path weight; dist[u][u] is then 0.  With a negative cycle the
+    entries are weights of some walks: dist[u][u] is negative for every
+    node on a negative simple cycle, and only for nodes whose strongly
+    connected component holds one.
 
     Closing only the cyclic core, the nodes that are the plus side of one
     row and the minus side of another, gives the same core entries as
@@ -260,7 +296,7 @@ def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) 
         row_u = dist[u]
         row_u[u] = 0
         for v, p in enumerate(nodes):
-            c = best.get((p, m))
+            c = bound[p * n + m]
             if c is not None:
                 row_u[v] = -c
     for k in range(nv):
@@ -279,81 +315,86 @@ def close(nodes: Sequence[int], best: Mapping[tuple[int, int], int | Fraction]) 
     return dist
 
 
-def sub_specialize(ineqs: Sequence[Row]) -> tuple[list[Row], list[Row], int]:
+@lru_cache(maxsize=16)
+def _sort_codes(n: int) -> tuple[int, ...]:
+    """Per entry p*n + m of an n*n array, its sort code (min*n + max)*2 + (p > m)."""
+    return tuple([
+        (p * n + m) * 2 if p < m else (m * n + p) * 2 + 1 for p in range(n) for m in range(n)
+    ])
+
+
+def _rows(t: Bounds, settled: bool, taken: int = 0) -> list[Row]:
+    """The rows of T's entries outside the int mask taken (bit e for entry e).
+
+    A settled round's rows come in canonical order, (smaller index, larger
+    index, plus side first), from one sort of the entries by their codes.
+    """
+    n, bound, entries, _, _ = t
+    if settled:
+        entries = sorted(entries, key=_sort_codes(n).__getitem__)
+    elif taken:
+        entries = [e for e in entries if not taken >> e & 1]
+    return [(e // n, e % n, bound[e]) for e in entries]
+
+
+def sub_specialize(t: Bounds) -> tuple[list[Row], list[Row], int]:
     """Tighten an inequality system into equations, a residue, and forced vars.
 
-    Per ordered variable pair only the tightest row is kept (a row with a
-    smaller constant is superfluous).  The difference-constraint digraph
-    (edge minus -> plus, weight -constant) is closed under shortest paths:
-    the variables it flags on a negative cycle must be -inf over the
-    tropical scalars and are reported as the int mask forced, with
-    propagation, which reaches the rest of their component, left to the
-    caller; adjacent opposite rows of zero width turn into one equation
-    each.  The residue is canonically ordered and sub-special
-    (is_sub_special in tests/test_bivariate.py checks that structure), and
-    2*len(eqs) + len(residue) never exceeds len(ineqs).
+    T holds only the tightest row per ordered variable pair.  The
+    difference-constraint digraph (edge minus -> plus, weight -constant) is
+    closed under shortest paths: the variables it flags on a negative cycle
+    must be -inf over the tropical scalars and are reported as the int mask
+    forced, with propagation, which reaches the rest of their component,
+    left to the caller; adjacent opposite rows of zero width turn into one
+    equation each.  t is only read.  A round with neither eqs nor forced
+    settles, and its residue is canonically ordered and sub-special
+    (is_sub_special in tests/test_bivariate.py checks that structure); any
+    other round hands its residue back to be substituted again, unsorted,
+    in the order of the entries.  2*len(eqs) + len(residue) never exceeds
+    len(entries): the entries are distinct (one is listed on its first
+    write only, and remove_and_enlarge only drops them), an equation takes
+    the two entries p*n + m and m*n + p of one pair p < m, which no other
+    equation takes, and the residue is the entries that none took.
 
-    Every cycle runs through the cyclic core, the variables that are the
-    plus side of one kept row and the minus side of another (the masks
-    heads and tails, and core the columns of heads & tails).  A core of
-    fewer than two variables holds no cycle, so the kept rows are the
-    residue.  In a core of two, p < m, the only cycle is the 2-cycle
-    through best[p, m] and best[m, p], if both are kept: a positive sum of
-    the two constants forces both variables, and a zero sum is the one
-    equation (p, m, best[p, m]).  Only a core of three or more is closed
-    (see close), and the closure is read only on its diagonal.  A row
-    whose plus and minus are the same variable is rejected, as Constraint
-    rejects it.
+    Every cycle runs through the cyclic core, the columns of heads & tails.
+    A core of fewer than two variables holds no cycle, so the entries are
+    the residue.  In a core of two, p < m, the only cycle runs through the
+    entries p*n + m and m*n + p, if both are written: a positive sum of
+    their constants forces both variables, and a zero sum is the one
+    equation (p, m, bound[p*n + m]).  Only a core of three or more is
+    closed (see close), and the closure is read only on its diagonal.
     """
-    best: dict[tuple[int, int], int | Fraction] = {}
-    heads = tails = 0
-    for plus, minus, constant in ineqs:
-        if plus == minus:
-            raise TropicalError("constraint endpoints must differ")
-        key = (plus, minus)
-        old = best.get(key)
-        if old is None:
-            best[key] = constant
-            heads |= 1 << plus
-            tails |= 1 << minus
-        elif constant > old:
-            best[key] = constant
-
+    n, bound, entries, heads, tails = t
     core = columns(heads & tails)
     if len(core) < 2:
-        return [], _canonical_rows(best), 0
-    eqs: list[Row] = []
+        return [], _rows(t, True), 0
     if len(core) == 2:
         # the only cycle is the 2-cycle through both rows between p < m
         p, m = core
-        up, down = best.get((p, m)), best.get((m, p))
+        up, down = bound[p * n + m], bound[m * n + p]
         if up is not None and down is not None:
             total = up + down  # the 2-cycle weighs -total
             if total > 0:
-                return [], _canonical_rows(best), heads & tails
-            if total == 0:
-                eqs.append((p, m, up))  # p < m: canonical orientation
-                del best[(p, m)]
-                del best[(m, p)]
-        return eqs, _canonical_rows(best), 0
+                return [], _rows(t, False), heads & tails
+            if total == 0:  # p < m: canonical orientation
+                return [(p, m, up)], _rows(t, False, 1 << p * n + m | 1 << m * n + p), 0
+        return [], _rows(t, True), 0
 
-    dist = close(core, best)
+    dist = close(core, bound, n)
     forced = sum(1 << p for i, p in enumerate(core) if dist[i][i] < 0)
     if forced:
-        return [], _canonical_rows(best), forced
+        return [], _rows(t, False), forced
 
     # both rows of an opposite pair make both endpoints core variables
+    eqs: list[Row] = []
+    taken = 0
     for i, p in enumerate(core):
         for m in core[i + 1:]:
-            if (p, m) not in best or (m, p) not in best:
-                continue
-            width = -best[(p, m)] - best[(m, p)]  # interval length for x_p - x_m
-            if width == 0:
-                eqs.append((p, m, best[(p, m)]))  # p < m: canonical orientation
-                del best[(p, m)]
-                del best[(m, p)]
-
-    residue = _canonical_rows(best)
-    if 2 * len(eqs) + len(residue) > len(ineqs):
+            up, down = bound[p * n + m], bound[m * n + p]
+            if up is not None and down is not None and up + down == 0:
+                eqs.append((p, m, up))  # zero width; p < m: canonical orientation
+                taken |= 1 << p * n + m | 1 << m * n + p
+    residue = _rows(t, not eqs, taken)
+    if 2 * len(eqs) + len(residue) > len(entries):
         raise TropicalError("sub-specialization grew the system")  # unreachable
     return eqs, residue, 0

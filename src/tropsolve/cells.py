@@ -5,7 +5,8 @@ the lcm of the two matrices' units; from there to the cell keys
 everything is an int in that unit.  Pipeline per
 instance: reduce, classify rows, enumerate win sequences, and for each
 sequence solve its equation system, substitute the inequalities onto its
-representatives, propagate -inf over them and tighten, looping while
+representatives, writing them into one n*n bound array per round
+(bivariate.Bounds), propagate -inf over them and tighten, looping while
 tightening forces variables or extracts equations.  A solved sequence
 yields its union-find (S in reduced form, and its only form), the int
 mask of its representatives forced to -inf, the residue, and the
@@ -60,6 +61,7 @@ from .bivariate import (
     OffsetUnionFind,
     Row,
     close,
+    fill_bounds,
     remove_and_enlarge,
     sub_specialize,
     substitute,
@@ -208,15 +210,15 @@ def _solve_sequence(
     sequence.
 
     Each row's equation goes into the union-find as that row's part is
-    gathered.  The bound is the number of components right after the
-    sequence's own equations: each of them that merges two components is
-    a pair joining two classes of columns, so the count is num_vars minus
-    those pairs.  The union-find keeps the equations in reduced form as
-    they arrive, so each round hands it to substitute as it stands, and
-    nothing is frozen.  A round is one sub_specialize call; it propagates
-    -inf first (remove_and_enlarge) only when something is dead, flagged
-    or inconsistent, since with nothing to propagate the rows stand as
-    substitute returned them.
+    gathered.  The bound is uf.components right after the sequence's own
+    equations: each of them that merges two components is a pair joining
+    two classes of columns, so the count is num_vars minus those pairs.
+    The union-find keeps the equations in reduced form as they arrive, so
+    each round hands it to substitute as it stands, and nothing is frozen.
+    A round is one sub_specialize call on the bound array substitute
+    wrote; it propagates -inf first (remove_and_enlarge) only when
+    something is dead, flagged or inconsistent, since otherwise there is
+    nothing to drop.
 
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
@@ -238,14 +240,14 @@ def _solve_sequence(
         for row in part[0]:
             uf.add_equation(row)
         ineqs += part[1]
-    bound = len(set(uf.representative))
+    bound = uf.components
     dead = 0
     rounds = 0  # rounds that did not return, counted only on that rare path
     while True:
-        kept, flagged = substitute(ineqs, uf)
+        t, flagged = substitute(ineqs, uf)
         if dead or flagged or uf.inconsistent_roots:
-            kept, dead = remove_and_enlarge(kept, dead | uf.inconsistent_roots | flagged)
-        eqs, ineqs, forced = sub_specialize(kept)
+            t, dead = remove_and_enlarge(t, dead | uf.inconsistent_roots | flagged)
+        eqs, ineqs, forced = sub_specialize(t)
         if forced:
             dead |= forced
         elif not eqs:
@@ -467,8 +469,8 @@ def _feasible_values(
     """A feasible assignment for the alive parameters, in the cell's int units.
 
     Tries plain rejection first; falls back to the greatest point <= 0 of
-    the active rows, read off their shortest-path closure (bivariate.close)
-    as x_q = min_p dist[p][q], and shifted randomly per weakly connected
+    the active rows, read off the closure (bivariate.close) of their bound
+    array as x_q = min_p dist[p][q], and shifted randomly per weakly connected
     component, which always satisfies the difference constraints.  The
     components come from an OffsetUnionFind fed each active row at constant
     0 (so every offset stays 0); each representative, its component's
@@ -499,13 +501,11 @@ def _feasible_values(
                 break
         else:
             return vals
-    best: dict[tuple[int, int], int] = {}
-    for plus, minus, c in active:
-        if best.get((plus, minus), c) <= c:
-            best[plus, minus] = c
-    into = zip(*close(alive, best))  # per parameter, the path weights into it
+    n = cell.num_vars
+    bound = fill_bounds(active, n)[1]  # the tightest constant per ordered pair
+    into = zip(*close(alive, bound, n))  # per parameter, the path weights into it
     vals = {q: min(d for d in col if d is not None) for q, col in zip(alive, into)}
-    components = OffsetUnionFind(cell.num_vars)
+    components = OffsetUnionFind(n)
     for plus, minus, _ in active:
         components.add_equation((plus, minus, 0))
     rep = components.representative
@@ -534,17 +534,19 @@ def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[li
     The drawn and dead parameters are int masks.  Dead masks repeat from
     point to point, so each one's alive parameters and live assigned
     triples are worked out once per call, in a dict keyed by the dead mask.
-    With no parameter drawn the dead mask is 0, and propagation
-    (remove_and_enlarge) is skipped.
+    The cell's rows are filled into the bound array that propagation
+    (remove_and_enlarge) reads once per call; with no parameter drawn the
+    dead mask is 0, and propagation is skipped.
     """
     rng = Random(seed)
     random = rng.random
     params = cell.parameters()
     faces: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
+    t = fill_bounds(cell.rows, cell.num_vars)
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
         drawn = sum(1 << p for p in params if random() < 0.3)
-        dead = remove_and_enlarge(cell.rows, drawn)[1] if drawn else 0
+        dead = remove_and_enlarge(t, drawn)[1] if drawn else 0
         face = faces.get(dead)
         if face is None:
             alive = [p for p in params if not dead >> p & 1]

@@ -44,7 +44,7 @@ from tropsolve import (
     substitute,
     verify_solution,
 )
-from tropsolve.bivariate import OffsetUnionFind, leq
+from tropsolve.bivariate import OffsetUnionFind, fill_bounds, leq
 from tropsolve.reductions import AffineInstance, affine_holds, solve_affine, solve_hetero
 from tropsolve.cells import _solve_sequence
 from tropsolve.preprocess import reduce_instance
@@ -217,15 +217,15 @@ def test_criterion_5_intermediate_fixtures():
     if pa.inconsistent_roots:
         failures.append("unexpected inconsistency")
 
-    eqs, residue, forced = sub_specialize(D1_ROWS)
+    eqs, residue, forced = sub_specialize(fill_bounds(D1_ROWS, 4))
     if eqs or forced or set(residue) != set(D2_ROWS):
         failures.append(f"sub-specialization row set differs: {residue}")
 
     anchored = OffsetUnionFind(4)  # anchored at x4, as the displayed solution is
     anchored.representative = [3, 1, 3, 3]
     anchored.offset = [Fraction(5), Fraction(0), Fraction(6), Fraction(0)]
-    rows, flagged = substitute(D2_ROWS, anchored)
-    eqs2, residue2, forced2 = sub_specialize(rows)
+    t, flagged = substitute(D2_ROWS, anchored)
+    eqs2, residue2, forced2 = sub_specialize(t)
     if flagged or eqs2 or forced2 or residue2 != [leq(1, 3, -1)]:
         failures.append(f"substitution did not yield x2 - x4 - 1 <= 0: {residue2}")
 
@@ -241,10 +241,10 @@ def test_criterion_6_property_suite(monkeypatch):
     original = cells_mod.sub_specialize
     violations: list[str] = []
 
-    def checked(rows):
-        eqs, residue, forced = original(rows)
-        if 2 * len(eqs) + len(residue) > len(rows):
-            violations.append(f"row-count contract broken on {rows}")
+    def checked(t):
+        eqs, residue, forced = original(t)
+        if 2 * len(eqs) + len(residue) > len(t[2]):  # t[2]: the distinct entries
+            violations.append(f"row-count contract broken on {t}")
         return eqs, residue, forced
 
     monkeypatch.setattr(cells_mod, "sub_specialize", checked)

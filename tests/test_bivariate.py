@@ -11,6 +11,7 @@ from tropsolve.bivariate import (
     OffsetUnionFind,
     close,
     eq,
+    fill_bounds,
     leq,
     remove_and_enlarge,
 )
@@ -19,6 +20,50 @@ from tropsolve.core import NEG_INF, TropicalError
 from tropsolve.preprocess import columns, maximum_matrix
 
 NI = "-inf"
+
+
+def rows_of(t):
+    """The rows (plus, minus, constant) of a Bounds's entries, in entry order."""
+    n, bound, entries, _, _ = t
+    return [(e // n, e % n, bound[e]) for e in entries]
+
+
+def sides(t):
+    """A Bounds's heads and tails masks."""
+    return t[3:]
+
+
+def _num_vars(rows):
+    return 1 + max((max(p, m) for p, m, _ in rows), default=0)
+
+
+def tighten(rows):
+    """sub_specialize on the Bounds of rows over as many variables as they name."""
+    return sub_specialize(fill_bounds(rows, _num_vars(rows)))
+
+
+def canonical(rows):
+    """Rows sorted by (smaller index, larger index, plus side first)."""
+    return sorted(rows, key=lambda r: (min(r[0], r[1]), max(r[0], r[1]), r[0] > r[1]))
+
+
+def settled(got):
+    """sub_specialize's result with an unsettled round's residue put in canonical order.
+
+    A round that forces or extracts equations hands its residue back in
+    entry order; a settled round must already be canonical, so its
+    residue is left as it came.
+    """
+    eqs, residue, forced = got
+    return eqs, canonical(residue) if eqs or forced else residue, forced
+
+
+def bound_array(best, n):
+    """The flat n*n bound list of a {(plus, minus): constant} map."""
+    bound = [None] * (n * n)
+    for (p, m), c in best.items():
+        bound[p * n + m] = c
+    return bound
 
 
 def is_sub_special(rows):
@@ -148,29 +193,29 @@ def test_remove_and_enlarge_empty_case():
     # the inconsistent component {1,3,4} seeds the forced set; the first-row
     # inequality x2 - x1 + 4 <= 0 then forces x2
     constraints = [leq(1, 0, 4)]
-    remaining, omega = remove_and_enlarge(constraints, col_mask([0, 2, 3]))
-    assert remaining == []
+    remaining, omega = remove_and_enlarge(fill_bounds(constraints, 4), col_mask([0, 2, 3]))
+    assert rows_of(remaining) == []
     assert omega == col_mask([0, 1, 2, 3])
 
 
 def test_remove_and_enlarge_plus_side_dropped():
-    remaining, omega = remove_and_enlarge([leq(7, 3, 1)], 1 << 7)
-    assert remaining == [] and omega == 1 << 7
+    remaining, omega = remove_and_enlarge(fill_bounds([leq(7, 3, 1)], 8), 1 << 7)
+    assert rows_of(remaining) == [] and omega == 1 << 7
 
 
 def test_remove_and_enlarge_chain():
-    remaining, omega = remove_and_enlarge([leq(1, 0, 0), leq(2, 1, 0)], 1 << 0)
-    assert remaining == [] and omega == col_mask([0, 1, 2])
+    remaining, omega = remove_and_enlarge(fill_bounds([leq(1, 0, 0), leq(2, 1, 0)], 3), 1 << 0)
+    assert rows_of(remaining) == [] and omega == col_mask([0, 1, 2])
 
 
 def test_remove_and_enlarge_equation_propagates():
     # as in the cell stage: rows over representatives, so forcing x3 forces
     # its whole equation class {x3, x6}, and x5 with it through x5 - x6 <= 0
     pa = solve_equations([eq(5, 2, 3)], 6)  # x6 = x3 - 3
-    rows, flagged = substitute([leq(4, 5, 0), leq(5, 1, 0)], pa)
-    assert rows == [(4, 2, 3), (2, 1, -3)] and not flagged
-    remaining, omega = remove_and_enlarge(rows, 1 << pa.representative[5])
-    assert remaining == [] and omega == col_mask([2, 4])
+    t, flagged = substitute([leq(4, 5, 0), leq(5, 1, 0)], pa)
+    assert rows_of(t) == [(4, 2, 3), (2, 1, -3)] and not flagged
+    remaining, omega = remove_and_enlarge(t, 1 << pa.representative[5])
+    assert rows_of(remaining) == [] and omega == col_mask([2, 4])
     assert [v for v in range(6) if omega >> pa.representative[v] & 1] == [2, 4, 5]
 
 
@@ -185,7 +230,8 @@ def _reference_enlarge(rows, omega):
 
 
 def test_remove_and_enlarge_fixed_point_bound():
-    # the least closed superset, and exactly the rows that touch none of it;
+    # the least closed superset, and exactly the entries that touch none of
+    # it, with heads and tails recomputed and the input left as it was;
     # indices up to 129, so that the masks span more than one 64-bit word
     rng = random.Random(4100)
     seen = Counter()
@@ -193,13 +239,18 @@ def test_remove_and_enlarge_fixed_point_bound():
         names = rng.sample(range(130), rng.randint(2, 9))
         rows = [leq(*rng.sample(names, 2), rng.randint(-3, 3)) for _ in range(rng.randint(0, 10))]
         start = set(rng.sample(names, rng.randint(0, len(names))))
-        remaining, omega = remove_and_enlarge(rows, col_mask(start))
+        t = fill_bounds(rows, 130)
+        before = rows_of(t), sides(t)
+        remaining, omega = remove_and_enlarge(t, col_mask(start))
         dead = _reference_enlarge(rows, start)
         assert omega == col_mask(dead), (rows, start)
-        assert remaining == [r for r in rows if r[0] not in dead and r[1] not in dead]
+        kept = fill_bounds([r for r in rows if r[0] not in dead and r[1] not in dead], 130)
+        assert rows_of(remaining) == rows_of(kept)
+        assert sides(remaining) == sides(kept), (rows, start)
+        assert (rows_of(t), sides(t)) == before
         seen["enlarged"] += len(dead) > len(start)
         seen["chains"] += len(dead) > len(start) + 1
-        seen["rows kept beside dead"] += bool(start) and 0 < len(remaining) < len(rows)
+        seen["rows kept beside dead"] += bool(start) and 0 < len(remaining[2]) < len(t[2])
         seen["nothing dead"] += not start
     assert all(seen[key] >= 150 for key in
                ("enlarged", "chains", "rows kept beside dead", "nothing dead")), seen
@@ -260,28 +311,104 @@ def test_solve_equations_inconsistency_witness():
             assert contradiction
 
 
+def test_components_are_counted_as_they_merge():
+    # the counter that the dimension bound reads, against the components
+    # counted afresh after every equation, inconsistent cycles included
+    rng = random.Random(3401)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        uf = OffsetUnionFind(n)
+        assert uf.components == n
+        for _ in range(rng.randint(0, 9)):
+            uf.add_equation(eq(rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)))
+            assert uf.components == len(set(uf.representative))
+        seen["inconsistent"] += bool(uf.inconsistent_roots)
+        seen["merged into one"] += uf.components == 1 < n
+        seen["several left"] += uf.components > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_substitute_writes_the_tightest_constant_per_pair():
+    """Seeded systems with int and Fraction constants, repeated pairs and shared ends.
+
+    The array holds exactly the largest substituted constant per ordered
+    pair of representatives and None elsewhere, entries lists each pair
+    once in the order of its first row, heads and tails are their sides,
+    and a row whose ends share a representative is flagged when its
+    constant is positive and is otherwise dropped.  On a round that
+    settles, the residue is those rows sorted by (smaller index, larger
+    index, plus side first).
+    """
+    rng = random.Random(3402)
+    seen = Counter()
+    for _ in range(1200):
+        n = rng.randint(2, 8)
+        fractional = rng.random() < 0.4
+        uf = solve_equations(
+            [eq(*rng.sample(range(n), 2), _constant(rng, fractional)) for _ in range(rng.randint(0, 3))], n
+        )
+        rows = [leq(*rng.sample(range(n), 2), _constant(rng, fractional)) for _ in range(rng.randint(0, 12))]
+        for p, m, _ in rng.sample(rows, min(len(rows), rng.randint(0, 3))):
+            rows.append(leq(p, m, _constant(rng, fractional)))  # a repeated pair
+        if rng.random() < 0.5:  # an opposite pair of positive width
+            p, m = rng.sample(range(n), 2)
+            c = _constant(rng, fractional)
+            rows += [leq(p, m, c), leq(m, p, -c - rng.randint(1, 3))]
+        rng.shuffle(rows)
+        rep, off = uf.representative, uf.offset
+        best, order, flagged = {}, [], 0
+        for p, m, c in rows:
+            rp, rm, c = rep[p], rep[m], off[p] - off[m] + c
+            if rp == rm:
+                flagged |= (c > 0) << rp
+            elif (rp, rm) in best:
+                best[rp, rm] = max(best[rp, rm], c)
+            else:
+                best[rp, rm] = c
+                order.append((rp, rm))
+        t, got_flagged = substitute(rows, uf)
+        assert got_flagged == flagged, rows
+        size, bound, entries, heads, tails = t
+        assert size == n and bound == bound_array(best, n), rows
+        assert [(e // n, e % n) for e in entries] == order
+        assert (heads, tails) == (col_mask(p for p, _ in order), col_mask(m for _, m in order))
+        eqs, residue, forced = sub_specialize(t)
+        if not eqs and not forced:
+            expected = sorted(
+                [(p, m, c) for (p, m), c in best.items()], key=lambda r: (min(r[:2]), max(r[:2]), r[0] > r[1])
+            )
+            assert residue == expected, rows
+            seen["settled, both orientations"] += any((m, p) in best for p, m in best)
+        seen["repeated pairs"] += len({(p, m) for p, m, _ in rows}) < len(rows)
+        seen["shared representative"] += any(rep[p] == rep[m] for p, m, _ in rows)
+        seen["flagged"] += bool(flagged)
+        seen["fractional"] += fractional
+    assert min(seen.values()) >= 150, seen
+
+
 def test_substitute_yields_displayed_normal_form():
     # anchor the component at x4 exactly as the displayed solution does
     pa = OffsetUnionFind(4)
     pa.representative = [3, 1, 3, 3]
     pa.offset = [Fraction(5), Fraction(0), Fraction(6), Fraction(0)]
-    rows, flagged = substitute(D2_ROWS, pa)
+    t, flagged = substitute(D2_ROWS, pa)
     assert not flagged
-    eqs, residue, forced = sub_specialize(rows)
+    eqs, residue, forced = sub_specialize(t)
     assert not eqs and not forced
     assert residue == [leq(1, 3, -1)]  # x2 - x4 - 1 <= 0
 
 
 def test_substitute_tautology_dropped():
     pa = solve_equations([eq(0, 2, -1)], 3)  # x1 = x3 - 1
-    rows, flagged = substitute([leq(0, 2, -1)], pa)
-    assert rows == [] and not flagged
+    t, flagged = substitute([leq(0, 2, -1)], pa)
+    assert rows_of(t) == [] and not flagged
 
 
 def test_substitute_flags_infeasible():
     pa = solve_equations([eq(0, 2, -1)], 3)
-    rows, flagged = substitute([leq(0, 2, 9)], pa)
-    assert rows == [] and flagged == 1 << 0
+    t, flagged = substitute([leq(0, 2, 9)], pa)
+    assert rows_of(t) == [] and flagged == 1 << 0
 
 
 def test_substitute_maps_inconsistent_component():
@@ -289,33 +416,33 @@ def test_substitute_maps_inconsistent_component():
     # and seeding the propagation with its root removes every one of them
     pa = solve_equations([eq(0, 2, 1), eq(2, 0, 1)], 4)
     assert pa.inconsistent_roots == 1 << 0
-    rows, flagged = substitute([leq(1, 2, 0), leq(2, 3, 0), leq(3, 1, 0)], pa)
-    assert [(p, m) for p, m, _ in rows] == [(1, 0), (0, 3), (3, 1)] and not flagged
-    remaining, omega = remove_and_enlarge(rows, pa.inconsistent_roots)
-    assert remaining == [] and omega == col_mask([0, 1, 3])
+    t, flagged = substitute([leq(1, 2, 0), leq(2, 3, 0), leq(3, 1, 0)], pa)
+    assert [(p, m) for p, m, _ in rows_of(t)] == [(1, 0), (0, 3), (3, 1)] and not flagged
+    remaining, omega = remove_and_enlarge(t, pa.inconsistent_roots)
+    assert rows_of(remaining) == [] and omega == col_mask([0, 1, 3])
 
 
 def test_sub_specialize_displayed_matrices():
-    eqs, residue, forced = sub_specialize(D1_ROWS)
+    eqs, residue, forced = tighten(D1_ROWS)
     assert not eqs and not forced
     assert residue == D2_ROWS
 
 
 def test_sub_specialize_opposite_rows_zero_width():
-    eqs, residue, forced = sub_specialize([leq(0, 1, 3), leq(1, 0, -3)])
+    eqs, residue, forced = tighten([leq(0, 1, 3), leq(1, 0, -3)])
     assert eqs == [eq(0, 1, 3)]
     assert residue == [] and not forced
 
 
 def test_sub_specialize_negative_two_cycle():
-    eqs, residue, forced = sub_specialize([leq(0, 1, 1), leq(1, 0, 1)])
+    eqs, residue, forced = tighten([leq(0, 1, 1), leq(1, 0, 1)])
     assert forced == col_mask([0, 1])
     assert not eqs
 
 
 def test_sub_specialize_negative_long_cycle():
     rows = [leq(1, 0, 1), leq(2, 1, 1), leq(0, 2, 1)]
-    _, _, forced = sub_specialize(rows)
+    _, _, forced = tighten(rows)
     assert forced == col_mask([0, 1, 2])
 
 
@@ -328,7 +455,7 @@ def test_sub_specialize_negative_three_cycle_only():
     rows += [leq(0, 2, 3), leq(9, 7, 1)]
     for (m, p), weight in w.items():
         assert weight + w[(p, m)] >= 0
-    eqs, residue, forced = sub_specialize(rows)
+    eqs, residue, forced = tighten(rows)
     assert forced == col_mask([2, 5, 7])
     assert not eqs
     assert sorted(residue) == sorted(rows)
@@ -338,17 +465,18 @@ def test_sub_specialize_zero_width_pair_beside_a_third_core_variable():
     # x1 - x4 = -2 exactly; x6 shares a cycle of positive width with each,
     # and (x1, x4, x6) = (-2, 0, 0) satisfies every row strictly but the pair
     rows = [leq(1, 4, 2), leq(4, 1, -2), leq(6, 1, -3), leq(1, 6, 1), leq(4, 6, -1), leq(6, 4, -2)]
-    eqs, residue, forced = sub_specialize(rows)
+    eqs, residue, forced = tighten(rows)
     assert not forced
     assert eqs == [eq(1, 4, 2)]
-    assert residue == [leq(1, 6, 1), leq(6, 1, -3), leq(4, 6, -1), leq(6, 4, -2)]
-    assert is_sub_special(residue)
+    # a round that extracts equations hands its residue back in entry order
+    assert canonical(residue) == [leq(1, 6, 1), leq(6, 1, -3), leq(4, 6, -1), leq(6, 4, -2)]
+    assert is_sub_special(canonical(residue))
 
 
 @pytest.mark.parametrize("rows", [[leq(0, 0, 0)], [leq(0, 1, 2), leq(1, 1, -2)]])
 def test_sub_specialize_rejects_equal_endpoints(rows):
     with pytest.raises(TropicalError, match="endpoints must differ"):
-        sub_specialize(rows)
+        tighten(rows)
 
 
 def test_sub_specialize_row_count_contract():
@@ -359,8 +487,9 @@ def test_sub_specialize_row_count_contract():
             leq(*rng.sample(range(n), 2), Fraction(rng.randint(-4, 4)))
             for _ in range(rng.randint(1, 10))
         ]
-        eqs, residue, forced = sub_specialize(rows)
-        assert 2 * len(eqs) + len(residue) <= len(rows)
+        t = fill_bounds(rows, n)
+        eqs, residue, forced = settled(sub_specialize(t))
+        assert 2 * len(eqs) + len(residue) <= len(t[2]) <= len(rows)
         if not forced:
             assert is_sub_special(residue)
 
@@ -373,7 +502,7 @@ def test_sub_specialize_preserves_real_solutions():
             leq(*rng.sample(range(n), 2), Fraction(rng.randint(-3, 3)))
             for _ in range(rng.randint(1, 7))
         ]
-        eqs, residue, forced = sub_specialize(rows)
+        eqs, residue, forced = sub_specialize(fill_bounds(rows, n))
         for _ in range(20):
             point = [Fraction(rng.randint(-6, 6)) for _ in range(n)]
             sat_t = all(point[p] - point[m] + c <= 0 for p, m, c in rows)
@@ -393,7 +522,7 @@ def test_sub_specialize_keeps_tightest_bound():
             leq(*rng.sample(range(n), 2), Fraction(rng.randint(-3, 3)))
             for _ in range(rng.randint(1, 7))
         ]
-        eqs, residue, forced = sub_specialize(rows)
+        eqs, residue, forced = sub_specialize(fill_bounds(rows, n))
         out = {(p, m): c for p, m, c in residue}
         for p, m, c in rows:
             if (p, m) in out:
@@ -493,8 +622,8 @@ def test_sub_specialize_equals_full_closure():
     branches = {"forced": 0, "equations": 0, "plain": 0}
     for _ in range(2500):
         rows = _random_system(rng)
-        got = sub_specialize(rows)
-        assert got == _reference_sub_specialize(rows), rows
+        got = tighten(rows)
+        assert settled(got) == _reference_sub_specialize(rows), rows
         eqs, residue, forced = got
         if forced:
             branches["forced"] += 1
@@ -539,8 +668,8 @@ def test_sub_specialize_equals_full_closure_at_every_core_size():
     seen = Counter()
     for _ in range(3000):
         rows = _small_system(rng)
-        got = sub_specialize(rows)
-        assert got == _reference_sub_specialize(rows), rows
+        got = tighten(rows)
+        assert settled(got) == _reference_sub_specialize(rows), rows
         eqs, _, forced = got
         outcome = "forced" if forced else "zero-width" if eqs else "plain"
         fractional = any(isinstance(c, Fraction) for _, _, c in rows)
@@ -565,16 +694,16 @@ def test_sub_specialize_closes_only_cores_of_three_or_more(monkeypatch):
     sizes = []
     original = bivariate.close
 
-    def recorded(nodes, best):
+    def recorded(nodes, bound, n):
         sizes.append(len(nodes))
-        return original(nodes, best)
+        return original(nodes, bound, n)
 
     monkeypatch.setattr(bivariate, "close", recorded)
     rng = random.Random(811)
     large = 0
     for _ in range(1000):
         rows = _small_system(rng)
-        sub_specialize(rows)
+        tighten(rows)
         large += _core_size(rows) == ">=3"
     assert min(sizes) >= 3 and len(sizes) == large >= 150
 
@@ -594,7 +723,7 @@ def test_rows_are_plain_tuples():
     assert eq(3, 1, 2) == (1, 3, -2)  # canonical orientation: smaller index first
     assert eq(1, 3, Fraction(1, 2)) == (1, 3, Fraction(1, 2))
     assert leq(3, 1, 2) == (3, 1, 2)
-    eqs, residue, forced = sub_specialize([leq(0, 1, 3), leq(1, 0, -3), leq(2, 0, 1)])
+    eqs, residue, forced = tighten([leq(0, 1, 3), leq(1, 0, -3), leq(2, 0, 1)])
     assert eqs == [(0, 1, 3)] and residue == [(2, 0, 1)] and not forced
     assert all(type(r) is tuple for r in eqs + residue)
 
@@ -633,10 +762,10 @@ def _closed_walks(nodes, best):
 
 def test_close_fixed_system():
     # x1 - x0 + 2 <= 0, x2 - x1 - 5 <= 0, x0 - x2 - 1 <= 0: cycle weight 4
-    dist = close([0, 1, 2], {(1, 0): 2, (2, 1): -5, (0, 2): -1})
+    dist = close([0, 1, 2], bound_array({(1, 0): 2, (2, 1): -5, (0, 2): -1}, 3), 3)
     assert dist == [[0, -2, 3], [6, 0, 5], [1, -1, 0]]
-    assert close([3, 7], {(7, 3): 1}) == [[0, -1], [None, 0]]
-    assert close([], {(1, 0): 2}) == []
+    assert close([3, 7], bound_array({(7, 3): 1}, 8), 8) == [[0, -1], [None, 0]]
+    assert close([], bound_array({(1, 0): 2}, 2), 2) == []
 
 
 def test_close_matches_brute_force_paths_and_cycles():
@@ -659,7 +788,7 @@ def test_close_matches_brute_force_paths_and_cycles():
             for m in labels
             if p != m and rng.random() < density
         }
-        dist = close(nodes, best)
+        dist = close(nodes, bound_array(best, 11), 11)
         paths, cycles = _closed_walks(nodes, best)
         negative = {u for u, w in cycles.items() if w < 0}
         reach = {(u, v) for u, v in paths} | {(u, u) for u in nodes}
@@ -692,5 +821,5 @@ def test_close_diagonal_is_bounded_not_exact_on_a_negative_component():
     # sub_specialize needs one flagged node per negative cycle, as the
     # caller's propagation forces the rest of the component
     edges = {(0, 1): -1, (1, 0): -1, (0, 2): 100, (2, 0): 100, (0, 3): 0, (3, 0): 1}
-    dist = close([0, 1, 2, 3], {(v, u): -w for (u, v), w in edges.items()})
+    dist = close([0, 1, 2, 3], bound_array({(v, u): -w for (u, v), w in edges.items()}, 4), 4)
     assert [dist[i][i] < 0 for i in range(4)] == [True, True, False, True]

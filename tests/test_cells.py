@@ -522,9 +522,9 @@ def test_rounds_are_bounded(monkeypatch):
     calls = [0]
     original = cells_mod.sub_specialize
 
-    def counted(ineqs):
+    def counted(t):
         calls[0] += 1
-        return original(ineqs)
+        return original(t)
 
     monkeypatch.setattr(cells_mod, "sub_specialize", counted)
     most = 0
@@ -544,7 +544,7 @@ def test_a_sequence_that_never_settles_fails_at_its_round_bound(monkeypatch):
     # the bound ends the loop (the stub stops it at 100 calls regardless)
     calls = [0]
 
-    def stuck(ineqs):
+    def stuck(t):
         calls[0] += 1
         if calls[0] > 100:
             raise RuntimeError("sub_specialize called more than 100 times")

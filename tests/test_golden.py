@@ -542,13 +542,15 @@ def _hooks(seen):
         return red
 
     def substitute(original, rows, uf):
-        kept, flagged = original(rows, uf)
+        t, flagged = original(rows, uf)
         seen["flagged rounds"] += bool(flagged)
-        return kept, flagged
+        return t, flagged
 
-    def sub_specialize(original, rows):
-        eqs, residue, forced = original(rows)
-        core = len({p for p, _, _ in rows} & {m for _, m, _ in rows})
+    def sub_specialize(original, t):
+        eqs, residue, forced = original(t)
+        # the core read off the array's entries, not off its heads and tails
+        n, _, entries, _, _ = t
+        core = len({e // n for e in entries} & {e % n for e in entries})
         seen["rounds"] += 1
         seen["core 2" if core == 2 else "core 3+" if core > 2 else "core 0"] += 1
         seen["forcing rounds"] += bool(forced)
