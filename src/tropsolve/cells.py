@@ -535,18 +535,20 @@ def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[li
     point to point, so each one's alive parameters and live assigned
     triples are worked out once per call, in a dict keyed by the dead mask.
     The cell's rows are filled into the bound array that propagation
-    (remove_and_enlarge) reads once per call; with no parameter drawn the
-    dead mask is 0, and propagation is skipped.
+    (remove_and_enlarge) reads once per call.  Propagation is skipped when
+    it can add nothing: with no parameter drawn the dead mask is 0, and in
+    a cell without rows it is the drawn mask itself.
     """
     rng = Random(seed)
     random = rng.random
     params = cell.parameters()
     faces: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
-    t = fill_bounds(cell.rows, cell.num_vars)
+    rows = cell.rows
+    t = fill_bounds(rows, cell.num_vars)
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
         drawn = sum(1 << p for p in params if random() < 0.3)
-        dead = remove_and_enlarge(t, drawn)[1] if drawn else 0
+        dead = remove_and_enlarge(t, drawn)[1] if drawn and rows else drawn
         face = faces.get(dead)
         if face is None:
             alive = [p for p in params if not dead >> p & 1]

@@ -18,7 +18,8 @@ int at once, so an integer instance is parsed without building one.
 A Matrix keeps its entries as ints over one unit, None for -inf, and the
 solver, the bridges and the oracle compute on those ints.  _to_ints is the
 one reader of a vector: it reads a sequence of numbers as ints over a
-unit, and a vector of ints and -inf in one pass without a ratio.
+unit, and a vector of ints, -inf and plain integer strings in one pass
+without a ratio.
 """
 
 from __future__ import annotations
@@ -239,22 +240,23 @@ class Matrix:
 def _to_ints(values: Sequence, unit: int = 1) -> tuple[list[int | None], int]:
     """The values as ints over one unit, None for -inf, and that unit.
 
-    The unit is the lcm of unit and the values' reduced denominators.  Ints
-    and -inf are read in one pass, times unit; from the first other value
-    on, each value is read by as_scalar (a float or bool raises TypeError, a
-    bad token ValueError) as a (numerator, denominator) pair, and the ints
-    read so far are rescaled to the final unit.  So a vector of ints builds
-    no Fraction and no pair.
+    The unit is the lcm of unit and the values' reduced denominators.  The
+    values are read in one pass, times unit: an int or -inf as it is, any
+    other value by as_scalar (a float or bool raises TypeError, a bad token
+    ValueError), so '-inf' and integer strings stay on this pass too.  From
+    the first value that as_scalar reads as a Fraction on, each value is
+    read as a (numerator, denominator) pair, and the ints read so far are
+    rescaled to the final unit.  So a vector of ints, -inf and plain
+    integer strings builds no Fraction and no pair.
     """
     out: list[int | None] = []
     rest = iter(values)
     for v in rest:
-        if v.__class__ is int:
-            out.append(v * unit)
-        elif v is NEG_INF:
-            out.append(None)
-        else:
-            break
+        if v.__class__ is not int and v is not NEG_INF:
+            v = as_scalar(v)
+            if v.__class__ is Fraction:
+                break
+        out.append(None if v is NEG_INF else v * unit)
     else:
         return out, unit
     ratios = []

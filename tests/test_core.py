@@ -95,7 +95,9 @@ def test_as_scalar_token_size_bound():
     assert as_scalar("1e100") == 10**100
     assert as_scalar("-2.5e-100") == Fraction(-25, 10**101)
     assert as_scalar("9" * 100) == 10**100 - 1
-    for token in ("1e101", "1E-101", "1" * 101, "1/" + "3" * 100, "0." + "0" * 100):
+    # every digit Fraction reads counts, non-ASCII ones too
+    for token in ("1e101", "1E-101", "1" * 101, "1/" + "3" * 100, "0." + "0" * 100,
+                  "\u0663" * 101, "1" * 50 + "\uff11" * 51):
         with pytest.raises(TokenTooLarge, match="MAX_TOKEN_DIGITS"):
             as_scalar(token)
     with pytest.raises(ValueError):

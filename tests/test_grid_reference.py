@@ -1,12 +1,12 @@
-"""The --check grid against the set-built one it replaced.
+"""The --check grid option: pinned values for valid options, pinned errors for the rest.
 
-reference_parse_grid below is cli._parse_grid with the GridSpec.of it
-called before that sorted and dropped equal neighbours in place of building
-a set, and with its own token parse before GridSpec.of.  It is kept here as
-the definition of the grid's values: a valid option must give the same
-values.  A rejected option now fails in GridSpec.of's one
-parse, through as_scalar: each token in turn, then the rule that -inf is a
-grid point already.  ERRORS pins those texts exactly.
+VALUES holds the grid each valid option gives, in the types of the number
+contract, as the set-built reader that _parse_grid replaced gave them
+(that reader is retired: the seeded sweep below states the same rule in
+one line, the sorted set of the values as_scalar reads).  A rejected option
+fails in GridSpec.of's one parse, through as_scalar: each token in turn,
+then the rule that -inf is a grid point already.  ERRORS pins those texts
+exactly.
 """
 
 from __future__ import annotations
@@ -18,23 +18,8 @@ import pytest
 
 from conftest import ref_public, result_of, typed
 from tropsolve.cli import _parse_grid
-from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, TokenTooLarge, _check_token_size, as_scalar
+from tropsolve.core import MAX_TOKEN_DIGITS, NEG_INF, TokenTooLarge, as_scalar
 from tropsolve.oracle import GridSpec
-
-
-def reference_parse_grid(option):
-    if not option.startswith("grid="):
-        raise ValueError("--check expects grid=<v1,v2,...>")
-    tokens = [t for t in option[len("grid="):].split(",") if t]
-    if not tokens:
-        raise ValueError("--check grid needs at least one value")
-    for t in tokens:
-        _check_token_size(t)
-    try:
-        values = [Fraction(t) for t in tokens]
-    except ZeroDivisionError:
-        raise ValueError(f"--check grid has a value with a zero denominator: {option!r}")
-    return tuple(sorted(set(values)))
 
 
 def grid_values(option):
@@ -51,6 +36,18 @@ GRID_OPTIONS = [
 ]
 
 
+VALUES = {
+    "grid=0": (0,),
+    "grid=-2,-1,0,1,2": (-2, -1, 0, 1, 2),
+    "grid=2,1,2,1": (1, 2),
+    "grid=1,01,+1,2/2,1.0": (1,),
+    "grid=1/2,0.5": (Fraction(1, 2),),
+    "grid=,,3,": (3,),
+    "grid= 7": (7,),
+    "grid=" + NINES: (int(NINES),),
+    "grid=\u0661,1": (1,),
+    "grid=1_0,10": (10,),
+}
 TOO_LARGE = (
     "number token {!r} is too large: more than 100 digits or a decimal exponent "
     "beyond 100 (MAX_TOKEN_DIGITS)"
@@ -75,25 +72,26 @@ ERRORS = {
 
 @pytest.mark.parametrize("option", GRID_OPTIONS)
 def test_check_grid_matches_the_reference(option):
-    expected = result_of(reference_parse_grid, option)
     if option in ERRORS:
-        assert expected[0] == "raised" and issubclass(expected[1], ValueError), expected
         assert result_of(grid_values, option) == ("raised", *ERRORS[option])
     else:
-        assert result_of(grid_values, option) == expected
+        assert typed(grid_values(option)) == typed(VALUES[option])
 
 
 def first_rejection(option):
-    """The error of the first token as_scalar rejects, else the -inf rule's."""
+    """The error of the first token as_scalar rejects, else the -inf rule's, else None."""
     tokens = [t for t in option[len("grid="):].split(",") if t]
     if not tokens:
         return ValueError, "--check grid needs at least one value"
+    values = []
     for t in tokens:
         try:
-            as_scalar(t)
+            values.append(as_scalar(t))
         except ValueError as exc:
             return type(exc), str(exc)
-    return ValueError, "grid values must be finite: -inf is a grid point already"
+    if NEG_INF in values:
+        return ValueError, "grid values must be finite: -inf is a grid point already"
+    return None
 
 
 def test_check_grid_random_sweep_matches_the_reference():
@@ -103,12 +101,13 @@ def test_check_grid_random_sweep_matches_the_reference():
     rejected = 0
     for _ in range(3000):
         option = "grid=" + ",".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
-        expected = result_of(reference_parse_grid, option)
-        if expected[0] == "ok":
-            assert result_of(grid_values, option) == expected, option
+        expected = first_rejection(option)
+        if expected is None:
+            tokens = [t for t in option[len("grid="):].split(",") if t]
+            assert grid_values(option) == tuple(sorted(set(map(as_scalar, tokens)))), option
         else:
             rejected += 1
-            assert result_of(grid_values, option) == ("raised", *first_rejection(option)), option
+            assert result_of(grid_values, option) == ("raised", *expected), option
     assert rejected >= 1000, rejected
 
 

@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 
 from conftest import col_mask, non_real_example, ref_odot, row_classes, scaled_rows, seq1
 from tropsolve import NEG_INF, Matrix, max_pairs_per_row
-from tropsolve.preprocess import RowMasks, columns, maximum_matrix
+from tropsolve.preprocess import columns, maximum_matrix
 from tropsolve.winseq import (
     RowClassification,
-    classify_row,
     enumerate_win_sequences_counted,
     winning_pairs,
 )
@@ -67,62 +66,6 @@ def test_winning_pairs_running_example(running_example):
 def test_winning_pairs_single_tie():
     cls = RowClassification(0, 0, col_mask([4]))
     assert winning_pairs(cls) == [(4, 4)]
-
-
-def ref_classify_row(masks, i, live):
-    """The frozenset classification the mask one replaced: the classes
-    a_wins, b_wins, ties and dead, each a frozenset of column indices."""
-    a_win = masks.a_win[i] & live
-    b_win = masks.b_win[i] & live
-    ties = a_win & b_win
-    dead = ((1 << masks.n) - 1) ^ (a_win | b_win)
-    return tuple(frozenset(columns(mask)) for mask in (a_win ^ ties, b_win ^ ties, ties, dead))
-
-
-def ref_winning_pairs(a_wins, b_wins, ties):
-    """winning_pairs on frozenset classes."""
-    pairs = [(p, q) for p in a_wins for q in b_wins]
-    pairs.extend((e, e) for e in ties)
-    return sorted(pairs)
-
-
-def test_mask_classes_match_the_frozenset_classes():
-    """classify_row and winning_pairs on masks against the frozenset versions,
-    over random row masks (a_win and b_win overlapping only on the same
-    columns, as row_masks builds them) and random live masks."""
-    rng = random.Random(24)
-    seen = {"a": 0, "b": 0, "tie": 0, "dead": 0}
-    for _ in range(2000):
-        n, m = rng.randint(1, 9), rng.randint(1, 3)
-        same, a_win, b_win = [], [], []
-        for _ in range(m):
-            s = aw = bw = 0
-            for j in range(n):
-                kind = rng.choice(("a", "b", "tie", "both -inf"))
-                if kind == "tie":
-                    s |= 1 << j
-                    aw |= 1 << j
-                    bw |= 1 << j
-                elif kind == "both -inf":
-                    s |= 1 << j
-                elif kind == "a":
-                    aw |= 1 << j
-                else:
-                    bw |= 1 << j
-            same.append(s)
-            a_win.append(aw)
-            b_win.append(bw)
-        masks = RowMasks(n, ((None,) * n,) * m, tuple(same), tuple(a_win), tuple(b_win))
-        live = rng.getrandbits(n)
-        for i in range(m):
-            cls = classify_row(masks, i, live)
-            ref = ref_classify_row(masks, i, live)
-            got = (cls.a_wins, cls.b_wins, cls.ties, col_mask(dead_columns(cls, n)))
-            assert got == tuple(col_mask(part) for part in ref), (masks, i, live)
-            assert winning_pairs(cls) == ref_winning_pairs(*ref[:3]), (masks, i, live)
-            for key, part in zip(seen, ref):
-                seen[key] += bool(part)
-    assert min(seen.values()) >= 500, seen
 
 
 def test_pair_count_bound():
