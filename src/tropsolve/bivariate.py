@@ -349,39 +349,39 @@ def sub_specialize(t: Bounds) -> tuple[list[Row], list[Row], int]:
     equation each.  t is only read.  A round with neither eqs nor forced
     settles, and its residue is canonically ordered and sub-special
     (is_sub_special in tests/test_bivariate.py checks that structure); any
-    other round hands its residue back to be substituted again, unsorted,
-    in the order of the entries.  2*len(eqs) + len(residue) never exceeds
-    len(entries): the entries are distinct (one is listed on its first
-    write only, and remove_and_enlarge only drops them), an equation takes
-    the two entries p*n + m and m*n + p of one pair p < m, which no other
-    equation takes, and the residue is the entries that none took.
+    other round hands its residue back unsorted, in the order of the
+    entries (the cell stage substitutes it again after a round of
+    equations, and after a forcing round keeps t itself).  2*len(eqs) +
+    len(residue) never exceeds len(entries): the entries are distinct (one
+    is listed on its first write only, and remove_and_enlarge only drops
+    them), an equation takes the two entries p*n + m and m*n + p of one
+    pair p < m, which no other equation takes, and the residue is the
+    entries that none took.
 
-    Every cycle runs through the cyclic core, the columns of heads & tails.
-    A core of fewer than two variables holds no cycle, so the entries are
-    the residue.  In a core of two, p < m, the only cycle runs through the
-    entries p*n + m and m*n + p, if both are written: a positive sum of
-    their constants forces both variables, and a zero sum is the one
-    equation (p, m, bound[p*n + m]).  Only a core of three or more is
-    closed (see close), and the closure is read only on its diagonal.
+    Every cycle runs through the cyclic core, the columns of heads & tails,
+    so forced is decided by the core's size.  A core of fewer than two
+    variables holds no cycle and forces nothing.  In a core of two, p < m,
+    the only cycle runs through the entries p*n + m and m*n + p, if both
+    are written: a positive sum of their constants forces both variables.
+    Only a core of three or more is closed (see close), and the closure is
+    read only on its diagonal.  A forcing round hands back every entry.
+    Every other round leaves through one scan of the core's opposite pairs
+    for zero width and one _rows call: with no equation found (as always
+    in a core below two) the round settles, else the pairs' entries are
+    taken out of the residue.
     """
     n, bound, entries, heads, tails = t
     core = columns(heads & tails)
-    if len(core) < 2:
-        return [], _rows(t, True), 0
+    forced = 0
     if len(core) == 2:
         # the only cycle is the 2-cycle through both rows between p < m
         p, m = core
         up, down = bound[p * n + m], bound[m * n + p]
-        if up is not None and down is not None:
-            total = up + down  # the 2-cycle weighs -total
-            if total > 0:
-                return [], _rows(t, False), heads & tails
-            if total == 0:  # p < m: canonical orientation
-                return [(p, m, up)], _rows(t, False, 1 << p * n + m | 1 << m * n + p), 0
-        return [], _rows(t, True), 0
-
-    dist = close(core, bound, n)
-    forced = sum(1 << p for i, p in enumerate(core) if dist[i][i] < 0)
+        if up is not None and down is not None and up + down > 0:  # it weighs -(up + down)
+            forced = heads & tails
+    elif len(core) > 2:
+        dist = close(core, bound, n)
+        forced = sum(1 << p for i, p in enumerate(core) if dist[i][i] < 0)
     if forced:
         return [], _rows(t, False), forced
 

@@ -5,9 +5,11 @@ the lcm of the two matrices' units; from there to the cell keys
 everything is an int in that unit.  Pipeline per
 instance: reduce, classify rows, enumerate win sequences, and for each
 sequence solve its equation system, substitute the inequalities onto its
-representatives, writing them into one n*n bound array per round
-(bivariate.Bounds), propagate -inf over them and tighten, looping while
-tightening forces variables or extracts equations.  A solved sequence
+representatives, writing them into one n*n bound array (bivariate.Bounds)
+for the first round and again after each round that extracts equations,
+propagate -inf over them and tighten, looping while tightening forces
+variables or extracts equations (a forcing round's array, narrowed,
+carries on to the next round).  A solved sequence
 yields its union-find (S in reduced form, and its only form), the int
 mask of its representatives forced to -inf, the residue, and the
 dimension bound: the number of components right after the sequence's own
@@ -38,13 +40,15 @@ explores silencing scenarios: for each row, the variant instance with that
 row's live columns pinned to -inf is solved recursively.  Every scenario is
 reduced from the same column masks (preprocess.row_masks, built once per
 solve), with its pinned columns dead.  A scenario is its int bitmask of
-pinned columns: the loop keeps the seen scenarios and the stack of open ones
-as ints, a row's child is the parent's mask or'ed with the row's a_wins,
-b_wins and ties masks, and a child that pins every column is skipped (its
-only solution is the all--inf point).  A scenario whose reduction keeps no
-row yields the unconstrained cell over its free columns, if it has any.
-Scenario cells are deduplicated; the reported win-sequence count is that
-of the root instance.
+pinned columns.  solve walks them: it keeps the seen scenarios and the
+stack of open ones as ints and sums the counters and timings, while
+_solve_scenario runs one scenario from reduction to cell keys and returns
+its counters and its children.  A row's child is the parent's mask or'ed
+with the row's a_wins, b_wins and ties masks, and a child that pins every
+column is skipped (its only solution is the all--inf point).  A scenario
+whose reduction keeps no row yields the unconstrained cell over its free
+columns, if it has any.  Scenario cells are deduplicated; the reported
+win-sequence count is that of the root instance.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .core import (
     row_maxima,
     unscaled,
 )
-from .preprocess import ReducedInstance, columns, reduce_instance, row_masks
+from .preprocess import ReducedInstance, RowMasks, columns, reduce_instance, row_masks
 from .winseq import (
     WinSequence,
     classify_row,
@@ -205,20 +209,23 @@ def _solve_sequence(
     representative is), the sub-special residue rows over the
     representatives, and the dimension bound.  Offsets and constants are
     ints in the unit of rows.  systems maps (row h, pair) to the rows
-    build_systems gives for that row; solve passes one dict per scenario,
-    so that every row's system is built once and only concatenated per
-    sequence.
+    build_systems gives for that row; _solve_scenario passes one dict per
+    scenario, so that every row's system is built once and only
+    concatenated per sequence.
 
     Each row's equation goes into the union-find as that row's part is
     gathered.  The bound is uf.components right after the sequence's own
     equations: each of them that merges two components is a pair joining
     two classes of columns, so the count is num_vars minus those pairs.
     The union-find keeps the equations in reduced form as they arrive, so
-    each round hands it to substitute as it stands, and nothing is frozen.
-    A round is one sub_specialize call on the bound array substitute
-    wrote; it propagates -inf first (remove_and_enlarge) only when
-    something is dead, flagged or inconsistent, since otherwise there is
-    nothing to drop.
+    substitute reads it as it stands, and nothing is frozen.  substitute
+    writes the bound array once before the first round and again after
+    each round that returned equations, which move representatives.  A
+    forcing round moves none, so the bound array it read, already narrowed
+    by propagation, goes on to the next round as it is.  A round is one
+    sub_specialize call on that array; it propagates -inf first
+    (remove_and_enlarge) only when something is dead, flagged or
+    inconsistent, since otherwise there is nothing to drop.
 
     -inf is tracked over representatives, so a forced representative takes
     its whole equation class with it.  Propagation removes every row
@@ -226,10 +233,13 @@ def _solve_sequence(
     and every member of dead stays a representative.  Hence at most
     nvars + 1 rounds (2 * nvars for nvars >= 1): a round that does not
     return forces a live representative or merges two live ones, so the
-    number of live components drops, and with none left it returns.  The
-    loop enforces a looser 2 * nvars + 1 rounds: a sequence still going
-    after that many raises RoundBoundExceeded, so that a defect which
-    stops the count from dropping fails instead of looping forever.
+    number of live components drops, and with none left it returns.  That
+    holds whichever array the next round reads, a fresh one or the forcing
+    round's: propagation has dropped every entry touching a dead
+    representative before sub_specialize reads it.  The loop enforces a
+    looser 2 * nvars + 1 rounds: a sequence still going after that many
+    raises RoundBoundExceeded, so that a defect which stops the count from
+    dropping fails instead of looping forever.
     """
     uf = OffsetUnionFind(nvars)
     ineqs: list[Row] = []
@@ -243,22 +253,23 @@ def _solve_sequence(
     bound = uf.components
     dead = 0
     rounds = 0  # rounds that did not return, counted only on that rare path
+    t, flagged = substitute(ineqs, uf)
     while True:
-        t, flagged = substitute(ineqs, uf)
         if dead or flagged or uf.inconsistent_roots:
             t, dead = remove_and_enlarge(t, dead | uf.inconsistent_roots | flagged)
         eqs, ineqs, forced = sub_specialize(t)
-        if forced:
-            dead |= forced
-        elif not eqs:
+        if not eqs and not forced:
             return uf, dead, ineqs, bound
         rounds += 1
         if rounds > 2 * nvars:
             raise RoundBoundExceeded(
                 f"win sequence {sequence} over {nvars} variables did not settle in {rounds} rounds"
             )
-        for row in eqs:
-            uf.add_equation(row)
+        dead |= forced  # a forcing round moves no representative: t carries on
+        if eqs:
+            for row in eqs:
+                uf.add_equation(row)
+            t, flagged = substitute(ineqs, uf)
 
 
 def _cell_key(
@@ -340,13 +351,61 @@ def geometric_key(cell: SolutionCell) -> tuple:
     return (tuple(sorted(cell.neg_inf)), cell.scale, cell.assigned, cell.rows)
 
 
+def _solve_scenario(
+    masks: RowMasks, dead: int, n: int, keys: set[tuple]
+) -> tuple[int, int, int, list[int], float, float]:
+    """Solve one silencing scenario, the columns of the int mask dead pinned to -inf.
+
+    Reduces the instance from masks with those columns dead, classifies the
+    kept rows over the live columns, enumerates their win sequences and
+    runs the cell stage on each, adding every kept key to keys.  Returns
+    (sequences, nodes, collapsed, children, enumerate time, cell time): the
+    scenario's sequence count and search nodes, how many of its sequences
+    collapsed to the all--inf point, the child scenario of each kept row
+    (dead or'ed with the row's a_wins, b_wins and ties masks), and the
+    wall-clock seconds of enumeration and of the cell stage.  A scenario
+    whose reduction keeps no row adds the unconstrained cell over its free
+    columns, if it has any, and returns int zeros and no child.
+    """
+    red = reduce_instance(masks, dead)
+    if not red.rows:
+        if red.free:
+            keys.add(_unconstrained_key(red.free, n))
+        return 0, 0, 0, [], 0, 0
+    classifications = [classify_row(masks, i, red.live) for i in red.rows]
+    maxima = [masks.maximum[i] for i in red.rows]
+    pair_lists = [winning_pairs(c) for c in classifications]
+    children = [dead | cls.a_wins | cls.b_wins | cls.ties for cls in classifications]
+    t0 = time.perf_counter()
+    sequences, nodes = enumerate_win_sequences_counted(maxima, pair_lists)
+    t1 = time.perf_counter()
+    systems: dict = {}
+    collapsed = 0
+    for sequence in sequences:
+        solved = _solve_sequence(sequence, maxima, classifications, n, systems)
+        key = _cell_key(sequence, *solved, red)
+        if key is None:
+            collapsed += 1
+        else:
+            keys.add(key)
+    return len(sequences), nodes, collapsed, children, t1 - t0, time.perf_counter() - t1
+
+
 def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
-    """Compute the full solution set of the two-sided system as a cell union."""
+    """Compute the full solution set of the two-sided system as a cell union.
+
+    The walk over silencing scenarios: every scenario is one int mask of
+    dead columns, solved by _solve_scenario, starting from the root (no
+    column dead).  The seen scenarios and the stack of open ones are ints;
+    a child that pins every column is not visited.  The win-sequence count
+    and the search size reported are the root's; collapsed and the two
+    stage times are summed over the scenarios, and the cell stage's time
+    also takes in building the cells from the sorted keys.
+    """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("matrix shapes differ")
     n = a.cols
     t_start = time.perf_counter()
-    timings: dict[str, float] = {}
     # one unit for every scenario, so that int keys compare like Fractions
     scale = math.lcm(a.unit, b.unit)
     masks = row_masks(a.in_unit(scale), b.in_unit(scale), n)
@@ -354,63 +413,30 @@ def solve(a: Matrix, b: Matrix, collect_stats: bool = False) -> SolutionSet:
     full = (1 << n) - 1
     keys: set[tuple] = set()
     seen: set[int] = set()
-    stack: list[int] = [0]
-    root_p = 0
-    root_nodes = 0
-    scenario_count = 0
-    collapsed = 0
+    stack = [0]
+    root_p = root_nodes = collapsed = 0
     t_enum = 0.0
     t_cells = 0.0
-
     while stack:
-        forced0 = stack.pop()
-        if forced0 in seen:
+        dead = stack.pop()
+        if dead in seen:
             continue
-        seen.add(forced0)
-        scenario_count += 1
-        red = reduce_instance(masks, forced0)
-        if not red.rows:
-            if red.free:
-                keys.add(_unconstrained_key(red.free, n))
-            continue
-
-        classifications = [classify_row(masks, i, red.live) for i in red.rows]
-        maxima = [masks.maximum[i] for i in red.rows]
-        pair_lists = [winning_pairs(c) for c in classifications]
-        t0 = time.perf_counter()
-        sequences, nodes = enumerate_win_sequences_counted(maxima, pair_lists)
-        t_enum += time.perf_counter() - t0
-        if not forced0:
-            root_p = len(sequences)
-            root_nodes = nodes
-
-        t0 = time.perf_counter()
-        systems: dict = {}
-        for sequence in sequences:
-            solved = _solve_sequence(sequence, maxima, classifications, n, systems)
-            key = _cell_key(sequence, *solved, red)
-            if key is None:
-                collapsed += 1
-            else:
-                keys.add(key)
-        t_cells += time.perf_counter() - t0
-
-        for cls in classifications:
-            child = forced0 | cls.a_wins | cls.b_wins | cls.ties
-            if child != full and child not in seen:
-                stack.append(child)
+        seen.add(dead)
+        p, nodes, lost, children, dt_enum, dt_cells = _solve_scenario(masks, dead, n, keys)
+        if not dead:
+            root_p, root_nodes = p, nodes
+        collapsed += lost
+        t_enum += dt_enum
+        t_cells += dt_cells
+        stack += [child for child in children if child != full and child not in seen]
 
     t0 = time.perf_counter()
     cells = tuple(_build_cell(key, n, scale) for key in sorted(keys))
     t_cells += time.perf_counter() - t0
-    if cells:
-        forced_everywhere = frozenset.intersection(*(c.neg_inf for c in cells))
-    else:
-        forced_everywhere = frozenset(range(n))
-    timings["enumerate"] = t_enum
-    timings["cells"] = t_cells
-    timings["total"] = time.perf_counter() - t_start
-    stats = SolveStats(root_nodes, scenario_count, collapsed, timings) if collect_stats else None
+    # every column when there is no cell: only the all--inf point solves
+    forced_everywhere = frozenset(range(n)).intersection(*(c.neg_inf for c in cells))
+    timings = {"enumerate": t_enum, "cells": t_cells, "total": time.perf_counter() - t_start}
+    stats = SolveStats(root_nodes, len(seen), collapsed, timings) if collect_stats else None
     return SolutionSet(
         cells=cells,
         globally_forced=forced_everywhere,
@@ -464,11 +490,12 @@ def cell_membership(cell: SolutionCell, x: Sequence) -> bool:
 
 
 def _feasible_values(
-    cell: SolutionCell, alive: Sequence[int], rng: Random, box: int
+    cell: SolutionCell, alive: Sequence[int], active: Sequence[Row], rng: Random, box: int
 ) -> dict[int, int]:
     """A feasible assignment for the alive parameters, in the cell's int units.
 
-    Tries plain rejection first; falls back to the greatest point <= 0 of
+    active lists the cell's rows between two alive parameters.  Tries
+    plain rejection first; falls back to the greatest point <= 0 of
     the active rows, read off the closure (bivariate.close) of their bound
     array as x_q = min_p dist[p][q], and shifted randomly per weakly connected
     component, which always satisfies the difference constraints.  The
@@ -487,8 +514,6 @@ def _feasible_values(
     size = 2 * box + 1
     k = size.bit_length()
     getrandbits = rng.getrandbits
-    live = set(alive)
-    active = [row for row in cell.rows if row[0] in live and row[1] in live]
     for _ in range(40):
         vals = {}
         for p in alive:
@@ -531,31 +556,34 @@ def _positive_int(name: str, value) -> None:
 def _sample_ints(cell: SolutionCell, count: int, seed: int, box: int) -> list[list[int | None]]:
     """sample_cell's points as ints over cell.scale, None for -inf (count, box unchecked).
 
-    The drawn and dead parameters are int masks.  Dead masks repeat from
-    point to point, so each one's alive parameters and live assigned
-    triples are worked out once per call, in a dict keyed by the dead mask.
-    The cell's rows are filled into the bound array that propagation
-    (remove_and_enlarge) reads once per call.  Propagation is skipped when
-    it can add nothing: with no parameter drawn the dead mask is 0, and in
-    a cell without rows it is the drawn mask itself.
+    The drawn and dead parameters are int masks.  The drawn mask
+    determines the dead one, and drawn masks repeat from point to point,
+    so each one's face is worked out once per call, in a dict keyed by the
+    drawn mask: the dead mask (its closure under the rows), the alive
+    parameters, the rows between two of them and the live assigned
+    triples.  The cell's rows are filled into the bound array that
+    propagation (remove_and_enlarge) reads once per call.  Propagation is
+    skipped when it can add nothing: with no parameter drawn the dead mask
+    is 0, and in a cell without rows it is the drawn mask itself.
     """
     rng = Random(seed)
     random = rng.random
     params = cell.parameters()
-    faces: dict[int, tuple[list[int], list[tuple[int, int, int]]]] = {}
+    faces: dict[int, tuple[list[int], list[Row], list[tuple[int, int, int]]]] = {}
     rows = cell.rows
     t = fill_bounds(rows, cell.num_vars)
     out: list[list[int | None]] = [[None] * cell.num_vars]
     while len(out) < count:
         drawn = sum(1 << p for p in params if random() < 0.3)
-        dead = remove_and_enlarge(t, drawn)[1] if drawn and rows else drawn
-        face = faces.get(dead)
+        face = faces.get(drawn)
         if face is None:
+            dead = remove_and_enlarge(t, drawn)[1] if drawn and rows else drawn
             alive = [p for p in params if not dead >> p & 1]
-            assigned = [t for t in cell.assigned if not dead >> t[1] & 1]
-            face = faces[dead] = alive, assigned
-        alive, assigned = face
-        vals = _feasible_values(cell, alive, rng, box) if alive else {}
+            active = [r for r in rows if not dead >> r[0] & 1 and not dead >> r[1] & 1]
+            assigned = [a for a in cell.assigned if not dead >> a[1] & 1]
+            face = faces[drawn] = alive, active, assigned
+        alive, active, assigned = face
+        vals = _feasible_values(cell, alive, active, rng, box) if alive else {}
         point: list[int | None] = [None] * cell.num_vars
         for v, param, offset in assigned:
             point[v] = vals[param] + offset

@@ -44,11 +44,12 @@ cycle behind on every call.
 Block candidate (c_0, ..., c_{r-1}) is bit sum c_j * k**(r-1-j), so
 ascending bits are the lexicographic order.  Each (column, grid point) has
 one cylinder mask, the candidates that take that point in that column,
-built once per call.  Two maxima are equal iff, for every value t either
-side can take, both are >= t or both are < t.  So each row sweeps the
-distinct values of its block terms in descending order, ORs each term's
-cylinder into a left or a right mask (the candidates whose side reaches
-the value) and accumulates bad |= left ^ right; the row holds on ~bad.
+built once per grid shape (k, r).  Two maxima are equal iff, for every
+value t either side can take, both are >= t or both are < t.  So each row
+sweeps the distinct values of its block terms in descending order, ORs
+each term's cylinder into a left or a right mask (the candidates whose
+side reaches the value) and accumulates bad |= left ^ right; the row
+holds on ~bad.
 The sweep depends only on the block, so it is built once per call.  It
 keeps its state at each height a prefix maximum can take: -inf's floor
 and the terms of the leading columns.  A leaf merges only its prefix
@@ -57,7 +58,7 @@ state kept at h, and at h the side whose prefix reaches h covers every
 candidate.  Below h nothing more can differ, because from h down one side
 covers every candidate and the other's mask only grows.  The rows' bad
 masks OR together, and the set bits of the rest decode in ascending
-order, each through two tables of digit tuples built once per call:
+order, each through two tables of digit tuples built once per (points, r):
 high = product(points, repeat=r - r // 2) and low = product(points,
 repeat=r // 2).  product counts in base k, last digit fastest, as the bits
 do, so bit q's tail is high[q // k**(r // 2)] + low[q % k**(r // 2)]: two
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -143,26 +145,39 @@ class GridSpec:
 _BLOCK = 4096
 
 
-def _cylinders(k: int, r: int) -> list[list[int]]:
+@lru_cache(maxsize=32)
+def _cylinders(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     """cyl[j][c]: the block candidates whose column j takes grid point c.
 
     Candidate (c_0, ..., c_{r-1}) is bit sum c_j * k**(r-1-j).  Digit j is
     c on runs of s = k**(r-1-j) bits starting at c * s, one run every k * s
     bits; the geometric series (2**(k**r) - 1) // (2**(k*s) - 1) has one bit
-    at the start of every period.
+    at the start of every period.  The masks depend on the grid's shape
+    alone, so they are built once per (k, r).
     """
     out = []
     for j in range(r):
         s = k ** (r - 1 - j)
         period = ((1 << k**r) - 1) // ((1 << k * s) - 1)
-        out.append([period * (((1 << s) - 1) << c * s) for c in range(k)])
-    return out
+        out.append(tuple([period * (((1 << s) - 1) << c * s) for c in range(k)]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _digit_tables(points: tuple[Scalar, ...], r: int) -> tuple[tuple, tuple]:
+    """(high, low): the digit tables that decode a block candidate.
+
+    high = product(points, repeat=r - r // 2) and low = product(points,
+    repeat=r // 2), built once per (points, r); the module docstring says
+    how a candidate's bit reads off them.
+    """
+    return tuple(product(points, repeat=r - r // 2)), tuple(product(points, repeat=r // 2))
 
 
 def _sweep(
     row_a: Sequence[int | None],
     row_b: Sequence[int | None],
-    cylinders: list[list[int]],
+    cylinders: Sequence[Sequence[int]],
     points: Sequence[int | None],
     heights: set[int],
 ) -> dict[int, tuple[int, int, int]]:
@@ -260,9 +275,7 @@ def grid_solutions(
         _sweep(ra[lead:], rb[lead:], cylinders, scaled_points, hs)
         for ra, rb, hs in zip(am, bm, heights)
     ]
-    # the digit tables that decode block candidate q (see the module docstring)
-    high = list(product(points, repeat=r - r // 2))
-    low = list(product(points, repeat=r // 2))
+    high, low = _digit_tables(points, r)
     low_size = len(low)
 
     out: list[tuple[Scalar, ...]] = []

@@ -91,17 +91,15 @@ MUTANTS: tuple[Mutant, ...] = (
            "relabel loop starts past the dropped representative"),
     Mutant("UF8", BIV, "bad ^ (1 << drop) | 1 << keep", "bad | 1 << keep",
            "keep the dropped representative flagged too"),
-    # sub_specialize
-    Mutant("SP1", BIV, "if total > 0:", "if total >= 0:",
+    # sub_specialize: forced by core size (a core of two's zero-width pair is
+    # the shared scan's, under SB5 to SB7)
+    Mutant("SP1", BIV, "up + down > 0:", "up + down >= 0:",
            "a zero 2-cycle forces both variables"),
-    Mutant("SP2", BIV, "if total == 0:", "if False:",
-           "no zero-width equation in the two-variable branch"),
-    Mutant("SP3", BIV, "return [(p, m, up)], _rows(", "return [], _rows(",
-           "two-variable branch drops its equation but still deletes the pair's rows"),
-    Mutant("SP4", BIV, "if len(core) < 2:", "if len(core) < 3:",
-           "a core of two is taken as acyclic"),
-    Mutant("SP5", BIV, "if len(core) == 2:", "if False:",
-           "a core of two goes to close (same outputs, more work)"),
+    Mutant("SP4", BIV, "elif len(core) > 2:", "elif len(core) > 3:",
+           "a core of three is taken as acyclic"),
+    Mutant("SP5", BIV, "    elif len(core) > 2:\n        dist = close(",
+           "    if len(core) >= 2:\n        dist = close(",
+           "a core of two goes to close too (same outputs, more work)"),
     # cells._cell_key
     Mutant("CK1", CELLS, "if not dead and not forced:", "if not dead:",
            "the fast path ignores the scenario's forced columns"),
@@ -121,10 +119,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("SS2", CELLS, "remove_and_enlarge(t, dead | uf.inconsistent_roots | flagged)",
            "remove_and_enlarge(t, dead | flagged)",
            "drop uf.inconsistent_roots from the propagation seed"),
-    Mutant("SS3", CELLS, "dead |= forced\n        elif not eqs:",
-           "return uf, dead | forced, ineqs, bound\n        elif not eqs:",
+    Mutant("SS3", CELLS, "if not eqs and not forced:", "if not eqs:",
            "return right after a forcing round"),
-    Mutant("SS4", CELLS, "elif not eqs:", "else:",
+    Mutant("SS4", CELLS, "if not eqs and not forced:", "if not forced:",
            "return without merging zero-width equations"),
     Mutant("SS5", CELLS,
            "part = systems.get((h, pair))\n        if part is None:\n"
@@ -132,6 +129,10 @@ MUTANTS: tuple[Mutant, ...] = (
            "part = systems.get(pair)\n        if part is None:\n"
            "            part = systems[pair] =",
            "row-system cache keyed on the pair alone"),
+    Mutant("SS6", CELLS, "t carries on\n        if eqs:", "t carries on\n        if True:",
+           "substitute again after a forcing round too (same outputs, more work)"),
+    Mutant("SS7", CELLS, "uf.add_equation(row)\n            t, flagged = substitute(ineqs, uf)",
+           "uf.add_equation(row)", "no substitute after a round of equations"),
     # cells._build_cell
     Mutant("RF3", CELLS, "if scale > 1:\n        g = math.gcd(", "if False:\n        g = math.gcd(",
            "never take the gcd of a cell's ints"),
@@ -156,22 +157,22 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("OP7", CELLS, "neg = tuple(columns(((1 << num_vars) - 1) ^ free))",
            "neg = tuple(columns(((1 << num_vars) - 1) ^ free))[1:]",
            "_unconstrained_key drops the first -inf column"),
-    # the scenario loop of cells.solve, and classify_row
-    Mutant("OC1", CELLS, "child = forced0 | cls.a_wins | cls.b_wins | cls.ties",
-           "child = forced0 | cls.a_wins | cls.b_wins",
+    # the scenario walk of cells.solve, cells._solve_scenario, and classify_row
+    Mutant("OC1", CELLS, "dead | cls.a_wins | cls.b_wins | cls.ties",
+           "dead | cls.a_wins | cls.b_wins",
            "child scenario without the ties"),
     Mutant("OC2", WIN, "RowClassification(a_win ^ ties, b_win ^ ties, ties)",
            "RowClassification(a_win, b_win ^ ties, ties)",
            "classify_row keeps ties in a_wins"),
     Mutant("OC3", CELLS, "if red.free:", "if False:",
            "drop the unconstrained cells"),
-    Mutant("OC4", CELLS, "if not forced0:", "if True:",
+    Mutant("OC4", CELLS, "if not dead:\n            root_p", "if True:\n            root_p",
            "p and enum_nodes of the last scenario"),
-    Mutant("OC5", CELLS, "if child != full and child not in seen:", "if child not in seen:",
+    Mutant("OC5", CELLS, "if child != full and child not in seen]", "if child not in seen]",
            "also visit the all-dead scenario"),
-    Mutant("OC6", CELLS, "frozenset.intersection(*(c.neg_inf", "frozenset.union(*(c.neg_inf",
+    Mutant("OC6", CELLS, "frozenset(range(n)).intersection(", "frozenset(range(n)).union(",
            "globally forced as a union"),
-    Mutant("OC7", CELLS, "classify_row(masks, i, red.live)", "classify_row(masks, i, full)",
+    Mutant("OC7", CELLS, "classify_row(masks, i, red.live)", "classify_row(masks, i, (1 << n) - 1)",
            "classify the kept rows over every column"),
     # preprocess.reduce_instance
     Mutant("RD1", PRE,
@@ -334,14 +335,10 @@ MUTANTS: tuple[Mutant, ...] = (
            "digits = sum(ch in '0123456789' for ch in text)",
            "the token size check counts ASCII digits only"),
     # sub_specialize, _rows and close (what _reference_sub_specialize shadowed)
-    Mutant("SB1", BIV, "    if len(core) < 2:\n        return [], _rows(t, True), 0",
-           "    if len(core) < 2:\n        return [], _rows(t, False), 0",
-           "an acyclic round settles unsorted"),
-    Mutant("SB2", BIV, "return [], _rows(t, False), heads & tails", "return [], _rows(t, False), 1 << p",
+    Mutant("SB1", BIV, "residue = _rows(t, not eqs, taken)", "residue = _rows(t, False, taken)",
+           "a round that settles hands back its residue unsorted"),
+    Mutant("SB2", BIV, "forced = heads & tails", "forced = 1 << p",
            "a positive 2-cycle forces only its smaller variable"),
-    Mutant("SB3", BIV, "        return [], _rows(t, True), 0\n\n    dist = close(",
-           "        return [], _rows(t, False), 0\n\n    dist = close(",
-           "a core of two without a zero or positive 2-cycle settles unsorted"),
     Mutant("SB4", BIV, "if dist[i][i] < 0)", "if dist[i][i] <= 0)",
            "a closed core forces every variable on a zero cycle too"),
     Mutant("SB5", BIV, "and up + down == 0:", "and up + down <= 0:",
@@ -355,8 +352,6 @@ MUTANTS: tuple[Mutant, ...] = (
            "a settled residue puts the minus-first row of a pair first"),
     Mutant("SB9", BIV, "if dij is None or through < dij:", "if dij is None:",
            "close keeps the first path found, not the lightest"),
-    Mutant("SB10", BIV, "_rows(t, False, 1 << p * n + m | 1 << m * n + p)", "_rows(t, False)",
-           "a core of two keeps the rows of its zero-width pair"),
     Mutant("SB11", BIV, "    for k in range(nv):\n        row_k = dist[k]",
            "    for k in range(0):\n        row_k = dist[k]",
            "close reads only the direct rows between core variables"),
@@ -439,8 +434,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "    if a.rows != b.rows:\n        raise DimensionMismatch(\"matrix shapes differ\")\n    maxima",
            "verify_solution skips the column check"),
     # the sampler (what the Fraction sampler shadowed)
-    Mutant("SM1", CELLS, "random() < 0.3)", "random() > 0.7)",
-           "parameters drawn at -inf from the other tail (same rate, other draws)"),
+    Mutant("SM1", CELLS, "random() < 0.3)", "random() >= 0.3)",
+           "parameters drawn at -inf with probability 0.7, not 0.3"),
     Mutant("SM2", CELLS, "remove_and_enlarge(t, drawn)[1] if drawn and rows else drawn",
            "drawn", "the drawn -inf set is not closed under the rows"),
     Mutant("SM3", CELLS, "for _ in range(40):", "for _ in range(1):",
@@ -458,6 +453,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "        r = getrandbits(k)\n        while r >= size:\n"
            "            r = getrandbits(k)\n        vals[p] += (r - box) * scale",
            "the fallback draws one shift per parameter, not per component"),
+    Mutant("SM8", CELLS, "face = faces.get(drawn)", "face = faces.get(drawn & (drawn - 1))",
+           "a point reuses the face of its drawn set less its lowest parameter"),
     # cross_validate (what ref_cross_validate shadowed)
     Mutant("CV1", ORACLE, "if x == trivial:\n            continue", "if False:\n            continue",
            "the trivial point is looked up in the cells"),

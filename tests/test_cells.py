@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import fields
@@ -174,7 +175,7 @@ def test_sampler_falls_back_to_the_greatest_point_below_zero():
     )
     assert cell.scale == 2 and cell.parameters() == (0, 1, 2, 4)
     for seed in range(20):
-        vals = cells_mod._feasible_values(cell, [0, 1, 2, 4], random.Random(seed), 1)
+        vals = cells_mod._feasible_values(cell, [0, 1, 2, 4], cell.rows, random.Random(seed), 1)
         shift = vals[0]
         assert shift in (-2, 0, 2) and vals[4] in (-2, 0, 2)
         assert vals == {0: shift, 1: shift - 10, 2: shift - 14, 4: vals[4]}
@@ -202,7 +203,7 @@ def test_feasible_values_draws_as_randint(box):
     for seed in range(300):
         reference, rng = random.Random(seed), random.Random(seed)
         expected = {p: reference.randint(-box, box) * 3 for p in (0, 1, 3)}
-        got = cells_mod._feasible_values(cell, [0, 1, 3], rng, box)
+        got = cells_mod._feasible_values(cell, [0, 1, 3], [], rng, box)
         assert (got, rng.getrandbits(32)) == (expected, reference.getrandbits(32)), (
             f"seed {seed}, box {box}: the sampler's getrandbits draws are no longer "
             "Random.randint(-box, box)'s; has Random._randbelow changed in this Python?"
@@ -536,6 +537,48 @@ def test_rounds_are_bounded(monkeypatch):
         assert calls[0] <= n + 1 <= 2 * n, (eqs, ineqs)
         most = max(most, calls[0])
     assert most >= 4
+
+
+def test_substitute_runs_per_sequence_and_after_each_equation_round(monkeypatch):
+    # The bound array is written before a sequence's first round and again
+    # after each round that returned equations, which move representatives.
+    # A forcing round moves none: its narrowed array goes straight on to the
+    # next round, so a substitute call there changes no output and only this
+    # count shows it.  Per sequence the log reads q s (f* e s)* f* d: q the
+    # sequence, s a substitute call, and f, e, d the forcing, equation and
+    # settling rounds.
+    log = []
+    solve_sequence = cells_mod._solve_sequence
+    substitute = cells_mod.substitute
+    sub_specialize = cells_mod.sub_specialize
+
+    def logged_solve_sequence(*args):
+        log.append("q")
+        return solve_sequence(*args)
+
+    def logged_substitute(rows, uf):
+        log.append("s")
+        return substitute(rows, uf)
+
+    def logged_sub_specialize(t):
+        eqs, residue, forced = sub_specialize(t)
+        log.append("f" if forced else "e" if eqs else "d")
+        return eqs, residue, forced
+
+    monkeypatch.setattr(cells_mod, "_solve_sequence", logged_solve_sequence)
+    monkeypatch.setattr(cells_mod, "substitute", logged_substitute)
+    monkeypatch.setattr(cells_mod, "sub_specialize", logged_sub_specialize)
+    rng = random.Random(3600)
+    for k in range(300):
+        # sparse draws at -inf density 0.3, all-finite ones at 0
+        p_inf = 0.3 if k % 2 else 0.0
+        a, b = planted_ints(rng, rng.randint(2, 4), rng.randint(3, 7), p_inf, rng.random() < 0.5)
+        solve(Matrix(a), Matrix(b))
+    log = "".join(log)
+    assert re.fullmatch(r"(?:qs(?:f*es)*f*d)*", log), log[:200]
+    counts = Counter(log)
+    assert counts["s"] == counts["q"] + counts["e"]
+    assert counts["q"] >= 2000 and counts["e"] >= 200 and counts["f"] >= 100, counts
 
 
 def test_a_sequence_that_never_settles_fails_at_its_round_bound(monkeypatch):

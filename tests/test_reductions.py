@@ -218,6 +218,18 @@ def test_affine_round_trip_random():
                 assert contains_by_view(cell, x)
 
 
+def test_affine_holds_names_the_length_of_x():
+    # [A | a] and [B | b] are evaluated at [x; 0], but a wrong-length x is
+    # reported by its own length against A's columns
+    inst = AffineInstance(
+        Matrix([[0, 1, NI], [2, NI, 0]]), Matrix([[1, 0, 0], [NI, 3, 1]]), (0, NI), (NI, 1)
+    )
+    for x in [(), (0,), (0, 1), (0, 1, 2, 3)]:
+        with pytest.raises(DimensionMismatch) as info:
+            affine_holds(inst, x)
+        assert str(info.value) == f"vector of length {len(x)} against 3 columns"
+
+
 def test_pin_variable_view_matches_base(running_example):
     a, b = running_example
     for cell in solve(a, b).cells:
